@@ -20,6 +20,7 @@ from .geometry import (
     DegenerateInput,
     Point,
     antipodal_pairs,
+    collinear,
     contains,
     convex_hull,
     diameter,

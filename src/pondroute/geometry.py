@@ -88,8 +88,39 @@ class AntipodalPair:
             raise ValueError(f"pair indices must satisfy 0 <= i < j, got ({self.i}, {self.j})")
 
 
-def _turn(a: tuple[float, float], b: tuple[float, float], c: tuple[float, float]) -> float:
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+def _hull_ring(points: Iterable[Point]) -> list[tuple[float, float]]:
+    """Strict corners of the monotone-chain hull, CCW from the smallest (x, y).
+
+    Exact coordinate duplicates are dropped first, and a chain point whose
+    perpendicular deviation from the chord of its neighbours is at most EPS
+    (a distance, so the cross product is normalized by the chord length)
+    counts as collinear. Fewer than 3 entries means the points span no
+    polygon.
+    """
+    pts = sorted({(p.x, p.y) for p in points})
+    if len(pts) < 3:
+        return pts
+
+    def build(seq: list[tuple[float, float]]) -> list[tuple[float, float]]:
+        chain: list[tuple[float, float]] = []
+        for x, y in seq:
+            while len(chain) >= 2:
+                (ox, oy), (ax, ay) = chain[-2], chain[-1]
+                turn = (ax - ox) * (y - oy) - (ay - oy) * (x - ox)
+                if turn > 0.0 and turn > EPS * math.hypot(x - ox, y - oy):
+                    break
+                chain.pop()
+            chain.append((x, y))
+        return chain
+
+    return build(pts)[:-1] + build(pts[::-1])[:-1]
+
+
+def collinear(points: Iterable[Point]) -> bool:
+    """True iff the points span no polygon, which is exactly when
+    ``convex_hull`` raises DegenerateInput: fewer than 3 distinct points, or
+    no hull corner deviates more than EPS from the chord of its neighbours."""
+    return len(_hull_ring(points)) < 3
 
 
 def convex_hull(points: Iterable[Point]) -> ConvexPolygon:
@@ -102,28 +133,14 @@ def convex_hull(points: Iterable[Point]) -> ConvexPolygon:
     normalized by the chord length) counts as collinear, so every returned
     vertex is a strict corner.
 
-    Raises DegenerateInput for fewer than 3 distinct points or collinear input.
+    Raises DegenerateInput for fewer than 3 distinct points or collinear
+    input (see ``collinear``).
     """
-    pts = sorted({(p.x, p.y) for p in points})
-    if len(pts) < 3:
-        raise DegenerateInput(f"need at least 3 distinct points, got {len(pts)}")
-
-    def build(seq: list[tuple[float, float]]) -> list[tuple[float, float]]:
-        chain: list[tuple[float, float]] = []
-        for xy in seq:
-            while len(chain) >= 2:
-                chord = math.hypot(xy[0] - chain[-2][0], xy[1] - chain[-2][1])
-                if _turn(chain[-2], chain[-1], xy) > EPS * chord:
-                    break
-                chain.pop()
-            chain.append(xy)
-        return chain
-
-    lower = build(pts)
-    upper = build(pts[::-1])
-    ring = lower[:-1] + upper[:-1]
+    ring = _hull_ring(points)
     if len(ring) < 3:
-        raise DegenerateInput("all points are collinear")
+        raise DegenerateInput(
+            f"need at least 3 distinct, non-collinear points, got {len(ring)} hull corners"
+        )
     return ConvexPolygon(tuple(Point(x, y) for x, y in ring))
 
 

@@ -5,6 +5,18 @@ a polygon, then one boustrophedon sweep per cluster anchored at an antipodal
 pair of the cluster hull. Every antipodal pair is tried in both orientations
 and the candidate with the shortest depot-to-depot length wins.
 
+Candidates are scored without building them. Per cluster and stacking axis
+(rows, columns) the nodes are bucketed into lanes and sorted once; a
+candidate's length is then summed lane by lane from each lane's end points,
+its internal length and the hops between lanes, O(#lanes) per candidate
+instead of a sort and a full walk. Only candidates within rounding of the
+best are built in full and re-scored by exact summation, so the chosen route
+and its stored length are the ones exhaustive scoring gives. A cluster of m
+nodes with h hull vertices costs one vectorised O(h * m) quantization, an
+O(m log m) sort per distinct lane table (one per axis on a lattice),
+O(h * #lanes) to score every candidate, and O(m) per exact re-score (about
+two per cluster on generated instances).
+
 Solution file format (version 1)::
 
     farm-solution v1
@@ -25,16 +37,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .geometry import (
-    EPS,
     AntipodalPair,
     ConvexPolygon,
     Point,
     antipodal_pairs,
+    collinear,
     convex_hull,
     dist,
 )
@@ -44,6 +56,7 @@ from .rng import make_rng
 KMEANS_TOL = 1e-9
 KMEANS_MAX_ITER = 100
 MIN_CLUSTER_SIZE = 3
+NEAR_BEST = 1e-9  # relative slack of route_cluster's exact re-scoring
 SOLUTION_HEADER = "farm-solution v1"
 
 
@@ -191,22 +204,8 @@ def kmeans(nodes: Sequence[Point], k: int, seed: int) -> ClusterAssignment:
     )
 
 
-def _collinear(pts: list[Point]) -> bool:
-    if len(pts) < 3:
-        return True
-    a = pts[0]
-    b = next((p for p in pts[1:] if dist(a, p) > EPS), None)
-    if b is None:
-        return True
-    base = dist(a, b)  # deviation from the line, as a distance
-    return all(
-        abs((b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x)) <= EPS * base
-        for p in pts
-    )
-
-
 def _cluster_valid(member_pts: list[Point]) -> bool:
-    return len(member_pts) >= MIN_CLUSTER_SIZE and not _collinear(member_pts)
+    return len(member_pts) >= MIN_CLUSTER_SIZE and not collinear(member_pts)
 
 
 def repair_clusters(assign: ClusterAssignment, nodes: Sequence[Point]) -> ClusterAssignment:
@@ -284,63 +283,146 @@ def estimate_spacing(nodes: Sequence[Point]) -> float:
 # serpentine routing
 
 
-def _lane_sweep(
-    pts: Sequence[Point], pos_p: int, pos_q: int, spacing: float, stack_axis: str
-) -> list[int]:
-    """Boustrophedon visit order from p to q with lanes stacked along one axis.
+class _Lanes:
+    """One stacking axis of a cluster, bucketed into lanes and sorted once.
 
-    Nodes are bucketed into lanes by their quantized offset from p along the
-    stacking axis and each lane is swept along the other axis, alternating
-    direction per visited lane. The sweep runs from p's lane toward q's lane;
-    lanes behind p are taken right after p's lane, lanes beyond q right before
-    q's lane, and q's own lane is reordered so q comes last.
+    ``lam`` holds each position's lane key and ``tc`` its coordinate along
+    the lanes. Lanes are stored in key order; each lists its positions in
+    (tc, position) order, with ``sums`` the length of that path. Any anchor
+    whose own quantization puts the nodes into the same lanes in the same
+    order shares the table, since a sweep depends only on that order.
     """
-    if stack_axis == "y":
-        sc = lambda pt: pt.y  # noqa: E731 - tiny accessors
-        tc = lambda pt: pt.x  # noqa: E731
-    else:
-        sc = lambda pt: pt.x  # noqa: E731
-        tc = lambda pt: pt.y  # noqa: E731
 
-    p, q = pts[pos_p], pts[pos_q]
-    lam = {pos: round((sc(pt) - sc(p)) / spacing) for pos, pt in enumerate(pts)}
-    lanes: dict[int, list[int]] = {}
-    for pos in range(len(pts)):
-        if pos in (pos_p, pos_q):
-            continue
-        lanes.setdefault(lam[pos], []).append(pos)
+    def __init__(self, lam: np.ndarray, tc: np.ndarray, xy: np.ndarray) -> None:
+        m = len(lam)
+        by_lane = np.lexsort((np.arange(m), tc, lam))
+        cuts = np.flatnonzero(np.diff(lam[by_lane])) + 1
+        steps = np.hypot(*np.diff(xy[by_lane], axis=0).T)
+        steps[cuts - 1] = 0.0  # hops between lanes
+        bounds = [0, *cuts.tolist(), m]
+        flat = by_lane.tolist()
+        self.members = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+        self.sums = np.add.reduceat(np.append(steps, 0.0), bounds[:-1]).tolist()
+        lane_of = np.empty(m, dtype=np.intp)
+        lane_of[by_lane] = np.repeat(np.arange(len(self.members)), np.diff(bounds))
+        self.lane_of = lane_of.tolist()
+        self.tc = tc.tolist()
+        self.xs, self.ys = xy[:, 0].tolist(), xy[:, 1].tolist()
+        self._anchor_lanes: dict[tuple[int, int, int], tuple[list[int], float]] = {}
 
-    lp, lq = lam[pos_p], lam[pos_q]
-    all_lams = sorted(set(lam.values()))
-    if lq >= lp:
-        rear = [v for v in all_lams if v < lp][::-1]
-        mids = [v for v in all_lams if lp < v < lq]
-        beyond = [v for v in all_lams if v > lq][::-1]
-    else:
-        rear = [v for v in all_lams if v > lp]
-        mids = [v for v in all_lams if lq < v < lp][::-1]
-        beyond = [v for v in all_lams if v < lq]
-    visit = [lp] + rear + mids + beyond + ([lq] if lq != lp else [])
+    def _gap(self, a: int, b: int) -> float:
+        return math.hypot(self.xs[a] - self.xs[b], self.ys[a] - self.ys[b])
 
-    order = [pos_p]
-    start_members = sorted(lanes.get(lp, []), key=lambda i: (abs(tc(pts[i]) - tc(p)), tc(pts[i]), i))
-    order.extend(start_members)
-    base_dir = 1
-    if len(start_members) >= 1 and tc(pts[start_members[-1]]) < tc(p):
-        base_dir = -1
+    def _anchor_lane(
+        self, lane: int, anchor: int, other: int, toward: int
+    ) -> tuple[list[int], float]:
+        """An anchor lane without the anchors, sorted by distance from ``anchor``
+        along the lane (nearest first for ``toward`` 1, farthest first for -1),
+        and the length of that path."""
+        excluded = other if self.lane_of[other] == lane else -1
+        key = (anchor, toward, excluded)
+        if key not in self._anchor_lanes:
+            tc, t0 = self.tc, self.tc[anchor]
+            run = sorted(
+                (i for i in self.members[lane] if i != anchor and i != other),
+                key=lambda i: (toward * abs(tc[i] - t0), tc[i], i),
+            )
+            inner = sum(self._gap(a, b) for a, b in zip(run, run[1:]))
+            self._anchor_lanes[key] = (run, inner)
+        return self._anchor_lanes[key]
 
-    for step, lane in enumerate(visit[1:], start=1):
-        members = lanes.get(lane, [])
-        if not members:
-            continue
-        if lane == lq and lq != lp:
-            members = sorted(members, key=lambda i: (-abs(tc(pts[i]) - tc(q)), tc(pts[i]), i))
+    def runs(self, p: int, q: int) -> Iterator[tuple[list[int], bool, float]]:
+        """(lane members, forward, path length) of each lane the sweep from p
+        to q covers, in visit order; a backward lane is walked in reverse.
+
+        The sweep starts in p's lane, nearest nodes first, then takes the
+        lanes behind p, the lanes between p and q, the lanes beyond q from the
+        far end back, and finally q's lane, farthest from q first. Directions
+        alternate per lane after the first.
+        """
+        a, b = self.lane_of[p], self.lane_of[q]
+        last = len(self.members) - 1
+        if b >= a:
+            visit = [*range(a - 1, -1, -1), *range(a + 1, b), *range(last, b, -1)]
         else:
-            ascending = (base_dir * (-1) ** step) > 0
-            members = sorted(members, key=lambda i: (tc(pts[i]), i), reverse=not ascending)
-        order.extend(members)
-    order.append(pos_q)
-    return order
+            visit = [*range(a + 1, last + 1), *range(a - 1, b, -1), *range(b)]
+        start, inner = self._anchor_lane(a, p, q, 1)
+        if start:
+            yield start, True, inner
+        forward = bool(start) and self.tc[start[-1]] < self.tc[p]
+        for lane in visit:
+            yield self.members[lane], forward, self.sums[lane]
+            forward = not forward
+        if b != a:
+            end, inner = self._anchor_lane(b, q, p, -1)
+            if end:
+                yield end, True, inner
+
+    def length(self, p: int, q: int) -> float:
+        """Path length of the sweep from p to q, summed lane by lane."""
+        total, prev = 0.0, p
+        for run, forward, inner in self.runs(p, q):
+            head, tail = (run[0], run[-1]) if forward else (run[-1], run[0])
+            total += self._gap(prev, head) + inner
+            prev = tail
+        return total + self._gap(prev, q)
+
+    def order(self, p: int, q: int) -> list[int]:
+        order = [p]
+        for run, forward, _ in self.runs(p, q):
+            order.extend(run if forward else reversed(run))
+        order.append(q)
+        return order
+
+
+class _ClusterLanes:
+    """Row (``"y"``) and column (``"x"``) lane tables of one cluster for the
+    given start anchors.
+
+    A sweep from anchor p quantizes each node's offset from p along the
+    stacking axis, ``round((s - s_p) / spacing)``. All anchors are quantized
+    at once with ``np.rint`` (half to even, like ``round``, on the same IEEE
+    quotients), and anchors whose lanes come out as translates of each other
+    share one table, so a lattice cluster builds one table per axis and
+    off-lattice nodes still land in exactly the lanes p itself gives them.
+    """
+
+    def __init__(self, pts: Sequence[Point], starts: Sequence[int], spacing: float) -> None:
+        self.pts = pts
+        xy = np.array([(pt.x, pt.y) for pt in pts], dtype=float)
+        self.tables: dict[tuple[str, int], _Lanes] = {}
+        for axis, s, t in (("y", 1, 0), ("x", 0, 1)):
+            lam = np.rint((xy[:, s] - xy[starts, s][:, None]) / spacing)
+            lam = (lam - lam.min(axis=1, keepdims=True)).astype(np.int64)
+            shared: dict[bytes, _Lanes] = {}
+            for p, row in zip(starts, lam):
+                key = row.tobytes()
+                if key not in shared:
+                    shared[key] = _Lanes(row, xy[:, t], xy)
+                self.tables[axis, p] = shared[key]
+
+    def length(self, p: int, q: int) -> float:
+        """Shorter of the row and column sweep lengths, summed from the tables."""
+        return min(self.tables["y", p].length(p, q), self.tables["x", p].length(p, q))
+
+    def order(self, p: int, q: int) -> list[int]:
+        """Visit order from p to q: the shorter of the row and column sweeps by
+        exact summation, ties within 1e-12 going to rows."""
+        best_order: list[int] = []
+        best_len = math.inf
+        for axis in ("y", "x"):
+            order = self.tables[axis, p].order(p, q)
+            length = _internal_length(self.pts, order)
+            if length < best_len - 1e-12:
+                best_order, best_len = order, length
+        return best_order
+
+
+def _first_positions(pts: Sequence[Point]) -> dict[Point, int]:
+    first: dict[Point, int] = {}
+    for pos, pt in enumerate(pts):
+        first.setdefault(pt, pos)
+    return first
 
 
 def _internal_length(pts: Sequence[Point], order: Sequence[int]) -> float:
@@ -369,21 +451,12 @@ def serpentine_route(
     q_pt = hull.vertices[pair.j]
     if orientation == "reverse":
         p_pt, q_pt = q_pt, p_pt
+    first = _first_positions(pts)
     try:
-        pos_p = next(i for i, pt in enumerate(pts) if pt == p_pt)
-        pos_q = next(i for i, pt in enumerate(pts) if pt == q_pt and i != pos_p)
-    except StopIteration:
+        pos_p, pos_q = first[p_pt], first[q_pt]
+    except KeyError:
         raise ValueError("anchor pair endpoints must be cluster nodes") from None
-
-    best_order: list[int] | None = None
-    best_len = math.inf
-    for stack_axis in ("y", "x"):
-        order = _lane_sweep(pts, pos_p, pos_q, spacing, stack_axis)
-        length = _internal_length(pts, order)
-        if length < best_len - 1e-12:
-            best_order, best_len = order, length
-    assert best_order is not None
-    return best_order
+    return _ClusterLanes(pts, [pos_p], spacing).order(pos_p, pos_q)
 
 
 def route_cluster(
@@ -393,17 +466,38 @@ def route_cluster(
 
     Every antipodal pair of the cluster hull is tried in both orientations;
     ties go to the lexicographically smallest (pair.i, pair.j, orientation).
+
+    Each candidate is first scored from the cluster's lane tables. Only those
+    within ``NEAR_BEST * max(1, lowest)`` plus 1e-12 per candidate of the
+    lowest table score are built in full and scored by exact summation, in
+    candidate order, a later one winning only by more than 1e-12. That picks
+    the same route as building and summing every candidate: table and exact
+    scores differ only by rounding, far below ``NEAR_BEST``, and a candidate
+    whose exact length is more than 1e-12 per candidate above the shortest
+    can neither win nor, through the 1e-12 rule, block one that would.
     """
     ids = [i for i, _ in members]
     pts = [pt for _, pt in members]
     hull = convex_hull(pts)
-    best: tuple[float, list[int]] | None = None
+    first = _first_positions(pts)
+    anchors = [first[v] for v in hull.vertices]
+    lanes = _ClusterLanes(pts, anchors, spacing)
+    ends = []
     for pair in antipodal_pairs(hull):
-        for orientation in ("forward", "reverse"):
-            order = serpentine_route(pts, hull, pair, orientation, spacing)
-            length = route_length(depot, [pts[t] for t in order])
-            if best is None or length < best[0] - 1e-12:
-                best = (length, order)
+        p, q = anchors[pair.i], anchors[pair.j]
+        ends += [(p, q), (q, p)]
+    legs = {a: dist(depot, pts[a]) for a in anchors}
+    scores = [legs[p] + lanes.length(p, q) + legs[q] for p, q in ends]
+    low = min(scores)
+    cutoff = low + NEAR_BEST * max(1.0, low) + 1e-12 * len(ends)
+    best: tuple[float, list[int]] | None = None
+    for (p, q), approx in zip(ends, scores):
+        if approx > cutoff:
+            continue
+        order = lanes.order(p, q)
+        length = route_length(depot, [pts[t] for t in order])
+        if best is None or length < best[0] - 1e-12:
+            best = (length, order)
     assert best is not None
     node_order = tuple(ids[t] for t in best[1])
     return Route(

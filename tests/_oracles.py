@@ -139,3 +139,111 @@ def brute_minmax(depot: Point, pts: list[Point], k: int) -> float:
         worst = max(min_depot_tour(depot, [pts[i] for i in g]) for g in groups)
         best = min(best, worst)
     return best
+
+
+def lane_sweep_oracle(
+    pts: list[Point], pos_p: int, pos_q: int, spacing: float, stack_axis: str
+) -> list[int]:
+    """Per-candidate boustrophedon order, rebuilt from scratch for every call.
+
+    Nodes are bucketed into lanes by their quantized offset from p along the
+    stacking axis and each lane is swept along the other axis, alternating
+    direction per visited lane. The sweep runs from p's lane toward q's lane;
+    lanes behind p are taken right after p's lane, lanes beyond q right before
+    q's lane, and q's own lane is reordered so q comes last.
+    """
+    if stack_axis == "y":
+        sc = lambda pt: pt.y  # noqa: E731 - tiny accessors
+        tc = lambda pt: pt.x  # noqa: E731
+    else:
+        sc = lambda pt: pt.x  # noqa: E731
+        tc = lambda pt: pt.y  # noqa: E731
+
+    p, q = pts[pos_p], pts[pos_q]
+    lam = {pos: round((sc(pt) - sc(p)) / spacing) for pos, pt in enumerate(pts)}
+    lanes: dict[int, list[int]] = {}
+    for pos in range(len(pts)):
+        if pos in (pos_p, pos_q):
+            continue
+        lanes.setdefault(lam[pos], []).append(pos)
+
+    lp, lq = lam[pos_p], lam[pos_q]
+    all_lams = sorted(set(lam.values()))
+    if lq >= lp:
+        rear = [v for v in all_lams if v < lp][::-1]
+        mids = [v for v in all_lams if lp < v < lq]
+        beyond = [v for v in all_lams if v > lq][::-1]
+    else:
+        rear = [v for v in all_lams if v > lp]
+        mids = [v for v in all_lams if lq < v < lp][::-1]
+        beyond = [v for v in all_lams if v < lq]
+    visit = [lp] + rear + mids + beyond + ([lq] if lq != lp else [])
+
+    order = [pos_p]
+    start_members = sorted(
+        lanes.get(lp, []), key=lambda i: (abs(tc(pts[i]) - tc(p)), tc(pts[i]), i)
+    )
+    order.extend(start_members)
+    base_dir = 1
+    if len(start_members) >= 1 and tc(pts[start_members[-1]]) < tc(p):
+        base_dir = -1
+
+    for step, lane in enumerate(visit[1:], start=1):
+        members = lanes.get(lane, [])
+        if not members:
+            continue
+        if lane == lq and lq != lp:
+            members = sorted(members, key=lambda i: (-abs(tc(pts[i]) - tc(q)), tc(pts[i]), i))
+        else:
+            ascending = (base_dir * (-1) ** step) > 0
+            members = sorted(members, key=lambda i: (tc(pts[i]), i), reverse=not ascending)
+        order.extend(members)
+    order.append(pos_q)
+    return order
+
+
+def _dist(a: Point, b: Point) -> float:
+    return math.hypot(a.x - b.x, a.y - b.y)
+
+
+def serpentine_oracle(
+    pts: list[Point], hull: ConvexPolygon, pair, orientation: str, spacing: float
+) -> list[int]:
+    """Both stacking axes swept from scratch; the shorter wins, ties to rows."""
+    p_pt, q_pt = hull.vertices[pair.i], hull.vertices[pair.j]
+    if orientation == "reverse":
+        p_pt, q_pt = q_pt, p_pt
+    pos_p = next(i for i, pt in enumerate(pts) if pt == p_pt)
+    pos_q = next(i for i, pt in enumerate(pts) if pt == q_pt and i != pos_p)
+    best_order, best_len = None, math.inf
+    for stack_axis in ("y", "x"):
+        order = lane_sweep_oracle(pts, pos_p, pos_q, spacing, stack_axis)
+        length = sum(_dist(pts[a], pts[b]) for a, b in zip(order, order[1:]))
+        if length < best_len - 1e-12:
+            best_order, best_len = order, length
+    return best_order
+
+
+def route_cluster_oracle(
+    members: list[tuple[int, Point]], depot: Point, spacing: float
+) -> tuple[tuple[int, ...], float]:
+    """(node order, depot-to-depot length) of the best serpentine candidate,
+    every antipodal pair and orientation swept from scratch in (i, j,
+    orientation) order; a later candidate wins only by more than 1e-12."""
+    from pondroute.geometry import antipodal_pairs, convex_hull
+
+    ids = [i for i, _ in members]
+    pts = [pt for _, pt in members]
+    hull = convex_hull(pts)
+    best: tuple[float, list[int]] | None = None
+    for pair in antipodal_pairs(hull):
+        for orientation in ("forward", "reverse"):
+            order = serpentine_oracle(pts, hull, pair, orientation, spacing)
+            seq = [pts[t] for t in order]
+            length = _dist(depot, seq[0])
+            for a, b in zip(seq, seq[1:]):
+                length += _dist(a, b)
+            length += _dist(seq[-1], depot)
+            if best is None or length < best[0] - 1e-12:
+                best = (length, order)
+    return tuple(ids[t] for t in best[1]), best[0]

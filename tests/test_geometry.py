@@ -11,6 +11,7 @@ from pondroute.geometry import (
     DegenerateInput,
     Point,
     antipodal_pairs,
+    collinear,
     contains,
     convex_hull,
     diameter,
@@ -64,6 +65,17 @@ class TestConvexHull:
     def test_collinear_raises(self):
         with pytest.raises(DegenerateInput):
             convex_hull([Point(0, 0), Point(1, 0), Point(2, 0)])
+
+    def test_near_collinear_band_is_collinear(self):
+        # Every chain point is within EPS of its neighbours' chord, although the
+        # line through the first two points misses (0.9, 0.5) by 4.8e-7.
+        pts = [
+            Point(0.3, 0.5), Point(0.3005, 0.5 + 4e-10), Point(0.9, 0.5), Point(0.1, 0.5 + 2e-10),
+        ]
+        assert collinear(pts)
+        with pytest.raises(DegenerateInput):
+            convex_hull(pts)
+        assert not collinear(pts + [Point(0.5, 0.6)])
 
     def test_too_few_distinct_raises(self):
         with pytest.raises(DegenerateInput):

@@ -1,10 +1,13 @@
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pondroute.geometry import Point, convex_hull, dist
+from pondroute.geometry import Point, antipodal_pairs, collinear, convex_hull, dist
 from pondroute.hpp import (
     ClusterAssignment,
     InvalidK,
@@ -23,7 +26,13 @@ from pondroute.hpp import (
 )
 from pondroute.instances import GeneratorConfig, generate
 
-from _oracles import min_fixed_endpoint_path, min_depot_tour, path_length
+from _oracles import (
+    min_depot_tour,
+    min_fixed_endpoint_path,
+    path_length,
+    route_cluster_oracle,
+    serpentine_oracle,
+)
 
 GRID_3X3 = [Point(float(x), float(y)) for y in range(3) for x in range(3)]
 
@@ -190,6 +199,23 @@ class TestRepairClusters:
             labels[moved] = bad
         assert tuple(labels) == repaired.labels
 
+    def test_near_collinear_cluster_is_repaired_before_its_hull(self):
+        # Cluster 0 lies within EPS of one line by the hull's test; repair must
+        # treat it as invalid, or routing it raises DegenerateInput.
+        pts = [
+            Point(0.3, 0.5), Point(0.3005, 0.5 + 4e-10), Point(0.9, 0.5), Point(0.1, 0.5 + 2e-10),
+            Point(5, 5), Point(6, 5), Point(5, 6), Point(6, 6), Point(5.5, 7),
+        ]
+        assign = ClusterAssignment(
+            labels=(0, 0, 0, 0, 1, 1, 1, 1, 1),
+            centroids=(Point(0.4, 0.5), Point(5.5, 5.8)),
+            k=2,
+        )
+        repaired = repair_clusters(assign, pts)
+        assert repaired.labels != assign.labels
+        for c in range(2):
+            convex_hull([pts[i] for i in repaired.members(c)])
+
     def test_too_few_nodes_raises(self):
         pts = [Point(0, 0), Point(1, 0), Point(0, 1), Point(1, 1), Point(2, 2)]
         assign = kmeans(pts, 2, seed=0)
@@ -343,6 +369,90 @@ class TestRouteCluster:
         assert route.length == pytest.approx(
             route_length(depot, [ring[i] for i in route.node_order])
         )
+
+
+PITCH = 0.05
+
+
+def oracle_cluster(family: str, seed: int, w: int, h: int) -> tuple[list[Point], Point, Point]:
+    """A cluster from one input family, plus the centre and bottom-middle of its grid.
+
+    ``lattice`` thins a w x h grid, ``jittered`` moves every node up to half a
+    pitch per axis (so anchors quantize lanes differently), ``duplicates``
+    repeats some nodes exactly, ``full-grid`` keeps the whole grid.
+    """
+    rng = np.random.default_rng(seed)
+    x0, y0 = rng.uniform(-1.0, 1.0, 2)
+    xy = np.array([(x0 + i * PITCH, y0 + j * PITCH) for j in range(h) for i in range(w)])
+    centre = Point(float(x0 + (w - 1) * PITCH / 2), float(y0 + (h - 1) * PITCH / 2))
+    below = Point(centre.x, float(y0 - 3 * PITCH))
+    if family != "full-grid":
+        xy = xy[rng.random(len(xy)) < 0.8]
+    if family == "jittered":
+        xy = xy + rng.uniform(-0.5, 0.5, xy.shape) * PITCH
+    elif family == "duplicates" and len(xy):
+        xy = rng.permutation(np.vstack([xy, xy[rng.integers(len(xy), size=len(xy) // 3 + 1)]]))
+    return [Point(float(x), float(y)) for x, y in xy], centre, below
+
+
+class TestRouteClusterMatchesOracle:
+    """Lane-table scoring against sweeping every candidate from scratch."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        family=st.sampled_from(["lattice", "jittered", "duplicates", "full-grid"]),
+        seed=st.integers(0, 2**32 - 1),
+        w=st.integers(2, 9),
+        h=st.integers(2, 9),
+        depot=st.one_of(
+            st.sampled_from(["centre", "below"]),
+            st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+        ),
+    )
+    def test_same_route_and_bit_equal_length(self, family, seed, w, h, depot):
+        pts, centre, below = oracle_cluster(family, seed, w, h)
+        if len(pts) < 3 or collinear(pts):
+            return
+        if depot == "centre":
+            depot = centre
+        elif depot == "below":
+            depot = below
+        else:
+            depot = Point(*depot)
+        ids = [int(i) for i in np.random.default_rng(seed).permutation(len(pts)) + 10]
+        members = list(zip(ids, pts))
+
+        route = route_cluster(members, depot, PITCH)
+        order, length = route_cluster_oracle(members, depot, PITCH)
+        assert route.node_order == order
+        assert route.length.hex() == length.hex()
+
+        hull = convex_hull(pts)
+        for pair in antipodal_pairs(hull):
+            for orientation in ("forward", "reverse"):
+                assert serpentine_route(pts, hull, pair, orientation, PITCH) == serpentine_oracle(
+                    pts, hull, pair, orientation, PITCH
+                )
+
+
+# SHA-256 of the save_solution bytes of hpp_solve(k=5, seed=0) on generated
+# instances. A different digest is a change to hpp's output, to be declared.
+GOLDEN_SOLUTIONS = {
+    (200, 42): "df4e6f83bcfbee5908a60f8abb6f55da14b65e8f71ba50ae5f43768e5eefa250",
+    (200, 43): "82051e5779406e31af1146f3509938147470cff60bd464ba37510d268eb28672",
+    (200, 44): "fb12a89dc7464058e552a9a03d908b68d56ec48a8a5ddd30f2957548a9a62d98",
+    (700, 42): "c0db7a9c637d0cb1498a5be73d45dfdb7923e75feccd089d629486ecd74d95ae",
+    (700, 43): "66959e4472f136916b18ce696a5df5b5a91c07872beea6c8835092ffd592713e",
+    (700, 44): "eaf7829cee37d8792e3db3c7933d1dfe77d47fc0b6255a51efc96cc396c366f8",
+}
+
+
+@pytest.mark.parametrize(("n", "seed"), sorted(GOLDEN_SOLUTIONS))
+def test_golden_solution_bytes(tmp_path, n, seed):
+    inst = generate(GeneratorConfig(node_count=n, seed=seed))
+    path = tmp_path / "sol.txt"
+    save_solution(hpp_solve(inst, k=5, seed=0), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SOLUTIONS[n, seed]
 
 
 class TestHppSolve:
