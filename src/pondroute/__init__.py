@@ -2,7 +2,6 @@
 
 from .baseline import (
     DistanceMatrix,
-    SolverBudget,
     TooLarge,
     exact_minmax,
     minmax_local_search,
@@ -23,22 +22,15 @@ from .geometry import (
     collinear,
     contains,
     convex_hull,
-    diameter,
     dist,
 )
 from .hpp import (
     ClusterAssignment,
-    InvalidK,
     RepairImpossible,
-    Route,
-    Solution,
-    estimate_spacing,
     hpp_solve,
     kmeans,
-    load_solution,
     repair_clusters,
     route_cluster,
-    save_solution,
     serpentine_route,
 )
 from .instances import (
@@ -55,5 +47,6 @@ from .instances import (
     place_depot,
     save,
 )
+from .solution import InvalidK, Route, Solution, load_solution, save_solution
 
 __version__ = "0.1.0"

@@ -11,13 +11,12 @@ heuristics are measured against.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hpp import InvalidK, Route, Solution
 from .instances import FarmInstance
+from .solution import InvalidK, Route, Solution
 
 EXACT_MAX_NODES = 10
 EXACT_MAX_ROUTES = 3
@@ -27,20 +26,6 @@ _IMPROVE_EPS = 1e-12
 
 class TooLarge(ValueError):
     """Instance exceeds the exact oracle's enforced limits."""
-
-
-@dataclass(frozen=True)
-class SolverBudget:
-    max_iterations: int | None = 100
-    time_limit: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.max_iterations is None and self.time_limit is None:
-            raise ValueError("at least one of max_iterations / time_limit must be set")
-        if self.max_iterations is not None and self.max_iterations < 0:
-            raise ValueError("max_iterations must be non-negative")
-        if self.time_limit is not None and self.time_limit <= 0:
-            raise ValueError("time_limit must be positive")
 
 
 @dataclass(frozen=True)
@@ -154,20 +139,21 @@ def minmax_local_search(
     inst: FarmInstance,
     k: int = 5,
     seed: int = 0,
-    budget: SolverBudget | None = None,
+    max_iterations: int = 100,
     trace: list[float] | None = None,
 ) -> Solution:
     """Sector sweep + 2-opt + longest-route relocation (`minmax-ls`).
 
-    ``seed`` is recorded for provenance; the procedure itself is
-    deterministic. Pass a list as ``trace`` to collect the max route length
-    after the start and each accepted relocation.
+    At most ``max_iterations`` relocation steps run. ``seed`` is recorded for
+    provenance; the procedure itself is deterministic. Pass a list as
+    ``trace`` to collect the max route length after the start and each
+    accepted relocation.
     """
     n = len(inst.nodes)
     if k < 1 or k > n:
         raise InvalidK(f"k={k} infeasible for {n} nodes")
-    budget = budget or SolverBudget()
-    t_start = time.monotonic()
+    if max_iterations < 0:
+        raise ValueError(f"max_iterations must be non-negative, got {max_iterations}")
     dm = DistanceMatrix.from_instance(inst)
     D, depot = dm.entries, dm.depot
 
@@ -179,14 +165,7 @@ def minmax_local_search(
     if trace is not None:
         trace.append(max(lengths))
 
-    iteration = 0
-    while k > 1:
-        if budget.max_iterations is not None and iteration >= budget.max_iterations:
-            break
-        if budget.time_limit is not None and time.monotonic() - t_start > budget.time_limit:
-            break
-        iteration += 1
-
+    for _ in range(max_iterations if k > 1 else 0):  # one route has no relocation target
         cur_max = max(lengths)
         longest = min(r for r in range(k) if lengths[r] == cur_max)
         if len(orders[longest]) < 2:
@@ -251,13 +230,7 @@ def minmax_local_search(
             trace.append(max(lengths))
 
     routes = tuple(
-        Route(
-            node_order=tuple(order),
-            start_anchor=order[0],
-            end_anchor=order[-1],
-            length=_route_cost(D, depot, order),
-        )
-        for order in orders
+        Route(node_order=tuple(order), length=_route_cost(D, depot, order)) for order in orders
     )
     return Solution(
         instance_ref=inst.name, algorithm="minmax-ls", k=k, seed=seed, routes=routes
@@ -384,8 +357,5 @@ def exact_minmax(inst: FarmInstance, k: int) -> Solution:
         return routes
 
     chosen = min(canonical_routes(p) for p in best_parts)
-    routes = tuple(
-        Route(node_order=order, start_anchor=order[0], end_anchor=order[-1], length=length)
-        for order, length in chosen
-    )
+    routes = tuple(Route(node_order=order, length=length) for order, length in chosen)
     return Solution(instance_ref=inst.name, algorithm="exact", k=k, seed=0, routes=routes)

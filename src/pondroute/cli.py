@@ -13,7 +13,8 @@ from pathlib import Path
 
 from . import baseline, evaluation, hpp, instances
 from .geometry import DegenerateInput, Point, convex_hull
-from .instances import FormatError, GenerationFailure, VersionError
+from .instances import FormatError, GenerationFailure
+from .solution import InvalidK, load_solution, save_solution
 
 ROUTE_COLORS = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
@@ -29,6 +30,25 @@ def _parse_sizes(text: str) -> list[int]:
     if not sizes or any(s < 3 for s in sizes):
         raise argparse.ArgumentTypeError("every size must be an integer >= 3")
     return sizes
+
+
+def _int_at_least(minimum: int):
+    """argparse type: an integer >= ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+_count = _int_at_least(1)
+_non_negative = _int_at_least(0)
 
 
 def _parse_algorithms(text: str) -> list[str]:
@@ -51,13 +71,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = instances.load(args.instance)
-    budget = baseline.SolverBudget(max_iterations=args.iterations)
     t0 = time.perf_counter()
-    sol = evaluation.solve_with(args.algorithm, inst, k=args.routes, seed=args.seed, budget=budget)
+    sol = evaluation.solve_with(
+        args.algorithm, inst, k=args.routes, seed=args.seed, max_iterations=args.iterations
+    )
     elapsed = time.perf_counter() - t0
     metrics = evaluation.score(inst, sol, solve_time=elapsed)
     if args.out:
-        hpp.save_solution(sol, args.out)
+        save_solution(sol, args.out)
     print(
         f"{args.algorithm} total={metrics.total_distance:.12g} "
         f"max={metrics.max_route_length:.12g} time={elapsed:.6f}"
@@ -66,13 +87,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    budget = baseline.SolverBudget(max_iterations=args.iterations)
     report = evaluation.run_benchmark(
         manifest=args.manifest,
         algorithms=args.algorithms,
         k=args.routes,
         seed=args.seed,
-        budget=budget,
+        max_iterations=args.iterations,
         jobs=args.jobs,
     )
     evaluation.write_csv(report, args.report)
@@ -142,7 +162,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
     inst = instances.load(args.instance)
     sol = None
     if args.solution:
-        sol = hpp.load_solution(args.solution)
+        sol = load_solution(args.solution)
         if sol.instance_ref != inst.name:
             raise evaluation.InvalidSolution(
                 f"solution is for {sol.instance_ref!r}, instance is {inst.name!r}"
@@ -164,8 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate a dataset of instances plus a manifest")
     p.add_argument("--sizes", type=_parse_sizes, required=True,
                    help="comma-separated node counts, e.g. 50,100,200")
-    p.add_argument("--count", type=int, default=100, help="instances per size")
-    p.add_argument("--seed", type=int, default=42, help="base seed; instance i uses seed+i")
+    p.add_argument("--count", type=_count, default=100, help="instances per size")
+    p.add_argument("--seed", type=_non_negative, default=42,
+                   help="base seed; instance i uses seed+i")
     p.add_argument("--out", type=Path, required=True, help="output directory")
     p.set_defaults(func=cmd_generate)
 
@@ -173,8 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", choices=evaluation.ALGORITHMS, required=True)
     p.add_argument("--instance", type=Path, required=True)
     p.add_argument("--routes", type=int, default=5, help="route count k (default 5)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--iterations", type=int, default=100,
+    p.add_argument("--seed", type=_non_negative, default=0)
+    p.add_argument("--iterations", type=_non_negative, default=100,
                    help="local-search iteration budget (minmax-ls only)")
     p.add_argument("--out", type=Path, default=None, help="solution file to write")
     p.set_defaults(func=cmd_solve)
@@ -184,9 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithms", type=_parse_algorithms, required=True,
                    help="comma-separated subset of: " + ",".join(evaluation.ALGORITHMS))
     p.add_argument("--routes", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--iterations", type=int, default=100)
-    p.add_argument("--jobs", type=int, default=1, help="parallel solver processes")
+    p.add_argument("--seed", type=_non_negative, default=0)
+    p.add_argument("--iterations", type=_non_negative, default=100,
+                   help="local-search iteration budget (minmax-ls only)")
+    p.add_argument("--jobs", type=_count, default=1, help="parallel solver processes")
     p.add_argument("--report", type=Path, required=True, help="CSV report path")
     p.add_argument("--table", type=Path, default=None, help="also write the text table here")
     p.set_defaults(func=cmd_bench)
@@ -211,9 +233,8 @@ def main(argv: list[str] | None = None) -> int:
         DegenerateInput,
         GenerationFailure,
         FormatError,
-        VersionError,
         hpp.RepairImpossible,
-        hpp.InvalidK,
+        InvalidK,
         baseline.TooLarge,
         evaluation.InvalidSolution,
         RuntimeError,

@@ -17,10 +17,12 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from . import baseline, hpp
-from .instances import FarmInstance, load, load_manifest
+from .instances import FarmInstance, _fmt, load, load_manifest
+from .solution import Solution, route_length
 
 ALGORITHMS = ("hpp", "minmax-ls", "exact")
 
@@ -57,7 +59,7 @@ class BenchmarkReport:
     seed: int
 
 
-def score(inst: FarmInstance, sol: hpp.Solution, solve_time: float = 0.0) -> InstanceMetrics:
+def score(inst: FarmInstance, sol: Solution, solve_time: float = 0.0) -> InstanceMetrics:
     """Recompute all route lengths from coordinates; stored lengths are ignored.
 
     Raises InvalidSolution unless the routes partition the instance's node
@@ -81,7 +83,7 @@ def score(inst: FarmInstance, sol: hpp.Solution, solve_time: float = 0.0) -> Ins
         raise InvalidSolution(f"nodes not covered by any route: {missing[:10]}")
 
     lengths = tuple(
-        hpp.route_length(inst.depot, [inst.nodes[i] for i in route.node_order])
+        route_length(inst.depot, [inst.nodes[i] for i in route.node_order])
         for route in sol.routes
     )
     return InstanceMetrics(
@@ -99,22 +101,29 @@ def solve_with(
     inst: FarmInstance,
     k: int,
     seed: int,
-    budget: baseline.SolverBudget | None = None,
-) -> hpp.Solution:
-    """Dispatch one solve; algorithm is one of ``hpp``, ``minmax-ls``, ``exact``."""
+    max_iterations: int = 100,
+) -> Solution:
+    """Dispatch one solve; algorithm is one of ``hpp``, ``minmax-ls``, ``exact``.
+
+    ``max_iterations`` bounds the local search of ``minmax-ls``; the other
+    algorithms ignore it.
+    """
     if algorithm == "hpp":
         return hpp.hpp_solve(inst, k=k, seed=seed)
     if algorithm == "minmax-ls":
-        return baseline.minmax_local_search(inst, k=k, seed=seed, budget=budget)
+        return baseline.minmax_local_search(inst, k=k, seed=seed, max_iterations=max_iterations)
     if algorithm == "exact":
         return baseline.exact_minmax(inst, k=k)
     raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
 
 
-def _solve_task(args) -> hpp.Solution:
-    algorithm, inst, k, seed, budget = args
+def _solve_named(
+    inst: FarmInstance, algorithm: str, k: int, seed: int, max_iterations: int
+) -> Solution:
+    """``solve_with`` that names the instance when the solver fails; module
+    level so that worker processes can run it."""
     try:
-        return solve_with(algorithm, inst, k, seed, budget)
+        return solve_with(algorithm, inst, k, seed, max_iterations)
     except Exception as exc:
         raise RuntimeError(
             f"solver {algorithm!r} failed on instance {inst.name}: {exc}"
@@ -126,7 +135,7 @@ def run_benchmark(
     algorithms: list[str],
     k: int = 5,
     seed: int = 0,
-    budget: baseline.SolverBudget | None = None,
+    max_iterations: int = 100,
     jobs: int = 1,
 ) -> BenchmarkReport:
     """Solve every manifest instance with every algorithm and aggregate means.
@@ -142,14 +151,6 @@ def run_benchmark(
     for e in entries:
         by_size.setdefault(e.size, []).append(e)
 
-    def solve_named(algorithm: str, inst: FarmInstance) -> hpp.Solution:
-        try:
-            return solve_with(algorithm, inst, k, seed, budget)
-        except Exception as exc:
-            raise RuntimeError(
-                f"solver {algorithm!r} failed on instance {inst.name}: {exc}"
-            ) from exc
-
     rows: list[ReportRow] = []
     for size in sorted(by_size):
         batch = by_size[size]
@@ -163,14 +164,16 @@ def run_benchmark(
                 )
                 continue
             mode = "parallel" if jobs > 1 else "sequential"
+            solve = partial(
+                _solve_named, algorithm=algorithm, k=k, seed=seed, max_iterations=max_iterations
+            )
             if jobs > 1:
-                tasks = [(algorithm, inst, k, seed, budget) for inst in instances]
                 with ProcessPoolExecutor(max_workers=jobs) as pool:
-                    solutions = list(pool.map(_solve_task, tasks))
+                    solutions = list(pool.map(solve, instances))
                 # The headline batch time always comes from a sequential pass.
                 t0 = time.perf_counter()
                 for inst in instances:
-                    solve_named(algorithm, inst)
+                    solve(inst)
                 batch_time = time.perf_counter() - t0
                 times = [0.0] * len(instances)
             else:
@@ -179,7 +182,7 @@ def run_benchmark(
                 t0 = time.perf_counter()
                 for inst in instances:
                     t1 = time.perf_counter()
-                    solutions.append(solve_named(algorithm, inst))
+                    solutions.append(solve(inst))
                     times.append(time.perf_counter() - t1)
                 batch_time = time.perf_counter() - t0
             metrics = [
@@ -199,9 +202,9 @@ CSV_HEADER = "size,algorithm,mean_total,mean_max,batch_time_s,instances,mode"
 def write_csv(report: BenchmarkReport, path: Path | str) -> None:
     lines = [CSV_HEADER]
     for r in report.rows:
-        mt = "" if r.mean_total is None else format(r.mean_total, ".17g")
-        mm = "" if r.mean_max is None else format(r.mean_max, ".17g")
-        bt = "" if r.batch_time_s is None else format(r.batch_time_s, ".17g")
+        mt, mm, bt = (
+            "" if x is None else _fmt(x) for x in (r.mean_total, r.mean_max, r.batch_time_s)
+        )
         lines.append(f"{r.size},{r.algorithm},{mt},{mm},{bt},{r.instance_count},{r.mode}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

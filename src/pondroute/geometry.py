@@ -181,18 +181,6 @@ def antipodal_pairs(poly: ConvexPolygon) -> list[AntipodalPair]:
     return [AntipodalPair(a, b) for a, b in sorted(pairs)]
 
 
-def diameter(poly: ConvexPolygon) -> tuple[AntipodalPair, float]:
-    """Farthest vertex pair and its distance; ties go to the smallest (i, j)."""
-    best_pair: AntipodalPair | None = None
-    best_d = -1.0
-    for pair in antipodal_pairs(poly):
-        d = dist(poly.vertices[pair.i], poly.vertices[pair.j])
-        if d > best_d:
-            best_pair, best_d = pair, d
-    assert best_pair is not None
-    return best_pair, best_d
-
-
 def contains(poly: ConvexPolygon, p: Point) -> bool:
     """True iff ``p`` is inside or on the polygon (boundary tolerance EPS)."""
     for a, b in poly.edges():

@@ -15,28 +15,14 @@ and its stored length are the ones exhaustive scoring gives. A cluster of m
 nodes with h hull vertices costs one vectorised O(h * m) quantization, an
 O(m log m) sort per distinct lane table (one per axis on a lattice),
 O(h * #lanes) to score every candidate, and O(m) per exact re-score (about
-two per cluster on generated instances).
-
-Solution file format (version 1)::
-
-    farm-solution v1
-    instance: <instance name>
-    algorithm: <text>
-    k: <int>
-    seed: <int>
-    total: <float>
-    max: <float>
-    routes: <k>
-    route <r>: length <float> nodes <i0> <i1> ...
-
-Stored lengths are advisory; consumers must recompute them from coordinates.
+two per cluster on generated instances). The routes come back as a
+``solution.Solution``, whose module also holds the file format.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -50,22 +36,20 @@ from .geometry import (
     convex_hull,
     dist,
 )
-from .instances import FarmInstance, FormatError, VersionError
+from .instances import FarmInstance
 from .rng import make_rng
+from .solution import InvalidK, Route, Solution, route_length
+# Re-exported: the benchmark digests solution files through hpp.save_solution.
+from .solution import save_solution  # noqa: F401
 
 KMEANS_TOL = 1e-9
 KMEANS_MAX_ITER = 100
 MIN_CLUSTER_SIZE = 3
 NEAR_BEST = 1e-9  # relative slack of route_cluster's exact re-scoring
-SOLUTION_HEADER = "farm-solution v1"
 
 
 class RepairImpossible(RuntimeError):
     """Clusters cannot all reach 3 non-collinear members."""
-
-
-class InvalidK(ValueError):
-    """Requested route count is infeasible for the instance."""
 
 
 @dataclass(frozen=True)
@@ -87,51 +71,6 @@ class ClusterAssignment:
 
     def members(self, c: int) -> list[int]:
         return [i for i, lab in enumerate(self.labels) if lab == c]
-
-
-@dataclass(frozen=True)
-class Route:
-    node_order: tuple[int, ...]
-    start_anchor: int
-    end_anchor: int
-    length: float
-
-    def __post_init__(self) -> None:
-        if not self.node_order:
-            raise ValueError("route must visit at least one node")
-        if self.start_anchor != self.node_order[0] or self.end_anchor != self.node_order[-1]:
-            raise ValueError("anchors must be the first and last route nodes")
-        if not (math.isfinite(self.length) and self.length >= 0):
-            raise ValueError("route length must be finite and non-negative")
-
-
-@dataclass(frozen=True)
-class Solution:
-    instance_ref: str
-    algorithm: str
-    k: int
-    seed: int
-    routes: tuple[Route, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.routes) != self.k:
-            raise ValueError(f"expected {self.k} routes, got {len(self.routes)}")
-
-    def total_length(self) -> float:
-        return sum(r.length for r in self.routes)
-
-    def max_length(self) -> float:
-        return max(r.length for r in self.routes)
-
-
-def route_length(depot: Point, pts: Sequence[Point]) -> float:
-    """Depot-to-depot length of a route visiting ``pts`` in order."""
-    if not pts:
-        return 0.0
-    total = dist(depot, pts[0])
-    for a, b in zip(pts, pts[1:]):
-        total += dist(a, b)
-    return total + dist(pts[-1], depot)
 
 
 # ---------------------------------------------------------------------------
@@ -267,16 +206,6 @@ def repair_clusters(assign: ClusterAssignment, nodes: Sequence[Point]) -> Cluste
 
     centroids = tuple(centroid(member_ids(c)) for c in range(k))
     return ClusterAssignment(labels=tuple(labels), centroids=centroids, k=k)
-
-
-def estimate_spacing(nodes: Sequence[Point]) -> float:
-    """Median nearest-neighbour distance; recovers the pitch of a thinned grid."""
-    if len(nodes) < 2:
-        raise ValueError("need at least 2 nodes to estimate spacing")
-    pts = np.array([[p.x, p.y] for p in nodes], dtype=float)
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    np.fill_diagonal(d2, np.inf)
-    return float(np.median(np.sqrt(d2.min(axis=1))))
 
 
 # ---------------------------------------------------------------------------
@@ -499,13 +428,7 @@ def route_cluster(
         if best is None or length < best[0] - 1e-12:
             best = (length, order)
     assert best is not None
-    node_order = tuple(ids[t] for t in best[1])
-    return Route(
-        node_order=node_order,
-        start_anchor=node_order[0],
-        end_anchor=node_order[-1],
-        length=best[0],
-    )
+    return Route(node_order=tuple(ids[t] for t in best[1]), length=best[0])
 
 
 def hpp_solve(inst: FarmInstance, k: int = 5, seed: int = 0) -> Solution:
@@ -530,89 +453,3 @@ def hpp_solve(inst: FarmInstance, k: int = 5, seed: int = 0) -> Solution:
         routes=tuple(routes),
     )
 
-
-# ---------------------------------------------------------------------------
-# solution files
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
-def save_solution(sol: Solution, path: Path | str) -> None:
-    path = Path(path)
-    lines = [
-        SOLUTION_HEADER,
-        f"instance: {sol.instance_ref}",
-        f"algorithm: {sol.algorithm}",
-        f"k: {sol.k}",
-        f"seed: {sol.seed}",
-        f"total: {_fmt(sol.total_length())}",
-        f"max: {_fmt(sol.max_length())}",
-        f"routes: {len(sol.routes)}",
-    ]
-    for r, route in enumerate(sol.routes):
-        idx = " ".join(str(i) for i in route.node_order)
-        lines.append(f"route {r}: length {_fmt(route.length)} nodes {idx}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def load_solution(path: Path | str) -> Solution:
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise FormatError(f"{path}: empty file")
-    if not lines[0].startswith("farm-solution v"):
-        raise FormatError(f"{path}: line 1: not a solution file")
-    if lines[0] != SOLUTION_HEADER:
-        raise VersionError(f"{path}: line 1: unsupported format version {lines[0]!r}")
-
-    def field(lineno: int, name: str) -> str:
-        if lineno >= len(lines):
-            raise FormatError(f"{path}: line {lineno + 1}: missing field '{name}'")
-        prefix = f"{name}: "
-        if not lines[lineno].startswith(prefix):
-            raise FormatError(
-                f"{path}: line {lineno + 1}: expected field '{name}', got {lines[lineno]!r}"
-            )
-        return lines[lineno][len(prefix):]
-
-    try:
-        instance_ref = field(1, "instance")
-        algorithm = field(2, "algorithm")
-        k = int(field(3, "k"))
-        seed = int(field(4, "seed"))
-        float(field(5, "total"))
-        float(field(6, "max"))
-        n_routes = int(field(7, "routes"))
-    except ValueError as exc:
-        raise FormatError(f"{path}: malformed header field: {exc}") from exc
-
-    routes = []
-    for r in range(n_routes):
-        lineno = 8 + r
-        if lineno >= len(lines):
-            raise FormatError(f"{path}: line {lineno + 1}: missing route {r}")
-        line = lines[lineno]
-        prefix = f"route {r}: length "
-        if not line.startswith(prefix) or " nodes " not in line:
-            raise FormatError(f"{path}: line {lineno + 1}: malformed route line {line!r}")
-        length_part, nodes_part = line[len(prefix):].split(" nodes ", 1)
-        try:
-            length = float(length_part)
-            node_order = tuple(int(t) for t in nodes_part.split())
-        except ValueError as exc:
-            raise FormatError(f"{path}: line {lineno + 1}: {exc}") from exc
-        if not node_order:
-            raise FormatError(f"{path}: line {lineno + 1}: route {r} has no nodes")
-        routes.append(
-            Route(
-                node_order=node_order,
-                start_anchor=node_order[0],
-                end_anchor=node_order[-1],
-                length=length,
-            )
-        )
-    return Solution(
-        instance_ref=instance_ref, algorithm=algorithm, k=k, seed=seed, routes=tuple(routes)
-    )

@@ -13,9 +13,10 @@ Instance file format (version 1), one text document per instance::
     nodes: <node count>
     <x> <y>          (one node per line, sorted by (y, x))
 
-Floats are written with 17 significant digits so a load/save round trip is
-bit-exact. Readers reject unknown versions. The depot line may be edited by
-hand to override the generated depot.
+Floats are written with 17 significant digits (``_fmt``) so a load/save
+round trip is bit-exact. Readers reject unknown versions. The depot line may
+be edited by hand to override the generated depot. ``_LineReader`` reads
+these two formats and the solution format of ``solution``.
 
 Manifest file format (version 1)::
 
@@ -28,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Any, Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -39,6 +41,7 @@ INSTANCE_HEADER = "farm-instance v1"
 MANIFEST_HEADER = "farm-manifest v1"
 _BISECT_ITERATIONS = 64
 _COUNT_SLACK = 2  # lattice counts are integer step functions of spacing
+T = TypeVar("T")
 
 
 class GenerationFailure(RuntimeError):
@@ -46,7 +49,7 @@ class GenerationFailure(RuntimeError):
 
 
 class FormatError(ValueError):
-    """Malformed instance or manifest file."""
+    """Malformed instance, manifest or solution file."""
 
 
 class VersionError(FormatError):
@@ -88,6 +91,7 @@ class ManifestEntry:
 
 
 def _fmt(x: float) -> str:
+    """17 significant digits, so reading a written float back is bit-exact."""
     return format(x, ".17g")
 
 
@@ -221,96 +225,102 @@ def save(inst: FarmInstance, path: Path | str) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _point(text: str) -> Point:
+    parts = text.split()
+    if len(parts) != 2:
+        raise ValueError(f"expected '<x> <y>', got {text!r}")
+    return Point(float(parts[0]), float(parts[1]))
+
+
 class _LineReader:
-    def __init__(self, path: Path):
+    """Reader of the line-oriented file formats (instance, solution, manifest).
+
+    The first line must be ``header``; the same kind of file at another
+    version raises VersionError. Callers then read ``name: value`` fields and
+    ``<x> <y>`` points in order, and ``end`` allows only blank lines after
+    them. Every error is a FormatError naming the path and the line.
+    """
+
+    def __init__(self, path: Path, header: str) -> None:
+        self.path = path
         self.lines = path.read_text(encoding="utf-8").splitlines()
         self.pos = 0
+        first = self.next("header")
+        kind = header.rsplit(" v", 1)[0]
+        if not first.startswith(f"{kind} v"):
+            raise self.error(f"not a {kind} file, got {first!r}")
+        if first != header:
+            raise VersionError(f"{path}: line 1: unsupported format version {first!r}")
+
+    def error(self, message: str) -> FormatError:
+        """A FormatError at the line read last."""
+        return FormatError(f"{self.path}: line {self.pos}: {message}")
 
     def next(self, what: str) -> str:
-        if self.pos >= len(self.lines):
-            raise FormatError(f"line {self.pos + 1}: unexpected end of file, expected {what}")
-        line = self.lines[self.pos]
         self.pos += 1
-        return line
+        if self.pos > len(self.lines):
+            raise self.error(f"unexpected end of file, expected {what}")
+        return self.lines[self.pos - 1]
 
-    def field(self, name: str) -> str:
+    def parse(self, convert: Callable[[Any], T], value: Any, what: str) -> T:
+        """``convert(value)``, a ValueError becoming a FormatError at this line."""
+        try:
+            return convert(value)
+        except ValueError as exc:
+            raise self.error(f"{what}: {exc}") from exc
+
+    def field(self, name: str, convert: Callable[[str], T] = str) -> T:
         line = self.next(f"field '{name}'")
         prefix = f"{name}: "
         if not line.startswith(prefix):
-            raise FormatError(f"line {self.pos}: expected field '{name}', got {line!r}")
-        return line[len(prefix):]
+            raise self.error(f"expected field '{name}', got {line!r}")
+        return self.parse(convert, line[len(prefix):], name)
+
+    def count(self, name: str) -> int:
+        n = self.field(name, int)
+        if n < 0:
+            raise self.error(f"{name} count must be non-negative")
+        return n
 
     def point(self, what: str) -> Point:
-        line = self.next(what)
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"line {self.pos}: expected '<x> <y>' for {what}, got {line!r}")
-        try:
-            return Point(float(parts[0]), float(parts[1]))
-        except ValueError as exc:
-            raise FormatError(f"line {self.pos}: {exc}") from exc
+        return self.parse(_point, self.next(what), what)
+
+    def rest(self) -> Iterator[str]:
+        """The remaining lines; ``error`` names each one while it is current."""
+        while self.pos < len(self.lines):
+            self.pos += 1
+            yield self.lines[self.pos - 1]
+
+    def end(self) -> None:
+        for line in self.rest():
+            if line.strip():
+                raise self.error("trailing content")
 
 
 def load(path: Path | str) -> FarmInstance:
-    """Load and validate an instance file; see the module docstring for the format."""
-    path = Path(path)
-    r = _LineReader(path)
-    header = r.next("header")
-    if not header.startswith("farm-instance v"):
-        raise FormatError(f"line 1: not an instance file, got {header!r}")
-    if header != INSTANCE_HEADER:
-        raise VersionError(f"line 1: unsupported format version {header!r}")
+    """Load and validate an instance file; see the module docstring for the format.
 
+    Raises FormatError (VersionError for another version) naming the line.
+    """
+    r = _LineReader(Path(path), INSTANCE_HEADER)
     name = r.field("name")
-    try:
-        seed = int(r.field("seed"))
-    except ValueError as exc:
-        raise FormatError(f"line {r.pos}: seed must be an integer") from exc
+    seed = r.field("seed", int)
     if seed < 0:
-        raise FormatError(f"line {r.pos}: seed must be non-negative")
-    try:
-        spacing = float(r.field("spacing"))
-    except ValueError as exc:
-        raise FormatError(f"line {r.pos}: spacing must be a float") from exc
+        raise r.error("seed must be non-negative")
+    spacing = r.field("spacing", float)
     if not (math.isfinite(spacing) and spacing > 0):
-        raise FormatError(f"line {r.pos}: spacing must be positive and finite")
-
-    origin_line = r.field("lattice_origin").split()
-    if len(origin_line) != 2:
-        raise FormatError(f"line {r.pos}: lattice_origin needs two coordinates")
-    origin = Point(float(origin_line[0]), float(origin_line[1]))
-
-    depot_line = r.field("depot").split()
-    if len(depot_line) != 2:
-        raise FormatError(f"line {r.pos}: depot needs two coordinates")
-    try:
-        depot = Point(float(depot_line[0]), float(depot_line[1]))
-    except ValueError as exc:
-        raise FormatError(f"line {r.pos}: {exc}") from exc
-
-    try:
-        n_poly = int(r.field("polygon"))
-    except ValueError as exc:
-        raise FormatError(f"line {r.pos}: polygon count must be an integer") from exc
-    verts = [r.point(f"polygon vertex {i}") for i in range(n_poly)]
-    try:
-        polygon = ConvexPolygon(tuple(verts))
-    except ValueError as exc:
-        raise FormatError(f"polygon is invalid: {exc}") from exc
-
-    try:
-        n_nodes = int(r.field("nodes"))
-    except ValueError as exc:
-        raise FormatError(f"line {r.pos}: node count must be an integer") from exc
+        raise r.error("spacing must be positive and finite")
+    origin = r.field("lattice_origin", _point)
+    depot = r.field("depot", _point)
+    verts = tuple(r.point(f"polygon vertex {i}") for i in range(r.count("polygon")))
+    polygon = r.parse(ConvexPolygon, verts, "polygon")
     nodes = []
-    for i in range(n_nodes):
+    for i in range(r.count("nodes")):
         p = r.point(f"node {i}")
         if not contains(polygon, p):
-            raise FormatError(f"line {r.pos}: node {i} lies outside the polygon")
+            raise r.error(f"node {i} lies outside the polygon")
         nodes.append(p)
-    if r.pos < len(r.lines) and any(line.strip() for line in r.lines[r.pos:]):
-        raise FormatError(f"line {r.pos + 1}: trailing content after node list")
-
+    r.end()
     return FarmInstance(
         name=name,
         seed=seed,
@@ -358,20 +368,14 @@ def generate_dataset(
 
 def load_manifest(path: Path | str) -> list[ManifestEntry]:
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != MANIFEST_HEADER:
-        raise FormatError(f"{path}: not a manifest file")
+    r = _LineReader(path, MANIFEST_HEADER)
     entries = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    for line in r.rest():
         parts = line.split()
+        if not parts:
+            continue
         if len(parts) != 3:
-            raise FormatError(f"{path}: line {lineno}: expected '<file> <size> <seed>'")
-        try:
-            entries.append(
-                ManifestEntry(path=path.parent / parts[0], size=int(parts[1]), seed=int(parts[2]))
-            )
-        except ValueError as exc:
-            raise FormatError(f"{path}: line {lineno}: {exc}") from exc
+            raise r.error("expected '<file> <size> <seed>'")
+        size, seed = (r.parse(int, t, "manifest entry") for t in parts[1:])
+        entries.append(ManifestEntry(path=path.parent / parts[0], size=size, seed=seed))
     return entries

@@ -247,3 +247,47 @@ def route_cluster_oracle(
             if best is None or length < best[0] - 1e-12:
                 best = (length, order)
     return tuple(ids[t] for t in best[1]), best[0]
+
+
+def convex_intersection_area(a: ConvexPolygon, b: ConvexPolygon) -> float:
+    """Area of the intersection of two convex polygons.
+
+    Sutherland-Hodgman clipping ("Reentrant polygon clipping", 1974): ``a``
+    is clipped by the inner half-plane of each CCW edge of ``b`` in turn, then
+    the shoelace formula measures what is left. Points on an edge count as
+    inside, so polygons that only touch leave a zero-area sliver.
+    """
+    ring = [(p.x, p.y) for p in a.vertices]
+    clip = [(p.x, p.y) for p in b.vertices]
+    for (ex, ey), (fx, fy) in zip(clip, clip[1:] + clip[:1]):
+
+        def side(x: float, y: float) -> float:
+            return (fx - ex) * (y - ey) - (fy - ey) * (x - ex)
+
+        kept = []
+        for (px, py), (qx, qy) in zip(ring[-1:] + ring[:-1], ring):
+            sp, sq = side(px, py), side(qx, qy)
+            if (sp >= 0) != (sq >= 0):  # the edge p -> q crosses the clip line
+                t = sp / (sp - sq)
+                kept.append((px + t * (qx - px), py + t * (qy - py)))
+            if sq >= 0:
+                kept.append((qx, qy))
+        ring = kept
+        if not ring:
+            return 0.0
+    twice = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(ring, ring[1:] + ring[:1]))
+    return 0.5 * twice
+
+
+def hull_overlap_area(a: ConvexPolygon, b: ConvexPolygon) -> float:
+    """``convex_intersection_area``, checked against shapely when it is installed."""
+    area = convex_intersection_area(a, b)
+    try:
+        from shapely.geometry import Polygon
+    except ImportError:
+        return area
+    reference = Polygon([(p.x, p.y) for p in a.vertices]).intersection(
+        Polygon([(p.x, p.y) for p in b.vertices])
+    ).area
+    assert math.isclose(area, reference, rel_tol=1e-9, abs_tol=1e-12), (area, reference)
+    return max(area, reference)

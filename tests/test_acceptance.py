@@ -13,14 +13,16 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from pondroute.baseline import SolverBudget, exact_minmax, minmax_local_search
+from pondroute.baseline import exact_minmax, minmax_local_search
 from pondroute.evaluation import run_benchmark, score
 from pondroute.geometry import Point, antipodal_pairs, contains, convex_hull
-from pondroute.hpp import hpp_solve, kmeans, save_solution, serpentine_route
+from pondroute.hpp import hpp_solve, kmeans, serpentine_route
 from pondroute.instances import GeneratorConfig, generate, generate_dataset, save
+from pondroute.solution import save_solution
 
 from _oracles import (
     antipodal_oracle_arcs,
+    hull_overlap_area,
     hull_vertex_oracle,
     min_fixed_endpoint_path,
     path_length,
@@ -133,7 +135,7 @@ def test_criterion_3_exact_oracle_dominance():
         n = 6 + (i % 5)
         inst = generate(GeneratorConfig(node_count=n, seed=i))
         exact = exact_minmax(inst, k=2)
-        ls = minmax_local_search(inst, k=2, seed=0, budget=SolverBudget(max_iterations=200))
+        ls = minmax_local_search(inst, k=2, seed=0, max_iterations=200)
         hp = hpp_solve(inst, k=2, seed=0)
         if exact.max_length() > ls.max_length() + 1e-9:
             dominance_ok = False
@@ -244,7 +246,7 @@ def test_criterion_7_determinism(tmp_path):
     inst = generate(GeneratorConfig(node_count=60, seed=42))
     for solver in (
         lambda: hpp_solve(inst, k=K, seed=0),
-        lambda: minmax_local_search(inst, k=K, seed=0, budget=SolverBudget(max_iterations=50)),
+        lambda: minmax_local_search(inst, k=K, seed=0, max_iterations=50),
     ):
         a, b = tmp_path / "sa.txt", tmp_path / "sb.txt"
         save_solution(solver(), a)
@@ -274,22 +276,14 @@ def test_criterion_7_determinism(tmp_path):
 
 
 def test_criterion_8_pre_repair_hull_disjointness(batch):
-    shapely_geometry = pytest.importorskip("shapely.geometry")
     _, size_300_instances = batch
     assert len(size_300_instances) == PER_SIZE
     worst = 0.0
     for inst in size_300_instances:
         assign = kmeans(inst.nodes, K, seed=0)
-        hulls = []
-        for c in range(K):
-            pts = [inst.nodes[i] for i in assign.members(c)]
-            hulls.append(
-                shapely_geometry.Polygon(
-                    [(p.x, p.y) for p in convex_hull(pts).vertices]
-                )
-            )
+        hulls = [convex_hull([inst.nodes[i] for i in assign.members(c)]) for c in range(K)]
         for a, b in itertools.combinations(hulls, 2):
-            worst = max(worst, a.intersection(b).area)
+            worst = max(worst, hull_overlap_area(a, b))
     ok = worst < 1e-12
     report(8, ok, f"max pairwise pre-repair hull intersection area {worst:.3e} (< 1e-12)")
     assert ok

@@ -6,7 +6,6 @@ import pytest
 
 from pondroute.baseline import (
     DistanceMatrix,
-    SolverBudget,
     TooLarge,
     _subset_tours,
     exact_minmax,
@@ -14,8 +13,9 @@ from pondroute.baseline import (
     two_opt,
 )
 from pondroute.geometry import Point, convex_hull
-from pondroute.hpp import InvalidK, hpp_solve, route_length
+from pondroute.hpp import hpp_solve
 from pondroute.instances import FarmInstance, GeneratorConfig, generate
+from pondroute.solution import InvalidK, route_length
 
 from _oracles import brute_minmax, min_depot_tour
 
@@ -40,10 +40,10 @@ def synthetic_instance(nodes: list[Point], depot: Point) -> FarmInstance:
 
 class TestBudgetAndMatrix:
     def test_budget_requires_a_bound(self):
-        with pytest.raises(ValueError):
-            SolverBudget(max_iterations=None, time_limit=None)
-        SolverBudget(max_iterations=0)
-        SolverBudget(max_iterations=None, time_limit=1.0)
+        inst = generate(GeneratorConfig(node_count=12, seed=0))
+        with pytest.raises(ValueError, match="max_iterations"):
+            minmax_local_search(inst, k=2, seed=0, max_iterations=-1)
+        minmax_local_search(inst, k=2, seed=0, max_iterations=0)
 
     def test_matrix_symmetric_zero_diagonal(self):
         inst = generate(GeneratorConfig(node_count=30, seed=1))
@@ -142,7 +142,7 @@ class TestMinMaxLocalSearch:
             for t in range(8)
         ]
         inst = synthetic_instance(pts, Point(0, 0))
-        sol = minmax_local_search(inst, k=2, seed=0, budget=SolverBudget(max_iterations=200))
+        sol = minmax_local_search(inst, k=2, seed=0, max_iterations=200)
         exact = exact_minmax(inst, k=2)
         assert sol.max_length() <= 1.10 * exact.max_length()
 
@@ -150,7 +150,7 @@ class TestMinMaxLocalSearch:
         half = math.sqrt(0.5)
         pts = [Point(half, half), Point(-half, half), Point(-half, -half), Point(half, -half)]
         inst = synthetic_instance(pts, Point(0, 0))
-        sol = minmax_local_search(inst, k=2, seed=0, budget=SolverBudget(max_iterations=100))
+        sol = minmax_local_search(inst, k=2, seed=0, max_iterations=100)
         exact = exact_minmax(inst, k=2)
         # oracle: each route covers one side of the square (adjacent corners)
         assert exact.max_length() == pytest.approx(2.0 + math.sqrt(2.0))
@@ -168,7 +168,7 @@ class TestMinMaxLocalSearch:
 
     def test_sector_sizes_near_equal(self):
         inst = generate(GeneratorConfig(node_count=23, seed=1))
-        sol = minmax_local_search(inst, k=4, seed=0, budget=SolverBudget(max_iterations=0))
+        sol = minmax_local_search(inst, k=4, seed=0, max_iterations=0)
         sizes = sorted(len(r.node_order) for r in sol.routes)
         assert max(sizes) - min(sizes) <= 1
 
@@ -181,8 +181,8 @@ class TestMinMaxLocalSearch:
 
     def test_deterministic_with_iteration_budget(self):
         inst = generate(GeneratorConfig(node_count=45, seed=13))
-        a = minmax_local_search(inst, k=4, seed=0, budget=SolverBudget(max_iterations=60))
-        b = minmax_local_search(inst, k=4, seed=0, budget=SolverBudget(max_iterations=60))
+        a = minmax_local_search(inst, k=4, seed=0, max_iterations=60)
+        b = minmax_local_search(inst, k=4, seed=0, max_iterations=60)
         assert a == b
 
     def test_invalid_k(self):
@@ -194,6 +194,6 @@ class TestMinMaxLocalSearch:
 
     def test_budget_zero_returns_constructive_solution(self):
         inst = generate(GeneratorConfig(node_count=40, seed=2))
-        sol = minmax_local_search(inst, k=4, seed=0, budget=SolverBudget(max_iterations=0))
+        sol = minmax_local_search(inst, k=4, seed=0, max_iterations=0)
         seen = sorted(i for r in sol.routes for i in r.node_order)
         assert seen == list(range(40))

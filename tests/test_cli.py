@@ -32,6 +32,14 @@ class TestGenerate:
         assert code == 0
         assert len(list(out.glob("farm-*.txt"))) == 4
 
+    @pytest.mark.parametrize("flag", [["--count", "0"], ["--seed", "-1"]])
+    def test_invalid_count_or_seed_usage_error(self, tmp_path, flag):
+        out = tmp_path / "data"
+        with pytest.raises(SystemExit) as err:
+            main(["generate", "--sizes", "10", "--out", str(out), *flag])
+        assert err.value.code == 2
+        assert not out.exists()
+
     def test_invalid_size_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["generate", "--sizes", "0", "--count", "1", "--seed", "1",
@@ -155,6 +163,32 @@ class TestPlot:
 
 
 class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--algorithm", "minmax-ls", "--iterations", "-1"],
+            ["solve", "--algorithm", "minmax-ls", "--seed", "-1"],
+            ["solve", "--algorithm", "hpp", "--seed", "x"],
+            ["bench", "--algorithms", "minmax-ls", "--iterations", "-1"],
+            ["bench", "--algorithms", "minmax-ls", "--seed", "-1"],
+            ["bench", "--algorithms", "minmax-ls", "--jobs", "0"],
+        ],
+        ids=[
+            "solve-iterations", "solve-seed", "solve-seed-text",
+            "bench-iterations", "bench-seed", "bench-jobs",
+        ],
+    )
+    def test_out_of_range_number_usage_error(self, instance_file, tmp_path, argv, capsys):
+        where = (
+            ["--instance", str(instance_file)]
+            if argv[0] == "solve"
+            else ["--manifest", str(tmp_path / "m.txt"), "--report", str(tmp_path / "r.csv")]
+        )
+        with pytest.raises(SystemExit) as err:
+            main([*argv, *where])
+        assert err.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])

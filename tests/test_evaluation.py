@@ -10,8 +10,9 @@ from pondroute.evaluation import (
     write_csv,
 )
 from pondroute.geometry import Point, convex_hull
-from pondroute.hpp import Route, Solution, hpp_solve, save_solution, load_solution
+from pondroute.hpp import hpp_solve
 from pondroute.instances import FarmInstance, GeneratorConfig, generate, generate_dataset
+from pondroute.solution import Route, Solution, load_solution, save_solution
 
 
 def synthetic_instance(nodes: list[Point], depot: Point) -> FarmInstance:
@@ -34,7 +35,7 @@ def synthetic_instance(nodes: list[Point], depot: Point) -> FarmInstance:
 def one_route_solution(order: tuple[int, ...], length: float = 0.0) -> Solution:
     return Solution(
         instance_ref="synthetic", algorithm="hpp", k=1, seed=0,
-        routes=(Route(order, order[0], order[-1], length),),
+        routes=(Route(order, length),),
     )
 
 
@@ -50,7 +51,7 @@ class TestScore:
         inst = synthetic_instance(pts, Point(0, 0))
         sol = Solution(
             instance_ref="synthetic", algorithm="exact", k=3, seed=0,
-            routes=tuple(Route((i,), i, i, 0.0) for i in range(3)),
+            routes=tuple(Route((i,), 0.0) for i in range(3)),
         )
         metrics = score(inst, sol)
         assert metrics.total_distance == pytest.approx(2 * (1 + 2 + 3))
@@ -61,7 +62,7 @@ class TestScore:
         inst = synthetic_instance(pts, Point(0, 0))
         sol = Solution(
             instance_ref="synthetic", algorithm="hpp", k=2, seed=0,
-            routes=(Route((0,), 0, 0, 0.0), Route((0,), 0, 0, 0.0)),
+            routes=(Route((0,), 0.0), Route((0,), 0.0)),
         )
         with pytest.raises(InvalidSolution, match="node 0"):
             score(inst, sol)

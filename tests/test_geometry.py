@@ -14,7 +14,6 @@ from pondroute.geometry import (
     collinear,
     contains,
     convex_hull,
-    diameter,
     dist,
 )
 
@@ -191,44 +190,6 @@ class TestAntipodalPairs:
                 tuple(Point(c * p.x - s * p.y, s * p.x + c * p.y) for p in hull.vertices)
             )
             assert [(p.i, p.j) for p in antipodal_pairs(rotated)] == base
-
-
-class TestDiameter:
-    def test_unit_square_tie_break(self):
-        pair, d = diameter(UNIT_SQUARE)
-        assert (pair.i, pair.j) == (0, 2)  # {(0,0),(1,1)}, smallest (i,j) among ties
-        assert d == pytest.approx(math.sqrt(2))
-
-    def test_triangle(self):
-        # Pairwise distances are 4, sqrt(10), sqrt(18); the max is sqrt(18)
-        # for vertices (4,0) and (1,3).
-        pair, d = diameter(TRIANGLE)
-        assert {TRIANGLE.vertices[pair.i], TRIANGLE.vertices[pair.j]} == {
-            Point(4, 0), Point(1, 3),
-        }
-        assert d == pytest.approx(math.sqrt(18))
-
-    def test_regular_hexagon(self):
-        hexagon = ConvexPolygon(
-            tuple(
-                Point(math.cos(math.pi * t / 3), math.sin(math.pi * t / 3))
-                for t in range(6)
-            )
-        )
-        pair, d = diameter(hexagon)
-        assert d == pytest.approx(2.0)
-        assert (pair.j - pair.i) % 6 == 3  # opposite vertices
-
-    def test_matches_pairwise_maximum(self):
-        rng = np.random.default_rng(31)
-        for _ in range(40):
-            hull = random_hull(rng, int(rng.integers(4, 25)))
-            _, d = diameter(hull)
-            v = hull.vertices
-            brute = max(
-                dist(v[i], v[j]) for i in range(len(v)) for j in range(i + 1, len(v))
-            )
-            assert d == pytest.approx(brute, abs=0)
 
 
 class TestContains:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,23 +11,25 @@ from hypothesis import strategies as st
 from pondroute.geometry import Point, antipodal_pairs, collinear, convex_hull, dist
 from pondroute.hpp import (
     ClusterAssignment,
-    InvalidK,
     RepairImpossible,
-    Route,
-    Solution,
-    estimate_spacing,
     hpp_solve,
     kmeans,
-    load_solution,
     repair_clusters,
     route_cluster,
-    route_length,
-    save_solution,
     serpentine_route,
 )
-from pondroute.instances import GeneratorConfig, generate
+from pondroute.instances import FormatError, GeneratorConfig, generate
+from pondroute.solution import (
+    InvalidK,
+    Route,
+    Solution,
+    load_solution,
+    route_length,
+    save_solution,
+)
 
 from _oracles import (
+    hull_overlap_area,
     min_depot_tour,
     min_fixed_endpoint_path,
     path_length,
@@ -221,22 +224,6 @@ class TestRepairClusters:
         assign = kmeans(pts, 2, seed=0)
         with pytest.raises(RepairImpossible):
             repair_clusters(assign, pts)
-
-
-class TestEstimateSpacing:
-    def test_unit_grid(self):
-        assert estimate_spacing(grid_points(3, 3)) == pytest.approx(1.0)
-
-    def test_two_nodes(self):
-        assert estimate_spacing([Point(0, 0), Point(0, 2.5)]) == pytest.approx(2.5)
-
-    def test_recovers_pitch_after_deletion(self):
-        hits = 0
-        for seed in range(100):
-            inst = generate(GeneratorConfig(node_count=100, seed=1000 + seed))
-            if abs(estimate_spacing(inst.nodes) - inst.spacing) <= 1e-9:
-                hits += 1
-        assert hits >= 95
 
 
 class TestSerpentineRoute:
@@ -498,8 +485,8 @@ class TestHppSolve:
             pts = [inst.nodes[i] for i in route.node_order]
             hull = convex_hull(pts)
             verts = {(p.x, p.y): i for i, p in enumerate(hull.vertices)}
-            first = inst.nodes[route.start_anchor]
-            last = inst.nodes[route.end_anchor]
+            first = inst.nodes[route.node_order[0]]
+            last = inst.nodes[route.node_order[-1]]
             assert (first.x, first.y) in verts and (last.x, last.y) in verts
             i, j = verts[(first.x, first.y)], verts[(last.x, last.y)]
             pairs = {(p.i, p.j) for p in antipodal_pairs(hull)}
@@ -520,17 +507,11 @@ class TestHppSolve:
         assert a.read_bytes() == b.read_bytes()
 
     def test_pre_repair_hulls_disjoint(self):
-        shapely = pytest.importorskip("shapely.geometry")
         inst = generate(GeneratorConfig(node_count=300, seed=42))
         assign = kmeans(inst.nodes, 5, seed=0)
-        hulls = []
-        for c in range(5):
-            pts = [inst.nodes[i] for i in assign.members(c)]
-            hulls.append(
-                shapely.Polygon([(p.x, p.y) for p in convex_hull(pts).vertices])
-            )
+        hulls = [convex_hull([inst.nodes[i] for i in assign.members(c)]) for c in range(5)]
         for a, b in itertools.combinations(hulls, 2):
-            assert a.intersection(b).area < 1e-12
+            assert hull_overlap_area(a, b) < 1e-12
 
     def test_invalid_k(self):
         inst = generate(GeneratorConfig(node_count=12, seed=0))
@@ -552,14 +533,45 @@ class TestSolutionFiles:
 
     def test_route_invariants_enforced(self):
         with pytest.raises(ValueError):
-            Route(node_order=(1, 2, 3), start_anchor=2, end_anchor=3, length=1.0)
+            Route(node_order=(), length=1.0)
         with pytest.raises(ValueError):
             Solution(instance_ref="x", algorithm="hpp", k=2, seed=0, routes=())
 
     def test_malformed_solution(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("farm-solution v1\ninstance: x\n")
-        from pondroute.instances import FormatError
-
         with pytest.raises(FormatError):
+            load_solution(path)
+
+    @pytest.mark.parametrize(
+        ("old", "new", "line"),
+        [
+            ("k: 3", "k: 2", 8),  # k differs from the route count
+            ("k: 3", "k: 0", 4),
+            ("routes: 3", "routes: -1", 8),
+            ("route 1: length ", "route 1: length -", 10),
+            ("route 1: length ", "route 1: length nan", 10),
+        ],
+        ids=["k-mismatch", "k-zero", "negative-route-count", "negative-length", "nan-length"],
+    )
+    def test_malformed_field_is_format_error(self, tmp_path, old, new, line):
+        inst = generate(GeneratorConfig(node_count=40, seed=5))
+        path = tmp_path / "s.txt"
+        save_solution(hpp_solve(inst, k=3, seed=1), path)
+        text = path.read_text()
+        if new.endswith("nan"):
+            start = text.index(old)
+            text = text[:start] + new + text[text.index(" nodes ", start):]
+        else:
+            text = text.replace(old, new, 1)
+        path.write_text(text)
+        with pytest.raises(FormatError, match=re.escape(f"{path}: line {line}: ")):
+            load_solution(path)
+
+    def test_trailing_content_rejected(self, tmp_path):
+        inst = generate(GeneratorConfig(node_count=40, seed=5))
+        path = tmp_path / "s.txt"
+        save_solution(hpp_solve(inst, k=3, seed=1), path)
+        path.write_text(path.read_text() + "\nroute 3: length 0 nodes 0\n")
+        with pytest.raises(FormatError, match="line 13: trailing content"):
             load_solution(path)

@@ -152,6 +152,28 @@ class TestSaveLoad:
         with pytest.raises(FormatError):
             load(path)
 
+    @pytest.mark.parametrize("value", ["0.1 x", "nan 0.5"])
+    def test_malformed_lattice_origin(self, tmp_path, value):
+        inst = make_instance(20, 1)
+        path = tmp_path / "i.txt"
+        save(inst, path)
+        lines = path.read_text().splitlines()
+        assert lines[4].startswith("lattice_origin: ")
+        lines[4] = f"lattice_origin: {value}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="line 5: lattice_origin"):
+            load(path)
+
+    def test_negative_node_count(self, tmp_path):
+        inst = make_instance(20, 1)
+        path = tmp_path / "i.txt"
+        save(inst, path)
+        lines = path.read_text().splitlines()
+        cut = lines.index("nodes: 20")
+        path.write_text("\n".join(lines[:cut] + ["nodes: -1"]) + "\n")
+        with pytest.raises(FormatError, match=f"line {cut + 1}: nodes count"):
+            load(path)
+
     def test_depot_override_survives(self, tmp_path):
         inst = make_instance(20, 1)
         path = tmp_path / "i.txt"
@@ -183,3 +205,9 @@ class TestGenerateDataset:
         m1 = generate_dataset([10, 15], 2, 0, tmp_path / "a")
         m2 = generate_dataset([10, 15], 2, 0, tmp_path / "b")
         assert m1.read_text() == m2.read_text()
+
+    def test_malformed_manifest_names_line(self, tmp_path):
+        manifest = generate_dataset([10], 2, base_seed=1, out_dir=tmp_path)
+        manifest.write_text(manifest.read_text() + "\nbroken.txt ten 3\n")
+        with pytest.raises(FormatError, match=r"manifest.txt: line 5: "):
+            load_manifest(manifest)
