@@ -22,6 +22,7 @@ EXACT_MAX_NODES = 10
 EXACT_MAX_ROUTES = 3
 _RELOCATE_CANDIDATES = 10
 _IMPROVE_EPS = 1e-12
+_TWO_OPT_MAX_PASSES = 1000
 
 
 class TooLarge(ValueError):
@@ -61,13 +62,14 @@ def _route_cost(D: np.ndarray, depot: int, order: list[int]) -> float:
     return float(cost)
 
 
-def two_opt(order: list[int], D: np.ndarray, depot: int, max_passes: int = 1000) -> list[int]:
-    """Best-improvement 2-opt on a depot-anchored tour until no move helps."""
+def two_opt(order: list[int], D: np.ndarray, depot: int) -> list[int]:
+    """Best-improvement 2-opt on a depot-anchored tour until no move helps
+    (at most 1000 passes)."""
     order = list(order)
     m = len(order)
     if m < 3:
         return order
-    for _ in range(max_passes):
+    for _ in range(_TWO_OPT_MAX_PASSES):
         P = np.empty(m + 2, dtype=int)
         P[0] = P[-1] = depot
         P[1:-1] = order

@@ -76,7 +76,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         args.algorithm, inst, k=args.routes, seed=args.seed, max_iterations=args.iterations
     )
     elapsed = time.perf_counter() - t0
-    metrics = evaluation.score(inst, sol, solve_time=elapsed)
+    metrics = evaluation.score(inst, sol)
     if args.out:
         save_solution(sol, args.out)
     print(
@@ -93,7 +93,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         k=args.routes,
         seed=args.seed,
         max_iterations=args.iterations,
-        jobs=args.jobs,
     )
     evaluation.write_csv(report, args.report)
     table = evaluation.format_table(report)
@@ -208,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_non_negative, default=0)
     p.add_argument("--iterations", type=_non_negative, default=100,
                    help="local-search iteration budget (minmax-ls only)")
-    p.add_argument("--jobs", type=_count, default=1, help="parallel solver processes")
     p.add_argument("--report", type=Path, required=True, help="CSV report path")
     p.add_argument("--table", type=Path, default=None, help="also write the text table here")
     p.set_defaults(func=cmd_bench)

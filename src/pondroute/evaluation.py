@@ -1,23 +1,19 @@
 """Benchmark harness: batch solving, the three metrics, CSV and table reports.
 
-Per instance the harness records total distance, maximum route length, and
-the wall time of the solve call alone (monotonic clock; file parsing and
-report writing are excluded). Per (size, algorithm) it reports means plus the
-batch time of a sequential solving pass.
+Per instance the harness records total distance and maximum route length.
+Per (size, algorithm) it reports their means plus the batch time: the wall
+time of one sequential pass of solve calls (monotonic clock; file parsing,
+scoring and report writing are excluded).
 
 CSV schema: ``size,algorithm,mean_total,mean_max,batch_time_s,instances,mode``
 with one row per (size, algorithm); means carry full precision. ``mode`` is
-``sequential``, ``parallel`` (metrics computed on worker processes; the batch
-time still comes from a sequential pass), or ``skipped`` for the exact oracle
-above its size limits.
+``sequential``, or ``skipped`` for the exact oracle above its size limits.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 from . import baseline, hpp
@@ -38,7 +34,6 @@ class InstanceMetrics:
     total_distance: float
     max_route_length: float
     route_lengths: tuple[float, ...]
-    solve_time: float
 
 
 @dataclass(frozen=True)
@@ -49,7 +44,11 @@ class ReportRow:
     mean_max: float | None
     batch_time_s: float | None
     instance_count: int
-    mode: str
+
+    @property
+    def mode(self) -> str:
+        """``skipped`` for a row without results, else ``sequential``."""
+        return "skipped" if self.mean_total is None else "sequential"
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,7 @@ class BenchmarkReport:
     seed: int
 
 
-def score(inst: FarmInstance, sol: Solution, solve_time: float = 0.0) -> InstanceMetrics:
+def score(inst: FarmInstance, sol: Solution) -> InstanceMetrics:
     """Recompute all route lengths from coordinates; stored lengths are ignored.
 
     Raises InvalidSolution unless the routes partition the instance's node
@@ -92,7 +91,6 @@ def score(inst: FarmInstance, sol: Solution, solve_time: float = 0.0) -> Instanc
         total_distance=sum(lengths),
         max_route_length=max(lengths),
         route_lengths=lengths,
-        solve_time=solve_time,
     )
 
 
@@ -120,8 +118,7 @@ def solve_with(
 def _solve_named(
     inst: FarmInstance, algorithm: str, k: int, seed: int, max_iterations: int
 ) -> Solution:
-    """``solve_with`` that names the instance when the solver fails; module
-    level so that worker processes can run it."""
+    """``solve_with`` that names the instance when the solver fails."""
     try:
         return solve_with(algorithm, inst, k, seed, max_iterations)
     except Exception as exc:
@@ -136,7 +133,6 @@ def run_benchmark(
     k: int = 5,
     seed: int = 0,
     max_iterations: int = 100,
-    jobs: int = 1,
 ) -> BenchmarkReport:
     """Solve every manifest instance with every algorithm and aggregate means.
 
@@ -159,39 +155,18 @@ def run_benchmark(
             if algorithm == "exact" and (
                 size > baseline.EXACT_MAX_NODES or k > baseline.EXACT_MAX_ROUTES
             ):
-                rows.append(
-                    ReportRow(size, algorithm, None, None, None, len(batch), "skipped")
-                )
+                rows.append(ReportRow(size, algorithm, None, None, None, len(batch)))
                 continue
-            mode = "parallel" if jobs > 1 else "sequential"
-            solve = partial(
-                _solve_named, algorithm=algorithm, k=k, seed=seed, max_iterations=max_iterations
-            )
-            if jobs > 1:
-                with ProcessPoolExecutor(max_workers=jobs) as pool:
-                    solutions = list(pool.map(solve, instances))
-                # The headline batch time always comes from a sequential pass.
-                t0 = time.perf_counter()
-                for inst in instances:
-                    solve(inst)
-                batch_time = time.perf_counter() - t0
-                times = [0.0] * len(instances)
-            else:
-                solutions = []
-                times = []
-                t0 = time.perf_counter()
-                for inst in instances:
-                    t1 = time.perf_counter()
-                    solutions.append(solve(inst))
-                    times.append(time.perf_counter() - t1)
-                batch_time = time.perf_counter() - t0
-            metrics = [
-                score(i, s, solve_time=t) for i, s, t in zip(instances, solutions, times)
+            t0 = time.perf_counter()
+            solutions = [
+                _solve_named(inst, algorithm, k, seed, max_iterations) for inst in instances
             ]
+            batch_time = time.perf_counter() - t0
+            metrics = [score(i, s) for i, s in zip(instances, solutions)]
             mean_total = sum(m.total_distance for m in metrics) / len(metrics)
             mean_max = sum(m.max_route_length for m in metrics) / len(metrics)
             rows.append(
-                ReportRow(size, algorithm, mean_total, mean_max, batch_time, len(batch), mode)
+                ReportRow(size, algorithm, mean_total, mean_max, batch_time, len(batch))
             )
     return BenchmarkReport(rows=tuple(rows), k=k, seed=seed)
 

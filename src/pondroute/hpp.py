@@ -49,7 +49,7 @@ NEAR_BEST = 1e-9  # relative slack of route_cluster's exact re-scoring
 
 
 class RepairImpossible(RuntimeError):
-    """Clusters cannot all reach 3 non-collinear members."""
+    """Clusters cannot all be filled, or cannot all reach 3 non-collinear members."""
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,8 @@ def _assign_labels(pts: np.ndarray, cents: np.ndarray) -> tuple[np.ndarray, np.n
     """Nearest-centroid labels (ties to the lowest index), reseeding empty clusters.
 
     An empty cluster's centroid is moved onto the point farthest from its
-    nearest centroid, then labels are recomputed.
+    nearest centroid, then labels are recomputed. Raises RepairImpossible when
+    a cluster is still empty after ``2 * k + 1`` rounds.
     """
     k = len(cents)
     cents = cents.copy()
@@ -94,7 +95,7 @@ def _assign_labels(pts: np.ndarray, cents: np.ndarray) -> tuple[np.ndarray, np.n
             return labels, cents
         farthest = int(d2.min(axis=1).argmax())
         cents[int(empty[0])] = pts[farthest]
-    raise RuntimeError("could not repair empty clusters")
+    raise RepairImpossible("could not repair empty clusters")
 
 
 def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -119,7 +120,8 @@ def kmeans(nodes: Sequence[Point], k: int, seed: int) -> ClusterAssignment:
 
     Stops when the largest centroid movement falls below 1e-9 or after 100
     iterations; returned labels are exactly nearest-centroid with respect to
-    the returned centroids.
+    the returned centroids. Raises RepairImpossible when some cluster stays
+    empty, as it must when the nodes sit on fewer than ``k`` distinct positions.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
@@ -432,7 +434,11 @@ def route_cluster(
 
 
 def hpp_solve(inst: FarmInstance, k: int = 5, seed: int = 0) -> Solution:
-    """Cluster the instance into ``k`` groups and route each as a serpentine."""
+    """Cluster the instance into ``k`` groups and route each as a serpentine.
+
+    Raises InvalidK unless ``1 <= k <= n // 3``, and RepairImpossible when the
+    nodes cannot form ``k`` clusters of 3+ non-collinear members.
+    """
     n = len(inst.nodes)
     if k < 1 or MIN_CLUSTER_SIZE * k > n:
         raise InvalidK(

@@ -41,6 +41,8 @@ INSTANCE_HEADER = "farm-instance v1"
 MANIFEST_HEADER = "farm-manifest v1"
 _BISECT_ITERATIONS = 64
 _COUNT_SLACK = 2  # lattice counts are integer step functions of spacing
+_POLYGON_SAMPLES = 12  # uniform points whose hull is the outline
+_DELETION_FRACTION = 0.20  # share of the lattice deleted at random
 T = TypeVar("T")
 
 
@@ -60,16 +62,12 @@ class VersionError(FormatError):
 class GeneratorConfig:
     node_count: int
     seed: int
-    polygon_sample_count: int = 12
-    deletion_fraction: float = 0.20
 
     def __post_init__(self) -> None:
         if self.node_count < 3:
             raise ValueError(f"node_count must be at least 3, got {self.node_count}")
-        if self.polygon_sample_count < 3:
-            raise ValueError("polygon_sample_count must be at least 3")
-        if not 0.0 <= self.deletion_fraction < 1.0:
-            raise ValueError("deletion_fraction must be in [0, 1)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -177,18 +175,18 @@ def place_depot(inst: FarmInstance) -> FarmInstance:
 def generate(cfg: GeneratorConfig) -> FarmInstance:
     """Generate a deterministic instance: lattice fill of a random convex region.
 
-    The polygon is the hull of ``polygon_sample_count`` uniform points in the
-    unit square; the pitch is bisected so the lattice holds about
-    ``node_count / (1 - deletion_fraction)`` in-polygon points, then random
-    points are deleted until exactly ``node_count`` remain.
+    The polygon is the hull of 12 uniform points in the unit square; the
+    pitch is bisected so the lattice holds about ``node_count / 0.8``
+    in-polygon points, then random points are deleted until exactly
+    ``node_count`` remain.
     """
     rng = make_rng(cfg.seed)
-    samples = rng.random((cfg.polygon_sample_count, 2))
+    samples = rng.random((_POLYGON_SAMPLES, 2))
     polygon = convex_hull([Point(float(x), float(y)) for x, y in samples])
     xmin, ymin, _, _ = polygon.bounding_box()
     origin = Point(xmin, ymin)
 
-    target = math.ceil(cfg.node_count / (1.0 - cfg.deletion_fraction))
+    target = math.ceil(cfg.node_count / (1.0 - _DELETION_FRACTION))
     spacing = _choose_spacing(polygon, origin, target, cfg.node_count)
     lattice = _lattice_points(polygon, origin, spacing)
 
@@ -340,26 +338,30 @@ def generate_dataset(
 ) -> Path:
     """Write ``count_per_size`` instances per size plus a manifest; returns its path.
 
-    Instance i of every size uses seed ``base_seed + i``.
+    Instance i of every size uses seed ``base_seed + i``. Every size and seed
+    is checked before ``out_dir`` is created.
     """
     if not sizes:
         raise ValueError("sizes must be non-empty")
     if count_per_size < 1:
         raise ValueError("count_per_size must be at least 1")
+    configs = [
+        GeneratorConfig(node_count=size, seed=base_seed + i)
+        for size in sizes
+        for i in range(count_per_size)
+    ]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     records = []
-    for size in sizes:
-        for i in range(count_per_size):
-            seed = base_seed + i
-            try:
-                inst = generate(GeneratorConfig(node_count=size, seed=seed))
-            except GenerationFailure as exc:
-                raise GenerationFailure(f"size={size} seed={seed}: {exc}") from exc
-            fname = f"{inst.name}.txt"
-            save(inst, out_dir / fname)
-            records.append(f"{fname} {size} {seed}")
+    for cfg in configs:
+        try:
+            inst = generate(cfg)
+        except GenerationFailure as exc:
+            raise GenerationFailure(f"size={cfg.node_count} seed={cfg.seed}: {exc}") from exc
+        fname = f"{inst.name}.txt"
+        save(inst, out_dir / fname)
+        records.append(f"{fname} {cfg.node_count} {cfg.seed}")
 
     manifest = out_dir / "manifest.txt"
     manifest.write_text(MANIFEST_HEADER + "\n" + "\n".join(records) + "\n", encoding="utf-8")

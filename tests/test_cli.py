@@ -171,7 +171,7 @@ class TestUsage:
             ["solve", "--algorithm", "hpp", "--seed", "x"],
             ["bench", "--algorithms", "minmax-ls", "--iterations", "-1"],
             ["bench", "--algorithms", "minmax-ls", "--seed", "-1"],
-            ["bench", "--algorithms", "minmax-ls", "--jobs", "0"],
+            ["bench", "--algorithms", "minmax-ls", "--jobs", "2"],
         ],
         ids=[
             "solve-iterations", "solve-seed", "solve-seed-text",

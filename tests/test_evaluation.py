@@ -149,14 +149,6 @@ class TestRunBenchmark:
             sum(m.max_route_length for m in metrics) / len(metrics), abs=1e-12
         )
 
-    def test_parallel_mode_flagged_same_means(self, small_manifest):
-        seq = run_benchmark(small_manifest, ["hpp"], k=2, seed=0, jobs=1)
-        par = run_benchmark(small_manifest, ["hpp"], k=2, seed=0, jobs=2)
-        assert all(r.mode == "parallel" for r in par.rows)
-        assert [(r.mean_total, r.mean_max) for r in seq.rows] == [
-            (r.mean_total, r.mean_max) for r in par.rows
-        ]
-
     def test_unknown_algorithm_rejected(self, small_manifest):
         with pytest.raises(ValueError):
             run_benchmark(small_manifest, ["glop"], k=2, seed=0)

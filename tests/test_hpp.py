@@ -2,12 +2,16 @@ import hashlib
 import itertools
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pondroute.baseline import TooLarge
+from pondroute.evaluation import ALGORITHMS, score, solve_with
 from pondroute.geometry import Point, antipodal_pairs, collinear, convex_hull, dist
 from pondroute.hpp import (
     ClusterAssignment,
@@ -18,7 +22,7 @@ from pondroute.hpp import (
     route_cluster,
     serpentine_route,
 )
-from pondroute.instances import FormatError, GeneratorConfig, generate
+from pondroute.instances import FarmInstance, FormatError, GeneratorConfig, generate, load, save
 from pondroute.solution import (
     InvalidK,
     Route,
@@ -521,6 +525,39 @@ class TestHppSolve:
             hpp_solve(inst, k=0, seed=0)
         sol = hpp_solve(inst, k=4, seed=0)
         assert sol.k == 4
+
+
+# Few distinct positions, on and off the 1/8 lattice, so that duplicates and
+# collinear clusters are common.
+_POSITION = st.tuples(
+    *[st.one_of(st.integers(1, 7).map(lambda v: v / 8), st.floats(0.05, 0.95))] * 2
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    positions=st.lists(_POSITION, min_size=1, max_size=4),
+    picks=st.lists(st.integers(0, 3), min_size=3, max_size=12),
+    k=st.integers(1, 4),
+)
+@example(positions=[(0.5, 0.5)], picks=[0] * 6, k=2)
+@example(positions=[(0.25, 0.5), (0.75, 0.5)], picks=[0, 1] * 6, k=3)
+def test_duplicate_nodes_keep_error_contract(positions, picks, k):
+    """On a loadable instance whose nodes repeat a few positions, every solver
+    returns a partition ``score`` accepts or raises its documented error."""
+    square = convex_hull([Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)])
+    nodes = tuple(Point(*positions[i % len(positions)]) for i in picks)
+    inst = FarmInstance("dup", 0, square, 0.125, Point(0, 0), Point(0.5, 0), nodes)
+    with tempfile.TemporaryDirectory() as tmp:
+        save(inst, Path(tmp) / "dup.txt")
+        inst = load(Path(tmp) / "dup.txt")
+    for algorithm in ALGORITHMS:
+        try:
+            sol = solve_with(algorithm, inst, k=k, seed=0)
+        except (InvalidK, RepairImpossible, TooLarge):
+            continue
+        assert sol.k == k
+        score(inst, sol)
 
 
 class TestSolutionFiles:

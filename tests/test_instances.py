@@ -201,6 +201,15 @@ class TestGenerateDataset:
         assert [e.seed for e in entries if e.size == 12] == [5, 6, 7]
         assert len(list(tmp_path.glob("*.txt"))) == 7  # 6 instances + manifest
 
+    @pytest.mark.parametrize(
+        "sizes, base_seed", [([50], -1), ([10, 2], 0)], ids=["negative-seed", "tiny-size"]
+    )
+    def test_bad_input_leaves_no_directory(self, tmp_path, sizes, base_seed):
+        out = tmp_path / "data"
+        with pytest.raises(ValueError):
+            generate_dataset(sizes, 1, base_seed, out)
+        assert not out.exists()
+
     def test_manifest_order_stable(self, tmp_path):
         m1 = generate_dataset([10, 15], 2, 0, tmp_path / "a")
         m2 = generate_dataset([10, 15], 2, 0, tmp_path / "b")
