@@ -294,7 +294,7 @@ def _reconstruct(parent: list[dict[int, int]], mask: int, last: int) -> list[int
     return order[::-1]
 
 
-def _partitions(full: int, n: int, k: int):
+def _partitions(full: int, k: int):
     """Yield tuples of k disjoint non-empty masks covering ``full`` exactly once."""
     if k == 1:
         yield (full,)
@@ -309,7 +309,7 @@ def _partitions(full: int, n: int, k: int):
             if k == 2:
                 yield (first, remainder)
             else:
-                for tail in _partitions(remainder, n, k - 1):
+                for tail in _partitions(remainder, k - 1):
                     yield (first,) + tail
         if sub == 0:
             break
@@ -338,7 +338,7 @@ def exact_minmax(inst: FarmInstance, k: int) -> Solution:
 
     best_key: tuple[float, float] | None = None
     best_parts: list[tuple[int, ...]] | None = None
-    for parts in _partitions(full, n, k):
+    for parts in _partitions(full, k):
         costs = [tour_cost[m] for m in parts]
         key = (max(costs), float(sum(costs)))
         if best_key is None or key < best_key:

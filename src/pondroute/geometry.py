@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
+
 EPS = 1e-9
 
 
@@ -181,10 +183,17 @@ def antipodal_pairs(poly: ConvexPolygon) -> list[AntipodalPair]:
     return [AntipodalPair(a, b) for a, b in sorted(pairs)]
 
 
+def _inside(poly: ConvexPolygon, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Mask of the points (xs[i], ys[i]) inside or on the polygon: none lies
+    more than EPS (a distance, so the cross product is normalized by the
+    edge length) to the right of any CCW edge."""
+    inside = np.ones(xs.shape, dtype=bool)
+    for a, b in poly.edges():
+        cross = (b.x - a.x) * (ys - a.y) - (b.y - a.y) * (xs - a.x)
+        inside &= ~(cross < -EPS * math.hypot(b.x - a.x, b.y - a.y))
+    return inside
+
+
 def contains(poly: ConvexPolygon, p: Point) -> bool:
     """True iff ``p`` is inside or on the polygon (boundary tolerance EPS)."""
-    for a, b in poly.edges():
-        edge_len = math.hypot(b.x - a.x, b.y - a.y)
-        if _cross(a, b, p) < -EPS * edge_len:
-            return False
-    return True
+    return bool(_inside(poly, np.array([p.x]), np.array([p.y]))[0])

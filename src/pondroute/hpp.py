@@ -157,7 +157,8 @@ def repair_clusters(assign: ClusterAssignment, nodes: Sequence[Point]) -> Cluste
     most populous cluster donates. A node whose removal would leave its donor
     invalid is only taken when no safe candidate exists, which keeps the
     greedy loop from ping-ponging a node between two small clusters.
-    Centroids are recomputed after each move.
+    Centroids are recomputed after each move. Candidates are tried nearest
+    first, so a donor hull is built only until a safe one is found.
     """
     k = assign.k
     n = len(nodes)
@@ -166,9 +167,9 @@ def repair_clusters(assign: ClusterAssignment, nodes: Sequence[Point]) -> Cluste
             f"{n} nodes cannot give {k} clusters {MIN_CLUSTER_SIZE} members each"
         )
     labels = list(assign.labels)
-
-    def member_ids(c: int) -> list[int]:
-        return [i for i, lab in enumerate(labels) if lab == c]
+    members: list[list[int]] = [[] for _ in range(k)]  # ascending node indices
+    for i, lab in enumerate(labels):
+        members[lab].append(i)
 
     def centroid(ids: list[int]) -> Point:
         return Point(
@@ -176,15 +177,17 @@ def repair_clusters(assign: ClusterAssignment, nodes: Sequence[Point]) -> Cluste
             sum(nodes[i].y for i in ids) / len(ids),
         )
 
+    def donor_rest(i: int) -> list[Point]:
+        return [nodes[m] for m in members[labels[i]] if m != i]
+
     for _ in range(10 * n):
         invalid = next(
-            (c for c in range(k) if not _cluster_valid([nodes[i] for i in member_ids(c)])),
+            (c for c in range(k) if not _cluster_valid([nodes[i] for i in members[c]])),
             None,
         )
         if invalid is None:
             break
-        target = centroid(member_ids(invalid))
-        members = {c: member_ids(c) for c in range(k)}
+        target = centroid(members[invalid])
         donors = [c for c in range(k) if c != invalid and len(members[c]) > MIN_CLUSTER_SIZE]
         if not donors:
             biggest = max(
@@ -195,18 +198,18 @@ def repair_clusters(assign: ClusterAssignment, nodes: Sequence[Point]) -> Cluste
             if biggest is None:
                 raise RepairImpossible("no cluster can donate a node")
             donors = [biggest]
-        safe, unsafe = [], []
-        for c in donors:
-            for i in members[c]:
-                rest = [nodes[m] for m in members[c] if m != i]
-                (safe if _cluster_valid(rest) else unsafe).append(i)
-        candidates = safe or unsafe
-        moved = min(candidates, key=lambda i: (dist(nodes[i], target), i))
+        nearest = sorted(
+            (i for c in donors for i in members[c]),
+            key=lambda i: (dist(nodes[i], target), i),
+        )
+        moved = next((i for i in nearest if _cluster_valid(donor_rest(i))), nearest[0])
+        members[labels[moved]].remove(moved)
+        members[invalid] = sorted(members[invalid] + [moved])
         labels[moved] = invalid
     else:
         raise RepairImpossible("cluster repair did not converge")
 
-    centroids = tuple(centroid(member_ids(c)) for c in range(k))
+    centroids = tuple(centroid(ids) for ids in members)
     return ClusterAssignment(labels=tuple(labels), centroids=centroids, k=k)
 
 

@@ -18,7 +18,7 @@ round trip is bit-exact. Readers reject unknown versions. The depot line may
 be edited by hand to override the generated depot. ``_LineReader`` reads
 these two formats and the solution format of ``solution``.
 
-Manifest file format (version 1)::
+Manifest file format (version 1), at least one record::
 
     farm-manifest v1
     <instance file name> <size> <seed>
@@ -33,7 +33,7 @@ from typing import Any, Callable, Iterator, TypeVar
 
 import numpy as np
 
-from .geometry import EPS, ConvexPolygon, Point, contains, convex_hull
+from .geometry import ConvexPolygon, Point, _inside, convex_hull
 from .rng import make_rng
 
 FORMAT_VERSION = 1
@@ -93,34 +93,19 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def _inside_mask(poly: ConvexPolygon, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    mask = np.ones(xs.shape, dtype=bool)
-    for a, b in poly.edges():
-        edge_len = math.hypot(b.x - a.x, b.y - a.y)
-        cross = (b.x - a.x) * (ys - a.y) - (b.y - a.y) * (xs - a.x)
-        mask &= cross >= -EPS * edge_len
-    return mask
-
-
-def _lattice_grid(poly: ConvexPolygon, origin: Point, spacing: float) -> tuple[np.ndarray, np.ndarray]:
+def _lattice_points(
+    poly: ConvexPolygon, origin: Point, spacing: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of the lattice points inside the polygon, in (y, x) order."""
     xmin, ymin, xmax, ymax = poly.bounding_box()
     na = int(math.floor((xmax - origin.x) / spacing + 1e-12)) + 1
     nb = int(math.floor((ymax - origin.y) / spacing + 1e-12)) + 1
     xs = origin.x + spacing * np.arange(na)
     ys = origin.y + spacing * np.arange(nb)
     gx, gy = np.meshgrid(xs, ys)  # row-major flattening yields (y, x) order
-    return gx.ravel(), gy.ravel()
-
-
-def _lattice_count(poly: ConvexPolygon, origin: Point, spacing: float) -> int:
-    gx, gy = _lattice_grid(poly, origin, spacing)
-    return int(_inside_mask(poly, gx, gy).sum())
-
-
-def _lattice_points(poly: ConvexPolygon, origin: Point, spacing: float) -> list[Point]:
-    gx, gy = _lattice_grid(poly, origin, spacing)
-    keep = _inside_mask(poly, gx, gy)
-    return [Point(float(x), float(y)) for x, y in zip(gx[keep], gy[keep])]
+    gx, gy = gx.ravel(), gy.ravel()
+    keep = _inside(poly, gx, gy)
+    return gx[keep], gy[keep]
 
 
 def _choose_spacing(poly: ConvexPolygon, origin: Point, target: int, minimum: int) -> float:
@@ -129,7 +114,7 @@ def _choose_spacing(poly: ConvexPolygon, origin: Point, target: int, minimum: in
 
     def visit(s: float) -> int:
         nonlocal best
-        c = _lattice_count(poly, origin, s)
+        c = len(_lattice_points(poly, origin, s)[0])
         if c >= minimum and abs(c - target) <= _COUNT_SLACK:
             key = (abs(c - target), -s, s)
             if best is None or key < best:
@@ -188,11 +173,11 @@ def generate(cfg: GeneratorConfig) -> FarmInstance:
 
     target = math.ceil(cfg.node_count / (1.0 - _DELETION_FRACTION))
     spacing = _choose_spacing(polygon, origin, target, cfg.node_count)
-    lattice = _lattice_points(polygon, origin, spacing)
+    xs, ys = _lattice_points(polygon, origin, spacing)
 
-    order = rng.permutation(len(lattice))
-    drop = set(order[: len(lattice) - cfg.node_count].tolist())
-    nodes = tuple(p for idx, p in enumerate(lattice) if idx not in drop)
+    keep = np.ones(len(xs), dtype=bool)
+    keep[rng.permutation(len(xs))[: len(xs) - cfg.node_count]] = False
+    nodes = tuple(Point(float(x), float(y)) for x, y in zip(xs[keep], ys[keep]))
 
     inst = FarmInstance(
         name=f"farm-n{cfg.node_count}-s{cfg.seed}",
@@ -312,12 +297,12 @@ def load(path: Path | str) -> FarmInstance:
     depot = r.field("depot", _point)
     verts = tuple(r.point(f"polygon vertex {i}") for i in range(r.count("polygon")))
     polygon = r.parse(ConvexPolygon, verts, "polygon")
-    nodes = []
-    for i in range(r.count("nodes")):
-        p = r.point(f"node {i}")
-        if not contains(polygon, p):
-            raise r.error(f"node {i} lies outside the polygon")
-        nodes.append(p)
+    nodes = [r.point(f"node {i}") for i in range(r.count("nodes"))]
+    inside = _inside(polygon, np.array([p.x for p in nodes]), np.array([p.y for p in nodes]))
+    if not inside.all():
+        i = int(np.argmin(inside))  # the first node outside
+        r.pos -= len(nodes) - 1 - i  # the error names node i's own line
+        raise r.error(f"node {i} lies outside the polygon")
     r.end()
     return FarmInstance(
         name=name,
@@ -380,4 +365,6 @@ def load_manifest(path: Path | str) -> list[ManifestEntry]:
             raise r.error("expected '<file> <size> <seed>'")
         size, seed = (r.parse(int, t, "manifest entry") for t in parts[1:])
         entries.append(ManifestEntry(path=path.parent / parts[0], size=size, seed=seed))
+    if not entries:
+        raise r.error("the manifest lists no instances")
     return entries

@@ -291,3 +291,65 @@ def hull_overlap_area(a: ConvexPolygon, b: ConvexPolygon) -> float:
     ).area
     assert math.isclose(area, reference, rel_tol=1e-9, abs_tol=1e-12), (area, reference)
     return max(area, reference)
+
+
+def repair_oracle(assign, nodes: list[Point]):
+    """Cluster repair as first written: every step rescans the labels, and
+    every member of every donor is tested for safety by building the hull of
+    the donor without it; the nearest safe member moves, else the nearest."""
+    from pondroute.hpp import (
+        MIN_CLUSTER_SIZE,
+        ClusterAssignment,
+        RepairImpossible,
+        _cluster_valid,
+    )
+
+    k = assign.k
+    n = len(nodes)
+    if n < MIN_CLUSTER_SIZE * k:
+        raise RepairImpossible(
+            f"{n} nodes cannot give {k} clusters {MIN_CLUSTER_SIZE} members each"
+        )
+    labels = list(assign.labels)
+
+    def member_ids(c: int) -> list[int]:
+        return [i for i, lab in enumerate(labels) if lab == c]
+
+    def centroid(ids: list[int]) -> Point:
+        return Point(
+            sum(nodes[i].x for i in ids) / len(ids),
+            sum(nodes[i].y for i in ids) / len(ids),
+        )
+
+    for _ in range(10 * n):
+        invalid = next(
+            (c for c in range(k) if not _cluster_valid([nodes[i] for i in member_ids(c)])),
+            None,
+        )
+        if invalid is None:
+            break
+        target = centroid(member_ids(invalid))
+        members = {c: member_ids(c) for c in range(k)}
+        donors = [c for c in range(k) if c != invalid and len(members[c]) > MIN_CLUSTER_SIZE]
+        if not donors:
+            biggest = max(
+                (c for c in range(k) if c != invalid and len(members[c]) > 1),
+                key=lambda c: (len(members[c]), -c),
+                default=None,
+            )
+            if biggest is None:
+                raise RepairImpossible("no cluster can donate a node")
+            donors = [biggest]
+        safe, unsafe = [], []
+        for c in donors:
+            for i in members[c]:
+                rest = [nodes[m] for m in members[c] if m != i]
+                (safe if _cluster_valid(rest) else unsafe).append(i)
+        candidates = safe or unsafe
+        moved = min(candidates, key=lambda i: (_dist(nodes[i], target), i))
+        labels[moved] = invalid
+    else:
+        raise RepairImpossible("cluster repair did not converge")
+
+    centroids = tuple(centroid(member_ids(c)) for c in range(k))
+    return ClusterAssignment(labels=tuple(labels), centroids=centroids, k=k)

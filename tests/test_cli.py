@@ -112,6 +112,16 @@ class TestBench:
         rows = report.read_text().splitlines()
         assert rows[1].endswith("skipped")
 
+    def test_manifest_without_entries_exits_1(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("farm-manifest v1\n")
+        code = main(["bench", "--manifest", str(manifest), "--algorithms", "hpp",
+                     "--report", str(tmp_path / "r.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: FormatError: ") and "manifest.txt" in err
+        assert "Traceback" not in err
+
 
 class TestPlot:
     def test_instance_only(self, instance_file, tmp_path, capsys):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pondroute import hpp
 from pondroute.baseline import TooLarge
 from pondroute.evaluation import ALGORITHMS, score, solve_with
 from pondroute.geometry import Point, antipodal_pairs, collinear, convex_hull, dist
@@ -37,6 +38,7 @@ from _oracles import (
     min_depot_tour,
     min_fixed_endpoint_path,
     path_length,
+    repair_oracle,
     route_cluster_oracle,
     serpentine_oracle,
 )
@@ -228,6 +230,66 @@ class TestRepairClusters:
         assign = kmeans(pts, 2, seed=0)
         with pytest.raises(RepairImpossible):
             repair_clusters(assign, pts)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        family=st.sampled_from(["few-positions", "collinear-bands", "far-duplicates", "near-line"]),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 6),
+        extra=st.integers(-1, 30),
+    )
+    def test_matches_oracle(self, family, seed, k, extra):
+        # Random labels, every cluster non-empty, on degenerate point sets:
+        # the same labels, centroids and error texts as repair_oracle.
+        rng = np.random.default_rng(seed)
+        n = hpp.MIN_CLUSTER_SIZE * k + extra
+        xy = rng.random((n, 2))
+        if family == "few-positions":
+            spots = rng.random((int(rng.integers(1, 5)), 2))
+            xy = spots[rng.integers(len(spots), size=n)]
+        elif family == "collinear-bands":
+            xy[:, 1] = 0.25 * rng.integers(1, 4, size=n)
+            xy[:, 0] = np.round(xy[:, 0] * 8) / 8
+        elif family == "far-duplicates":
+            xy[rng.random(n) < 0.3] = (3.0, 3.0)
+        else:
+            xy[:, 1] = 0.5 + rng.uniform(-1e-10, 1e-10, size=n)
+            xy[rng.random(n) < 0.1, 1] += 0.2
+        pts = [Point(float(x), float(y)) for x, y in xy]
+        labels = rng.permutation(np.r_[np.arange(k), rng.integers(k, size=n - k)])
+        assign = ClusterAssignment(
+            labels=tuple(int(c) for c in labels), centroids=(Point(0, 0),) * k, k=k
+        )
+
+        def outcome(repair):
+            try:
+                result = repair(assign, pts)
+            except RepairImpossible as exc:
+                return str(exc)
+            return result.labels, result.centroids
+
+        assert outcome(repair_clusters) == outcome(repair_oracle)
+
+    def test_hull_count_per_move_is_bounded_by_k(self, monkeypatch):
+        # k-means puts the far copies in a cluster of one position; each move
+        # may build hulls for the k clusters and for the donor it draws from,
+        # not one per donor member.
+        k = 5
+        pts = list(generate(GeneratorConfig(node_count=200, seed=1000)).nodes)
+        pts += [Point(3.0, 3.0)] * 12
+        assign = kmeans(pts, k, seed=0)
+        calls = []
+        collinear_hull = hpp.collinear
+
+        def counted(points):
+            calls.append(len(points))
+            return collinear_hull(points)
+
+        monkeypatch.setattr(hpp, "collinear", counted)
+        repaired = repair_clusters(assign, pts)
+        moves = sum(a != b for a, b in zip(assign.labels, repaired.labels))
+        assert moves >= 1
+        assert len(calls) <= 2 * k * moves
 
 
 class TestSerpentineRoute:

@@ -9,7 +9,7 @@ from pondroute.instances import (
     FormatError,
     GeneratorConfig,
     VersionError,
-    _lattice_count,
+    _lattice_points,
     generate,
     generate_dataset,
     load,
@@ -51,13 +51,13 @@ class TestGenerate:
     def test_700_pre_deletion_count_bracket(self):
         # ceil(700 / 0.8) = 875; lattice counts are step functions, +-2 slack.
         inst = make_instance(700, 7)
-        count = _lattice_count(inst.polygon, inst.lattice_origin, inst.spacing)
+        count = len(_lattice_points(inst.polygon, inst.lattice_origin, inst.spacing)[0])
         assert 873 <= count <= 877
 
     def test_density_property(self):
         for seed in range(5):
             inst = make_instance(200, seed)
-            count = _lattice_count(inst.polygon, inst.lattice_origin, inst.spacing)
+            count = len(_lattice_points(inst.polygon, inst.lattice_origin, inst.spacing)[0])
             assert abs(count - math.ceil(200 / 0.8)) <= 2
 
     def test_deterministic_byte_identical(self, tmp_path):
@@ -135,6 +135,38 @@ class TestSaveLoad:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError, match="node 19"):
             load(path)
+
+    @staticmethod
+    def _save_square(tmp_path, nodes: list[Point]):
+        # A 2 x 2 square: its edges are 2 long, so the tolerance EPS * 2 shows
+        # whether the cross product is normalized by the edge length.
+        poly = ConvexPolygon((Point(0, 0), Point(2, 0), Point(2, 2), Point(0, 2)))
+        inst = FarmInstance(
+            name="sq", seed=0, polygon=poly, spacing=1.0,
+            lattice_origin=Point(0, 0), depot=Point(1, 0), nodes=tuple(nodes),
+        )
+        path = tmp_path / "sq.txt"
+        save(inst, path)
+        return poly, path
+
+    def test_first_of_two_outside_nodes_named_with_its_line(self, tmp_path):
+        nodes = [Point(1, 1), Point(5, 5), Point(1.5, 1.5), Point(6, 6)]
+        poly, path = self._save_square(tmp_path, nodes)
+        line = path.read_text().splitlines().index("5 5") + 1
+        assert [contains(poly, p) for p in nodes] == [True, False, True, False]
+        with pytest.raises(FormatError, match=rf"sq.txt: line {line}: node 1 lies outside"):
+            load(path)
+
+    @pytest.mark.parametrize(("offset", "inside"), [(0.9e-9, True), (1.1e-9, False)])
+    def test_boundary_tolerance_scales_with_edge_length(self, tmp_path, offset, inside):
+        node = Point(2 + offset, 1.0)  # right of the edge (2, 0)-(2, 2)
+        poly, path = self._save_square(tmp_path, [Point(1, 1), node])
+        assert contains(poly, node) is inside
+        if inside:
+            assert load(path).nodes[1] == node
+        else:
+            with pytest.raises(FormatError, match="node 1 lies outside"):
+                load(path)
 
     def test_unknown_version(self, tmp_path):
         inst = make_instance(20, 1)
@@ -219,4 +251,10 @@ class TestGenerateDataset:
         manifest = generate_dataset([10], 2, base_seed=1, out_dir=tmp_path)
         manifest.write_text(manifest.read_text() + "\nbroken.txt ten 3\n")
         with pytest.raises(FormatError, match=r"manifest.txt: line 5: "):
+            load_manifest(manifest)
+
+    def test_manifest_without_entries(self, tmp_path):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("farm-manifest v1\n\n")
+        with pytest.raises(FormatError, match=r"manifest.txt: line 2: .*no instances"):
             load_manifest(manifest)
