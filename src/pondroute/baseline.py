@@ -2,10 +2,15 @@
 
 ``minmax_local_search`` builds k routes from an angular sector sweep around
 the depot, polishes each with 2-opt, then relocates nodes off the longest
-route while the maximum strictly decreases. ``exact_minmax`` enumerates every
-partition of up to 10 nodes into at most 3 routes, with per-subset optimal
-visit orders from a dynamic program over subsets, and is the ground truth the
-heuristics are measured against.
+route while the maximum strictly decreases. Each relocation step tries up to
+10 moves and re-polishes the two routes of each. Those routes are 2-opt local
+optima with one node removed or inserted, so ``two_opt`` first scans only the
+O(m) moves that drop a new edge, for a route of m nodes; full O(m^2) passes
+run only after that scan finds an improving move.
+
+``exact_minmax`` enumerates every partition of up to 10 nodes into at most 3
+routes, with per-subset optimal visit orders from a dynamic program over
+subsets, and is the ground truth the heuristics are measured against.
 """
 
 from __future__ import annotations
@@ -42,11 +47,14 @@ class DistanceMatrix:
 
     @classmethod
     def from_instance(cls, inst: FarmInstance) -> "DistanceMatrix":
-        coords = np.array(
-            [[p.x, p.y] for p in inst.nodes] + [[inst.depot.x, inst.depot.y]], dtype=float
-        )
-        diff = coords[:, None, :] - coords[None, :, :]
-        return cls(n=len(inst.nodes), entries=np.sqrt((diff**2).sum(axis=2)))
+        xs = np.array([p.x for p in inst.nodes] + [inst.depot.x], dtype=float)
+        ys = np.array([p.y for p in inst.nodes] + [inst.depot.y], dtype=float)
+        dx = xs[:, None] - xs[None, :]
+        dy = ys[:, None] - ys[None, :]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        return cls(n=len(inst.nodes), entries=np.sqrt(dx, out=dx))
 
     @property
     def depot(self) -> int:
@@ -56,45 +64,116 @@ class DistanceMatrix:
 def _route_cost(D: np.ndarray, depot: int, order: list[int]) -> float:
     if not order:
         return 0.0
-    cost = D[depot, order[0]] + D[order[-1], depot]
-    for a, b in zip(order, order[1:]):
-        cost += D[a, b]
-    return float(cost)
+    P = np.array(order)
+    cost = float(D[depot, order[0]] + D[order[-1], depot])
+    for leg in D[P[:-1], P[1:]].tolist():  # one leg at a time, in tour order
+        cost += leg
+    return cost
 
 
-def two_opt(order: list[int], D: np.ndarray, depot: int) -> list[int]:
+def two_opt(
+    order: list[int],
+    D: np.ndarray,
+    depot: int,
+    *,
+    changed: tuple[int, ...] | None = None,
+    converged: list[bool] | None = None,
+) -> list[int]:
     """Best-improvement 2-opt on a depot-anchored tour until no move helps
-    (at most 1000 passes)."""
+    (at most ``_TWO_OPT_MAX_PASSES`` passes).
+
+    Edge t of the tour joins its positions t and t + 1, where the depot is
+    position 0 and position ``len(order) + 1``; reversing ``order[i..j]``
+    replaces edges i and j + 1. ``changed`` names the edges of ``order``
+    that are new since one node was removed from or inserted into a tour on
+    which no move gained more than ``_IMPROVE_EPS``. Every move that keeps
+    them is a move of that tour, with the same four distances in the same
+    order, so the first pass scans only the O(m) moves that drop one of
+    them; ``None`` scans every move. A list passed as ``converged`` gets
+    True appended when the search stopped because no move helps, and False
+    when it ran into the pass cap or the tour has fewer than 3 nodes.
+    """
     order = list(order)
     m = len(order)
-    if m < 3:
-        return order
-    for _ in range(_TWO_OPT_MAX_PASSES):
-        P = np.empty(m + 2, dtype=int)
-        P[0] = P[-1] = depot
-        P[1:-1] = order
-        # delta[i, j] = cost change of reversing order[i..j]
-        new_a = D[np.ix_(P[:m], P[1 : m + 1])]
-        new_b = D[np.ix_(P[1 : m + 1], P[2 : m + 2])]
-        cons = D[P[:-1], P[1:]]
-        delta = new_a + new_b - cons[:m, None] - cons[None, 1 : m + 1]
-        delta = np.triu(delta, k=1)  # only i < j moves are meaningful
-        i, j = np.unravel_index(np.argmin(delta), delta.shape)
-        if delta[i, j] >= -_IMPROVE_EPS:
-            break
-        order[i : j + 1] = order[i : j + 1][::-1]
+    stopped = False
+    if m >= 3:
+        P = np.array([depot, *order, depot])
+        S = None  # S[a, b] = D[P[a], P[b]], gathered at the first full pass
+        for pass_index in range(_TWO_OPT_MAX_PASSES):
+            if pass_index == 0 and changed is not None:
+                move = _screen(D, P, changed)
+            else:
+                if S is None:
+                    S = D[P[:, None], P]
+                    cons = S.diagonal(1)  # cons[t] = length of edge t, a view of S
+                    lower = np.tri(m, dtype=bool)  # j <= i: not a move
+                # delta[i, j] = cost change of reversing order[i..j]
+                delta = S[:m, 1 : m + 1] + S[1 : m + 1, 2:]
+                delta -= cons[:m, None]
+                delta -= cons[None, 1:]
+                np.copyto(delta, 0.0, where=lower)
+                i, j = divmod(int(np.argmin(delta)), m)
+                move = None if delta[i, j] >= -_IMPROVE_EPS else (i, j)
+            if move is None:
+                stopped = True
+                break
+            i, j = move
+            order[i : j + 1] = order[i : j + 1][::-1]
+            P[i + 1 : j + 2] = P[j + 1 : i : -1]
+            if S is not None:
+                S[i + 1 : j + 2] = S[j + 1 : i : -1]
+                S[:, i + 1 : j + 2] = S[:, j + 1 : i : -1]
+    if converged is not None:
+        converged.append(stopped)
     return order
 
 
+def _screen(D: np.ndarray, P: np.ndarray, changed: tuple[int, ...]) -> tuple[int, int] | None:
+    """``two_opt``'s first pass when only moves that drop a ``changed`` edge
+    can gain more than ``_IMPROVE_EPS``: the pass's move, or None to stop.
+
+    It reads the rows and the columns of the full pass's distance block that
+    touch the changed edges. Each block of moves below holds (i, e - 1),
+    i < e - 1, or (e, j), j > e, for one changed edge e, computed as the
+    full pass computes them, with the flat index i * m + j of its first move
+    and the step between moves.
+    """
+    m = len(P) - 2
+    lo, hi = min(changed), max(changed) + 2
+    rows = D[P[lo:hi, None], P]  # rows[a - lo, b] = D[P[a], P[b]]
+    cols = D[P[:, None], P[lo:hi]]  # cols[a, b - lo] = D[P[a], P[b]]
+    cons = D[P[:-1], P[1:]]
+    blocks = []
+    for e in changed:
+        c = e - lo
+        if e >= 2:
+            col = cols[: e - 1, c] + cols[1:e, c + 1] - cons[: e - 1] - cons[e]
+            blocks.append((col, e - 1, m))
+        if e <= m - 2:
+            row = rows[c, e + 2 : m + 1] + rows[c + 1, e + 3 :] - cons[e] - cons[e + 2 :]
+            blocks.append((row, e * m + e + 1, 1))
+    if all(vals.min() >= -_IMPROVE_EPS for vals, _, _ in blocks):
+        return None
+    # The full pass's argmin: the first NaN, else the first minimum.
+    vals = np.concatenate([v for v, _, _ in blocks])
+    flat = np.concatenate([first + step * np.arange(len(v)) for v, first, step in blocks])
+    pick = np.isnan(vals)
+    if not pick.any():
+        pick = vals == vals.min()
+    i, j = divmod(int(flat[pick].min()), m)
+    return i, j
+
+
 def _nearest_neighbor(nodes: list[int], D: np.ndarray, depot: int) -> list[int]:
-    remaining = list(nodes)
+    remaining = np.array(sorted(nodes))
     order: list[int] = []
     current = depot
-    while remaining:
-        nxt = min(remaining, key=lambda i: (D[current, i], i))
-        order.append(nxt)
-        remaining.remove(nxt)
-        current = nxt
+    for left in range(len(nodes), 0, -1):
+        # argmin's first index in ascending node order is the (distance, node) minimum
+        t = int(np.argmin(D[current, remaining[:left]]))
+        current = int(remaining[t])
+        order.append(current)
+        remaining[t : left - 1] = remaining[t + 1 : left]
     return order
 
 
@@ -126,15 +205,24 @@ def _sector_partition(inst: FarmInstance, k: int) -> list[list[int]]:
     return sectors
 
 
-def _best_insertion(order: list[int], node: int, D: np.ndarray, depot: int) -> tuple[int, float]:
-    """Cheapest position to insert ``node``; returns (position, added cost)."""
-    P = [depot] + order + [depot]
-    best_pos, best_delta = 0, math.inf
-    for pos in range(len(order) + 1):
-        delta = D[P[pos], node] + D[node, P[pos + 1]] - D[P[pos], P[pos + 1]]
-        if delta < best_delta - _IMPROVE_EPS:
-            best_pos, best_delta = pos, float(delta)
-    return best_pos, best_delta
+def _best_insertions(
+    order: list[int], nodes: list[int], D: np.ndarray, depot: int
+) -> list[tuple[int, float]]:
+    """Cheapest position to insert each of ``nodes`` into ``order``, alone:
+    (position, added cost) per node."""
+    P = np.array([depot, *order, depot])
+    N = np.array(nodes)
+    # deltas[c, pos] = added cost of nodes[c] between P[pos] and P[pos + 1]
+    deltas = D[P[:-1], N[:, None]] + D[N[:, None], P[1:]] - D[P[:-1], P[1:]]
+    best = []
+    for row in deltas.tolist():
+        best_pos, best_delta = 0, math.inf
+        # not an argmin: a later position wins only by more than _IMPROVE_EPS
+        for pos, delta in enumerate(row):
+            if delta < best_delta - _IMPROVE_EPS:
+                best_pos, best_delta = pos, delta
+        best.append((best_pos, best_delta))
+    return best
 
 
 def minmax_local_search(
@@ -159,8 +247,10 @@ def minmax_local_search(
     dm = DistanceMatrix.from_instance(inst)
     D, depot = dm.entries, dm.depot
 
+    # optimal[r]: no 2-opt move on orders[r] gains more than _IMPROVE_EPS
+    optimal: list[bool] = []
     orders = [
-        two_opt(_nearest_neighbor(sector, D, depot), D, depot)
+        two_opt(_nearest_neighbor(sector, D, depot), D, depot, converged=optimal)
         for sector in _sector_partition(inst, k)
     ]
     lengths = [_route_cost(D, depot, o) for o in orders]
@@ -195,24 +285,32 @@ def minmax_local_search(
         others_max = max(
             (lengths[r] for r in range(k) if r != longest), default=0.0
         )
+        gains = []
         for node in candidates:
             t = pos_of[node]
-            gain = D[P[t], node] + D[node, P[t + 2]] - D[P[t], P[t + 2]]
-            for target in range(k):
-                if target == longest:
-                    continue
-                _, ins = _best_insertion(orders[target], node, D, depot)
+            gains.append(D[P[t], node] + D[node, P[t + 2]] - D[P[t], P[t + 2]])
+        for target in range(k):
+            if target == longest:
+                continue
+            inserts = _best_insertions(orders[target], candidates, D, depot)
+            for node, gain, (pos, ins) in zip(candidates, gains, inserts):
                 est = max(lengths[longest] - gain, lengths[target] + ins, others_max)
-                scored.append((float(est), node, target))
+                scored.append((float(est), node, target, pos))
         scored.sort()
 
-        best_move = None  # (new_max, node, target, new_longest, new_target)
-        for _, node, target in scored[:_RELOCATE_CANDIDATES]:
-            trimmed = [i for i in orders[longest] if i != node]
-            trimmed = two_opt(trimmed, D, depot)
-            pos, _ = _best_insertion(orders[target], node, D, depot)
+        best_move = None  # (new_max, node, target, new_longest, new_target, converged)
+        for _, node, target, pos in scored[:_RELOCATE_CANDIDATES]:
+            t = pos_of[node]
+            trimmed = orders[longest][:t] + orders[longest][t + 1 :]
+            found: list[bool] = []
+            trimmed = two_opt(
+                trimmed, D, depot, changed=(t,) if optimal[longest] else None, converged=found
+            )
             grown = orders[target][:pos] + [node] + orders[target][pos:]
-            grown = two_opt(grown, D, depot)
+            grown = two_opt(
+                grown, D, depot, changed=(pos, pos + 1) if optimal[target] else None,
+                converged=found,
+            )
             new_lengths = list(lengths)
             new_lengths[longest] = _route_cost(D, depot, trimmed)
             new_lengths[target] = _route_cost(D, depot, grown)
@@ -220,19 +318,20 @@ def minmax_local_search(
             if new_max < cur_max - _IMPROVE_EPS:
                 key = (new_max, node, target)
                 if best_move is None or key < (best_move[0], best_move[1], best_move[2]):
-                    best_move = (new_max, node, target, trimmed, grown)
+                    best_move = (new_max, node, target, trimmed, grown, found)
         if best_move is None:
             break
-        _, node, target, trimmed, grown = best_move
+        _, node, target, trimmed, grown, found = best_move
         orders[longest] = trimmed
         orders[target] = grown
+        optimal[longest], optimal[target] = found
         lengths[longest] = _route_cost(D, depot, trimmed)
         lengths[target] = _route_cost(D, depot, grown)
         if trace is not None:
             trace.append(max(lengths))
 
     routes = tuple(
-        Route(node_order=tuple(order), length=_route_cost(D, depot, order)) for order in orders
+        Route(node_order=tuple(order), length=length) for order, length in zip(orders, lengths)
     )
     return Solution(
         instance_ref=inst.name, algorithm="minmax-ls", k=k, seed=seed, routes=routes

@@ -353,3 +353,165 @@ def repair_oracle(assign, nodes: list[Point]):
 
     centroids = tuple(centroid(member_ids(c)) for c in range(k))
     return ClusterAssignment(labels=tuple(labels), centroids=centroids, k=k)
+
+
+# ---------------------------------------------------------------------------
+# minmax-ls as first written: every 2-opt pass gathers two m x m blocks of the
+# distance matrix and scans every move; construction and insertion loop in
+# Python. The library's version must agree with it bit for bit.
+
+LS_TWO_OPT_MAX_PASSES = 1000
+LS_IMPROVE_EPS = 1e-12
+LS_RELOCATE_CANDIDATES = 10
+
+
+def distance_matrix_oracle(inst) -> np.ndarray:
+    """Euclidean distances over the nodes plus the depot at index n."""
+    coords = np.array(
+        [[p.x, p.y] for p in inst.nodes] + [[inst.depot.x, inst.depot.y]], dtype=float
+    )
+    diff = coords[:, None, :] - coords[None, :, :]
+    return np.sqrt((diff**2).sum(axis=2))
+
+
+def route_cost_oracle(D: np.ndarray, depot: int, order: list[int]) -> float:
+    if not order:
+        return 0.0
+    cost = D[depot, order[0]] + D[order[-1], depot]
+    for a, b in zip(order, order[1:]):
+        cost += D[a, b]
+    return float(cost)
+
+
+def two_opt_oracle(order: list[int], D: np.ndarray, depot: int) -> list[int]:
+    order = list(order)
+    m = len(order)
+    if m < 3:
+        return order
+    for _ in range(LS_TWO_OPT_MAX_PASSES):
+        P = np.empty(m + 2, dtype=int)
+        P[0] = P[-1] = depot
+        P[1:-1] = order
+        # delta[i, j] = cost change of reversing order[i..j]
+        new_a = D[np.ix_(P[:m], P[1 : m + 1])]
+        new_b = D[np.ix_(P[1 : m + 1], P[2 : m + 2])]
+        cons = D[P[:-1], P[1:]]
+        delta = new_a + new_b - cons[:m, None] - cons[None, 1 : m + 1]
+        delta = np.triu(delta, k=1)  # only i < j moves are meaningful
+        i, j = np.unravel_index(np.argmin(delta), delta.shape)
+        if delta[i, j] >= -LS_IMPROVE_EPS:
+            break
+        order[i : j + 1] = order[i : j + 1][::-1]
+    return order
+
+
+def nearest_neighbor_oracle(nodes: list[int], D: np.ndarray, depot: int) -> list[int]:
+    remaining = list(nodes)
+    order: list[int] = []
+    current = depot
+    while remaining:
+        nxt = min(remaining, key=lambda i: (D[current, i], i))
+        order.append(nxt)
+        remaining.remove(nxt)
+        current = nxt
+    return order
+
+
+def best_insertion_oracle(
+    order: list[int], node: int, D: np.ndarray, depot: int
+) -> tuple[int, float]:
+    P = [depot] + order + [depot]
+    best_pos, best_delta = 0, math.inf
+    for pos in range(len(order) + 1):
+        delta = D[P[pos], node] + D[node, P[pos + 1]] - D[P[pos], P[pos + 1]]
+        if delta < best_delta - LS_IMPROVE_EPS:
+            best_pos, best_delta = pos, float(delta)
+    return best_pos, best_delta
+
+
+def minmax_ls_oracle(inst, k: int = 5, seed: int = 0, max_iterations: int = 100, trace=None):
+    """Sector sweep + 2-opt + longest-route relocation, as first written."""
+    from pondroute.baseline import _sector_partition
+    from pondroute.solution import InvalidK, Route, Solution
+
+    n = len(inst.nodes)
+    if k < 1 or k > n:
+        raise InvalidK(f"k={k} infeasible for {n} nodes")
+    if max_iterations < 0:
+        raise ValueError(f"max_iterations must be non-negative, got {max_iterations}")
+    D, depot = distance_matrix_oracle(inst), n
+
+    orders = [
+        two_opt_oracle(nearest_neighbor_oracle(sector, D, depot), D, depot)
+        for sector in _sector_partition(inst, k)
+    ]
+    lengths = [route_cost_oracle(D, depot, o) for o in orders]
+    if trace is not None:
+        trace.append(max(lengths))
+
+    for _ in range(max_iterations if k > 1 else 0):
+        cur_max = max(lengths)
+        longest = min(r for r in range(k) if lengths[r] == cur_max)
+        if len(orders[longest]) < 2:
+            break
+
+        other_centroids = {}
+        for r in range(k):
+            if r == longest or not orders[r]:
+                continue
+            xs = [inst.nodes[i].x for i in orders[r]]
+            ys = [inst.nodes[i].y for i in orders[r]]
+            other_centroids[r] = (sum(xs) / len(xs), sum(ys) / len(ys))
+
+        def centroid_gap(i: int) -> float:
+            px, py = inst.nodes[i].x, inst.nodes[i].y
+            return min(math.hypot(px - cx, py - cy) for cx, cy in other_centroids.values())
+
+        candidates = sorted(orders[longest], key=lambda i: (centroid_gap(i), i))
+        candidates = candidates[:LS_RELOCATE_CANDIDATES]
+
+        scored = []
+        P = [depot] + orders[longest] + [depot]
+        pos_of = {node: t for t, node in enumerate(orders[longest])}
+        others_max = max((lengths[r] for r in range(k) if r != longest), default=0.0)
+        for node in candidates:
+            t = pos_of[node]
+            gain = D[P[t], node] + D[node, P[t + 2]] - D[P[t], P[t + 2]]
+            for target in range(k):
+                if target == longest:
+                    continue
+                _, ins = best_insertion_oracle(orders[target], node, D, depot)
+                est = max(lengths[longest] - gain, lengths[target] + ins, others_max)
+                scored.append((float(est), node, target))
+        scored.sort()
+
+        best_move = None
+        for _, node, target in scored[:LS_RELOCATE_CANDIDATES]:
+            trimmed = [i for i in orders[longest] if i != node]
+            trimmed = two_opt_oracle(trimmed, D, depot)
+            pos, _ = best_insertion_oracle(orders[target], node, D, depot)
+            grown = orders[target][:pos] + [node] + orders[target][pos:]
+            grown = two_opt_oracle(grown, D, depot)
+            new_lengths = list(lengths)
+            new_lengths[longest] = route_cost_oracle(D, depot, trimmed)
+            new_lengths[target] = route_cost_oracle(D, depot, grown)
+            new_max = max(new_lengths)
+            if new_max < cur_max - LS_IMPROVE_EPS:
+                key = (new_max, node, target)
+                if best_move is None or key < (best_move[0], best_move[1], best_move[2]):
+                    best_move = (new_max, node, target, trimmed, grown)
+        if best_move is None:
+            break
+        _, node, target, trimmed, grown = best_move
+        orders[longest] = trimmed
+        orders[target] = grown
+        lengths[longest] = route_cost_oracle(D, depot, trimmed)
+        lengths[target] = route_cost_oracle(D, depot, grown)
+        if trace is not None:
+            trace.append(max(lengths))
+
+    routes = tuple(
+        Route(node_order=tuple(order), length=route_cost_oracle(D, depot, order))
+        for order in orders
+    )
+    return Solution(instance_ref=inst.name, algorithm="minmax-ls", k=k, seed=seed, routes=routes)

@@ -3,10 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import _oracles
+from pondroute import baseline
 from pondroute.baseline import (
     DistanceMatrix,
     TooLarge,
+    _best_insertions,
+    _nearest_neighbor,
+    _route_cost,
     _subset_tours,
     exact_minmax,
     minmax_local_search,
@@ -17,7 +24,16 @@ from pondroute.hpp import hpp_solve
 from pondroute.instances import FarmInstance, GeneratorConfig, generate
 from pondroute.solution import InvalidK, route_length
 
-from _oracles import brute_minmax, min_depot_tour
+from _oracles import (
+    best_insertion_oracle,
+    brute_minmax,
+    distance_matrix_oracle,
+    min_depot_tour,
+    minmax_ls_oracle,
+    nearest_neighbor_oracle,
+    route_cost_oracle,
+    two_opt_oracle,
+)
 
 
 def synthetic_instance(nodes: list[Point], depot: Point) -> FarmInstance:
@@ -197,3 +213,148 @@ class TestMinMaxLocalSearch:
         sol = minmax_local_search(inst, k=4, seed=0, max_iterations=0)
         seen = sorted(i for r in sol.routes for i in r.node_order)
         assert seen == list(range(40))
+
+
+FAMILIES = ["lattice", "duplicates", "uniform"]
+
+
+def point_set(family: str, rng: np.random.Generator, n: int) -> FarmInstance:
+    """n nodes and a depot: on a 5 x 5 integer lattice (ties and duplicates
+    everywhere), on three positions, or uniform in the unit square."""
+    if family == "lattice":
+        xy = rng.integers(0, 5, size=(n + 1, 2)).astype(float)
+    elif family == "duplicates":
+        spots = rng.random((3, 2))
+        xy = spots[rng.integers(3, size=n + 1)]
+    else:
+        xy = rng.random((n + 1, 2))
+    pts = [Point(float(x), float(y)) for x, y in xy]
+    return synthetic_instance(pts[:n], pts[n])
+
+
+def two_opt_deltas(order: list[int], D: np.ndarray, depot: int) -> np.ndarray:
+    """Every 2-opt move's cost change on ``order``, i < j, as two_opt computes it."""
+    m = len(order)
+    P = np.array([depot, *order, depot])
+    new_a = D[np.ix_(P[:m], P[1 : m + 1])]
+    new_b = D[np.ix_(P[1 : m + 1], P[2:])]
+    cons = D[P[:-1], P[1:]]
+    delta = new_a + new_b - cons[:m, None] - cons[None, 1:]
+    return delta[np.triu_indices(m, k=1)]
+
+
+class TestMatchesOracle:
+    """The local search against its first version in ``_oracles``, bit for bit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(family=st.sampled_from(FAMILIES), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
+    def test_helpers(self, family, seed, n):
+        rng = np.random.default_rng(seed)
+        inst = point_set(family, rng, n)
+        D, depot = DistanceMatrix.from_instance(inst).entries, n
+        assert D.tobytes() == distance_matrix_oracle(inst).tobytes()
+        nodes = rng.permutation(n)[: rng.integers(1, n + 1)].tolist()
+        assert _nearest_neighbor(nodes, D, depot) == nearest_neighbor_oracle(nodes, D, depot)
+        assert two_opt(nodes, D, depot) == two_opt_oracle(nodes, D, depot)
+        assert _route_cost(D, depot, nodes) == route_cost_oracle(D, depot, nodes)
+        extra = [i for i in range(n) if i not in nodes] or [0]
+        for order in (nodes, []):
+            assert _best_insertions(order, extra, D, depot) == [
+                best_insertion_oracle(order, x, D, depot) for x in extra
+            ]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(family=st.sampled_from(FAMILIES), seed=st.integers(0, 2**32 - 1), n=st.integers(4, 40))
+    def test_two_opt_one_node_from_local_optimum(self, family, seed, n):
+        # A 2-opt-optimal tour with one node removed or inserted: the first
+        # pass scans only the moves that drop a new edge.
+        rng = np.random.default_rng(seed)
+        inst = point_set(family, rng, n)
+        D, depot = DistanceMatrix.from_instance(inst).entries, n
+        perm = rng.permutation(n).tolist()
+        stopped: list[bool] = []
+        tour = two_opt(perm[: rng.integers(3, n)], D, depot, converged=stopped)
+        assert stopped == [True]
+        assert two_opt_deltas(tour, D, depot).min() >= -baseline._IMPROVE_EPS
+
+        t = int(rng.integers(len(tour)))
+        trimmed = tour[:t] + tour[t + 1 :]
+        assert two_opt(trimmed, D, depot, changed=(t,)) == two_opt_oracle(trimmed, D, depot)
+
+        node = perm[-1]
+        [(best, _)] = _best_insertions(tour, [node], D, depot)
+        for pos in {best, int(rng.integers(len(tour) + 1))}:
+            grown = tour[:pos] + [node] + tour[pos:]
+            got = two_opt(grown, D, depot, changed=(pos, pos + 1))
+            assert got == two_opt_oracle(grown, D, depot)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        family=st.sampled_from(["generated", *FAMILIES]),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 90),
+    )
+    def test_whole_solutions(self, family, seed, n):
+        if family == "generated":
+            inst = generate(GeneratorConfig(node_count=n, seed=seed))
+        else:
+            inst = point_set(family, np.random.default_rng(seed), n)
+        for k in range(1, min(n, 6) + 1):
+            trace: list[float] = []
+            want: list[float] = []
+            sol = minmax_local_search(inst, k=k, seed=0, trace=trace)
+            assert sol == minmax_ls_oracle(inst, k=k, seed=0, trace=want)
+            assert trace == want
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_two_opt_one_node_with_infinite_distances(self, seed):
+        # Infinite distances make NaN move deltas (inf - inf). The full pass's
+        # argmin takes the first NaN, so the screen must too.
+        rng = np.random.default_rng(seed)
+        n = 14
+        D = DistanceMatrix.from_instance(point_set("uniform", rng, n)).entries.copy()
+        depot = n
+        stopped: list[bool] = []
+        tour = two_opt(rng.permutation(n)[:10].tolist(), D, depot, converged=stopped)
+        assert stopped == [True]
+        P = [depot, *tour, depot]
+        on_tour = {frozenset(e) for e in zip(P, P[1:])}
+        for a, b in rng.integers(n + 1, size=(30, 2)):
+            if frozenset((a, b)) not in on_tour:  # the tour stays a local optimum
+                D[a, b] = D[b, a] = np.inf
+        t = int(rng.integers(len(tour)))
+        D[P[t], P[t + 2]] = D[P[t + 2], P[t]] = np.inf
+        trimmed = tour[:t] + tour[t + 1 :]
+        assert np.isnan(two_opt_deltas(trimmed, D, depot)).any()
+        assert two_opt(trimmed, D, depot, changed=(t,)) == two_opt_oracle(trimmed, D, depot)
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_pass_cap_falls_back_to_full_passes(self, monkeypatch, cap):
+        # Routes cut off by the pass cap are not known to be local optima, so
+        # their relocations must not be screened.
+        monkeypatch.setattr(baseline, "_TWO_OPT_MAX_PASSES", cap)
+        monkeypatch.setattr(_oracles, "LS_TWO_OPT_MAX_PASSES", cap)
+        for n, seed, k in ((60, 1, 3), (150, 2, 5), (200, 3, 4)):
+            inst = generate(GeneratorConfig(node_count=n, seed=seed))
+            assert minmax_local_search(inst, k=k, seed=0) == minmax_ls_oracle(inst, k=k, seed=0)
+
+
+@pytest.mark.parametrize(
+    ("family", "n", "seed", "k"),
+    [("generated", 50, 1, 5), ("generated", 200, 2, 3), ("generated", 300, 3, 6),
+     ("lattice", 60, 4, 4), ("duplicates", 40, 5, 3)],
+)
+def test_returned_routes_are_2opt_local_optima(family, n, seed, k):
+    # The bound the relocation screen relies on: no 2-opt move on a returned
+    # route of 3 or more nodes gains more than _IMPROVE_EPS.
+    if family == "generated":
+        inst = generate(GeneratorConfig(node_count=n, seed=seed))
+    else:
+        inst = point_set(family, np.random.default_rng(seed), n)
+    D = distance_matrix_oracle(inst)
+    sol = minmax_local_search(inst, k=k, seed=0)
+    long_routes = [list(r.node_order) for r in sol.routes if len(r.node_order) >= 3]
+    assert long_routes
+    for order in long_routes:
+        assert two_opt_deltas(order, D, n).min() >= -baseline._IMPROVE_EPS

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pondroute import hpp
-from pondroute.baseline import TooLarge
+from pondroute.baseline import TooLarge, minmax_local_search
 from pondroute.evaluation import ALGORITHMS, score, solve_with
 from pondroute.geometry import Point, antipodal_pairs, collinear, convex_hull, dist
 from pondroute.hpp import (
@@ -506,6 +506,24 @@ def test_golden_solution_bytes(tmp_path, n, seed):
     path = tmp_path / "sol.txt"
     save_solution(hpp_solve(inst, k=5, seed=0), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SOLUTIONS[n, seed]
+
+
+GOLDEN_LS_SOLUTIONS = {
+    (200, 42): "23db497725d78e1585ef85896702a6467dadcd38f4a056cb68313dead08eb583",
+    (200, 43): "c7bb0fd4d3333b2ea202c0a645fb813db775d4583795496a7eb02d1d4164aee6",
+    (200, 44): "3fa4c5f082042138134b8cb3f44f20b658d8d418348b3814cf68a55fbe83fb08",
+    (700, 42): "c16514a9f9834d358ebdfc764267fe4cf47a58a21fedfa0cd5f6cf1f7b86f612",
+    (700, 43): "219a85fcb80134a1e0639c8425597c0676fb2ebfb80878897e1208e5cbab8004",
+    (700, 44): "64e4beb20ee0d71671db8d004afcdfb4b5a54333e80c482069cf08f7162328a3",
+}
+
+
+@pytest.mark.parametrize(("n", "seed"), sorted(GOLDEN_LS_SOLUTIONS))
+def test_golden_ls_solution_bytes(tmp_path, n, seed):
+    inst = generate(GeneratorConfig(node_count=n, seed=seed))
+    path = tmp_path / "sol.txt"
+    save_solution(minmax_local_search(inst, k=5, seed=0), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_LS_SOLUTIONS[n, seed]
 
 
 class TestHppSolve:
