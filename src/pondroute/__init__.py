@@ -7,7 +7,6 @@ from .baseline import (
     minmax_local_search,
 )
 from .evaluation import (
-    BenchmarkReport,
     InstanceMetrics,
     InvalidSolution,
     run_benchmark,

@@ -38,12 +38,11 @@ class TooLarge(ValueError):
 class DistanceMatrix:
     """Symmetric Euclidean distances over nodes 0..n-1 plus the depot at index n."""
 
-    n: int
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.entries.shape != (self.n + 1, self.n + 1):
-            raise ValueError("entries must be (n+1) x (n+1) with the depot last")
+        if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
+            raise ValueError("entries must be a square matrix with the depot last")
 
     @classmethod
     def from_instance(cls, inst: FarmInstance) -> "DistanceMatrix":
@@ -54,11 +53,11 @@ class DistanceMatrix:
         dx *= dx
         dy *= dy
         dx += dy
-        return cls(n=len(inst.nodes), entries=np.sqrt(dx, out=dx))
+        return cls(entries=np.sqrt(dx, out=dx))
 
     @property
     def depot(self) -> int:
-        return self.n
+        return len(self.entries) - 1
 
 
 def _route_cost(D: np.ndarray, depot: int, order: list[int]) -> float:
@@ -298,7 +297,7 @@ def minmax_local_search(
                 scored.append((float(est), node, target, pos))
         scored.sort()
 
-        best_move = None  # (new_max, node, target, new_longest, new_target, converged)
+        best_move = None  # (new_max, node, target, trimmed, grown, converged, new_lengths)
         for _, node, target, pos in scored[:_RELOCATE_CANDIDATES]:
             t = pos_of[node]
             trimmed = orders[longest][:t] + orders[longest][t + 1 :]
@@ -318,24 +317,20 @@ def minmax_local_search(
             if new_max < cur_max - _IMPROVE_EPS:
                 key = (new_max, node, target)
                 if best_move is None or key < (best_move[0], best_move[1], best_move[2]):
-                    best_move = (new_max, node, target, trimmed, grown, found)
+                    best_move = (new_max, node, target, trimmed, grown, found, new_lengths)
         if best_move is None:
             break
-        _, node, target, trimmed, grown, found = best_move
+        _, node, target, trimmed, grown, found, lengths = best_move
         orders[longest] = trimmed
         orders[target] = grown
         optimal[longest], optimal[target] = found
-        lengths[longest] = _route_cost(D, depot, trimmed)
-        lengths[target] = _route_cost(D, depot, grown)
         if trace is not None:
             trace.append(max(lengths))
 
     routes = tuple(
         Route(node_order=tuple(order), length=length) for order, length in zip(orders, lengths)
     )
-    return Solution(
-        instance_ref=inst.name, algorithm="minmax-ls", k=k, seed=seed, routes=routes
-    )
+    return Solution(instance_ref=inst.name, algorithm="minmax-ls", seed=seed, routes=routes)
 
 
 # ---------------------------------------------------------------------------
@@ -459,4 +454,4 @@ def exact_minmax(inst: FarmInstance, k: int) -> Solution:
 
     chosen = min(canonical_routes(p) for p in best_parts)
     routes = tuple(Route(node_order=order, length=length) for order, length in chosen)
-    return Solution(instance_ref=inst.name, algorithm="exact", k=k, seed=0, routes=routes)
+    return Solution(instance_ref=inst.name, algorithm="exact", seed=0, routes=routes)

@@ -29,6 +29,8 @@ def _parse_sizes(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"sizes must be comma-separated integers, got {text!r}")
     if not sizes or any(s < 3 for s in sizes):
         raise argparse.ArgumentTypeError("every size must be an integer >= 3")
+    if len(set(sizes)) != len(sizes):
+        raise argparse.ArgumentTypeError(f"sizes must be distinct, got {text!r}")
     return sizes
 
 
@@ -87,15 +89,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    report = evaluation.run_benchmark(
+    rows = evaluation.run_benchmark(
         manifest=args.manifest,
         algorithms=args.algorithms,
         k=args.routes,
         seed=args.seed,
         max_iterations=args.iterations,
     )
-    evaluation.write_csv(report, args.report)
-    table = evaluation.format_table(report)
+    evaluation.write_csv(rows, args.report)
+    table = evaluation.format_table(rows)
     if args.table:
         Path(args.table).write_text(table + "\n", encoding="utf-8")
     print(table)
@@ -192,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve one instance and write a solution file")
     p.add_argument("--algorithm", choices=evaluation.ALGORITHMS, required=True)
     p.add_argument("--instance", type=Path, required=True)
-    p.add_argument("--routes", type=int, default=5, help="route count k (default 5)")
+    p.add_argument("--routes", type=_count, default=5, help="route count k (default 5)")
     p.add_argument("--seed", type=_non_negative, default=0)
     p.add_argument("--iterations", type=_non_negative, default=100,
                    help="local-search iteration budget (minmax-ls only)")
@@ -203,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", type=Path, required=True)
     p.add_argument("--algorithms", type=_parse_algorithms, required=True,
                    help="comma-separated subset of: " + ",".join(evaluation.ALGORITHMS))
-    p.add_argument("--routes", type=int, default=5)
+    p.add_argument("--routes", type=_count, default=5)
     p.add_argument("--seed", type=_non_negative, default=0)
     p.add_argument("--iterations", type=_non_negative, default=100,
                    help="local-search iteration budget (minmax-ls only)")
@@ -215,8 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", type=Path, required=True)
     p.add_argument("--solution", type=Path, default=None)
     p.add_argument("--clusters", action="store_true", help="draw per-route convex hulls")
-    p.add_argument("--width", type=int, default=900)
-    p.add_argument("--height", type=int, default=900)
+    p.add_argument("--width", type=_count, default=900)
+    p.add_argument("--height", type=_count, default=900)
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_plot)
     return parser

@@ -29,11 +29,15 @@ class InvalidSolution(ValueError):
 
 @dataclass(frozen=True)
 class InstanceMetrics:
-    instance: str
-    algorithm: str
-    total_distance: float
-    max_route_length: float
     route_lengths: tuple[float, ...]
+
+    @property
+    def total_distance(self) -> float:
+        return sum(self.route_lengths)
+
+    @property
+    def max_route_length(self) -> float:
+        return max(self.route_lengths)
 
 
 @dataclass(frozen=True)
@@ -51,22 +55,13 @@ class ReportRow:
         return "skipped" if self.mean_total is None else "sequential"
 
 
-@dataclass(frozen=True)
-class BenchmarkReport:
-    rows: tuple[ReportRow, ...]
-    k: int
-    seed: int
-
-
 def score(inst: FarmInstance, sol: Solution) -> InstanceMetrics:
     """Recompute all route lengths from coordinates; stored lengths are ignored.
 
     Raises InvalidSolution unless the routes partition the instance's node
-    indices into exactly ``sol.k`` routes.
+    indices.
     """
     n = len(inst.nodes)
-    if len(sol.routes) != sol.k:
-        raise InvalidSolution(f"expected {sol.k} routes, found {len(sol.routes)}")
     seen: dict[int, int] = {}
     for r, route in enumerate(sol.routes):
         for idx in route.node_order:
@@ -81,16 +76,11 @@ def score(inst: FarmInstance, sol: Solution) -> InstanceMetrics:
         missing = sorted(set(range(n)) - seen.keys())
         raise InvalidSolution(f"nodes not covered by any route: {missing[:10]}")
 
-    lengths = tuple(
-        route_length(inst.depot, [inst.nodes[i] for i in route.node_order])
-        for route in sol.routes
-    )
     return InstanceMetrics(
-        instance=inst.name,
-        algorithm=sol.algorithm,
-        total_distance=sum(lengths),
-        max_route_length=max(lengths),
-        route_lengths=lengths,
+        tuple(
+            route_length(inst.depot, [inst.nodes[i] for i in route.node_order])
+            for route in sol.routes
+        )
     )
 
 
@@ -133,8 +123,9 @@ def run_benchmark(
     k: int = 5,
     seed: int = 0,
     max_iterations: int = 100,
-) -> BenchmarkReport:
-    """Solve every manifest instance with every algorithm and aggregate means.
+) -> tuple[ReportRow, ...]:
+    """Solve every manifest instance with every algorithm and aggregate means:
+    one row per (size, algorithm), sizes ascending.
 
     The exact oracle is skipped (marked row) for sizes above its limits. A
     solver failure aborts the whole batch, naming the failing instance.
@@ -168,15 +159,15 @@ def run_benchmark(
             rows.append(
                 ReportRow(size, algorithm, mean_total, mean_max, batch_time, len(batch))
             )
-    return BenchmarkReport(rows=tuple(rows), k=k, seed=seed)
+    return tuple(rows)
 
 
 CSV_HEADER = "size,algorithm,mean_total,mean_max,batch_time_s,instances,mode"
 
 
-def write_csv(report: BenchmarkReport, path: Path | str) -> None:
+def write_csv(rows: tuple[ReportRow, ...], path: Path | str) -> None:
     lines = [CSV_HEADER]
-    for r in report.rows:
+    for r in rows:
         mt, mm, bt = (
             "" if x is None else _fmt(x) for x in (r.mean_total, r.mean_max, r.batch_time_s)
         )
@@ -184,12 +175,12 @@ def write_csv(report: BenchmarkReport, path: Path | str) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def format_table(report: BenchmarkReport) -> str:
+def format_table(rows: tuple[ReportRow, ...]) -> str:
     """Aligned text table: one block per metric, sizes as rows, algorithms as columns."""
-    algorithms = list(dict.fromkeys(r.algorithm for r in report.rows))
-    sizes = sorted({r.size for r in report.rows})
-    cell: dict[tuple[int, str], ReportRow] = {(r.size, r.algorithm): r for r in report.rows}
-    counts = {r.instance_count for r in report.rows}
+    algorithms = list(dict.fromkeys(r.algorithm for r in rows))
+    sizes = sorted({r.size for r in rows})
+    cell: dict[tuple[int, str], ReportRow] = {(r.size, r.algorithm): r for r in rows}
+    counts = {r.instance_count for r in rows}
     count_label = f"{counts.pop()} instances" if len(counts) == 1 else "batch"
 
     def block(title: str, getter, fmt: str) -> list[str]:

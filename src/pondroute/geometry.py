@@ -2,7 +2,10 @@
 
 Coordinates live at unit-square scale, so a single tolerance ``EPS = 1e-9``
 serves both the collinearity and the boundary-containment tests; it is far
-below the grid pitch of any generated instance.
+below the grid pitch of any generated instance. There it bounds a distance
+(each cross product is divided by an edge length). It also bounds the height
+ties of ``antipodal_pairs``, where it is compared with a raw cross product,
+an area (twice the triangle's), not a distance.
 """
 
 from __future__ import annotations

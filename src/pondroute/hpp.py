@@ -56,11 +56,10 @@ class RepairImpossible(RuntimeError):
 class ClusterAssignment:
     labels: tuple[int, ...]
     centroids: tuple[Point, ...]
-    k: int
 
     def __post_init__(self) -> None:
-        if self.k < 1 or len(self.centroids) != self.k:
-            raise ValueError("centroid count must equal k")
+        if not self.centroids:
+            raise ValueError("need at least one centroid")
         counts = [0] * self.k
         for lab in self.labels:
             if not 0 <= lab < self.k:
@@ -68,6 +67,10 @@ class ClusterAssignment:
             counts[lab] += 1
         if any(c == 0 for c in counts):
             raise ValueError("every cluster must be non-empty")
+
+    @property
+    def k(self) -> int:
+        return len(self.centroids)
 
     def members(self, c: int) -> list[int]:
         return [i for i, lab in enumerate(self.labels) if lab == c]
@@ -141,7 +144,6 @@ def kmeans(nodes: Sequence[Point], k: int, seed: int) -> ClusterAssignment:
     return ClusterAssignment(
         labels=tuple(int(x) for x in labels),
         centroids=tuple(Point(float(x), float(y)) for x, y in cents),
-        k=k,
     )
 
 
@@ -210,7 +212,7 @@ def repair_clusters(assign: ClusterAssignment, nodes: Sequence[Point]) -> Cluste
         raise RepairImpossible("cluster repair did not converge")
 
     centroids = tuple(centroid(ids) for ids in members)
-    return ClusterAssignment(labels=tuple(labels), centroids=centroids, k=k)
+    return ClusterAssignment(labels=tuple(labels), centroids=centroids)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +324,6 @@ class _ClusterLanes:
     """
 
     def __init__(self, pts: Sequence[Point], starts: Sequence[int], spacing: float) -> None:
-        self.pts = pts
         xy = np.array([(pt.x, pt.y) for pt in pts], dtype=float)
         self.tables: dict[tuple[str, int], _Lanes] = {}
         for axis, s, t in (("y", 1, 0), ("x", 0, 1)):
@@ -345,8 +346,9 @@ class _ClusterLanes:
         best_order: list[int] = []
         best_len = math.inf
         for axis in ("y", "x"):
-            order = self.tables[axis, p].order(p, q)
-            length = _internal_length(self.pts, order)
+            table = self.tables[axis, p]
+            order = table.order(p, q)
+            length = sum(table._gap(a, b) for a, b in zip(order, order[1:]))
             if length < best_len - 1e-12:
                 best_order, best_len = order, length
         return best_order
@@ -357,10 +359,6 @@ def _first_positions(pts: Sequence[Point]) -> dict[Point, int]:
     for pos, pt in enumerate(pts):
         first.setdefault(pt, pos)
     return first
-
-
-def _internal_length(pts: Sequence[Point], order: Sequence[int]) -> float:
-    return sum(dist(pts[a], pts[b]) for a, b in zip(order, order[1:]))
 
 
 def serpentine_route(
@@ -454,11 +452,5 @@ def hpp_solve(inst: FarmInstance, k: int = 5, seed: int = 0) -> Solution:
     for c in range(k):
         members = [(i, inst.nodes[i]) for i in assign.members(c)]
         routes.append(route_cluster(members, inst.depot, inst.spacing))
-    return Solution(
-        instance_ref=inst.name,
-        algorithm="hpp",
-        k=k,
-        seed=seed,
-        routes=tuple(routes),
-    )
+    return Solution(instance_ref=inst.name, algorithm="hpp", seed=seed, routes=tuple(routes))
 

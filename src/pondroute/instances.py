@@ -324,10 +324,12 @@ def generate_dataset(
     """Write ``count_per_size`` instances per size plus a manifest; returns its path.
 
     Instance i of every size uses seed ``base_seed + i``. Every size and seed
-    is checked before ``out_dir`` is created.
+    is checked before ``out_dir`` is created; sizes must be distinct.
     """
     if not sizes:
         raise ValueError("sizes must be non-empty")
+    if len(set(sizes)) != len(sizes):
+        raise ValueError(f"sizes must be distinct, got {sizes}")
     if count_per_size < 1:
         raise ValueError("count_per_size must be at least 1")
     configs = [

@@ -52,13 +52,16 @@ class Route:
 class Solution:
     instance_ref: str
     algorithm: str
-    k: int
     seed: int
     routes: tuple[Route, ...]
 
     def __post_init__(self) -> None:
-        if len(self.routes) != self.k:
-            raise ValueError(f"expected {self.k} routes, got {len(self.routes)}")
+        if not self.routes:
+            raise ValueError("a solution needs at least one route")
+
+    @property
+    def k(self) -> int:
+        return len(self.routes)
 
     def total_length(self) -> float:
         return sum(r.length for r in self.routes)
@@ -121,5 +124,5 @@ def load_solution(path: Path | str) -> Solution:
         raise r.error(f"{n_routes} routes, but k is {k}")
     routes = tuple(r.field(f"route {i}", _route) for i in range(k))
     r.end()
-    return Solution(instance_ref, algorithm, k, seed, routes)
+    return Solution(instance_ref, algorithm, seed, routes)
 

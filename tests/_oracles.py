@@ -352,7 +352,7 @@ def repair_oracle(assign, nodes: list[Point]):
         raise RepairImpossible("cluster repair did not converge")
 
     centroids = tuple(centroid(member_ids(c)) for c in range(k))
-    return ClusterAssignment(labels=tuple(labels), centroids=centroids, k=k)
+    return ClusterAssignment(labels=tuple(labels), centroids=centroids)
 
 
 # ---------------------------------------------------------------------------
@@ -514,4 +514,4 @@ def minmax_ls_oracle(inst, k: int = 5, seed: int = 0, max_iterations: int = 100,
         Route(node_order=tuple(order), length=route_cost_oracle(D, depot, order))
         for order in orders
     )
-    return Solution(instance_ref=inst.name, algorithm="minmax-ls", k=k, seed=seed, routes=routes)
+    return Solution(instance_ref=inst.name, algorithm="minmax-ls", seed=seed, routes=routes)

@@ -260,7 +260,7 @@ def test_criterion_7_determinism(tmp_path):
         for _ in range(2)
     ]
     mean_cols = [
-        [(r.size, r.algorithm, r.mean_total, r.mean_max, r.mode) for r in run.rows]
+        [(r.size, r.algorithm, r.mean_total, r.mean_max, r.mode) for r in run]
         for run in runs
     ]
     bench_ok = mean_cols[0] == mean_cols[1]

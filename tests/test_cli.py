@@ -41,10 +41,13 @@ class TestGenerate:
         assert not out.exists()
 
     def test_invalid_size_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit) as err:
-            main(["generate", "--sizes", "0", "--count", "1", "--seed", "1",
-                  "--out", str(tmp_path)])
-        assert err.value.code == 2
+        out = tmp_path / "data"
+        for sizes in ("0", "10,10"):  # below 3, repeated
+            with pytest.raises(SystemExit) as err:
+                main(["generate", "--sizes", sizes, "--count", "1", "--seed", "1",
+                      "--out", str(out)])
+            assert err.value.code == 2
+            assert not out.exists()
 
 
 class TestSolve:
@@ -182,18 +185,24 @@ class TestUsage:
             ["bench", "--algorithms", "minmax-ls", "--iterations", "-1"],
             ["bench", "--algorithms", "minmax-ls", "--seed", "-1"],
             ["bench", "--algorithms", "minmax-ls", "--jobs", "2"],
+            ["solve", "--algorithm", "hpp", "--routes", "0"],
+            ["bench", "--algorithms", "hpp", "--routes", "0"],
+            ["plot", "--width", "0"],
+            ["plot", "--width", "-5"],
+            ["plot", "--height", "0"],
         ],
         ids=[
             "solve-iterations", "solve-seed", "solve-seed-text",
             "bench-iterations", "bench-seed", "bench-jobs",
+            "solve-routes", "bench-routes", "plot-width", "plot-width-negative", "plot-height",
         ],
     )
     def test_out_of_range_number_usage_error(self, instance_file, tmp_path, argv, capsys):
-        where = (
-            ["--instance", str(instance_file)]
-            if argv[0] == "solve"
-            else ["--manifest", str(tmp_path / "m.txt"), "--report", str(tmp_path / "r.csv")]
-        )
+        where = {
+            "solve": ["--instance", str(instance_file)],
+            "bench": ["--manifest", str(tmp_path / "m.txt"), "--report", str(tmp_path / "r.csv")],
+            "plot": ["--instance", str(instance_file), "--out", str(tmp_path / "p.svg")],
+        }[argv[0]]
         with pytest.raises(SystemExit) as err:
             main([*argv, *where])
         assert err.value.code == 2

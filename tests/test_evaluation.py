@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from pondroute.evaluation import (
@@ -34,7 +36,7 @@ def synthetic_instance(nodes: list[Point], depot: Point) -> FarmInstance:
 
 def one_route_solution(order: tuple[int, ...], length: float = 0.0) -> Solution:
     return Solution(
-        instance_ref="synthetic", algorithm="hpp", k=1, seed=0,
+        instance_ref="synthetic", algorithm="hpp", seed=0,
         routes=(Route(order, length),),
     )
 
@@ -50,7 +52,7 @@ class TestScore:
         pts = [Point(1, 0), Point(0, 2), Point(-3, 0)]
         inst = synthetic_instance(pts, Point(0, 0))
         sol = Solution(
-            instance_ref="synthetic", algorithm="exact", k=3, seed=0,
+            instance_ref="synthetic", algorithm="exact", seed=0,
             routes=tuple(Route((i,), 0.0) for i in range(3)),
         )
         metrics = score(inst, sol)
@@ -61,7 +63,7 @@ class TestScore:
         pts = [Point(1, 0), Point(0, 1)]
         inst = synthetic_instance(pts, Point(0, 0))
         sol = Solution(
-            instance_ref="synthetic", algorithm="hpp", k=2, seed=0,
+            instance_ref="synthetic", algorithm="hpp", seed=0,
             routes=(Route((0,), 0.0), Route((0,), 0.0)),
         )
         with pytest.raises(InvalidSolution, match="node 0"):
@@ -110,18 +112,18 @@ def small_manifest(tmp_path_factory):
 class TestRunBenchmark:
     def test_row_structure(self, small_manifest):
         report = run_benchmark(small_manifest, ["hpp", "minmax-ls"], k=2, seed=0)
-        assert len(report.rows) == 4  # 2 sizes x 2 algorithms
-        assert [(r.size, r.algorithm) for r in report.rows] == [
+        assert len(report) == 4  # 2 sizes x 2 algorithms
+        assert [(r.size, r.algorithm) for r in report] == [
             (8, "hpp"), (8, "minmax-ls"), (16, "hpp"), (16, "minmax-ls"),
         ]
-        for row in report.rows:
+        for row in report:
             assert row.instance_count == 3
             assert row.mode == "sequential"
             assert row.mean_total > row.mean_max > 0
 
     def test_exact_skipped_above_limits(self, small_manifest):
         report = run_benchmark(small_manifest, ["exact"], k=2, seed=0)
-        by_size = {r.size: r for r in report.rows}
+        by_size = {r.size: r for r in report}
         assert by_size[8].mode == "sequential"
         assert by_size[16].mode == "skipped"
         assert by_size[16].mean_total is None
@@ -129,8 +131,8 @@ class TestRunBenchmark:
     def test_deterministic_means(self, small_manifest):
         a = run_benchmark(small_manifest, ["hpp"], k=2, seed=0)
         b = run_benchmark(small_manifest, ["hpp"], k=2, seed=0)
-        assert [(r.mean_total, r.mean_max) for r in a.rows] == [
-            (r.mean_total, r.mean_max) for r in b.rows
+        assert [(r.mean_total, r.mean_max) for r in a] == [
+            (r.mean_total, r.mean_max) for r in b
         ]
 
     def test_aggregation_is_arithmetic_mean(self, small_manifest):
@@ -141,7 +143,7 @@ class TestRunBenchmark:
         metrics = [
             score(load(e.path), solve_with("hpp", load(e.path), 2, 0)) for e in entries
         ]
-        row = next(r for r in report.rows if r.size == 8)
+        row = next(r for r in report if r.size == 8)
         assert row.mean_total == pytest.approx(
             sum(m.total_distance for m in metrics) / len(metrics), abs=1e-12
         )
@@ -152,6 +154,9 @@ class TestRunBenchmark:
     def test_unknown_algorithm_rejected(self, small_manifest):
         with pytest.raises(ValueError):
             run_benchmark(small_manifest, ["glop"], k=2, seed=0)
+
+
+GOLDEN_BENCH = "9104f615c361dee75786795f822575786a6a32afe84201cd6407178b18976b41"
 
 
 class TestReports:
@@ -166,7 +171,7 @@ class TestReports:
         row = lines[1].split(",")
         assert int(row[0]) == 10 and row[1] == "hpp"
         # full-precision round trip
-        assert float(row[2]) == report.rows[0].mean_total
+        assert float(row[2]) == report[0].mean_total
 
     def test_table_blocks_and_skip_markers(self, tmp_path):
         manifest = generate_dataset([10, 16], 2, base_seed=3, out_dir=tmp_path)
@@ -177,3 +182,21 @@ class TestReports:
         assert "Run time for 2 instances (s)" in table
         assert "---" in table  # exact skipped at size 16
         assert "hpp" in table and "exact" in table
+
+    def test_golden_bench_bytes(self, tmp_path):
+        # The CSV without its batch_time_s column plus the table's two mean
+        # blocks; the exact rows include one skipped size.
+        manifest = generate_dataset([9, 10, 60], 3, base_seed=3, out_dir=tmp_path / "data")
+        rows = run_benchmark(manifest, ["hpp", "minmax-ls", "exact"], k=3, seed=0)
+        assert [r.mode for r in rows if r.algorithm == "exact"] == [
+            "sequential", "sequential", "skipped",
+        ]
+        write_csv(rows, tmp_path / "report.csv")
+        csv = [
+            ",".join(f for c, f in enumerate(line.split(",")) if c != 4)
+            for line in (tmp_path / "report.csv").read_text().splitlines()
+        ]
+        means = format_table(rows).split("Run time for")[0]
+        text = "\n".join(csv) + "\n" + means
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_BENCH
+

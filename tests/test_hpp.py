@@ -140,7 +140,6 @@ class TestRepairClusters:
         assign = ClusterAssignment(
             labels=(0, 0, 0, 1, 1, 1),
             centroids=(Point(1 / 3, 1 / 3), Point(16 / 3, 16 / 3)),
-            k=2,
         )
         assert repair_clusters(assign, pts).labels == assign.labels
 
@@ -163,7 +162,6 @@ class TestRepairClusters:
         assign = ClusterAssignment(
             labels=(0, 0, 0, 0, 0, 1, 1),
             centroids=(Point(0.8, 0.4), Point(10.5, 0.0)),
-            k=2,
         )
         repaired = repair_clusters(assign, pts)
         for c in range(2):
@@ -218,7 +216,6 @@ class TestRepairClusters:
         assign = ClusterAssignment(
             labels=(0, 0, 0, 0, 1, 1, 1, 1, 1),
             centroids=(Point(0.4, 0.5), Point(5.5, 5.8)),
-            k=2,
         )
         repaired = repair_clusters(assign, pts)
         assert repaired.labels != assign.labels
@@ -258,7 +255,7 @@ class TestRepairClusters:
         pts = [Point(float(x), float(y)) for x, y in xy]
         labels = rng.permutation(np.r_[np.arange(k), rng.integers(k, size=n - k)])
         assign = ClusterAssignment(
-            labels=tuple(int(c) for c in labels), centroids=(Point(0, 0),) * k, k=k
+            labels=tuple(int(c) for c in labels), centroids=(Point(0, 0),) * k
         )
 
         def outcome(repair):
@@ -652,7 +649,7 @@ class TestSolutionFiles:
         with pytest.raises(ValueError):
             Route(node_order=(), length=1.0)
         with pytest.raises(ValueError):
-            Solution(instance_ref="x", algorithm="hpp", k=2, seed=0, routes=())
+            Solution(instance_ref="x", algorithm="hpp", seed=0, routes=())
 
     def test_malformed_solution(self, tmp_path):
         path = tmp_path / "bad.txt"

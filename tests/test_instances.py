@@ -234,7 +234,9 @@ class TestGenerateDataset:
         assert len(list(tmp_path.glob("*.txt"))) == 7  # 6 instances + manifest
 
     @pytest.mark.parametrize(
-        "sizes, base_seed", [([50], -1), ([10, 2], 0)], ids=["negative-seed", "tiny-size"]
+        "sizes, base_seed",
+        [([50], -1), ([10, 2], 0), ([10, 10], 0)],
+        ids=["negative-seed", "tiny-size", "repeated-size"],
     )
     def test_bad_input_leaves_no_directory(self, tmp_path, sizes, base_seed):
         out = tmp_path / "data"
