@@ -10,7 +10,8 @@ run only after that scan finds an improving move.
 
 ``exact_minmax`` enumerates every partition of up to 10 nodes into at most 3
 routes, with per-subset optimal visit orders from a dynamic program over
-subsets, and is the ground truth the heuristics are measured against.
+subsets held in (2^n, n) cost and parent arrays, relaxed one subset size per
+numpy step; it is the ground truth the heuristics are measured against.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instances import FarmInstance
+from .instances import FarmInstance, _left_sum
 from .solution import InvalidK, Route, Solution
 
 EXACT_MAX_NODES = 10
@@ -268,7 +269,7 @@ def minmax_local_search(
                 continue
             xs = [inst.nodes[i].x for i in orders[r]]
             ys = [inst.nodes[i].y for i in orders[r]]
-            other_centroids[r] = (sum(xs) / len(xs), sum(ys) / len(ys))
+            other_centroids[r] = (_left_sum(xs) / len(xs), _left_sum(ys) / len(ys))
 
         def centroid_gap(i: int) -> float:
             px, py = inst.nodes[i].x, inst.nodes[i].y
@@ -339,49 +340,41 @@ def minmax_local_search(
 
 def _subset_tours(
     D: np.ndarray, n: int, depot: int
-) -> tuple[np.ndarray, np.ndarray, list[dict[int, int]]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Optimal depot-to-depot tour cost for every non-empty node subset.
 
     Returns (cost per mask, best final node per mask, parent pointers).
-    dp[mask][last] = cheapest depot -> ... -> last path visiting exactly
-    ``mask``; closing back to the depot is taken at query time.
+    dp[mask, last] = cheapest depot -> ... -> last path visiting exactly
+    ``mask``, parent[mask, last] the node before ``last`` on it (-1 for a
+    single node or no finite path); closing back to the depot is taken at
+    query time. Subsets are relaxed by size, each taking the first best prev.
     """
     size = 1 << n
     dp = np.full((size, n), np.inf)
-    parent: list[dict[int, int]] = [dict() for _ in range(size)]
-    for v in range(n):
-        dp[1 << v][v] = D[depot, v]
-    for mask in range(1, size):
-        for last in range(n):
-            if not mask & (1 << last):
-                continue
-            prev_mask = mask ^ (1 << last)
-            if prev_mask == 0:
-                continue
-            best_cost, best_prev = np.inf, -1
-            for prev in range(n):
-                if not prev_mask & (1 << prev):
-                    continue
-                c = dp[prev_mask][prev] + D[prev, last]
-                if c < best_cost:
-                    best_cost, best_prev = c, prev
-            dp[mask][last] = best_cost
-            parent[mask][last] = best_prev
+    parent = np.full((size, n), -1)
+    bit = 1 << np.arange(n)
+    dp[bit, np.arange(n)] = D[depot, :n]
+    in_mask = (np.arange(size)[:, None] & bit) != 0
+    count = in_mask.sum(axis=1)
+    for c in range(2, n + 1):
+        mask, last = np.nonzero(in_mask & (count == c)[:, None])
+        # cand[p, prev] = dp[mask without last, prev] + D[prev, last], inf off that mask
+        cand = dp[mask ^ bit[last]] + D[:n, last].T
+        best = cand.min(axis=1)
+        dp[mask, last] = best
+        parent[mask, last] = np.where(best < np.inf, cand.argmin(axis=1), -1)
 
-    tour_cost = np.full(size, np.inf)
-    tour_last = np.full(size, -1, dtype=int)
-    for mask in range(1, size):
-        closes = dp[mask] + D[:n, depot]
-        last = int(np.argmin(closes))
-        tour_cost[mask] = closes[last]
-        tour_last[mask] = last
+    closes = dp + D[:n, depot]
+    tour_last = np.argmin(closes, axis=1)
+    tour_cost = closes[np.arange(size), tour_last]
+    tour_cost[0], tour_last[0] = np.inf, -1
     return tour_cost, tour_last, parent
 
 
-def _reconstruct(parent: list[dict[int, int]], mask: int, last: int) -> list[int]:
+def _reconstruct(parent: np.ndarray, mask: int, last: int) -> list[int]:
     order = [last]
-    while parent[mask].get(last, -1) >= 0:
-        prev = parent[mask][last]
+    while parent[mask, last] >= 0:
+        prev = int(parent[mask, last])
         mask ^= 1 << last
         last = prev
         order.append(last)
@@ -430,28 +423,18 @@ def exact_minmax(inst: FarmInstance, k: int) -> Solution:
     tour_cost, tour_last, parent = _subset_tours(D, n, depot)
     full = (1 << n) - 1
 
-    best_key: tuple[float, float] | None = None
-    best_parts: list[tuple[int, ...]] | None = None
-    for parts in _partitions(full, k):
-        costs = [tour_cost[m] for m in parts]
-        key = (max(costs), float(sum(costs)))
-        if best_key is None or key < best_key:
-            best_key, best_parts = key, [parts]
-        elif key == best_key:
-            best_parts.append(parts)
-
-    assert best_parts is not None
+    partitions = np.array(list(_partitions(full, k)))
+    costs = tour_cost[partitions]  # costs[p, r]: route r of partition p
+    worst = costs.max(axis=1)
+    total = _left_sum(costs.T)  # column by column, as sum() adds a row
+    tied = np.flatnonzero(worst == worst.min())
+    tied = tied[total[tied] == total[tied].min()]
 
     def canonical_routes(parts) -> list[tuple[tuple[int, ...], float]]:
-        routes = []
-        for mask in parts:
-            order = _reconstruct(parent, mask, int(tour_last[mask]))
-            fwd, rev = tuple(order), tuple(order[::-1])
-            chosen = min(fwd, rev)
-            routes.append((chosen, _route_cost(D, depot, list(chosen))))
-        routes.sort(key=lambda item: item[0])
-        return routes
+        orders = [_reconstruct(parent, mask, int(tour_last[mask])) for mask in parts]
+        chosen = sorted(min(tuple(o), tuple(o[::-1])) for o in orders)
+        return [(order, _route_cost(D, depot, list(order))) for order in chosen]
 
-    chosen = min(canonical_routes(p) for p in best_parts)
+    chosen = min(canonical_routes(partitions[p].tolist()) for p in tied)
     routes = tuple(Route(node_order=order, length=length) for order, length in chosen)
     return Solution(instance_ref=inst.name, algorithm="exact", seed=0, routes=routes)

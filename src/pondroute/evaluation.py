@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import baseline, hpp
-from .instances import FarmInstance, _fmt, load, load_manifest
+from .instances import FarmInstance, _fmt, _left_sum, load, load_manifest
 from .solution import Solution, route_length
 
 ALGORITHMS = ("hpp", "minmax-ls", "exact")
@@ -33,7 +33,7 @@ class InstanceMetrics:
 
     @property
     def total_distance(self) -> float:
-        return sum(self.route_lengths)
+        return _left_sum(self.route_lengths)
 
     @property
     def max_route_length(self) -> float:
@@ -154,8 +154,8 @@ def run_benchmark(
             ]
             batch_time = time.perf_counter() - t0
             metrics = [score(i, s) for i, s in zip(instances, solutions)]
-            mean_total = sum(m.total_distance for m in metrics) / len(metrics)
-            mean_max = sum(m.max_route_length for m in metrics) / len(metrics)
+            mean_total = _left_sum(m.total_distance for m in metrics) / len(metrics)
+            mean_max = _left_sum(m.max_route_length for m in metrics) / len(metrics)
             rows.append(
                 ReportRow(size, algorithm, mean_total, mean_max, batch_time, len(batch))
             )

@@ -36,7 +36,7 @@ from .geometry import (
     convex_hull,
     dist,
 )
-from .instances import FarmInstance
+from .instances import FarmInstance, _left_sum
 from .rng import make_rng
 from .solution import InvalidK, Route, Solution, route_length
 # Re-exported: the benchmark digests solution files through hpp.save_solution.
@@ -160,7 +160,9 @@ def repair_clusters(assign: ClusterAssignment, nodes: Sequence[Point]) -> Cluste
     invalid is only taken when no safe candidate exists, which keeps the
     greedy loop from ping-ponging a node between two small clusters.
     Centroids are recomputed after each move. Candidates are tried nearest
-    first, so a donor hull is built only until a safe one is found.
+    first, so a donor hull is built only until a safe one is found, and at
+    most once per step for each (donor, position): copies of one position
+    leave the same point set behind.
     """
     k = assign.k
     n = len(nodes)
@@ -175,12 +177,17 @@ def repair_clusters(assign: ClusterAssignment, nodes: Sequence[Point]) -> Cluste
 
     def centroid(ids: list[int]) -> Point:
         return Point(
-            sum(nodes[i].x for i in ids) / len(ids),
-            sum(nodes[i].y for i in ids) / len(ids),
+            _left_sum(nodes[i].x for i in ids) / len(ids),
+            _left_sum(nodes[i].y for i in ids) / len(ids),
         )
 
-    def donor_rest(i: int) -> list[Point]:
-        return [nodes[m] for m in members[labels[i]] if m != i]
+    safe: dict[tuple[int, Point], bool] = {}  # (donor, position) -> donor stays valid
+
+    def leaves_donor_valid(i: int) -> bool:
+        key = (labels[i], nodes[i])
+        if key not in safe:
+            safe[key] = _cluster_valid([nodes[m] for m in members[labels[i]] if m != i])
+        return safe[key]
 
     for _ in range(10 * n):
         invalid = next(
@@ -204,7 +211,8 @@ def repair_clusters(assign: ClusterAssignment, nodes: Sequence[Point]) -> Cluste
             (i for c in donors for i in members[c]),
             key=lambda i: (dist(nodes[i], target), i),
         )
-        moved = next((i for i in nearest if _cluster_valid(donor_rest(i))), nearest[0])
+        safe.clear()
+        moved = next((i for i in nearest if leaves_donor_valid(i)), nearest[0])
         members[labels[moved]].remove(moved)
         members[invalid] = sorted(members[invalid] + [moved])
         labels[moved] = invalid
@@ -263,7 +271,7 @@ class _Lanes:
                 (i for i in self.members[lane] if i != anchor and i != other),
                 key=lambda i: (toward * abs(tc[i] - t0), tc[i], i),
             )
-            inner = sum(self._gap(a, b) for a, b in zip(run, run[1:]))
+            inner = _left_sum(self._gap(a, b) for a, b in zip(run, run[1:]))
             self._anchor_lanes[key] = (run, inner)
         return self._anchor_lanes[key]
 
@@ -348,7 +356,7 @@ class _ClusterLanes:
         for axis in ("y", "x"):
             table = self.tables[axis, p]
             order = table.order(p, q)
-            length = sum(table._gap(a, b) for a, b in zip(order, order[1:]))
+            length = _left_sum(table._gap(a, b) for a, b in zip(order, order[1:]))
             if length < best_len - 1e-12:
                 best_order, best_len = order, length
         return best_order

@@ -26,10 +26,12 @@ Manifest file format (version 1), at least one record::
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Iterator, TypeVar
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
@@ -91,6 +93,13 @@ class ManifestEntry:
 def _fmt(x: float) -> str:
     """17 significant digits, so reading a written float back is bit-exact."""
     return format(x, ".17g")
+
+
+def _left_sum(values: Iterable[float]) -> float:
+    """The floats added one at a time from the left, as ``sum`` adds them
+    before Python 3.12; 3.12's ``sum`` compensates rounding, which would make
+    written totals depend on the interpreter."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
 def _lattice_points(
@@ -284,6 +293,9 @@ def load(path: Path | str) -> FarmInstance:
     """Load and validate an instance file; see the module docstring for the format.
 
     Raises FormatError (VersionError for another version) naming the line.
+    With E the largest extent (max - min) in x or y of the polygon, depot and
+    nodes, and m their count, ``2 * m * E**2`` must be finite: that bounds
+    every squared distance, cross product and sum of them the solvers form.
     """
     r = _LineReader(Path(path), INSTANCE_HEADER)
     name = r.field("name")
@@ -298,7 +310,13 @@ def load(path: Path | str) -> FarmInstance:
     verts = tuple(r.point(f"polygon vertex {i}") for i in range(r.count("polygon")))
     polygon = r.parse(ConvexPolygon, verts, "polygon")
     nodes = [r.point(f"node {i}") for i in range(r.count("nodes"))]
-    inside = _inside(polygon, np.array([p.x for p in nodes]), np.array([p.y for p in nodes]))
+    pts = (*verts, depot, *nodes)
+    xs, ys = np.array([p.x for p in pts]), np.array([p.y for p in pts])
+    extent = max(float(xs.max()) - float(xs.min()), float(ys.max()) - float(ys.min()))
+    if not math.isfinite(2 * len(pts) * extent * extent):
+        raise r.error(f"{len(pts)} points span {_fmt(extent)}, so squared distances overflow")
+    first = len(verts) + 1  # nodes follow the polygon vertices and the depot
+    inside = _inside(polygon, xs[first:], ys[first:])
     if not inside.all():
         i = int(np.argmin(inside))  # the first node outside
         r.pos -= len(nodes) - 1 - i  # the error names node i's own line

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .geometry import Point, dist
-from .instances import _fmt, _LineReader
+from .instances import _fmt, _left_sum, _LineReader
 
 SOLUTION_HEADER = "farm-solution v1"
 
@@ -64,7 +64,7 @@ class Solution:
         return len(self.routes)
 
     def total_length(self) -> float:
-        return sum(r.length for r in self.routes)
+        return _left_sum(r.length for r in self.routes)
 
     def max_length(self) -> float:
         return max(r.length for r in self.routes)

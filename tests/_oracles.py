@@ -7,14 +7,21 @@ of greedy construction) so that agreement is meaningful.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 
 from pondroute.geometry import ConvexPolygon, Point
 
 TWO_PI = 2.0 * math.pi
+
+
+def left_sum(values) -> float:
+    """Floats added one at a time from the left, as ``sum`` did before Python 3.12."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
 def hull_vertex_oracle(points: list[Point]) -> set[tuple[float, float]]:
@@ -86,13 +93,14 @@ def antipodal_oracle_sweep(
         proj = dirs @ coords.T  # (directions, vertices)
         hi = proj.max(axis=1, keepdims=True)
         lo_ = proj.min(axis=1, keepdims=True)
-        arg_hi = proj >= hi - tie_tol
-        arg_lo = proj <= lo_ + tie_tol
-        for row_hi, row_lo in zip(arg_hi, arg_lo):
-            for a in np.flatnonzero(row_hi):
-                for b in np.flatnonzero(row_lo):
-                    if a != b:
-                        pairs.add((min(a, b), max(a, b)))
+        arg_hi = (proj >= hi - tie_tol).astype(np.int64)
+        arg_lo = (proj <= lo_ + tie_tol).astype(np.int64)
+        # together[a, b] = number of directions with a among the argmax and b
+        # among the argmin vertices
+        together = arg_hi.T @ arg_lo
+        np.fill_diagonal(together, 0)
+        for a, b in zip(*np.nonzero(together)):
+            pairs.add((min(int(a), int(b)), max(int(a), int(b))))
     return pairs
 
 
@@ -218,7 +226,7 @@ def serpentine_oracle(
     best_order, best_len = None, math.inf
     for stack_axis in ("y", "x"):
         order = lane_sweep_oracle(pts, pos_p, pos_q, spacing, stack_axis)
-        length = sum(_dist(pts[a], pts[b]) for a, b in zip(order, order[1:]))
+        length = left_sum(_dist(pts[a], pts[b]) for a, b in zip(order, order[1:]))
         if length < best_len - 1e-12:
             best_order, best_len = order, length
     return best_order
@@ -317,8 +325,8 @@ def repair_oracle(assign, nodes: list[Point]):
 
     def centroid(ids: list[int]) -> Point:
         return Point(
-            sum(nodes[i].x for i in ids) / len(ids),
-            sum(nodes[i].y for i in ids) / len(ids),
+            left_sum(nodes[i].x for i in ids) / len(ids),
+            left_sum(nodes[i].y for i in ids) / len(ids),
         )
 
     for _ in range(10 * n):
@@ -461,7 +469,7 @@ def minmax_ls_oracle(inst, k: int = 5, seed: int = 0, max_iterations: int = 100,
                 continue
             xs = [inst.nodes[i].x for i in orders[r]]
             ys = [inst.nodes[i].y for i in orders[r]]
-            other_centroids[r] = (sum(xs) / len(xs), sum(ys) / len(ys))
+            other_centroids[r] = (left_sum(xs) / len(xs), left_sum(ys) / len(ys))
 
         def centroid_gap(i: int) -> float:
             px, py = inst.nodes[i].x, inst.nodes[i].y
@@ -515,3 +523,110 @@ def minmax_ls_oracle(inst, k: int = 5, seed: int = 0, max_iterations: int = 100,
         for order in orders
     )
     return Solution(instance_ref=inst.name, algorithm="minmax-ls", seed=seed, routes=routes)
+
+
+# ---------------------------------------------------------------------------
+# The exact oracle as first written: the subset DP relaxes one (mask, last,
+# prev) triple at a time, parent pointers live in one dict per mask, and
+# partitions are compared one key at a time. The library's version must
+# write the same bytes.
+
+
+def subset_tours_oracle(
+    D: np.ndarray, n: int, depot: int
+) -> tuple[np.ndarray, np.ndarray, list[dict[int, int]]]:
+    """Optimal depot-to-depot tour cost for every non-empty node subset.
+
+    Returns (cost per mask, best final node per mask, parent pointers).
+    dp[mask][last] = cheapest depot -> ... -> last path visiting exactly
+    ``mask``; closing back to the depot is taken at query time.
+    """
+    size = 1 << n
+    dp = np.full((size, n), np.inf)
+    parent: list[dict[int, int]] = [dict() for _ in range(size)]
+    for v in range(n):
+        dp[1 << v][v] = D[depot, v]
+    for mask in range(1, size):
+        for last in range(n):
+            if not mask & (1 << last):
+                continue
+            prev_mask = mask ^ (1 << last)
+            if prev_mask == 0:
+                continue
+            best_cost, best_prev = np.inf, -1
+            for prev in range(n):
+                if not prev_mask & (1 << prev):
+                    continue
+                c = dp[prev_mask][prev] + D[prev, last]
+                if c < best_cost:
+                    best_cost, best_prev = c, prev
+            dp[mask][last] = best_cost
+            parent[mask][last] = best_prev
+
+    tour_cost = np.full(size, np.inf)
+    tour_last = np.full(size, -1, dtype=int)
+    for mask in range(1, size):
+        closes = dp[mask] + D[:n, depot]
+        last = int(np.argmin(closes))
+        tour_cost[mask] = closes[last]
+        tour_last[mask] = last
+    return tour_cost, tour_last, parent
+
+
+def reconstruct_oracle(parent: list[dict[int, int]], mask: int, last: int) -> list[int]:
+    order = [last]
+    while parent[mask].get(last, -1) >= 0:
+        prev = parent[mask][last]
+        mask ^= 1 << last
+        last = prev
+        order.append(last)
+    return order[::-1]
+
+
+def exact_oracle(inst, k: int):
+    """Exhaustive min-max optimum for tiny instances (n <= 10, k <= 3).
+
+    Minimizes the maximum route length over all partitions into k non-empty
+    routes and all visit orders; ties break by total distance, then by the
+    lexicographically smallest canonical route content.
+    """
+    from pondroute.baseline import EXACT_MAX_NODES, EXACT_MAX_ROUTES, TooLarge, _partitions
+    from pondroute.solution import InvalidK, Route, Solution
+
+    n = len(inst.nodes)
+    if n > EXACT_MAX_NODES or k > EXACT_MAX_ROUTES:
+        raise TooLarge(
+            f"exact oracle is limited to {EXACT_MAX_NODES} nodes and "
+            f"{EXACT_MAX_ROUTES} routes, got n={n}, k={k}"
+        )
+    if k < 1 or k > n:
+        raise InvalidK(f"k={k} infeasible for {n} nodes")
+    D, depot = distance_matrix_oracle(inst), n
+    tour_cost, tour_last, parent = subset_tours_oracle(D, n, depot)
+    full = (1 << n) - 1
+
+    best_key: tuple[float, float] | None = None
+    best_parts: list[tuple[int, ...]] | None = None
+    for parts in _partitions(full, k):
+        costs = [tour_cost[m] for m in parts]
+        key = (max(costs), float(left_sum(costs)))
+        if best_key is None or key < best_key:
+            best_key, best_parts = key, [parts]
+        elif key == best_key:
+            best_parts.append(parts)
+
+    assert best_parts is not None
+
+    def canonical_routes(parts) -> list[tuple[tuple[int, ...], float]]:
+        routes = []
+        for mask in parts:
+            order = reconstruct_oracle(parent, mask, int(tour_last[mask]))
+            fwd, rev = tuple(order), tuple(order[::-1])
+            chosen = min(fwd, rev)
+            routes.append((chosen, route_cost_oracle(D, depot, list(chosen))))
+        routes.sort(key=lambda item: item[0])
+        return routes
+
+    chosen = min(canonical_routes(p) for p in best_parts)
+    routes = tuple(Route(node_order=order, length=length) for order, length in chosen)
+    return Solution(instance_ref=inst.name, algorithm="exact", seed=0, routes=routes)

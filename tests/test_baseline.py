@@ -1,9 +1,11 @@
 import itertools
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracles
@@ -22,12 +24,13 @@ from pondroute.baseline import (
 from pondroute.geometry import Point, convex_hull
 from pondroute.hpp import hpp_solve
 from pondroute.instances import FarmInstance, GeneratorConfig, generate
-from pondroute.solution import InvalidK, route_length
+from pondroute.solution import InvalidK, route_length, save_solution
 
 from _oracles import (
     best_insertion_oracle,
     brute_minmax,
     distance_matrix_oracle,
+    exact_oracle,
     min_depot_tour,
     minmax_ls_oracle,
     nearest_neighbor_oracle,
@@ -241,6 +244,37 @@ def two_opt_deltas(order: list[int], D: np.ndarray, depot: int) -> np.ndarray:
     cons = D[P[:-1], P[1:]]
     delta = new_a + new_b - cons[:m, None] - cons[None, 1:]
     return delta[np.triu_indices(m, k=1)]
+
+
+def saved_bytes_or_error(solve, inst: FarmInstance, k: int) -> bytes | tuple[str, str]:
+    """The ``save_solution`` bytes of ``solve(inst, k)``, or its error."""
+    try:
+        sol = solve(inst, k)
+    except (InvalidK, TooLarge) as exc:
+        return type(exc).__name__, str(exc)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sol.txt"
+        save_solution(sol, path)
+        return path.read_bytes()
+
+
+class TestExactMatchesOracle:
+    """The array DP against the exact oracle as first written, byte for byte."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        family=st.sampled_from(FAMILIES),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from(range(1, 11)),
+    )
+    @example(family="lattice", seed=1, n=10)
+    @example(family="duplicates", seed=2, n=10)
+    @example(family="uniform", seed=3, n=10)
+    def test_same_bytes_or_error(self, family, seed, n):
+        inst = point_set(family, np.random.default_rng(seed), n)
+        for k in (1, 2, 3):
+            want = saved_bytes_or_error(exact_oracle, inst, k)
+            assert saved_bytes_or_error(exact_minmax, inst, k) == want
 
 
 class TestMatchesOracle:

@@ -5,6 +5,8 @@ import pytest
 from pondroute.cli import main
 from pondroute.instances import generate, generate_dataset, GeneratorConfig, load, save
 
+from test_instances import write_square
+
 
 @pytest.fixture()
 def instance_file(tmp_path):
@@ -80,6 +82,13 @@ class TestSolve:
         code = main(["solve", "--algorithm", "hpp", "--routes", "4",
                      "--instance", str(path)])
         assert code == 0
+
+    @pytest.mark.parametrize(("scale", "low"), [(1e155, 0.0), (9e307, -1.0)])
+    def test_overflowing_coordinates_exit_1(self, tmp_path, capsys, scale, low):
+        path = write_square(tmp_path / "sq.txt", scale, low)
+        code = main(["solve", "--algorithm", "exact", "--routes", "2", "--instance", str(path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: FormatError: ")
 
     def test_missing_instance_exits_1(self, tmp_path, capsys):
         code = main(["solve", "--algorithm", "hpp", "--instance",

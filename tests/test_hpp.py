@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from pondroute import hpp
 from pondroute.baseline import TooLarge, minmax_local_search
-from pondroute.evaluation import ALGORITHMS, score, solve_with
+from pondroute.evaluation import ALGORITHMS, InstanceMetrics, score, solve_with
 from pondroute.geometry import Point, antipodal_pairs, collinear, convex_hull, dist
 from pondroute.hpp import (
     ClusterAssignment,
@@ -287,6 +287,28 @@ class TestRepairClusters:
         moves = sum(a != b for a, b in zip(assign.labels, repaired.labels))
         assert moves >= 1
         assert len(calls) <= 2 * k * moves
+
+    def test_hull_count_per_move_on_copies_is_bounded(self, monkeypatch):
+        # Every cluster and every donor is invalid: 120 copies of each of four
+        # positions. A step builds at most k hulls to find an invalid cluster
+        # and one per (donor, position) it tries; copies move back and forth,
+        # about three steps per changed label.
+        k, spots = 3, [(0.1, 0.2), (0.8, 0.3), (0.4, 0.9), (0.5, 0.5)]
+        pts = [Point(x, y) for x, y in spots for _ in range(120)]
+        labels = [c for c in (0, 1, 1, 2) for _ in range(120)]
+        assign = ClusterAssignment(labels=tuple(labels), centroids=(Point(0, 0),) * k)
+        calls = []
+        collinear_hull = hpp.collinear
+
+        def counted(points):
+            calls.append(len(points))
+            return collinear_hull(points)
+
+        monkeypatch.setattr(hpp, "collinear", counted)
+        repaired = repair_clusters(assign, pts)
+        moves = sum(a != b for a, b in zip(assign.labels, repaired.labels))
+        assert moves >= 1
+        assert len(calls) <= 3 * (k + len(spots)) * moves
 
 
 class TestSerpentineRoute:
@@ -644,6 +666,19 @@ class TestSolutionFiles:
         path = tmp_path / "s.txt"
         save_solution(sol, path)
         assert load_solution(path) == sol
+
+    def test_total_adds_route_lengths_left_to_right(self, tmp_path):
+        # 1e16 + 1 rounds back to 1e16 (ties to even), so the total is 1e16 on
+        # every Python version; a compensated sum would give 1e16 + 2.
+        lengths = (1e16, 1.0, 1.0)
+        sol = Solution(
+            instance_ref="x", algorithm="hpp", seed=0,
+            routes=tuple(Route(node_order=(i,), length=x) for i, x in enumerate(lengths)),
+        )
+        assert sol.total_length() == 1e16
+        assert InstanceMetrics(lengths).total_distance == 1e16
+        save_solution(sol, tmp_path / "s.txt")
+        assert "\ntotal: 10000000000000000\n" in (tmp_path / "s.txt").read_text()
 
     def test_route_invariants_enforced(self):
         with pytest.raises(ValueError):

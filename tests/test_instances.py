@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pondroute.evaluation import ALGORITHMS, score, solve_with
 from pondroute.geometry import ConvexPolygon, Point, contains
 from pondroute.instances import (
     FarmInstance,
@@ -21,6 +22,21 @@ from pondroute.instances import (
 
 def make_instance(n: int, seed: int) -> FarmInstance:
     return generate(GeneratorConfig(node_count=n, seed=seed))
+
+
+def write_square(path, scale: float, low: float = 0.0):
+    """An instance file over the square [low, 1]^2 with two triangles of
+    nodes, every coordinate and the spacing multiplied by ``scale``."""
+    lo, hi = low * scale, scale
+    nodes = [(0.1, 0.1), (0.3, 0.1), (0.2, 0.3), (0.7, 0.7), (0.9, 0.7), (0.8, 0.9)]
+    lines = [
+        "farm-instance v1", "name: square", "seed: 0", f"spacing: {0.2 * scale!r}",
+        "lattice_origin: 0 0", f"depot: {0.5 * scale!r} {lo!r}", "polygon: 4",
+        f"{lo!r} {lo!r}", f"{hi!r} {lo!r}", f"{hi!r} {hi!r}", f"{lo!r} {hi!r}",
+        f"nodes: {len(nodes)}", *(f"{x * scale!r} {y * scale!r}" for x, y in nodes),
+    ]
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 class TestGenerate:
@@ -215,6 +231,23 @@ class TestSaveLoad:
         lines[5] = "depot: 0.25 0.25"
         path.write_text("\n".join(lines) + "\n")
         assert load(path).depot == Point(0.25, 0.25)
+
+
+class TestCoordinateExtent:
+    """``load`` accepts an instance only if 2 m E^2 is finite, for the largest
+    x or y extent E of its m polygon, depot and node points."""
+
+    def test_large_square_loads_and_every_solver_scores(self, tmp_path):
+        inst = load(write_square(tmp_path / "sq.txt", 1e150))
+        for algorithm in ALGORITHMS:
+            sol = solve_with(algorithm, inst, k=2, seed=0)
+            assert math.isfinite(score(inst, sol).total_distance)
+
+    @pytest.mark.parametrize(("scale", "low"), [(1e155, 0.0), (9e307, -1.0)])
+    def test_overflowing_extent_is_format_error(self, tmp_path, scale, low):
+        path = write_square(tmp_path / "sq.txt", scale, low)
+        with pytest.raises(FormatError, match=r"sq.txt: line 18: 11 points span .* overflow"):
+            load(path)
 
 
 class TestGenerateDataset:
