@@ -8,10 +8,10 @@ optima with one node removed or inserted, so ``two_opt`` first scans only the
 O(m) moves that drop a new edge, for a route of m nodes; full O(m^2) passes
 run only after that scan finds an improving move.
 
-``exact_minmax`` enumerates every partition of up to 10 nodes into at most 3
-routes, with per-subset optimal visit orders from a dynamic program over
-subsets held in (2^n, n) cost and parent arrays, relaxed one subset size per
-numpy step; it is the ground truth the heuristics are measured against.
+``exact_minmax`` scores every partition of up to 10 nodes into at most 3
+routes as one array of masks. Per-subset optimal tours are walked back from a
+single (2^n, n) dynamic-programming cost array relaxed one subset size per
+numpy step. It is the ground truth the heuristics are measured against.
 """
 
 from __future__ import annotations
@@ -343,64 +343,54 @@ def _subset_tours(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Optimal depot-to-depot tour cost for every non-empty node subset.
 
-    Returns (cost per mask, best final node per mask, parent pointers).
-    dp[mask, last] = cheapest depot -> ... -> last path visiting exactly
-    ``mask``, parent[mask, last] the node before ``last`` on it (-1 for a
-    single node or no finite path); closing back to the depot is taken at
-    query time. Subsets are relaxed by size, each taking the first best prev.
+    Returns (cost per mask, best final node per mask, dp). dp[mask, last] is
+    the cheapest depot -> ... -> last path over exactly ``mask``, relaxed by
+    subset size; closing back to the depot is taken at query time.
     """
     size = 1 << n
     dp = np.full((size, n), np.inf)
-    parent = np.full((size, n), -1)
     bit = 1 << np.arange(n)
     dp[bit, np.arange(n)] = D[depot, :n]
     in_mask = (np.arange(size)[:, None] & bit) != 0
     count = in_mask.sum(axis=1)
     for c in range(2, n + 1):
         mask, last = np.nonzero(in_mask & (count == c)[:, None])
-        # cand[p, prev] = dp[mask without last, prev] + D[prev, last], inf off that mask
-        cand = dp[mask ^ bit[last]] + D[:n, last].T
-        best = cand.min(axis=1)
-        dp[mask, last] = best
-        parent[mask, last] = np.where(best < np.inf, cand.argmin(axis=1), -1)
+        # min over prev of dp[mask without last, prev] + D[prev, last], inf off that mask
+        dp[mask, last] = (dp[mask ^ bit[last]] + D[:n, last].T).min(axis=1)
 
     closes = dp + D[:n, depot]
     tour_last = np.argmin(closes, axis=1)
     tour_cost = closes[np.arange(size), tour_last]
     tour_cost[0], tour_last[0] = np.inf, -1
-    return tour_cost, tour_last, parent
+    return tour_cost, tour_last, dp
 
 
-def _reconstruct(parent: np.ndarray, mask: int, last: int) -> list[int]:
+def _reconstruct(dp: np.ndarray, D: np.ndarray, mask: int, last: int) -> list[int]:
+    """Walk the path ``dp[mask, last]`` back: each step takes the first prev
+    minimising dp[mask without last, prev] + D[prev, last], until none is finite."""
     order = [last]
-    while parent[mask, last] >= 0:
-        prev = int(parent[mask, last])
-        mask ^= 1 << last
-        last = prev
-        order.append(last)
-    return order[::-1]
-
-
-def _partitions(full: int, k: int):
-    """Yield tuples of k disjoint non-empty masks covering ``full`` exactly once."""
-    if k == 1:
-        yield (full,)
-        return
-    lowest = full & -full
-    rest = full ^ lowest
-    sub = rest
     while True:
-        first = lowest | sub
-        remainder = full ^ first
-        if remainder:
-            if k == 2:
-                yield (first, remainder)
-            else:
-                for tail in _partitions(remainder, k - 1):
-                    yield (first,) + tail
-        if sub == 0:
-            break
-        sub = (sub - 1) & rest
+        mask ^= 1 << last
+        cand = dp[mask] + D[:-1, last]
+        last = int(np.argmin(cand))
+        if not cand[last] < np.inf:
+            return order[::-1]
+        order.append(last)
+
+
+def _partitions(n: int, k: int) -> np.ndarray:
+    """(P, k) masks of every partition of nodes 0..n-1 into k non-empty blocks,
+    from restricted-growth labels: node 0 is in block 0 and each later node joins
+    an open block or opens the next, so blocks come in order of smallest node."""
+    labels = np.zeros((1, 1), dtype=np.int64)
+    for _ in range(1, n):
+        opened = labels.max(axis=1) + 1
+        labels = np.concatenate(
+            [np.insert(labels[opened >= b], labels.shape[1], b, axis=1) for b in range(k)]
+        )
+    labels = labels[labels.max(axis=1) == k - 1]
+    bit = 1 << np.arange(n)
+    return np.stack([(labels == b) @ bit for b in range(k)], axis=1)
 
 
 def exact_minmax(inst: FarmInstance, k: int) -> Solution:
@@ -420,10 +410,8 @@ def exact_minmax(inst: FarmInstance, k: int) -> Solution:
         raise InvalidK(f"k={k} infeasible for {n} nodes")
     dm = DistanceMatrix.from_instance(inst)
     D, depot = dm.entries, dm.depot
-    tour_cost, tour_last, parent = _subset_tours(D, n, depot)
-    full = (1 << n) - 1
-
-    partitions = np.array(list(_partitions(full, k)))
+    tour_cost, tour_last, dp = _subset_tours(D, n, depot)
+    partitions = _partitions(n, k)
     costs = tour_cost[partitions]  # costs[p, r]: route r of partition p
     worst = costs.max(axis=1)
     total = _left_sum(costs.T)  # column by column, as sum() adds a row
@@ -431,7 +419,7 @@ def exact_minmax(inst: FarmInstance, k: int) -> Solution:
     tied = tied[total[tied] == total[tied].min()]
 
     def canonical_routes(parts) -> list[tuple[tuple[int, ...], float]]:
-        orders = [_reconstruct(parent, mask, int(tour_last[mask])) for mask in parts]
+        orders = [_reconstruct(dp, D, mask, int(tour_last[mask])) for mask in parts]
         chosen = sorted(min(tuple(o), tuple(o[::-1])) for o in orders)
         return [(order, _route_cost(D, depot, list(order))) for order in chosen]
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import baseline, hpp
-from .instances import FarmInstance, _fmt, _left_sum, load, load_manifest
+from .instances import FarmInstance, FormatError, _fmt, _left_sum, load, load_manifest
 from .solution import Solution, route_length
 
 ALGORITHMS = ("hpp", "minmax-ls", "exact")
@@ -128,7 +128,8 @@ def run_benchmark(
     one row per (size, algorithm), sizes ascending.
 
     The exact oracle is skipped (marked row) for sizes above its limits. A
-    solver failure aborts the whole batch, naming the failing instance.
+    solver failure aborts the whole batch, naming the failing instance. An
+    instance whose node count is not its manifest size raises FormatError.
     """
     for algorithm in algorithms:
         if algorithm not in ALGORITHMS:
@@ -142,6 +143,11 @@ def run_benchmark(
     for size in sorted(by_size):
         batch = by_size[size]
         instances = [load(e.path) for e in batch]
+        for e, inst in zip(batch, instances):
+            if len(inst.nodes) != size:
+                raise FormatError(
+                    f"{manifest}: {e.path} has {len(inst.nodes)} nodes, the manifest lists {size}"
+                )
         for algorithm in algorithms:
             if algorithm == "exact" and (
                 size > baseline.EXACT_MAX_NODES or k > baseline.EXACT_MAX_ROUTES

@@ -336,7 +336,8 @@ class _ClusterLanes:
         self.tables: dict[tuple[str, int], _Lanes] = {}
         for axis, s, t in (("y", 1, 0), ("x", 0, 1)):
             lam = np.rint((xy[:, s] - xy[starts, s][:, None]) / spacing)
-            lam = (lam - lam.min(axis=1, keepdims=True)).astype(np.int64)
+            # float keys: an offset may be more than 2^63 spacings; + 0.0 turns -0.0 into 0.0
+            lam = lam - lam.min(axis=1, keepdims=True) + 0.0
             shared: dict[bytes, _Lanes] = {}
             for p, row in zip(starts, lam):
                 key = row.tobytes()

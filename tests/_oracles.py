@@ -528,8 +528,8 @@ def minmax_ls_oracle(inst, k: int = 5, seed: int = 0, max_iterations: int = 100,
 # ---------------------------------------------------------------------------
 # The exact oracle as first written: the subset DP relaxes one (mask, last,
 # prev) triple at a time, parent pointers live in one dict per mask, and
-# partitions are compared one key at a time. The library's version must
-# write the same bytes.
+# partitions come from a recursive generator and are compared one key at a
+# time. The library's version must write the same bytes.
 
 
 def subset_tours_oracle(
@@ -583,6 +583,28 @@ def reconstruct_oracle(parent: list[dict[int, int]], mask: int, last: int) -> li
     return order[::-1]
 
 
+def partitions_oracle(full: int, k: int):
+    """Yield tuples of k disjoint non-empty masks covering ``full`` exactly once."""
+    if k == 1:
+        yield (full,)
+        return
+    lowest = full & -full
+    rest = full ^ lowest
+    sub = rest
+    while True:
+        first = lowest | sub
+        remainder = full ^ first
+        if remainder:
+            if k == 2:
+                yield (first, remainder)
+            else:
+                for tail in partitions_oracle(remainder, k - 1):
+                    yield (first,) + tail
+        if sub == 0:
+            break
+        sub = (sub - 1) & rest
+
+
 def exact_oracle(inst, k: int):
     """Exhaustive min-max optimum for tiny instances (n <= 10, k <= 3).
 
@@ -590,7 +612,7 @@ def exact_oracle(inst, k: int):
     routes and all visit orders; ties break by total distance, then by the
     lexicographically smallest canonical route content.
     """
-    from pondroute.baseline import EXACT_MAX_NODES, EXACT_MAX_ROUTES, TooLarge, _partitions
+    from pondroute.baseline import EXACT_MAX_NODES, EXACT_MAX_ROUTES, TooLarge
     from pondroute.solution import InvalidK, Route, Solution
 
     n = len(inst.nodes)
@@ -607,7 +629,7 @@ def exact_oracle(inst, k: int):
 
     best_key: tuple[float, float] | None = None
     best_parts: list[tuple[int, ...]] | None = None
-    for parts in _partitions(full, k):
+    for parts in partitions_oracle(full, k):
         costs = [tour_cost[m] for m in parts]
         key = (max(costs), float(left_sum(costs)))
         if best_key is None or key < best_key:

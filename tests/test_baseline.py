@@ -15,6 +15,8 @@ from pondroute.baseline import (
     TooLarge,
     _best_insertions,
     _nearest_neighbor,
+    _partitions,
+    _reconstruct,
     _route_cost,
     _subset_tours,
     exact_minmax,
@@ -34,7 +36,10 @@ from _oracles import (
     min_depot_tour,
     minmax_ls_oracle,
     nearest_neighbor_oracle,
+    partitions_oracle,
+    reconstruct_oracle,
     route_cost_oracle,
+    subset_tours_oracle,
     two_opt_oracle,
 )
 
@@ -275,6 +280,29 @@ class TestExactMatchesOracle:
         for k in (1, 2, 3):
             want = saved_bytes_or_error(exact_oracle, inst, k)
             assert saved_bytes_or_error(exact_minmax, inst, k) == want
+
+    def test_partitions_match_generator(self):
+        stirling = {(0, 0): 1}  # S(n, k) partitions of n nodes into k blocks
+        for n in range(1, 11):
+            for k in range(4):
+                stirling[n, k] = k * stirling.get((n - 1, k), 0) + stirling.get((n - 1, k - 1), 0)
+            for k in range(1, min(n, 3) + 1):
+                got = [tuple(row) for row in _partitions(n, k).tolist()]
+                want = list(partitions_oracle((1 << n) - 1, k))
+                assert sorted(got) == sorted(want)
+                assert len(got) == stirling[n, k]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reconstruct_matches_parent_walk(self, seed):
+        # 10 points on a 3 x 3 lattice: at least two share a position
+        xy = np.random.default_rng(seed).integers(0, 3, size=(10, 2)).astype(float)
+        inst = synthetic_instance([Point(x, y) for x, y in xy[:9]], Point(*xy[9]))
+        D = DistanceMatrix.from_instance(inst).entries
+        _, _, dp = _subset_tours(D, 9, 9)
+        _, _, parent = subset_tours_oracle(D, 9, 9)
+        for mask, last in zip(*np.nonzero(np.isfinite(dp))):
+            want = reconstruct_oracle(parent, int(mask), int(last))
+            assert _reconstruct(dp, D, int(mask), int(last)) == want
 
 
 class TestMatchesOracle:

@@ -134,6 +134,18 @@ class TestBench:
         assert err.startswith("error: FormatError: ") and "manifest.txt" in err
         assert "Traceback" not in err
 
+    def test_manifest_size_mismatch_exits_1(self, tmp_path, capsys):
+        generate_dataset([30], 1, base_seed=0, out_dir=tmp_path)
+        manifest = tmp_path / "wrong.txt"
+        manifest.write_text("farm-manifest v1\nfarm-n30-s0.txt 12 0\n")
+        report = tmp_path / "r.csv"
+        code = main(["bench", "--manifest", str(manifest), "--algorithms", "hpp",
+                     "--report", str(report)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: FormatError: ") and "farm-n30-s0.txt" in err
+        assert not report.exists()
+
 
 class TestPlot:
     def test_instance_only(self, instance_file, tmp_path, capsys):

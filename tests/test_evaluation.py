@@ -13,7 +13,13 @@ from pondroute.evaluation import (
 )
 from pondroute.geometry import Point, convex_hull
 from pondroute.hpp import hpp_solve
-from pondroute.instances import FarmInstance, GeneratorConfig, generate, generate_dataset
+from pondroute.instances import (
+    FarmInstance,
+    FormatError,
+    GeneratorConfig,
+    generate,
+    generate_dataset,
+)
 from pondroute.solution import Route, Solution, load_solution, save_solution
 
 
@@ -154,6 +160,13 @@ class TestRunBenchmark:
     def test_unknown_algorithm_rejected(self, small_manifest):
         with pytest.raises(ValueError):
             run_benchmark(small_manifest, ["glop"], k=2, seed=0)
+
+    def test_size_column_must_match_node_count(self, tmp_path):
+        generate_dataset([30], 1, base_seed=0, out_dir=tmp_path)
+        manifest = tmp_path / "wrong.txt"
+        manifest.write_text("farm-manifest v1\nfarm-n30-s0.txt 12 0\n")
+        with pytest.raises(FormatError, match=r"wrong\.txt: .*farm-n30-s0\.txt has 30 nodes"):
+            run_benchmark(manifest, ["hpp"], k=2, seed=0)
 
 
 GOLDEN_BENCH = "9104f615c361dee75786795f822575786a6a32afe84201cd6407178b18976b41"

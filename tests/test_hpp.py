@@ -412,12 +412,6 @@ class TestRouteCluster:
     def test_3x3_grid_close_to_hamiltonian_oracle(self):
         depot = Point(1.0, -5.0)
         route = route_cluster(list(enumerate(GRID_3X3)), depot, 1.0)
-        oracle = min(
-            min_depot_tour(depot, [GRID_3X3[i] for i in perm])
-            for perm in [range(9)]
-        )
-        # full oracle: free endpoints, all 9! orders is slow; use DP-equivalent
-        # via itertools on endpoints instead:
         oracle = min_depot_tour(depot, GRID_3X3)
         # anchors are an antipodal pair of the cluster hull
         hull = convex_hull(GRID_3X3)
@@ -505,6 +499,19 @@ class TestRouteClusterMatchesOracle:
                 assert serpentine_route(pts, hull, pair, orientation, PITCH) == serpentine_oracle(
                     pts, hull, pair, orientation, PITCH
                 )
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spacing", [1e-20, 1e-300])
+    def test_lane_keys_beyond_int64(self, spacing):
+        # offsets of up to ~1 are far more than 2^63 spacings: keys stay floats
+        inst = generate(GeneratorConfig(node_count=200, seed=1))
+        assign = repair_clusters(kmeans(inst.nodes, 5, seed=0), inst.nodes)
+        for c in range(5):
+            members = [(i, inst.nodes[i]) for i in assign.members(c)]
+            route = route_cluster(members, inst.depot, spacing)
+            order, length = route_cluster_oracle(members, inst.depot, spacing)
+            assert route.node_order == order
+            assert route.length.hex() == length.hex()
 
 
 # SHA-256 of the save_solution bytes of hpp_solve(k=5, seed=0) on generated
