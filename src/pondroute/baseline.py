@@ -93,11 +93,10 @@ def two_opt(
     True appended when the search stopped because no move helps, and False
     when it ran into the pass cap or the tour has fewer than 3 nodes.
     """
-    order = list(order)
     m = len(order)
+    P = np.array([depot, *order, depot])
     stopped = False
     if m >= 3:
-        P = np.array([depot, *order, depot])
         S = None  # S[a, b] = D[P[a], P[b]], gathered at the first full pass
         for pass_index in range(_TWO_OPT_MAX_PASSES):
             if pass_index == 0 and changed is not None:
@@ -118,14 +117,13 @@ def two_opt(
                 stopped = True
                 break
             i, j = move
-            order[i : j + 1] = order[i : j + 1][::-1]
             P[i + 1 : j + 2] = P[j + 1 : i : -1]
             if S is not None:
                 S[i + 1 : j + 2] = S[j + 1 : i : -1]
                 S[:, i + 1 : j + 2] = S[:, j + 1 : i : -1]
     if converged is not None:
         converged.append(stopped)
-    return order
+    return P[1:-1].tolist()
 
 
 def _screen(D: np.ndarray, P: np.ndarray, changed: tuple[int, ...]) -> tuple[int, int] | None:
@@ -194,15 +192,9 @@ def _sector_partition(inst: FarmInstance, k: int) -> list[list[int]]:
             i,
         ),
     )
-    n = len(keyed)
-    quota, extra = divmod(n, k)
-    sectors = []
-    pos = 0
-    for c in range(k):
-        size = quota + (1 if c < extra else 0)
-        sectors.append(keyed[pos : pos + size])
-        pos += size
-    return sectors
+    quota, extra = divmod(len(keyed), k)
+    cuts = [c * quota + min(c, extra) for c in range(k + 1)]  # sector c starts at cuts[c]
+    return [keyed[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def _best_insertions(
@@ -246,6 +238,8 @@ def minmax_local_search(
         raise ValueError(f"max_iterations must be non-negative, got {max_iterations}")
     dm = DistanceMatrix.from_instance(inst)
     D, depot = dm.entries, dm.depot
+    xs = [p.x for p in inst.nodes]
+    ys = [p.y for p in inst.nodes]
 
     # optimal[r]: no 2-opt move on orders[r] gains more than _IMPROVE_EPS
     optimal: list[bool] = []
@@ -259,71 +253,60 @@ def minmax_local_search(
 
     for _ in range(max_iterations if k > 1 else 0):  # one route has no relocation target
         cur_max = max(lengths)
-        longest = min(r for r in range(k) if lengths[r] == cur_max)
-        if len(orders[longest]) < 2:
+        longest = lengths.index(cur_max)
+        route = orders[longest]
+        if len(route) < 2:
             break
+        others = [r for r in range(k) if r != longest]  # each holds at least one node
 
-        other_centroids = {}
-        for r in range(k):
-            if r == longest or not orders[r]:
-                continue
-            xs = [inst.nodes[i].x for i in orders[r]]
-            ys = [inst.nodes[i].y for i in orders[r]]
-            other_centroids[r] = (_left_sum(xs) / len(xs), _left_sum(ys) / len(ys))
-
-        def centroid_gap(i: int) -> float:
-            px, py = inst.nodes[i].x, inst.nodes[i].y
-            return min(math.hypot(px - cx, py - cy) for cx, cy in other_centroids.values())
-
-        candidates = sorted(orders[longest], key=lambda i: (centroid_gap(i), i))
-        candidates = candidates[:_RELOCATE_CANDIDATES]
+        # The nodes nearest another route's centroid: (gap, node, position) rows.
+        centroids = [
+            (_left_sum(xs[i] for i in orders[r]) / len(orders[r]),
+             _left_sum(ys[i] for i in orders[r]) / len(orders[r]))
+            for r in others
+        ]
+        nearest = sorted(
+            (min(math.hypot(xs[i] - cx, ys[i] - cy) for cx, cy in centroids), i, t)
+            for t, i in enumerate(route)
+        )[:_RELOCATE_CANDIDATES]
+        candidates = [i for _, i, _ in nearest]
 
         # Cheap screening: removal gain plus cheapest-insertion cost.
+        P = np.array([depot, *route, depot])
+        T = np.array([t for _, _, t in nearest])
+        N = P[T + 1]
+        gains = (D[P[T], N] + D[N, P[T + 2]] - D[P[T], P[T + 2]]).tolist()
+        others_max = max(lengths[r] for r in others)
         scored = []
-        P = [depot] + orders[longest] + [depot]
-        pos_of = {node: t for t, node in enumerate(orders[longest])}
-        others_max = max(
-            (lengths[r] for r in range(k) if r != longest), default=0.0
-        )
-        gains = []
-        for node in candidates:
-            t = pos_of[node]
-            gains.append(D[P[t], node] + D[node, P[t + 2]] - D[P[t], P[t + 2]])
-        for target in range(k):
-            if target == longest:
-                continue
+        for target in others:
             inserts = _best_insertions(orders[target], candidates, D, depot)
-            for node, gain, (pos, ins) in zip(candidates, gains, inserts):
+            for (_, node, t), gain, (pos, ins) in zip(nearest, gains, inserts):
                 est = max(lengths[longest] - gain, lengths[target] + ins, others_max)
-                scored.append((float(est), node, target, pos))
+                scored.append((est, node, target, pos, t))
         scored.sort()
 
-        best_move = None  # (new_max, node, target, trimmed, grown, converged, new_lengths)
-        for _, node, target, pos in scored[:_RELOCATE_CANDIDATES]:
-            t = pos_of[node]
-            trimmed = orders[longest][:t] + orders[longest][t + 1 :]
+        moves = []  # (new_max, node, target, trimmed, grown, converged, new_lengths)
+        for _, node, target, pos, t in scored[:_RELOCATE_CANDIDATES]:
             found: list[bool] = []
             trimmed = two_opt(
-                trimmed, D, depot, changed=(t,) if optimal[longest] else None, converged=found
+                route[:t] + route[t + 1 :], D, depot,
+                changed=(t,) if optimal[longest] else None, converged=found,
             )
-            grown = orders[target][:pos] + [node] + orders[target][pos:]
             grown = two_opt(
-                grown, D, depot, changed=(pos, pos + 1) if optimal[target] else None,
-                converged=found,
+                orders[target][:pos] + [node] + orders[target][pos:], D, depot,
+                changed=(pos, pos + 1) if optimal[target] else None, converged=found,
             )
             new_lengths = list(lengths)
             new_lengths[longest] = _route_cost(D, depot, trimmed)
             new_lengths[target] = _route_cost(D, depot, grown)
             new_max = max(new_lengths)
             if new_max < cur_max - _IMPROVE_EPS:
-                key = (new_max, node, target)
-                if best_move is None or key < (best_move[0], best_move[1], best_move[2]):
-                    best_move = (new_max, node, target, trimmed, grown, found, new_lengths)
-        if best_move is None:
+                moves.append((new_max, node, target, trimmed, grown, found, new_lengths))
+        if not moves:
             break
-        _, node, target, trimmed, grown, found, lengths = best_move
-        orders[longest] = trimmed
-        orders[target] = grown
+        # (node, target) is unique per move, so only the first three fields are compared
+        _, _, target, trimmed, grown, found, lengths = min(moves)
+        orders[longest], orders[target] = trimmed, grown
         optimal[longest], optimal[target] = found
         if trace is not None:
             trace.append(max(lengths))

@@ -60,6 +60,8 @@ def _parse_algorithms(text: str) -> list[str]:
         raise argparse.ArgumentTypeError(
             f"algorithms must be drawn from {', '.join(evaluation.ALGORITHMS)}"
         )
+    if len(set(algos)) != len(algos):
+        raise argparse.ArgumentTypeError(f"algorithms must be distinct, got {text!r}")
     return algos
 
 

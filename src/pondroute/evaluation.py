@@ -130,10 +130,13 @@ def run_benchmark(
     The exact oracle is skipped (marked row) for sizes above its limits. A
     solver failure aborts the whole batch, naming the failing instance. An
     instance whose node count is not its manifest size raises FormatError.
+    Unknown or repeated algorithms raise ValueError.
     """
     for algorithm in algorithms:
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
+    if len(set(algorithms)) != len(algorithms):
+        raise ValueError(f"algorithms must be distinct, got {algorithms}")
     entries = load_manifest(manifest)
     by_size: dict[int, list] = {}
     for e in entries:

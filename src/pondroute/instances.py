@@ -296,6 +296,8 @@ def load(path: Path | str) -> FarmInstance:
     With E the largest extent (max - min) in x or y of the polygon, depot and
     nodes, and m their count, ``2 * m * E**2`` must be finite: that bounds
     every squared distance, cross product and sum of them the solvers form.
+    ``2 * E / spacing`` must be finite too: that bounds every lane key, a
+    difference of two offsets (each at most E) over the spacing.
     """
     r = _LineReader(Path(path), INSTANCE_HEADER)
     name = r.field("name")
@@ -315,6 +317,8 @@ def load(path: Path | str) -> FarmInstance:
     extent = max(float(xs.max()) - float(xs.min()), float(ys.max()) - float(ys.min()))
     if not math.isfinite(2 * len(pts) * extent * extent):
         raise r.error(f"{len(pts)} points span {_fmt(extent)}, so squared distances overflow")
+    if not math.isfinite(2 * extent / spacing):
+        raise r.error(f"spacing {_fmt(spacing)} is too small for an extent of {_fmt(extent)}")
     first = len(verts) + 1  # nodes follow the polygon vertices and the depot
     inside = _inside(polygon, xs[first:], ys[first:])
     if not inside.all():

@@ -425,6 +425,34 @@ def nearest_neighbor_oracle(nodes: list[int], D: np.ndarray, depot: int) -> list
     return order
 
 
+def sector_partition_oracle(inst, k: int) -> list[list[int]]:
+    """Split nodes into k contiguous angular sectors of near-equal counts (+-1).
+
+    The sweep starts at the angle of node 0 relative to the depot; angular
+    ties break by radius, then index.
+    """
+    dx, dy = inst.depot.x, inst.depot.y
+    angles = [math.atan2(p.y - dy, p.x - dx) for p in inst.nodes]
+    base = angles[0]
+    keyed = sorted(
+        range(len(inst.nodes)),
+        key=lambda i: (
+            (angles[i] - base) % (2.0 * math.pi),
+            math.hypot(inst.nodes[i].x - dx, inst.nodes[i].y - dy),
+            i,
+        ),
+    )
+    n = len(keyed)
+    quota, extra = divmod(n, k)
+    sectors = []
+    pos = 0
+    for c in range(k):
+        size = quota + (1 if c < extra else 0)
+        sectors.append(keyed[pos : pos + size])
+        pos += size
+    return sectors
+
+
 def best_insertion_oracle(
     order: list[int], node: int, D: np.ndarray, depot: int
 ) -> tuple[int, float]:
@@ -439,7 +467,6 @@ def best_insertion_oracle(
 
 def minmax_ls_oracle(inst, k: int = 5, seed: int = 0, max_iterations: int = 100, trace=None):
     """Sector sweep + 2-opt + longest-route relocation, as first written."""
-    from pondroute.baseline import _sector_partition
     from pondroute.solution import InvalidK, Route, Solution
 
     n = len(inst.nodes)
@@ -451,7 +478,7 @@ def minmax_ls_oracle(inst, k: int = 5, seed: int = 0, max_iterations: int = 100,
 
     orders = [
         two_opt_oracle(nearest_neighbor_oracle(sector, D, depot), D, depot)
-        for sector in _sector_partition(inst, k)
+        for sector in sector_partition_oracle(inst, k)
     ]
     lengths = [route_cost_oracle(D, depot, o) for o in orders]
     if trace is not None:

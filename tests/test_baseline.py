@@ -18,6 +18,7 @@ from pondroute.baseline import (
     _partitions,
     _reconstruct,
     _route_cost,
+    _sector_partition,
     _subset_tours,
     exact_minmax,
     minmax_local_search,
@@ -39,6 +40,7 @@ from _oracles import (
     partitions_oracle,
     reconstruct_oracle,
     route_cost_oracle,
+    sector_partition_oracle,
     subset_tours_oracle,
     two_opt_oracle,
 )
@@ -324,6 +326,14 @@ class TestMatchesOracle:
             assert _best_insertions(order, extra, D, depot) == [
                 best_insertion_oracle(order, x, D, depot) for x in extra
             ]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60))
+    def test_sector_partition(self, seed, n):
+        # 5 x 5 lattice: nodes share rays from the depot, and radii too past 25 nodes
+        inst = point_set("lattice", np.random.default_rng(seed), n)
+        for k in range(1, n + 1):
+            assert _sector_partition(inst, k) == sector_partition_oracle(inst, k)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(family=st.sampled_from(FAMILIES), seed=st.integers(0, 2**32 - 1), n=st.integers(4, 40))

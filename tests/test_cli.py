@@ -229,6 +229,16 @@ class TestUsage:
         assert err.value.code == 2
         assert "usage:" in capsys.readouterr().err
 
+    def test_repeated_algorithm_usage_error(self, tmp_path, capsys):
+        manifest = generate_dataset([10], 1, base_seed=0, out_dir=tmp_path)
+        report = tmp_path / "r.csv"
+        with pytest.raises(SystemExit) as err:
+            main(["bench", "--manifest", str(manifest), "--algorithms", "hpp,hpp",
+                  "--report", str(report)])
+        assert err.value.code == 2
+        assert "algorithms must be distinct" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])

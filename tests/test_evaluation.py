@@ -161,6 +161,10 @@ class TestRunBenchmark:
         with pytest.raises(ValueError):
             run_benchmark(small_manifest, ["glop"], k=2, seed=0)
 
+    def test_repeated_algorithm_rejected(self, small_manifest):
+        with pytest.raises(ValueError, match="distinct"):
+            run_benchmark(small_manifest, ["hpp", "minmax-ls", "hpp"], k=2, seed=0)
+
     def test_size_column_must_match_node_count(self, tmp_path):
         generate_dataset([30], 1, base_seed=0, out_dir=tmp_path)
         manifest = tmp_path / "wrong.txt"

@@ -250,6 +250,29 @@ class TestCoordinateExtent:
             load(path)
 
 
+class TestSpacing:
+    """``load`` accepts a spacing only if 2 E / spacing is finite, for the
+    same extent E, so that every ``hpp`` lane key is finite."""
+
+    @staticmethod
+    def write_with_spacing(path, spacing: str):
+        save(make_instance(200, 1), path)
+        lines = path.read_text().splitlines()
+        lines[3] = f"spacing: {spacing}"
+        path.write_text("\n".join(lines) + "\n")
+        return path, len(lines)
+
+    def test_tiny_spacing_loads_and_routes(self, tmp_path):
+        path, _ = self.write_with_spacing(tmp_path / "farm.txt", "1e-300")
+        inst = load(path)
+        score(inst, solve_with("hpp", inst, k=5, seed=0))
+
+    def test_subnormal_spacing_is_format_error(self, tmp_path):
+        path, last = self.write_with_spacing(tmp_path / "farm.txt", "1e-315")
+        with pytest.raises(FormatError, match=rf"farm.txt: line {last}: spacing .* is too small"):
+            load(path)
+
+
 class TestGenerateDataset:
     def test_writes_instances_and_manifest(self, tmp_path):
         manifest = generate_dataset([10], 1, base_seed=1, out_dir=tmp_path)
