@@ -3,7 +3,9 @@
 Pipeline: k-means over the node set, cluster repair so every cluster can form
 a polygon, then one boustrophedon sweep per cluster anchored at an antipodal
 pair of the cluster hull. Every antipodal pair is tried in both orientations
-and the candidate with the shortest depot-to-depot length wins.
+and the candidate with the shortest depot-to-depot length wins. A k-means
+round over n nodes and k clusters costs one (n, k) table of squared
+distances, one ``argmin`` per row and two ``bincount``s for the new centroids.
 
 Candidates are scored without building them. Per cluster and stacking axis
 (rows, columns) the nodes are bucketed into lanes and sorted once; a
@@ -80,31 +82,44 @@ class ClusterAssignment:
 # clustering
 
 
-def _assign_labels(pts: np.ndarray, cents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-centroid labels (ties to the lowest index), reseeding empty clusters.
+def _assign_labels(
+    xs: np.ndarray, ys: np.ndarray, cents: np.ndarray, work: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nearest-centroid labels (ties to the lowest index) and cluster sizes,
+    reseeding empty clusters.
 
-    An empty cluster's centroid is moved onto the point farthest from its
-    nearest centroid, then labels are recomputed. Raises RepairImpossible when
-    a cluster is still empty after ``2 * k + 1`` rounds.
+    ``cents`` holds the centroid x row over the y row, and ``work`` is (2, n, k)
+    scratch space for the squared-distance table; reusing it across rounds
+    saves faulting in two fresh tables each time. An empty cluster's centroid
+    is moved onto the point farthest from its nearest centroid, then labels
+    are recomputed. Raises RepairImpossible when a cluster is still empty
+    after ``2 * k + 1`` rounds.
     """
-    k = len(cents)
+    k = cents.shape[1]
     cents = cents.copy()
+    d2, dy = work
     for _ in range(2 * k + 1):
-        d2 = ((pts[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
+        np.subtract.outer(xs, cents[0], out=d2)
+        np.subtract.outer(ys, cents[1], out=dy)
+        d2 *= d2
+        dy *= dy
+        d2 += dy
         labels = d2.argmin(axis=1)
         sizes = np.bincount(labels, minlength=k)
         empty = np.flatnonzero(sizes == 0)
         if empty.size == 0:
-            return labels, cents
+            return labels, sizes, cents
         farthest = int(d2.min(axis=1).argmax())
-        cents[int(empty[0])] = pts[farthest]
+        cents[:, int(empty[0])] = xs[farthest], ys[farthest]
     raise RepairImpossible("could not repair empty clusters")
 
 
-def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = len(pts)
+def _kmeans_pp_init(
+    xs: np.ndarray, ys: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
+    n = len(xs)
     chosen = [int(rng.integers(n))]
-    d2 = ((pts - pts[chosen[0]]) ** 2).sum(axis=1)
+    d2 = (xs - xs[chosen[0]]) ** 2 + (ys - ys[chosen[0]]) ** 2
     for _ in range(1, k):
         total = float(d2.sum())
         if total <= 0.0:
@@ -114,36 +129,44 @@ def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
             nxt = int(np.searchsorted(np.cumsum(d2), r, side="right"))
             nxt = min(nxt, n - 1)
         chosen.append(nxt)
-        d2 = np.minimum(d2, ((pts - pts[nxt]) ** 2).sum(axis=1))
-    return pts[chosen].copy()
+        d2 = np.minimum(d2, (xs - xs[nxt]) ** 2 + (ys - ys[nxt]) ** 2)
+    return np.array([xs[chosen], ys[chosen]])
 
 
 def kmeans(nodes: Sequence[Point], k: int, seed: int) -> ClusterAssignment:
     """Lloyd's algorithm from k-means++ seeding; deterministic for a fixed seed.
 
-    Stops when the largest centroid movement falls below 1e-9 or after 100
-    iterations; returned labels are exactly nearest-centroid with respect to
-    the returned centroids. Raises RepairImpossible when some cluster stays
-    empty, as it must when the nodes sit on fewer than ``k`` distinct positions.
+    Stops when no centroid coordinate moves by 1e-9 or more (the largest
+    ``|dx|`` or ``|dy|``) or after 100 iterations; returned labels are exactly
+    nearest-centroid with respect to the returned centroids. Raises
+    RepairImpossible when some cluster stays empty, as it must when the nodes
+    sit on fewer than ``k`` distinct positions.
+
+    A round is one (n, k) table of squared distances, one ``argmin`` per row
+    and two weighted ``bincount``s. ``bincount`` adds a cluster's coordinates
+    one at a time in index order, so each centroid is the same float as the
+    ``mean`` of its cluster's rows, up to the sign of a zero.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     if len(nodes) < k:
         raise ValueError(f"need at least k={k} nodes, got {len(nodes)}")
-    pts = np.array([[p.x, p.y] for p in nodes], dtype=float)
+    xs = np.array([p.x for p in nodes], dtype=float)
+    ys = np.array([p.y for p in nodes], dtype=float)
     rng = make_rng(seed)
-    cents = _kmeans_pp_init(pts, k, rng)
+    cents = _kmeans_pp_init(xs, ys, k, rng)
+    work = np.empty((2, len(xs), k))
     for _ in range(KMEANS_MAX_ITER):
-        labels, cents = _assign_labels(pts, cents)
-        new_cents = np.vstack([pts[labels == c].mean(axis=0) for c in range(k)])
+        labels, sizes, cents = _assign_labels(xs, ys, cents, work)
+        new_cents = np.array([np.bincount(labels, xs, k), np.bincount(labels, ys, k)]) / sizes
         if float(np.abs(new_cents - cents).max()) < KMEANS_TOL:
             break
         cents = new_cents
     else:
-        labels, cents = _assign_labels(pts, cents)
+        labels, _, cents = _assign_labels(xs, ys, cents, work)
     return ClusterAssignment(
-        labels=tuple(int(x) for x in labels),
-        centroids=tuple(Point(float(x), float(y)) for x, y in cents),
+        labels=tuple(labels.tolist()),
+        centroids=tuple(Point(x, y) for x, y in zip(*cents.tolist())),
     )
 
 
@@ -451,15 +474,17 @@ def hpp_solve(inst: FarmInstance, k: int = 5, seed: int = 0) -> Solution:
     """
     n = len(inst.nodes)
     if k < 1 or MIN_CLUSTER_SIZE * k > n:
-        raise InvalidK(
-            f"k={k} is infeasible: {n} nodes support between 1 and "
-            f"{n // MIN_CLUSTER_SIZE} routes of {MIN_CLUSTER_SIZE}+ nodes each"
+        support = (
+            f"between 1 and {n // MIN_CLUSTER_SIZE} routes of {MIN_CLUSTER_SIZE}+ nodes each"
+            if n >= MIN_CLUSTER_SIZE
+            else f"no route of {MIN_CLUSTER_SIZE}+ nodes"
         )
+        raise InvalidK(f"k={k} is infeasible: {n} nodes support {support}")
     assign = kmeans(inst.nodes, k, seed)
     assign = repair_clusters(assign, inst.nodes)
-    routes = []
-    for c in range(k):
-        members = [(i, inst.nodes[i]) for i in assign.members(c)]
-        routes.append(route_cluster(members, inst.depot, inst.spacing))
+    members: list[list[tuple[int, Point]]] = [[] for _ in range(k)]
+    for i, (lab, node) in enumerate(zip(assign.labels, inst.nodes)):
+        members[lab].append((i, node))
+    routes = [route_cluster(m, inst.depot, inst.spacing) for m in members]
     return Solution(instance_ref=inst.name, algorithm="hpp", seed=seed, routes=tuple(routes))
 

@@ -679,3 +679,71 @@ def exact_oracle(inst, k: int):
     chosen = min(canonical_routes(p) for p in best_parts)
     routes = tuple(Route(node_order=order, length=length) for order, length in chosen)
     return Solution(instance_ref=inst.name, algorithm="exact", seed=0, routes=routes)
+
+
+# ---------------------------------------------------------------------------
+# k-means as first written: each Lloyd round sums an (n, k, 2) broadcast over
+# its last axis and takes k boolean-mask means. The library's version must
+# return the same labels and centroids bit for bit, and the same errors.
+
+KMEANS_TOL = 1e-9
+KMEANS_MAX_ITER = 100
+
+
+def _assign_labels_oracle(pts: np.ndarray, cents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    from pondroute.hpp import RepairImpossible
+
+    k = len(cents)
+    cents = cents.copy()
+    for _ in range(2 * k + 1):
+        d2 = ((pts[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
+        labels = d2.argmin(axis=1)
+        sizes = np.bincount(labels, minlength=k)
+        empty = np.flatnonzero(sizes == 0)
+        if empty.size == 0:
+            return labels, cents
+        farthest = int(d2.min(axis=1).argmax())
+        cents[int(empty[0])] = pts[farthest]
+    raise RepairImpossible("could not repair empty clusters")
+
+
+def _kmeans_pp_init_oracle(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    n = len(pts)
+    chosen = [int(rng.integers(n))]
+    d2 = ((pts - pts[chosen[0]]) ** 2).sum(axis=1)
+    for _ in range(1, k):
+        total = float(d2.sum())
+        if total <= 0.0:
+            nxt = next(i for i in range(n) if i not in chosen)
+        else:
+            r = rng.random() * total
+            nxt = int(np.searchsorted(np.cumsum(d2), r, side="right"))
+            nxt = min(nxt, n - 1)
+        chosen.append(nxt)
+        d2 = np.minimum(d2, ((pts - pts[nxt]) ** 2).sum(axis=1))
+    return pts[chosen].copy()
+
+
+def kmeans_oracle(nodes: list[Point], k: int, seed: int):
+    from pondroute.hpp import ClusterAssignment
+    from pondroute.rng import make_rng
+
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    if len(nodes) < k:
+        raise ValueError(f"need at least k={k} nodes, got {len(nodes)}")
+    pts = np.array([[p.x, p.y] for p in nodes], dtype=float)
+    rng = make_rng(seed)
+    cents = _kmeans_pp_init_oracle(pts, k, rng)
+    for _ in range(KMEANS_MAX_ITER):
+        labels, cents = _assign_labels_oracle(pts, cents)
+        new_cents = np.vstack([pts[labels == c].mean(axis=0) for c in range(k)])
+        if float(np.abs(new_cents - cents).max()) < KMEANS_TOL:
+            break
+        cents = new_cents
+    else:
+        labels, cents = _assign_labels_oracle(pts, cents)
+    return ClusterAssignment(
+        labels=tuple(int(x) for x in labels),
+        centroids=tuple(Point(float(x), float(y)) for x, y in cents),
+    )

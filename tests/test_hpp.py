@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -33,8 +34,10 @@ from pondroute.solution import (
     save_solution,
 )
 
+import _oracles
 from _oracles import (
     hull_overlap_area,
+    kmeans_oracle,
     min_depot_tour,
     min_fixed_endpoint_path,
     path_length,
@@ -132,6 +135,70 @@ class TestKMeans:
             kmeans([Point(0, 0)], 2, seed=0)
         with pytest.raises(ValueError):
             kmeans([Point(0, 0), Point(1, 1)], 0, seed=0)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        family=st.sampled_from(
+            [
+                "lattice",
+                "few-positions",
+                "collinear-bands",
+                "blobs-1e-9",
+                "negative-zero",
+                "uniform",
+            ]
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 8),
+        extra=st.integers(-1, 60),
+    )
+    def test_matches_oracle(self, family, seed, k, extra):
+        # The same labels, centroids and error type and text as the k-means
+        # that summed an (n, k, 2) broadcast and took k masked means. Centroids
+        # compare with ==, which ignores the sign of a zero: bincount starts
+        # each sum at 0.0, so a cluster whose x's are all -0.0 gets x = 0.0.
+        rng = np.random.default_rng(seed)
+        n = k + extra
+        xy = rng.random((n, 2))
+        if family == "lattice":
+            xy = rng.integers(0, 4, size=(n, 2)) / 4
+        elif family == "few-positions":
+            spots = rng.random((int(rng.integers(1, max(k, 2))), 2))
+            xy = spots[rng.integers(len(spots), size=n)]
+        elif family == "collinear-bands":
+            xy[:, 1] = 0.25 * rng.integers(1, 4, size=n)
+            xy[:, 0] = np.round(xy[:, 0] * 8) / 8
+        elif family == "blobs-1e-9":
+            spots = rng.random((int(rng.integers(1, k + 2)), 2))
+            xy = spots[rng.integers(len(spots), size=n)] + 1e-9 * rng.random((n, 2))
+        elif family == "negative-zero":
+            xy = rng.choice([-0.0, 0.0, 0.5, 1.0], size=(n, 2))
+        pts = [Point(float(x), float(y)) for x, y in xy]
+
+        def outcome(fit):
+            try:
+                result = fit(pts, k, seed)
+            except (ValueError, RepairImpossible) as exc:
+                return type(exc), str(exc)
+            return result.labels, result.centroids
+
+        expected = outcome(kmeans_oracle)
+        assert outcome(kmeans) == expected
+        if family == "few-positions" and 1 < k <= n:
+            assert expected == (RepairImpossible, "could not repair empty clusters")
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_iteration_cap(self, monkeypatch, cap):
+        # A cap the loop reaches re-assigns labels to the last centroids
+        # (the for-else path), on both sides.
+        monkeypatch.setattr(hpp, "KMEANS_MAX_ITER", cap)
+        monkeypatch.setattr(_oracles, "KMEANS_MAX_ITER", cap)
+        nodes = generate(GeneratorConfig(node_count=300, seed=4)).nodes
+        for k in (1, 5, 8):
+            capped = kmeans(nodes, k, seed=k)
+            assert capped == kmeans_oracle(nodes, k, seed=k)
+        monkeypatch.setattr(hpp, "KMEANS_MAX_ITER", 100)
+        assert kmeans(nodes, 8, seed=8) != capped
 
 
 class TestRepairClusters:
@@ -631,6 +698,17 @@ class TestHppSolve:
             hpp_solve(inst, k=0, seed=0)
         sol = hpp_solve(inst, k=4, seed=0)
         assert sol.k == 4
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_invalid_k_below_three_nodes(self, tmp_path, n):
+        inst = generate(GeneratorConfig(node_count=12, seed=0))
+        save(dataclasses.replace(inst, nodes=inst.nodes[:n]), tmp_path / "small.txt")
+        inst = load(tmp_path / "small.txt")
+        assert len(inst.nodes) == n
+        for k in (0, 1):
+            with pytest.raises(InvalidK) as info:
+                hpp_solve(inst, k=k, seed=0)
+            assert str(info.value) == f"k={k} is infeasible: {n} nodes support no route of 3+ nodes"
 
 
 # Few distinct positions, on and off the 1/8 lattice, so that duplicates and
