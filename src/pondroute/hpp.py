@@ -1,11 +1,13 @@
 """Cluster-then-route coverage solver (`hpp`).
 
-Pipeline: k-means over the node set, cluster repair so every cluster can form
-a polygon, then one boustrophedon sweep per cluster anchored at an antipodal
-pair of the cluster hull. Every antipodal pair is tried in both orientations
-and the candidate with the shortest depot-to-depot length wins. A k-means
-round over n nodes and k clusters costs one (n, k) table of squared
-distances, one ``argmin`` per row and two ``bincount``s for the new centroids.
+Pipeline: k-means over the node set, then one boustrophedon sweep per cluster
+anchored at an antipodal pair of the cluster hull. That hull is the only
+validity check: cluster repair runs only when some k-means cluster spans no
+polygon, and the repaired clusters are then routed instead. Every antipodal
+pair is tried in both orientations and the candidate with the shortest
+depot-to-depot length wins. A k-means round over n nodes and k clusters
+costs one (n, k) table of squared distances, one ``argmin`` per row and two
+``bincount``s for the new centroids.
 
 Candidates are scored without building them. Per cluster and stacking axis
 (rows, columns) the nodes are bucketed into lanes and sorted once; a
@@ -32,6 +34,7 @@ import numpy as np
 from .geometry import (
     AntipodalPair,
     ConvexPolygon,
+    DegenerateInput,
     Point,
     antipodal_pairs,
     collinear,
@@ -170,10 +173,6 @@ def kmeans(nodes: Sequence[Point], k: int, seed: int) -> ClusterAssignment:
     )
 
 
-def _cluster_valid(member_pts: list[Point]) -> bool:
-    return len(member_pts) >= MIN_CLUSTER_SIZE and not collinear(member_pts)
-
-
 def repair_clusters(assign: ClusterAssignment, nodes: Sequence[Point]) -> ClusterAssignment:
     """Grow invalid clusters until each has >= 3 non-collinear members.
 
@@ -209,12 +208,12 @@ def repair_clusters(assign: ClusterAssignment, nodes: Sequence[Point]) -> Cluste
     def leaves_donor_valid(i: int) -> bool:
         key = (labels[i], nodes[i])
         if key not in safe:
-            safe[key] = _cluster_valid([nodes[m] for m in members[labels[i]] if m != i])
+            safe[key] = not collinear([nodes[m] for m in members[labels[i]] if m != i])
         return safe[key]
 
     for _ in range(10 * n):
         invalid = next(
-            (c for c in range(k) if not _cluster_valid([nodes[i] for i in members[c]])),
+            (c for c in range(k) if collinear([nodes[i] for i in members[c]])),
             None,
         )
         if invalid is None:
@@ -386,6 +385,11 @@ class _ClusterLanes:
         return best_order
 
 
+def _check_spacing(spacing: float) -> None:
+    if not (math.isfinite(spacing) and spacing > 0):
+        raise ValueError("spacing must be positive and finite")
+
+
 def _first_positions(pts: Sequence[Point]) -> dict[Point, int]:
     first: dict[Point, int] = {}
     for pos, pt in enumerate(pts):
@@ -406,11 +410,16 @@ def serpentine_route(
     ``"reverse"``. Lane stacking along y (grid rows) and along x are both
     tried and the shorter sweep wins, ties going to rows. Returns positions
     into ``pts``; the first is the start anchor, the last the end anchor.
+    Raises ValueError unless ``spacing`` is positive and finite and ``pair``
+    indexes vertices of ``hull``.
     """
     if orientation not in ("forward", "reverse"):
         raise ValueError(f"orientation must be 'forward' or 'reverse', got {orientation!r}")
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
+    _check_spacing(spacing)
+    if pair.j >= len(hull):
+        raise ValueError(
+            f"anchor pair ({pair.i}, {pair.j}) is out of range for {len(hull)} hull vertices"
+        )
     p_pt = hull.vertices[pair.i]
     q_pt = hull.vertices[pair.j]
     if orientation == "reverse":
@@ -430,6 +439,9 @@ def route_cluster(
 
     Every antipodal pair of the cluster hull is tried in both orientations;
     ties go to the lexicographically smallest (pair.i, pair.j, orientation).
+    Raises DegenerateInput when the members span no polygon (``hpp_solve``
+    relies on this to detect a cluster that needs repair), and ValueError
+    unless ``spacing`` is positive and finite.
 
     Each candidate is first scored from the cluster's lane tables. Only those
     within ``NEAR_BEST * max(1, lowest)`` plus 1e-12 per candidate of the
@@ -440,6 +452,7 @@ def route_cluster(
     whose exact length is more than 1e-12 per candidate above the shortest
     can neither win nor, through the 1e-12 rule, block one that would.
     """
+    _check_spacing(spacing)
     ids = [i for i, _ in members]
     pts = [pt for _, pt in members]
     hull = convex_hull(pts)
@@ -466,9 +479,17 @@ def route_cluster(
     return Route(node_order=tuple(ids[t] for t in best[1]), length=best[0])
 
 
+def _route_clusters(assign: ClusterAssignment, inst: FarmInstance) -> list[Route]:
+    members: list[list[tuple[int, Point]]] = [[] for _ in range(assign.k)]
+    for i, (lab, node) in enumerate(zip(assign.labels, inst.nodes)):
+        members[lab].append((i, node))
+    return [route_cluster(m, inst.depot, inst.spacing) for m in members]
+
+
 def hpp_solve(inst: FarmInstance, k: int = 5, seed: int = 0) -> Solution:
     """Cluster the instance into ``k`` groups and route each as a serpentine.
 
+    Clusters are repaired only when a k-means cluster spans no polygon.
     Raises InvalidK unless ``1 <= k <= n // 3``, and RepairImpossible when the
     nodes cannot form ``k`` clusters of 3+ non-collinear members.
     """
@@ -481,10 +502,9 @@ def hpp_solve(inst: FarmInstance, k: int = 5, seed: int = 0) -> Solution:
         )
         raise InvalidK(f"k={k} is infeasible: {n} nodes support {support}")
     assign = kmeans(inst.nodes, k, seed)
-    assign = repair_clusters(assign, inst.nodes)
-    members: list[list[tuple[int, Point]]] = [[] for _ in range(k)]
-    for i, (lab, node) in enumerate(zip(assign.labels, inst.nodes)):
-        members[lab].append((i, node))
-    routes = [route_cluster(m, inst.depot, inst.spacing) for m in members]
+    try:
+        routes = _route_clusters(assign, inst)
+    except DegenerateInput:
+        routes = _route_clusters(repair_clusters(assign, inst.nodes), inst)
     return Solution(instance_ref=inst.name, algorithm="hpp", seed=seed, routes=tuple(routes))
 

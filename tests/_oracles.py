@@ -14,7 +14,7 @@ import operator
 
 import numpy as np
 
-from pondroute.geometry import ConvexPolygon, Point
+from pondroute.geometry import ConvexPolygon, Point, collinear
 
 TWO_PI = 2.0 * math.pi
 
@@ -305,12 +305,10 @@ def repair_oracle(assign, nodes: list[Point]):
     """Cluster repair as first written: every step rescans the labels, and
     every member of every donor is tested for safety by building the hull of
     the donor without it; the nearest safe member moves, else the nearest."""
-    from pondroute.hpp import (
-        MIN_CLUSTER_SIZE,
-        ClusterAssignment,
-        RepairImpossible,
-        _cluster_valid,
-    )
+    from pondroute.hpp import MIN_CLUSTER_SIZE, ClusterAssignment, RepairImpossible
+
+    def _cluster_valid(pts: list[Point]) -> bool:
+        return len(pts) >= 3 and not collinear(pts)
 
     k = assign.k
     n = len(nodes)

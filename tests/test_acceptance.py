@@ -5,6 +5,7 @@ shared: the 600-instance batch (100 instances per size in 50..700, seeds
 42+i, k=5) is generated and solved once.
 """
 
+import hashlib
 import itertools
 import math
 import time
@@ -36,6 +37,18 @@ K = 5
 TABLE_TOTAL = {50: 7.62, 100: 9.94, 200: 12.66, 300: 15.37, 500: 19.02, 700: 21.72}
 TABLE_MAX = {50: 2.01, 100: 2.53, 200: 3.14, 300: 3.79, 500: 4.58, 700: 5.28}
 
+# Per size: SHA-256 over the save_solution bytes of each seed's hpp solution
+# followed by its minmax-ls solution, in seed order. A different digest is a
+# change to a solver's output, to be declared.
+GOLDEN_BATCH_SHA256 = {
+    50: "a7f8a641bce307514d3339e0945c98641b6b354283304f9b58c5b7decb23479f",
+    100: "865ff3b9586c5c7265931d2f399148552b4d87ad7e299d5c105e00cb20571f05",
+    200: "0de861cda217ea76fabd8d5c9ffd9fb85f48efe4626a1e1f311b2cfd201cd7ef",
+    300: "4e62f3fed64760a17fe5c811d8b9482e4f2e9b8d6f17ac005f78fe1a25bdc85d",
+    500: "5f80cf25f57ff5eef0a60ea35a3473f4b8f60d5d84aa692e1f29acab8211ee62",
+    700: "3436d6fd82ac9365aa824c4ba78bb71f00cfaeb1228bd71cf7fcfae7da2820e2",
+}
+
 
 def report(criterion: int, ok: bool, detail: str) -> None:
     print(f"[criterion {criterion}] {'PASS' if ok else 'FAIL'}: {detail}")
@@ -47,18 +60,21 @@ class SizeStats:
     hpp_mean_max: float
     hpp_batch_time: float
     solutions_validated: int
+    solution_sha256: str
 
 
 @pytest.fixture(scope="module")
-def batch():
+def batch(tmp_path_factory):
     """Generate and solve the full 600-instance batch with both heuristics."""
     stats: dict[int, SizeStats] = {}
+    sol_path = tmp_path_factory.mktemp("batch") / "sol.txt"
     size_300_instances = []
     t_all = time.perf_counter()
     for size in SIZES:
         totals = maxes = 0.0
         hpp_time = 0.0
         validated = 0
+        digest = hashlib.sha256()
         for i in range(PER_SIZE):
             inst = generate(GeneratorConfig(node_count=size, seed=BASE_SEED + i))
             if size == 300:
@@ -71,6 +87,9 @@ def batch():
             ls_sol = minmax_local_search(inst, k=K, seed=0)
             score(inst, ls_sol)
             assert len(ls_sol.routes) == K
+            for sol in (hpp_sol, ls_sol):
+                save_solution(sol, sol_path)
+                digest.update(sol_path.read_bytes())
             totals += hpp_metrics.total_distance
             maxes += hpp_metrics.max_route_length
             validated += 2
@@ -79,6 +98,7 @@ def batch():
             hpp_mean_max=maxes / PER_SIZE,
             hpp_batch_time=hpp_time,
             solutions_validated=validated,
+            solution_sha256=digest.hexdigest(),
         )
     elapsed = time.perf_counter() - t_all
     print(f"[batch] 600 instances generated and solved twice in {elapsed:.1f}s")
@@ -91,6 +111,11 @@ def test_criterion_1_feasibility(batch):
     ok = validated == 2 * PER_SIZE * len(SIZES)
     report(1, ok, f"{validated}/1200 solutions are valid 5-route partitions")
     assert ok
+
+
+def test_batch_solution_bytes(batch):
+    stats, _ = batch
+    assert {size: s.solution_sha256 for size, s in stats.items()} == GOLDEN_BATCH_SHA256
 
 
 def test_criterion_2_geometry_oracles():

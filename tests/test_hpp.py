@@ -14,7 +14,14 @@ from hypothesis import strategies as st
 from pondroute import hpp
 from pondroute.baseline import TooLarge, minmax_local_search
 from pondroute.evaluation import ALGORITHMS, InstanceMetrics, score, solve_with
-from pondroute.geometry import Point, antipodal_pairs, collinear, convex_hull, dist
+from pondroute.geometry import (
+    AntipodalPair,
+    Point,
+    antipodal_pairs,
+    collinear,
+    convex_hull,
+    dist,
+)
 from pondroute.hpp import (
     ClusterAssignment,
     RepairImpossible,
@@ -504,6 +511,27 @@ class TestRouteCluster:
         )
 
 
+@pytest.mark.parametrize(
+    ("spacing", "pair", "message"),
+    [
+        (0.0, AntipodalPair(0, 2), "spacing must be positive and finite"),
+        (-1.0, AntipodalPair(0, 2), "spacing must be positive and finite"),
+        (math.nan, AntipodalPair(0, 2), "spacing must be positive and finite"),
+        (math.inf, AntipodalPair(0, 2), "spacing must be positive and finite"),
+        (1.0, AntipodalPair(0, 9), r"anchor pair \(0, 9\) is out of range for 4 hull vertices"),
+    ],
+    ids=["zero", "negative", "nan", "inf", "pair-out-of-range"],
+)
+def test_bad_spacing_or_pair_raises_value_error(spacing, pair, message):
+    pts = grid_points(2, 2)
+    hull = convex_hull(pts)
+    with pytest.raises(ValueError, match=message):
+        serpentine_route(pts, hull, pair, "forward", spacing)
+    if pair.j < len(hull):
+        with pytest.raises(ValueError, match=message):
+            route_cluster(list(enumerate(pts)), Point(0, -1), spacing)
+
+
 PITCH = 0.05
 
 
@@ -709,6 +737,94 @@ class TestHppSolve:
             with pytest.raises(InvalidK) as info:
                 hpp_solve(inst, k=k, seed=0)
             assert str(info.value) == f"k={k} is infeasible: {n} nodes support no route of 3+ nodes"
+
+    def test_one_hull_per_cluster(self, monkeypatch):
+        # Valid k-means clusters are routed as they are: route_cluster's own
+        # hull is the only validity check, and repair never runs.
+        inst = generate(GeneratorConfig(300, 42))
+        k = 5
+        calls = {"convex_hull": 0, "collinear": 0, "repair_clusters": 0}
+        for name in calls:
+            real = getattr(hpp, name)
+
+            def counted(*args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(hpp, name, counted)
+        hpp_solve(inst, k=k, seed=0)
+        assert calls == {"convex_hull": k, "collinear": 0, "repair_clusters": 0}
+
+
+def _fallback_instance(family: str, seed: int, k: int, extra: int) -> FarmInstance:
+    """Degenerate nodes from the families of TestRepairClusters::test_matches_oracle;
+    ``far-copies`` is a generated instance plus 12 copies of one far point."""
+    if family == "far-copies":
+        inst = generate(GeneratorConfig(200, seed))
+        return dataclasses.replace(inst, nodes=inst.nodes + (Point(3.0, 3.0),) * 12)
+    rng = np.random.default_rng(seed)
+    n = hpp.MIN_CLUSTER_SIZE * k + extra
+    xy = rng.random((n, 2))
+    if family == "few-positions":
+        spots = rng.random((int(rng.integers(1, 5)), 2))
+        xy = spots[rng.integers(len(spots), size=n)]
+    elif family == "collinear-bands":
+        xy[:, 1] = 0.25 * rng.integers(1, 4, size=n)
+        xy[:, 0] = np.round(xy[:, 0] * 8) / 8
+    else:
+        xy[rng.random(n) < 0.3] = (3.0, 3.0)
+    square = convex_hull([Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)])
+    nodes = tuple(Point(float(x), float(y)) for x, y in xy)
+    return FarmInstance("fallback", seed, square, 0.125, Point(0, 0), Point(0.5, 0), nodes)
+
+
+def test_fallback_matches_repair_first_pipeline(monkeypatch):
+    """hpp_solve gives the same file, or the same error, as repairing every
+    k-means assignment before routing it, and some examples route repaired
+    clusters."""
+    repair = hpp.repair_clusters
+    repairs = []
+
+    def counted(assign, nodes):
+        repairs.append(repair(assign, nodes))
+        return repairs[-1]
+
+    monkeypatch.setattr(hpp, "repair_clusters", counted)
+
+    def outcome(solve, tmp: Path):
+        try:
+            save_solution(solve(), tmp / "sol.txt")
+        except Exception as exc:
+            return type(exc), str(exc)
+        return (tmp / "sol.txt").read_bytes()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        family=st.sampled_from(["few-positions", "collinear-bands", "far-duplicates"]),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 6),
+        extra=st.integers(0, 30),
+    )
+    @example(family="far-copies", seed=1000, k=5, extra=0)
+    def check(family, seed, k, extra):
+        inst = _fallback_instance(family, seed, k, extra)
+
+        def repair_first():
+            assign = repair(kmeans(inst.nodes, k, 0), inst.nodes)
+            routes = tuple(
+                route_cluster(
+                    [(i, inst.nodes[i]) for i in assign.members(c)], inst.depot, inst.spacing
+                )
+                for c in range(k)
+            )
+            return Solution(instance_ref=inst.name, algorithm="hpp", seed=0, routes=routes)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            expected = outcome(repair_first, Path(tmp))
+            assert outcome(lambda: hpp_solve(inst, k=k, seed=0), Path(tmp)) == expected
+
+    check()
+    assert len(repairs) >= 10
 
 
 # Few distinct positions, on and off the 1/8 lattice, so that duplicates and
