@@ -10,21 +10,27 @@ costs one (n, k) table of squared distances, one ``argmin`` per row and two
 ``bincount``s for the new centroids.
 
 Candidates are scored without building them. Per cluster and stacking axis
-(rows, columns) the nodes are bucketed into lanes and sorted once; a
-candidate's length is then summed lane by lane from each lane's end points,
-its internal length and the hops between lanes, O(#lanes) per candidate
-instead of a sort and a full walk. Only candidates within rounding of the
-best are built in full and re-scored by exact summation, so the chosen route
-and its stored length are the ones exhaustive scoring gives. A cluster of m
-nodes with h hull vertices costs one vectorised O(h * m) quantization, an
-O(m log m) sort per distinct lane table (one per axis on a lattice),
-O(h * #lanes) to score every candidate, and O(m) per exact re-score (about
-two per cluster on generated instances). The routes come back as a
-``solution.Solution``, whose module also holds the file format.
+(rows, columns) the nodes are bucketed into lanes and sorted once, and each
+lane table keeps prefix sums of its lane lengths and of the hops between
+adjacent lanes. A candidate's table length is then O(1): its two anchor
+runs are the rest of the anchors' lanes, and the lanes between them are a
+few prefix differences. An anchor lane is sorted for scoring only when it
+holds both anchors, when the anchor sits inside it (off-lattice clusters),
+or when distances along it tie. Only candidates within rounding of the best
+are built in full and re-scored by exact summation, and each builds only
+the axis that can win unless its two table lengths are that close too, so
+the chosen route and its stored length are the ones exhaustive scoring
+gives. A cluster of m nodes with h hull vertices costs one vectorised
+O(h * m) quantization, an O(m log m) sort per distinct lane table (one per
+axis on a lattice), one pass over each anchor's lane, O(1) per candidate,
+and O(m) per exact re-score (about two per cluster on generated instances).
+The routes come back as a ``solution.Solution``, whose module also holds the
+file format.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -257,6 +263,10 @@ class _Lanes:
     (tc, position) order, with ``sums`` the length of that path. Any anchor
     whose own quantization puts the nodes into the same lanes in the same
     order shares the table, since a sweep depends only on that order.
+
+    ``length`` scores a sweep in O(1) from prefix sums. It adds in another
+    order than the exact sum over the sweep that ``order`` builds, so the
+    two agree up to rounding.
     """
 
     def __init__(self, lam: np.ndarray, tc: np.ndarray, xy: np.ndarray) -> None:
@@ -275,6 +285,20 @@ class _Lanes:
         self.tc = tc.tolist()
         self.xs, self.ys = xy[:, 0].tolist(), xy[:, 1].tolist()
         self._anchor_lanes: dict[tuple[int, int, int], tuple[list[int], float]] = {}
+        # Scoring tables: prefix sums of the lane lengths, and of the hops
+        # between adjacent lanes' first members or last members, alternating:
+        # ``hops[0]`` hops between last members after an even lane and
+        # between first members after an odd one, ``hops[1]`` the other way.
+        self.prefix = [0.0, *itertools.accumulate(self.sums)]
+        firsts = self.firsts = [flat[a] for a in bounds[:-1]]
+        lasts = self.lasts = [flat[b - 1] for b in bounds[1:]]
+        xs, ys, hypot = self.xs, self.ys, math.hypot
+        first_hop = [hypot(xs[a] - xs[b], ys[a] - ys[b]) for a, b in zip(firsts, firsts[1:])]
+        last_hop = [hypot(xs[a] - xs[b], ys[a] - ys[b]) for a, b in zip(lasts, lasts[1:])]
+        even, odd = last_hop[:], first_hop[:]
+        even[1::2], odd[1::2] = first_hop[1::2], last_hop[1::2]
+        self.hops = ([0.0, *itertools.accumulate(even)], [0.0, *itertools.accumulate(odd)])
+        self._rests: dict[int, tuple | None] = {}
 
     def _gap(self, a: int, b: int) -> float:
         return math.hypot(self.xs[a] - self.xs[b], self.ys[a] - self.ys[b])
@@ -297,9 +321,9 @@ class _Lanes:
             self._anchor_lanes[key] = (run, inner)
         return self._anchor_lanes[key]
 
-    def runs(self, p: int, q: int) -> Iterator[tuple[list[int], bool, float]]:
-        """(lane members, forward, path length) of each lane the sweep from p
-        to q covers, in visit order; a backward lane is walked in reverse.
+    def runs(self, p: int, q: int) -> Iterator[tuple[list[int], bool]]:
+        """(lane members, forward) of each lane the sweep from p to q covers,
+        in visit order; a backward lane is walked in reverse.
 
         The sweep starts in p's lane, nearest nodes first, then takes the
         lanes behind p, the lanes between p and q, the lanes beyond q from the
@@ -312,30 +336,100 @@ class _Lanes:
             visit = [*range(a - 1, -1, -1), *range(a + 1, b), *range(last, b, -1)]
         else:
             visit = [*range(a + 1, last + 1), *range(a - 1, b, -1), *range(b)]
-        start, inner = self._anchor_lane(a, p, q, 1)
+        start, _ = self._anchor_lane(a, p, q, 1)
         if start:
-            yield start, True, inner
+            yield start, True
         forward = bool(start) and self.tc[start[-1]] < self.tc[p]
         for lane in visit:
-            yield self.members[lane], forward, self.sums[lane]
+            yield self.members[lane], forward
             forward = not forward
         if b != a:
-            end, inner = self._anchor_lane(b, q, p, -1)
+            end, _ = self._anchor_lane(b, q, p, -1)
             if end:
-                yield end, True, inner
+                yield end, True
+
+    def _end_run(self, anchor: int, other: int, toward: int) -> tuple:
+        """(nearest, farthest, length) of ``_anchor_lane``'s run, its length
+        including the hop between ``anchor`` and the nearest member, or () if
+        the run is empty.
+
+        When ``other`` lies in another lane and ``anchor`` is its lane's first
+        or last member, the rest of the lane nearest first is that run (or its
+        reverse, for ``toward`` -1) as long as the distances from ``anchor``
+        strictly rise along it, since the sort then has nothing to reorder.
+        Anchors inside a lane, and lanes with equal distances (copies, or
+        differences that round alike), take the sorted run.
+        """
+        lane = self.lane_of[anchor]
+        if self.lane_of[other] != lane:
+            if anchor not in self._rests:
+                self._rests[anchor] = self._rest_of_lane(lane, anchor)
+            if self._rests[anchor] is not None:
+                return self._rests[anchor]
+        run, inner = self._anchor_lane(lane, anchor, other, toward)
+        if not run:
+            return ()
+        near, far = (run[0], run[-1]) if toward == 1 else (run[-1], run[0])
+        return near, far, self._gap(anchor, near) + inner
+
+    def _rest_of_lane(self, lane: int, anchor: int) -> tuple | None:
+        """``_end_run``'s unsorted run for an anchor in another lane than the
+        other anchor, or None when that run must be sorted. With the hop from
+        the anchor it is the whole lane's path."""
+        members = self.members[lane]
+        if anchor == members[0]:
+            rest = members[1:]
+        elif anchor == members[-1]:
+            rest = members[-2::-1]
+        else:
+            return None
+        if not rest:
+            return ()
+        tc, t0 = self.tc, self.tc[anchor]
+        far = [abs(tc[i] - t0) for i in rest]
+        if any(a >= b for a, b in zip(far, far[1:])):
+            return None
+        return rest[0], rest[-1], self.sums[lane]
 
     def length(self, p: int, q: int) -> float:
-        """Path length of the sweep from p to q, summed lane by lane."""
-        total, prev = 0.0, p
-        for run, forward, inner in self.runs(p, q):
-            head, tail = (run[0], run[-1]) if forward else (run[-1], run[0])
-            total += self._gap(prev, head) + inner
-            prev = tail
-        return total + self._gap(prev, q)
+        """Path length of the sweep from p to q, in O(1) from the prefix sums.
+
+        Between its two anchor runs the sweep covers up to three spans of
+        consecutive lanes (see ``runs``) with alternating directions. Each
+        span costs one hop from the previous tail, a difference of ``prefix``
+        over its lanes, and a difference of the one ``hops`` list that joins
+        last members after each lane the span walks forward.
+        """
+        a, b = self.lane_of[p], self.lane_of[q]
+        last = len(self.members) - 1
+        firsts, lasts, prefix, gap = self.firsts, self.lasts, self.prefix, self._gap
+        total, prev, forward = 0.0, p, False
+        start = self._end_run(p, q, 1)
+        if start:
+            _, prev, total = start
+            forward = self.tc[prev] < self.tc[p]
+        if b >= a:
+            spans = ((a - 1, 0, -1), (a + 1, b - 1, 1), (last, b + 1, -1))
+        else:
+            spans = ((a + 1, last, 1), (a - 1, b + 1, -1), (0, b - 1, 1))
+        for s, e, step in spans:
+            if (e - s) * step < 0:
+                continue
+            lo, hi = (s, e) if step == 1 else (e, s)
+            hops = self.hops[forward ^ (s & 1) ^ (step == 1)]
+            head = firsts[s] if forward else lasts[s]
+            forward ^= (hi - lo) & 1  # direction of the span's last lane
+            total += gap(prev, head) + (prefix[hi + 1] - prefix[lo]) + (hops[hi] - hops[lo])
+            prev, forward = (lasts[e] if forward else firsts[e]), not forward
+        end = self._end_run(q, p, -1) if b != a else ()
+        if end:
+            _, far, inner = end
+            return total + gap(prev, far) + inner
+        return total + gap(prev, q)
 
     def order(self, p: int, q: int) -> list[int]:
         order = [p]
-        for run, forward, _ in self.runs(p, q):
+        for run, forward in self.runs(p, q):
             order.extend(run if forward else reversed(run))
         order.append(q)
         return order
@@ -367,22 +461,20 @@ class _ClusterLanes:
                     shared[key] = _Lanes(row, xy[:, t], xy)
                 self.tables[axis, p] = shared[key]
 
-    def length(self, p: int, q: int) -> float:
-        """Shorter of the row and column sweep lengths, summed from the tables."""
-        return min(self.tables["y", p].length(p, q), self.tables["x", p].length(p, q))
+    def lengths(self, p: int, q: int) -> tuple[float, float]:
+        """Row and column sweep lengths from p to q, from the tables."""
+        return self.tables["y", p].length(p, q), self.tables["x", p].length(p, q)
 
-    def order(self, p: int, q: int) -> list[int]:
-        """Visit order from p to q: the shorter of the row and column sweeps by
-        exact summation, ties within 1e-12 going to rows."""
-        best_order: list[int] = []
-        best_len = math.inf
-        for axis in ("y", "x"):
-            table = self.tables[axis, p]
-            order = table.order(p, q)
-            length = _left_sum(table._gap(a, b) for a, b in zip(order, order[1:]))
-            if length < best_len - 1e-12:
-                best_order, best_len = order, length
-        return best_order
+    def order(self, p: int, q: int, axes: Sequence[str]) -> list[int]:
+        """Visit order from p to q: the shorter of the sweeps along ``axes``
+        (rows before columns) by exact summation, ties within 1e-12 going to
+        rows. A single axis is built and not summed."""
+        orders = [self.tables[axis, p].order(p, q) for axis in axes]
+        if len(orders) == 1:
+            return orders[0]
+        gap = self.tables["y", p]._gap
+        rows, cols = (_left_sum(gap(a, b) for a, b in zip(o, o[1:])) for o in orders)
+        return orders[1] if cols < rows - 1e-12 else orders[0]
 
 
 def _check_spacing(spacing: float) -> None:
@@ -429,7 +521,7 @@ def serpentine_route(
         pos_p, pos_q = first[p_pt], first[q_pt]
     except KeyError:
         raise ValueError("anchor pair endpoints must be cluster nodes") from None
-    return _ClusterLanes(pts, [pos_p], spacing).order(pos_p, pos_q)
+    return _ClusterLanes(pts, [pos_p], spacing).order(pos_p, pos_q, ("y", "x"))
 
 
 def route_cluster(
@@ -451,6 +543,10 @@ def route_cluster(
     scores differ only by rounding, far below ``NEAR_BEST``, and a candidate
     whose exact length is more than 1e-12 per candidate above the shortest
     can neither win nor, through the 1e-12 rule, block one that would.
+    A re-scored candidate builds only its row sweep or only its column sweep
+    when the other axis's table length is longer by more than
+    ``NEAR_BEST * max(1, lowest)``, since the rows-first 1e-12 rule between
+    the two exact lengths would pick the same axis; otherwise it builds both.
     """
     _check_spacing(spacing)
     ids = [i for i, _ in members]
@@ -464,14 +560,17 @@ def route_cluster(
         p, q = anchors[pair.i], anchors[pair.j]
         ends += [(p, q), (q, p)]
     legs = {a: dist(depot, pts[a]) for a in anchors}
-    scores = [legs[p] + lanes.length(p, q) + legs[q] for p, q in ends]
+    axis_lengths = [lanes.lengths(p, q) for p, q in ends]
+    scores = [legs[p] + min(both) + legs[q] for (p, q), both in zip(ends, axis_lengths)]
     low = min(scores)
-    cutoff = low + NEAR_BEST * max(1.0, low) + 1e-12 * len(ends)
+    slack = NEAR_BEST * max(1.0, low)
+    cutoff = low + slack + 1e-12 * len(ends)
     best: tuple[float, list[int]] | None = None
-    for (p, q), approx in zip(ends, scores):
+    for (p, q), approx, (rows, cols) in zip(ends, scores, axis_lengths):
         if approx > cutoff:
             continue
-        order = lanes.order(p, q)
+        axes = ("y",) if cols > rows + slack else ("x",) if rows > cols + slack else ("y", "x")
+        order = lanes.order(p, q, axes)
         length = route_length(depot, [pts[t] for t in order])
         if best is None or length < best[0] - 1e-12:
             best = (length, order)

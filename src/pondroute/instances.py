@@ -118,9 +118,14 @@ def _lattice_points(
 
 
 def _choose_spacing(poly: ConvexPolygon, origin: Point, target: int, minimum: int) -> float:
-    """Bisect the grid pitch until the polygon holds ~``target`` lattice points."""
+    """Bisect the grid pitch until the polygon holds ~``target`` lattice points.
+
+    Each spacing is counted once: ``visit`` is a pure function of ``s``, and
+    offering an equal ``best`` key again changes nothing.
+    """
     best: tuple[int, float, float] | None = None  # (|count-target|, -spacing, spacing)
 
+    @functools.cache  # once lo and hi are adjacent floats, mid repeats one of them
     def visit(s: float) -> int:
         nonlocal best
         c = len(_lattice_points(poly, origin, s)[0])

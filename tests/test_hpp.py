@@ -31,7 +31,15 @@ from pondroute.hpp import (
     route_cluster,
     serpentine_route,
 )
-from pondroute.instances import FarmInstance, FormatError, GeneratorConfig, generate, load, save
+from pondroute.instances import (
+    FarmInstance,
+    FormatError,
+    GeneratorConfig,
+    _left_sum,
+    generate,
+    load,
+    save,
+)
 from pondroute.solution import (
     InvalidK,
     Route,
@@ -609,6 +617,51 @@ class TestRouteClusterMatchesOracle:
             assert route.length.hex() == length.hex()
 
 
+def assert_table_lengths_near_exact(pts: list[Point], spacing: float) -> None:
+    """Every candidate's row and column table lengths are within 1e-10 (relative
+    beyond 1) of the exact length of the sweep that table builds.
+
+    route_cluster re-scores only candidates whose table score is within
+    NEAR_BEST of the best, which picks the exhaustive route only while table
+    and exact lengths differ by rounding.
+    """
+    hull = convex_hull(pts)
+    first = hpp._first_positions(pts)
+    anchors = [first[v] for v in hull.vertices]
+    lanes = hpp._ClusterLanes(pts, anchors, spacing)
+    for pair in antipodal_pairs(hull):
+        p, q = anchors[pair.i], anchors[pair.j]
+        for p, q in ((p, q), (q, p)):
+            for axis, table_length in zip(("y", "x"), lanes.lengths(p, q)):
+                order = lanes.tables[axis, p].order(p, q)
+                exact = _left_sum(dist(pts[a], pts[b]) for a, b in zip(order, order[1:]))
+                assert abs(table_length - exact) <= 1e-10 * max(1.0, exact)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    family=st.sampled_from(["lattice", "jittered", "duplicates", "full-grid"]),
+    seed=st.integers(0, 2**32 - 1),
+    w=st.integers(2, 9),
+    h=st.integers(2, 9),
+    spacing=st.sampled_from([PITCH, 1e-300]),
+)
+def test_table_length_within_rounding_of_exact(family, seed, w, h, spacing):
+    pts, _, _ = oracle_cluster(family, seed, w, h)
+    if len(pts) < 3 or collinear(pts):
+        return
+    assert_table_lengths_near_exact(pts, spacing)
+
+
+def test_table_length_with_tied_lane_members():
+    # (1, 0) and (1, 0.25) share a row lane and an x, and so do (0, 0) and
+    # (0, 0.25): the rest of the lane reversed is not the sorted anchor run
+    # from (2, 0), and its length differs by about 0.28.
+    coords = [(0, 0), (1, 0), (1, 0.25), (2, 0), (0, 0.25), (0, 1), (2, 1), (1, 1)]
+    pts = [Point(float(x), float(y)) for x, y in coords]
+    assert_table_lengths_near_exact(pts, 1.0)
+
+
 # SHA-256 of the save_solution bytes of hpp_solve(k=5, seed=0) on generated
 # instances. A different digest is a change to hpp's output, to be declared.
 GOLDEN_SOLUTIONS = {
@@ -754,6 +807,73 @@ class TestHppSolve:
             monkeypatch.setattr(hpp, name, counted)
         hpp_solve(inst, k=k, seed=0)
         assert calls == {"convex_hull": k, "collinear": 0, "repair_clusters": 0}
+
+    def test_scoring_sorts_no_anchor_lane_and_rescores_one_axis(self, monkeypatch):
+        # Candidates are scored from each table's prefix sums: an anchor lane
+        # is sorted only while an exact re-score builds a sweep, and that
+        # re-score builds both axes only when their table lengths are within
+        # route_cluster's slack of each other.
+        inst = generate(GeneratorConfig(300, 42))
+        clusters = []  # per route_cluster call: its table lengths and re-scores
+        built = None  # tables whose sweep the current re-score builds
+        sorted_outside_builds = 0
+
+        def wrap(owner, name, wrapper):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args: wrapper(real, *args))
+
+        def route_cluster(real, members, depot, spacing):
+            pts = [pt for _, pt in members]
+            clusters.append({"pts": pts, "depot": depot, "lengths": {}, "rescores": []})
+            return real(members, depot, spacing)
+
+        def lengths(real, lanes, p, q):
+            clusters[-1]["lengths"][p, q] = real(lanes, p, q)
+            return clusters[-1]["lengths"][p, q]
+
+        def cluster_order(real, lanes, p, q, *axes):
+            nonlocal built
+            built = []
+            clusters[-1]["rescores"].append((p, q, lanes, built))
+            try:
+                return real(lanes, p, q, *axes)
+            finally:
+                built = None
+
+        def table_order(real, table, p, q):
+            built.append(table)
+            return real(table, p, q)
+
+        def anchor_lane(real, table, *args):
+            nonlocal sorted_outside_builds
+            sorted_outside_builds += built is None
+            return real(table, *args)
+
+        wrap(hpp, "route_cluster", route_cluster)
+        wrap(hpp._ClusterLanes, "lengths", lengths)
+        wrap(hpp._ClusterLanes, "order", cluster_order)
+        wrap(hpp._Lanes, "order", table_order)
+        wrap(hpp._Lanes, "_anchor_lane", anchor_lane)
+        hpp_solve(inst, k=5, seed=0)
+
+        assert len(clusters) == 5
+        assert sorted_outside_builds == 0
+        one_axis = 0
+        for c in clusters:
+            legs = [dist(c["depot"], pt) for pt in c["pts"]]
+            low = min(legs[p] + min(both) + legs[q] for (p, q), both in c["lengths"].items())
+            slack = hpp.NEAR_BEST * max(1.0, low)
+            for p, q, lanes, tables in c["rescores"]:
+                rows, cols = c["lengths"][p, q]
+                if cols > rows + slack:
+                    expected = [lanes.tables["y", p]]
+                elif rows > cols + slack:
+                    expected = [lanes.tables["x", p]]
+                else:
+                    expected = [lanes.tables["y", p], lanes.tables["x", p]]
+                assert tables == expected
+                one_axis += len(tables) == 1
+        assert one_axis > 0
 
 
 def _fallback_instance(family: str, seed: int, k: int, extra: int) -> FarmInstance:
