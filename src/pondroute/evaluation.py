@@ -130,8 +130,10 @@ def run_benchmark(
     The exact oracle is skipped (marked row) for sizes above its limits. A
     solver failure aborts the whole batch, naming the failing instance. An
     instance whose node count is not its manifest size raises FormatError.
-    Unknown or repeated algorithms raise ValueError.
+    An empty, unknown or repeated algorithm list raises ValueError.
     """
+    if not algorithms:
+        raise ValueError("need at least one algorithm")
     for algorithm in algorithms:
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")

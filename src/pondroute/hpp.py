@@ -12,20 +12,23 @@ costs one (n, k) table of squared distances, one ``argmin`` per row and two
 Candidates are scored without building them. Per cluster and stacking axis
 (rows, columns) the nodes are bucketed into lanes and sorted once, and each
 lane table keeps prefix sums of its lane lengths and of the hops between
-adjacent lanes. A candidate's table length is then O(1): its two anchor
-runs are the rest of the anchors' lanes, and the lanes between them are a
-few prefix differences. An anchor lane is sorted for scoring only when it
-holds both anchors, when the anchor sits inside it (off-lattice clusters),
-or when distances along it tie. Only candidates within rounding of the best
-are built in full and re-scored by exact summation, and each builds only
-the axis that can win unless its two table lengths are that close too, so
-the chosen route and its stored length are the ones exhaustive scoring
-gives. A cluster of m nodes with h hull vertices costs one vectorised
-O(h * m) quantization, an O(m log m) sort per distinct lane table (one per
-axis on a lattice), one pass over each anchor's lane, O(1) per candidate,
-and O(m) per exact re-score (about two per cluster on generated instances).
-The routes come back as a ``solution.Solution``, whose module also holds the
-file format.
+adjacent lanes. A sweep from anchor p to anchor q walks the rest of p's lane
+away from p, then the lanes behind p, the lanes between p and q, and the
+lanes beyond q from the far end back, alternating direction per lane, and
+ends with the rest of q's lane toward q. A candidate's table length is then
+O(1): its two anchor runs are the rest of the anchors' lanes, and the lanes
+between them are a few prefix differences. An anchor lane is sorted, for
+scoring and building alike, only when it holds both anchors, when the
+anchor sits inside it (off-lattice clusters), or when distances along it
+tie. Only candidates within rounding of the best are built in full and
+re-scored by exact summation, and each builds only the axis that can win
+unless its two table lengths are that close too, so the chosen route and
+its stored length are the ones exhaustive scoring gives. A cluster of m
+nodes with h hull vertices costs one vectorised O(h * m) quantization, an
+O(m log m) sort per distinct lane table (one per axis on a lattice), one
+pass over each anchor's lane, O(1) per candidate, and O(m) per exact
+re-score (about two per cluster on generated instances). The routes come
+back as a ``solution.Solution``, whose module also holds the file format.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -264,9 +267,18 @@ class _Lanes:
     whose own quantization puts the nodes into the same lanes in the same
     order shares the table, since a sweep depends only on that order.
 
-    ``length`` scores a sweep in O(1) from prefix sums. It adds in another
-    order than the exact sum over the sweep that ``order`` builds, so the
-    two agree up to rounding.
+    The sweep from p to q starts with p's anchor run, then covers the lanes
+    of ``_spans`` (those behind p, those between p and q, and those beyond q
+    from the far end back), alternating direction per lane, and ends with
+    q's anchor run reversed. An anchor run is the anchor's lane without
+    either anchor, nearest to the anchor first. It is the rest of the lane,
+    unsorted, when the anchor is its lane's first or last member, the other
+    anchor lies in another lane, and distances from the anchor strictly
+    rise along it. Otherwise (both anchors in one lane, an anchor inside
+    its lane, or tied distances) ``_anchor_lane`` sorts it.
+
+    ``length`` scores a sweep in O(1) from prefix sums and ``order`` builds
+    it. They add in different orders, so the two agree up to rounding.
     """
 
     def __init__(self, lam: np.ndarray, tc: np.ndarray, xy: np.ndarray) -> None:
@@ -298,17 +310,48 @@ class _Lanes:
         even, odd = last_hop[:], first_hop[:]
         even[1::2], odd[1::2] = first_hop[1::2], last_hop[1::2]
         self.hops = ([0.0, *itertools.accumulate(even)], [0.0, *itertools.accumulate(odd)])
-        self._rests: dict[int, tuple | None] = {}
+        self._rests: dict[int, tuple[list[int], float] | None] = {}
 
     def _gap(self, a: int, b: int) -> float:
         return math.hypot(self.xs[a] - self.xs[b], self.ys[a] - self.ys[b])
 
+    def _spans(self, a: int, b: int) -> tuple[tuple[int, int, int], ...]:
+        """(first, last, step) of the three spans of lanes that a sweep from
+        lane a to lane b covers between its anchor runs, in visit order. A
+        span with ``(last - first) * step < 0`` is empty."""
+        last = len(self.members) - 1
+        if b >= a:
+            return ((a - 1, 0, -1), (a + 1, b - 1, 1), (last, b + 1, -1))
+        return ((a + 1, last, 1), (a - 1, b + 1, -1), (0, b - 1, 1))
+
+    def _anchor_run(self, anchor: int, other: int, toward: int) -> tuple[list[int], float]:
+        """``anchor``'s run (``toward`` 1 for a start run, -1 for an end run)
+        and the path length from ``anchor`` through it, 0.0 if it is empty.
+        An unsorted run is cached once per anchor; with the hop from the
+        anchor it is the whole lane's path."""
+        lane = self.lane_of[anchor]
+        if self.lane_of[other] != lane:
+            if anchor not in self._rests:
+                members, tc, t0 = self.members[lane], self.tc, self.tc[anchor]
+                rest = members[1:] if anchor == members[0] else members[-2::-1]
+                far = [abs(tc[i] - t0) for i in rest]
+                rises = anchor in (members[0], members[-1]) and all(
+                    a < b for a, b in zip(far, far[1:])
+                )
+                self._rests[anchor] = (rest, self.sums[lane]) if rises else None
+            if self._rests[anchor] is not None:
+                return self._rests[anchor]
+        return self._anchor_lane(lane, anchor, other, toward)
+
     def _anchor_lane(
         self, lane: int, anchor: int, other: int, toward: int
     ) -> tuple[list[int], float]:
-        """An anchor lane without the anchors, sorted by distance from ``anchor``
-        along the lane (nearest first for ``toward`` 1, farthest first for -1),
-        and the length of that path."""
+        """``_anchor_run``'s sorted run, cached per (anchor, toward, excluded).
+
+        The lane is sorted in visit order, by distance from ``anchor`` along
+        it (nearest first for ``toward`` 1, farthest first for -1) and then
+        by (tc, position), and its length is summed in that order before the
+        run is stored nearest first."""
         excluded = other if self.lane_of[other] == lane else -1
         key = (anchor, toward, excluded)
         if key not in self._anchor_lanes:
@@ -318,101 +361,25 @@ class _Lanes:
                 key=lambda i: (toward * abs(tc[i] - t0), tc[i], i),
             )
             inner = _left_sum(self._gap(a, b) for a, b in zip(run, run[1:]))
-            self._anchor_lanes[key] = (run, inner)
+            run = run[::toward]
+            self._anchor_lanes[key] = (run, self._gap(anchor, run[0]) + inner if run else 0.0)
         return self._anchor_lanes[key]
-
-    def runs(self, p: int, q: int) -> Iterator[tuple[list[int], bool]]:
-        """(lane members, forward) of each lane the sweep from p to q covers,
-        in visit order; a backward lane is walked in reverse.
-
-        The sweep starts in p's lane, nearest nodes first, then takes the
-        lanes behind p, the lanes between p and q, the lanes beyond q from the
-        far end back, and finally q's lane, farthest from q first. Directions
-        alternate per lane after the first.
-        """
-        a, b = self.lane_of[p], self.lane_of[q]
-        last = len(self.members) - 1
-        if b >= a:
-            visit = [*range(a - 1, -1, -1), *range(a + 1, b), *range(last, b, -1)]
-        else:
-            visit = [*range(a + 1, last + 1), *range(a - 1, b, -1), *range(b)]
-        start, _ = self._anchor_lane(a, p, q, 1)
-        if start:
-            yield start, True
-        forward = bool(start) and self.tc[start[-1]] < self.tc[p]
-        for lane in visit:
-            yield self.members[lane], forward
-            forward = not forward
-        if b != a:
-            end, _ = self._anchor_lane(b, q, p, -1)
-            if end:
-                yield end, True
-
-    def _end_run(self, anchor: int, other: int, toward: int) -> tuple:
-        """(nearest, farthest, length) of ``_anchor_lane``'s run, its length
-        including the hop between ``anchor`` and the nearest member, or () if
-        the run is empty.
-
-        When ``other`` lies in another lane and ``anchor`` is its lane's first
-        or last member, the rest of the lane nearest first is that run (or its
-        reverse, for ``toward`` -1) as long as the distances from ``anchor``
-        strictly rise along it, since the sort then has nothing to reorder.
-        Anchors inside a lane, and lanes with equal distances (copies, or
-        differences that round alike), take the sorted run.
-        """
-        lane = self.lane_of[anchor]
-        if self.lane_of[other] != lane:
-            if anchor not in self._rests:
-                self._rests[anchor] = self._rest_of_lane(lane, anchor)
-            if self._rests[anchor] is not None:
-                return self._rests[anchor]
-        run, inner = self._anchor_lane(lane, anchor, other, toward)
-        if not run:
-            return ()
-        near, far = (run[0], run[-1]) if toward == 1 else (run[-1], run[0])
-        return near, far, self._gap(anchor, near) + inner
-
-    def _rest_of_lane(self, lane: int, anchor: int) -> tuple | None:
-        """``_end_run``'s unsorted run for an anchor in another lane than the
-        other anchor, or None when that run must be sorted. With the hop from
-        the anchor it is the whole lane's path."""
-        members = self.members[lane]
-        if anchor == members[0]:
-            rest = members[1:]
-        elif anchor == members[-1]:
-            rest = members[-2::-1]
-        else:
-            return None
-        if not rest:
-            return ()
-        tc, t0 = self.tc, self.tc[anchor]
-        far = [abs(tc[i] - t0) for i in rest]
-        if any(a >= b for a, b in zip(far, far[1:])):
-            return None
-        return rest[0], rest[-1], self.sums[lane]
 
     def length(self, p: int, q: int) -> float:
         """Path length of the sweep from p to q, in O(1) from the prefix sums.
 
-        Between its two anchor runs the sweep covers up to three spans of
-        consecutive lanes (see ``runs``) with alternating directions. Each
-        span costs one hop from the previous tail, a difference of ``prefix``
-        over its lanes, and a difference of the one ``hops`` list that joins
-        last members after each lane the span walks forward.
+        Each span costs one hop from the previous tail, a difference of
+        ``prefix`` over its lanes, and a difference of the one ``hops`` list
+        that joins last members after each lane the span walks forward.
         """
-        a, b = self.lane_of[p], self.lane_of[q]
-        last = len(self.members) - 1
         firsts, lasts, prefix, gap = self.firsts, self.lasts, self.prefix, self._gap
         total, prev, forward = 0.0, p, False
-        start = self._end_run(p, q, 1)
+        start, start_length = self._anchor_run(p, q, 1)
         if start:
-            _, prev, total = start
+            total, prev = start_length, start[-1]
             forward = self.tc[prev] < self.tc[p]
-        if b >= a:
-            spans = ((a - 1, 0, -1), (a + 1, b - 1, 1), (last, b + 1, -1))
-        else:
-            spans = ((a + 1, last, 1), (a - 1, b + 1, -1), (0, b - 1, 1))
-        for s, e, step in spans:
+        a, b = self.lane_of[p], self.lane_of[q]
+        for s, e, step in self._spans(a, b):
             if (e - s) * step < 0:
                 continue
             lo, hi = (s, e) if step == 1 else (e, s)
@@ -421,16 +388,23 @@ class _Lanes:
             forward ^= (hi - lo) & 1  # direction of the span's last lane
             total += gap(prev, head) + (prefix[hi + 1] - prefix[lo]) + (hops[hi] - hops[lo])
             prev, forward = (lasts[e] if forward else firsts[e]), not forward
-        end = self._end_run(q, p, -1) if b != a else ()
+        end, end_length = self._anchor_run(q, p, -1) if b != a else ([], 0.0)
         if end:
-            _, far, inner = end
-            return total + gap(prev, far) + inner
+            return total + gap(prev, end[-1]) + end_length
         return total + gap(prev, q)
 
     def order(self, p: int, q: int) -> list[int]:
-        order = [p]
-        for run, forward in self.runs(p, q):
-            order.extend(run if forward else reversed(run))
+        """Visit order of the sweep from p to q, both anchors included."""
+        start, _ = self._anchor_run(p, q, 1)
+        order = [p, *start]
+        forward = bool(start) and self.tc[start[-1]] < self.tc[p]
+        a, b = self.lane_of[p], self.lane_of[q]
+        for s, e, step in self._spans(a, b):
+            for lane in range(s, e + step, step):
+                order.extend(self.members[lane] if forward else reversed(self.members[lane]))
+                forward = not forward
+        if b != a:
+            order.extend(reversed(self._anchor_run(q, p, -1)[0]))
         order.append(q)
         return order
 

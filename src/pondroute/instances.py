@@ -235,12 +235,16 @@ class _LineReader:
     The first line must be ``header``; the same kind of file at another
     version raises VersionError. Callers then read ``name: value`` fields and
     ``<x> <y>`` points in order, and ``end`` allows only blank lines after
-    them. Every error is a FormatError naming the path and the line.
+    them. Every error is a FormatError naming the path and the line, or the
+    byte offset of the first byte that is not UTF-8.
     """
 
     def __init__(self, path: Path, header: str) -> None:
         self.path = path
-        self.lines = path.read_text(encoding="utf-8").splitlines()
+        try:
+            self.lines = path.read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: byte {exc.start}: not UTF-8 text") from exc
         self.pos = 0
         first = self.next("header")
         kind = header.rsplit(" v", 1)[0]

@@ -90,6 +90,14 @@ class TestSolve:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: FormatError: ")
 
+    def test_non_utf8_instance_exits_1(self, instance_file, capsys):
+        instance_file.write_bytes(instance_file.read_bytes().replace(b"name: ", b"name: \xe9", 1))
+        code = main(["solve", "--algorithm", "hpp", "--instance", str(instance_file)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: FormatError: ") and "inst.txt: byte " in err
+        assert "Traceback" not in err
+
     def test_missing_instance_exits_1(self, tmp_path, capsys):
         code = main(["solve", "--algorithm", "hpp", "--instance",
                      str(tmp_path / "nope.txt")])

@@ -161,6 +161,10 @@ class TestRunBenchmark:
         with pytest.raises(ValueError):
             run_benchmark(small_manifest, ["glop"], k=2, seed=0)
 
+    def test_no_algorithm_rejected(self, small_manifest):
+        with pytest.raises(ValueError, match="at least one algorithm"):
+            run_benchmark(small_manifest, [], k=2, seed=0)
+
     def test_repeated_algorithm_rejected(self, small_manifest):
         with pytest.raises(ValueError, match="distinct"):
             run_benchmark(small_manifest, ["hpp", "minmax-ls", "hpp"], k=2, seed=0)

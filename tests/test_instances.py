@@ -18,6 +18,7 @@ from pondroute.instances import (
     place_depot,
     save,
 )
+from pondroute.solution import load_solution, save_solution
 
 
 def make_instance(n: int, seed: int) -> FarmInstance:
@@ -221,6 +222,23 @@ class TestSaveLoad:
         path.write_text("\n".join(lines[:cut] + ["nodes: -1"]) + "\n")
         with pytest.raises(FormatError, match=f"line {cut + 1}: nodes count"):
             load(path)
+
+    @pytest.mark.parametrize("kind", ["instance", "manifest", "solution"])
+    def test_non_utf8_file_names_path_and_byte(self, tmp_path, kind):
+        inst = make_instance(20, 1)
+        if kind == "instance":
+            path, reader = tmp_path / "i.txt", load
+            save(inst, path)
+        elif kind == "manifest":
+            path, reader = generate_dataset([10], 1, base_seed=1, out_dir=tmp_path), load_manifest
+        else:
+            path, reader = tmp_path / "s.txt", load_solution
+            save_solution(solve_with("hpp", inst, 2, 0), path)
+        data = path.read_bytes()
+        at = data.index(b"\n") + 1
+        path.write_bytes(data[:at] + b"name: caf\xe9\n" + data[at:])  # Latin-1, not UTF-8
+        with pytest.raises(FormatError, match=rf"{path.name}: byte {at + 9}: not UTF-8"):
+            reader(path)
 
     def test_depot_override_survives(self, tmp_path):
         inst = make_instance(20, 1)
