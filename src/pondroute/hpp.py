@@ -193,10 +193,13 @@ def repair_clusters(assign: ClusterAssignment, nodes: Sequence[Point]) -> Cluste
     Centroids are recomputed after each move. Candidates are tried nearest
     first, so a donor hull is built only until a safe one is found, and at
     most once per step for each (donor, position): copies of one position
-    leave the same point set behind.
+    leave the same point set behind. Raises ValueError unless there is one
+    node per label.
     """
     k = assign.k
     n = len(nodes)
+    if n != len(assign.labels):
+        raise ValueError(f"{n} nodes for {len(assign.labels)} labels")
     if n < MIN_CLUSTER_SIZE * k:
         raise RepairImpossible(
             f"{n} nodes cannot give {k} clusters {MIN_CLUSTER_SIZE} members each"
@@ -261,11 +264,12 @@ def repair_clusters(assign: ClusterAssignment, nodes: Sequence[Point]) -> Cluste
 class _Lanes:
     """One stacking axis of a cluster, bucketed into lanes and sorted once.
 
-    ``lam`` holds each position's lane key and ``tc`` its coordinate along
-    the lanes. Lanes are stored in key order; each lists its positions in
-    (tc, position) order, with ``sums`` the length of that path. Any anchor
-    whose own quantization puts the nodes into the same lanes in the same
-    order shares the table, since a sweep depends only on that order.
+    ``lam`` holds each position's lane key. ``xs`` and ``ys`` are the
+    cluster's coordinate lists, shared by all its tables, and ``tc`` is the
+    one along the lanes. Lanes are stored in key order; each lists its
+    positions in (tc, position) order, with ``sums`` the length of that path.
+    Any anchor whose own quantization puts the nodes into the same lanes in
+    the same order shares the table, since a sweep depends only on that order.
 
     The sweep from p to q starts with p's anchor run, then covers the lanes
     of ``_spans`` (those behind p, those between p and q, and those beyond q
@@ -281,11 +285,11 @@ class _Lanes:
     it. They add in different orders, so the two agree up to rounding.
     """
 
-    def __init__(self, lam: np.ndarray, tc: np.ndarray, xy: np.ndarray) -> None:
+    def __init__(self, lam: np.ndarray, xy: np.ndarray, t: int, xys: list[list[float]]) -> None:
         m = len(lam)
-        by_lane = np.lexsort((np.arange(m), tc, lam))
+        by_lane = np.lexsort((np.arange(m), xy[t], lam))
         cuts = np.flatnonzero(np.diff(lam[by_lane])) + 1
-        steps = np.hypot(*np.diff(xy[by_lane], axis=0).T)
+        steps = np.hypot(*np.diff(xy[:, by_lane], axis=1))
         steps[cuts - 1] = 0.0  # hops between lanes
         bounds = [0, *cuts.tolist(), m]
         flat = by_lane.tolist()
@@ -294,9 +298,8 @@ class _Lanes:
         lane_of = np.empty(m, dtype=np.intp)
         lane_of[by_lane] = np.repeat(np.arange(len(self.members)), np.diff(bounds))
         self.lane_of = lane_of.tolist()
-        self.tc = tc.tolist()
-        self.xs, self.ys = xy[:, 0].tolist(), xy[:, 1].tolist()
-        self._anchor_lanes: dict[tuple[int, int, int], tuple[list[int], float]] = {}
+        self.xs, self.ys = xys
+        self.tc = xys[t]
         # Scoring tables: prefix sums of the lane lengths, and of the hops
         # between adjacent lanes' first members or last members, alternating:
         # ``hops[0]`` hops between last members after an even lane and
@@ -346,24 +349,20 @@ class _Lanes:
     def _anchor_lane(
         self, lane: int, anchor: int, other: int, toward: int
     ) -> tuple[list[int], float]:
-        """``_anchor_run``'s sorted run, cached per (anchor, toward, excluded).
+        """``_anchor_run``'s sorted run.
 
         The lane is sorted in visit order, by distance from ``anchor`` along
         it (nearest first for ``toward`` 1, farthest first for -1) and then
         by (tc, position), and its length is summed in that order before the
-        run is stored nearest first."""
-        excluded = other if self.lane_of[other] == lane else -1
-        key = (anchor, toward, excluded)
-        if key not in self._anchor_lanes:
-            tc, t0 = self.tc, self.tc[anchor]
-            run = sorted(
-                (i for i in self.members[lane] if i != anchor and i != other),
-                key=lambda i: (toward * abs(tc[i] - t0), tc[i], i),
-            )
-            inner = _left_sum(self._gap(a, b) for a, b in zip(run, run[1:]))
-            run = run[::toward]
-            self._anchor_lanes[key] = (run, self._gap(anchor, run[0]) + inner if run else 0.0)
-        return self._anchor_lanes[key]
+        run is returned nearest first."""
+        tc, t0 = self.tc, self.tc[anchor]
+        run = sorted(
+            (i for i in self.members[lane] if i != anchor and i != other),
+            key=lambda i: (toward * abs(tc[i] - t0), tc[i], i),
+        )
+        inner = _left_sum(self._gap(a, b) for a, b in zip(run, run[1:]))
+        run = run[::toward]
+        return run, self._gap(anchor, run[0]) + inner if run else 0.0
 
     def length(self, p: int, q: int) -> float:
         """Path length of the sweep from p to q, in O(1) from the prefix sums.
@@ -419,20 +418,21 @@ class _ClusterLanes:
     quotients), and anchors whose lanes come out as translates of each other
     share one table, so a lattice cluster builds one table per axis and
     off-lattice nodes still land in exactly the lanes p itself gives them.
+    ``xy`` holds the x row over the y row; all tables share its one set of lists.
     """
 
-    def __init__(self, pts: Sequence[Point], starts: Sequence[int], spacing: float) -> None:
-        xy = np.array([(pt.x, pt.y) for pt in pts], dtype=float)
+    def __init__(self, xy: np.ndarray, starts: Sequence[int], spacing: float) -> None:
+        xys = xy.tolist()
         self.tables: dict[tuple[str, int], _Lanes] = {}
         for axis, s, t in (("y", 1, 0), ("x", 0, 1)):
-            lam = np.rint((xy[:, s] - xy[starts, s][:, None]) / spacing)
+            lam = np.rint((xy[s] - xy[s, starts][:, None]) / spacing)
             # float keys: an offset may be more than 2^63 spacings; + 0.0 turns -0.0 into 0.0
             lam = lam - lam.min(axis=1, keepdims=True) + 0.0
             shared: dict[bytes, _Lanes] = {}
             for p, row in zip(starts, lam):
                 key = row.tobytes()
                 if key not in shared:
-                    shared[key] = _Lanes(row, xy[:, t], xy)
+                    shared[key] = _Lanes(row, xy, t, xys)
                 self.tables[axis, p] = shared[key]
 
     def lengths(self, p: int, q: int) -> tuple[float, float]:
@@ -456,11 +456,15 @@ def _check_spacing(spacing: float) -> None:
         raise ValueError("spacing must be positive and finite")
 
 
-def _first_positions(pts: Sequence[Point]) -> dict[Point, int]:
-    first: dict[Point, int] = {}
-    for pos, pt in enumerate(pts):
-        first.setdefault(pt, pos)
-    return first
+def _coordinates(pts: Sequence[Point], corners: Sequence[Point]) -> tuple[np.ndarray, list[int]]:
+    """The x row over the y row of ``pts``, and the first position in ``pts``
+    of each corner. Raises ValueError when a corner is not in ``pts``."""
+    xy = np.array([[pt.x for pt in pts], [pt.y for pt in pts]], dtype=float)
+    cxy = np.array([[c.x for c in corners], [c.y for c in corners]], dtype=float)
+    hits = (xy[0] == cxy[0][:, None]) & (xy[1] == cxy[1][:, None])
+    if not hits.any(axis=1).all():
+        raise ValueError("anchor pair endpoints must be cluster nodes")
+    return xy, hits.argmax(axis=1).tolist()
 
 
 def serpentine_route(
@@ -490,12 +494,8 @@ def serpentine_route(
     q_pt = hull.vertices[pair.j]
     if orientation == "reverse":
         p_pt, q_pt = q_pt, p_pt
-    first = _first_positions(pts)
-    try:
-        pos_p, pos_q = first[p_pt], first[q_pt]
-    except KeyError:
-        raise ValueError("anchor pair endpoints must be cluster nodes") from None
-    return _ClusterLanes(pts, [pos_p], spacing).order(pos_p, pos_q, ("y", "x"))
+    xy, (pos_p, pos_q) = _coordinates(pts, (p_pt, q_pt))
+    return _ClusterLanes(xy, [pos_p], spacing).order(pos_p, pos_q, ("y", "x"))
 
 
 def route_cluster(
@@ -526,9 +526,8 @@ def route_cluster(
     ids = [i for i, _ in members]
     pts = [pt for _, pt in members]
     hull = convex_hull(pts)
-    first = _first_positions(pts)
-    anchors = [first[v] for v in hull.vertices]
-    lanes = _ClusterLanes(pts, anchors, spacing)
+    xy, anchors = _coordinates(pts, hull.vertices)
+    lanes = _ClusterLanes(xy, anchors, spacing)
     ends = []
     for pair in antipodal_pairs(hull):
         p, q = anchors[pair.i], anchors[pair.j]

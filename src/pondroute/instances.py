@@ -397,6 +397,8 @@ def load_manifest(path: Path | str) -> list[ManifestEntry]:
         if len(parts) != 3:
             raise r.error("expected '<file> <size> <seed>'")
         size, seed = (r.parse(int, t, "manifest entry") for t in parts[1:])
+        if size < 0 or seed < 0:
+            raise r.error("size and seed must be non-negative")
         entries.append(ManifestEntry(path=path.parent / parts[0], size=size, seed=seed))
     if not entries:
         raise r.error("the manifest lists no instances")

@@ -304,6 +304,16 @@ class TestRepairClusters:
         for c in range(2):
             convex_hull([pts[i] for i in repaired.members(c)])
 
+    @pytest.mark.parametrize("n", [6, 8], ids=["fewer-nodes", "extra-nodes"])
+    def test_node_count_must_match_labels(self, n):
+        # Seven labels: six nodes are still enough for k = 2 clusters of 3,
+        # and an eighth node has no label.
+        assign = ClusterAssignment(
+            labels=(0, 0, 0, 1, 1, 1, 1), centroids=(Point(1.0, 0.0), Point(1.5, 1.0))
+        )
+        with pytest.raises(ValueError, match=f"^{n} nodes for 7 labels$"):
+            repair_clusters(assign, grid_points(4, 2)[:n])
+
     def test_too_few_nodes_raises(self):
         pts = [Point(0, 0), Point(1, 0), Point(0, 1), Point(1, 1), Point(2, 2)]
         assign = kmeans(pts, 2, seed=0)
@@ -540,6 +550,15 @@ def test_bad_spacing_or_pair_raises_value_error(spacing, pair, message):
             route_cluster(list(enumerate(pts)), Point(0, -1), spacing)
 
 
+@pytest.mark.parametrize("orientation", ["forward", "reverse"])
+def test_anchor_outside_cluster_raises_value_error(orientation):
+    hull = convex_hull(grid_points(3, 3))
+    pts = [pt for pt in grid_points(3, 3) if pt != Point(0.0, 0.0)]
+    pair = next(p for p in antipodal_pairs(hull) if hull.vertices[p.i] == Point(0.0, 0.0))
+    with pytest.raises(ValueError, match="anchor pair endpoints must be cluster nodes"):
+        serpentine_route(pts, hull, pair, orientation, 1.0)
+
+
 PITCH = 0.05
 
 
@@ -626,9 +645,8 @@ def assert_table_lengths_near_exact(pts: list[Point], spacing: float) -> None:
     and exact lengths differ by rounding.
     """
     hull = convex_hull(pts)
-    first = hpp._first_positions(pts)
-    anchors = [first[v] for v in hull.vertices]
-    lanes = hpp._ClusterLanes(pts, anchors, spacing)
+    xy, anchors = hpp._coordinates(pts, hull.vertices)
+    lanes = hpp._ClusterLanes(xy, anchors, spacing)
     for pair in antipodal_pairs(hull):
         p, q = anchors[pair.i], anchors[pair.j]
         for p, q in ((p, q), (q, p)):
@@ -793,20 +811,23 @@ class TestHppSolve:
 
     def test_one_hull_per_cluster(self, monkeypatch):
         # Valid k-means clusters are routed as they are: route_cluster's own
-        # hull is the only validity check, and repair never runs.
+        # hull is the only validity check, and repair never runs. Each
+        # cluster reads its members' coordinates into one array, so no Point
+        # is hashed to find the hull corners.
         inst = generate(GeneratorConfig(300, 42))
         k = 5
-        calls = {"convex_hull": 0, "collinear": 0, "repair_clusters": 0}
-        for name in calls:
-            real = getattr(hpp, name)
+        owners = {"convex_hull": hpp, "collinear": hpp, "repair_clusters": hpp, "__hash__": Point}
+        calls = dict.fromkeys(owners, 0)
+        for name, owner in owners.items():
+            real = getattr(owner, name)
 
             def counted(*args, _name=name, _real=real):
                 calls[_name] += 1
                 return _real(*args)
 
-            monkeypatch.setattr(hpp, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         hpp_solve(inst, k=k, seed=0)
-        assert calls == {"convex_hull": k, "collinear": 0, "repair_clusters": 0}
+        assert calls == {"convex_hull": k, "collinear": 0, "repair_clusters": 0, "__hash__": 0}
 
     def test_scoring_sorts_no_anchor_lane_and_rescores_one_axis(self, monkeypatch):
         # Candidates are scored from each table's prefix sums, and on this

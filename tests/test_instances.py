@@ -329,6 +329,13 @@ class TestGenerateDataset:
         with pytest.raises(FormatError, match=r"manifest.txt: line 5: "):
             load_manifest(manifest)
 
+    @pytest.mark.parametrize("record", ["foo.txt -5 3", "foo.txt 5 -3"], ids=["size", "seed"])
+    def test_negative_manifest_entry_names_line(self, tmp_path, record):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"farm-manifest v1\n{record}\n")
+        with pytest.raises(FormatError, match=r"manifest.txt: line 2: .*non-negative"):
+            load_manifest(manifest)
+
     def test_manifest_without_entries(self, tmp_path):
         manifest = tmp_path / "manifest.txt"
         manifest.write_text("farm-manifest v1\n\n")
