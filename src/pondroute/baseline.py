@@ -29,6 +29,7 @@ EXACT_MAX_ROUTES = 3
 _RELOCATE_CANDIDATES = 10
 _IMPROVE_EPS = 1e-12
 _TWO_OPT_MAX_PASSES = 1000
+_DEPOT = -1  # the depot's row and column: the distance matrix's last
 
 
 class TooLarge(ValueError):
@@ -56,16 +57,12 @@ class DistanceMatrix:
         dx += dy
         return cls(entries=np.sqrt(dx, out=dx))
 
-    @property
-    def depot(self) -> int:
-        return len(self.entries) - 1
 
-
-def _route_cost(D: np.ndarray, depot: int, order: list[int]) -> float:
+def _route_cost(D: np.ndarray, order: list[int]) -> float:
     if not order:
         return 0.0
     P = np.array(order)
-    cost = float(D[depot, order[0]] + D[order[-1], depot])
+    cost = float(D[_DEPOT, order[0]] + D[order[-1], _DEPOT])
     for leg in D[P[:-1], P[1:]].tolist():  # one leg at a time, in tour order
         cost += leg
     return cost
@@ -74,7 +71,6 @@ def _route_cost(D: np.ndarray, depot: int, order: list[int]) -> float:
 def two_opt(
     order: list[int],
     D: np.ndarray,
-    depot: int,
     *,
     changed: tuple[int, ...] | None = None,
     converged: list[bool] | None = None,
@@ -94,7 +90,7 @@ def two_opt(
     when it ran into the pass cap or the tour has fewer than 3 nodes.
     """
     m = len(order)
-    P = np.array([depot, *order, depot])
+    P = np.array([_DEPOT, *order, _DEPOT])
     stopped = False
     if m >= 3:
         S = None  # S[a, b] = D[P[a], P[b]], gathered at the first full pass
@@ -162,10 +158,10 @@ def _screen(D: np.ndarray, P: np.ndarray, changed: tuple[int, ...]) -> tuple[int
     return i, j
 
 
-def _nearest_neighbor(nodes: list[int], D: np.ndarray, depot: int) -> list[int]:
+def _nearest_neighbor(nodes: list[int], D: np.ndarray) -> list[int]:
     remaining = np.array(sorted(nodes))
     order: list[int] = []
-    current = depot
+    current = _DEPOT
     for left in range(len(nodes), 0, -1):
         # argmin's first index in ascending node order is the (distance, node) minimum
         t = int(np.argmin(D[current, remaining[:left]]))
@@ -197,12 +193,10 @@ def _sector_partition(inst: FarmInstance, k: int) -> list[list[int]]:
     return [keyed[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
-def _best_insertions(
-    order: list[int], nodes: list[int], D: np.ndarray, depot: int
-) -> list[tuple[int, float]]:
+def _best_insertions(order: list[int], nodes: list[int], D: np.ndarray) -> list[tuple[int, float]]:
     """Cheapest position to insert each of ``nodes`` into ``order``, alone:
     (position, added cost) per node."""
-    P = np.array([depot, *order, depot])
+    P = np.array([_DEPOT, *order, _DEPOT])
     N = np.array(nodes)
     # deltas[c, pos] = added cost of nodes[c] between P[pos] and P[pos + 1]
     deltas = D[P[:-1], N[:, None]] + D[N[:, None], P[1:]] - D[P[:-1], P[1:]]
@@ -236,18 +230,17 @@ def minmax_local_search(
         raise InvalidK(f"k={k} infeasible for {n} nodes")
     if max_iterations < 0:
         raise ValueError(f"max_iterations must be non-negative, got {max_iterations}")
-    dm = DistanceMatrix.from_instance(inst)
-    D, depot = dm.entries, dm.depot
+    D = DistanceMatrix.from_instance(inst).entries
     xs = [p.x for p in inst.nodes]
     ys = [p.y for p in inst.nodes]
 
     # optimal[r]: no 2-opt move on orders[r] gains more than _IMPROVE_EPS
     optimal: list[bool] = []
     orders = [
-        two_opt(_nearest_neighbor(sector, D, depot), D, depot, converged=optimal)
+        two_opt(_nearest_neighbor(sector, D), D, converged=optimal)
         for sector in _sector_partition(inst, k)
     ]
-    lengths = [_route_cost(D, depot, o) for o in orders]
+    lengths = [_route_cost(D, o) for o in orders]
     if trace is not None:
         trace.append(max(lengths))
 
@@ -272,14 +265,14 @@ def minmax_local_search(
         candidates = [i for _, i, _ in nearest]
 
         # Cheap screening: removal gain plus cheapest-insertion cost.
-        P = np.array([depot, *route, depot])
+        P = np.array([_DEPOT, *route, _DEPOT])
         T = np.array([t for _, _, t in nearest])
         N = P[T + 1]
         gains = (D[P[T], N] + D[N, P[T + 2]] - D[P[T], P[T + 2]]).tolist()
         others_max = max(lengths[r] for r in others)
         scored = []
         for target in others:
-            inserts = _best_insertions(orders[target], candidates, D, depot)
+            inserts = _best_insertions(orders[target], candidates, D)
             for (_, node, t), gain, (pos, ins) in zip(nearest, gains, inserts):
                 est = max(lengths[longest] - gain, lengths[target] + ins, others_max)
                 scored.append((est, node, target, pos, t))
@@ -289,16 +282,16 @@ def minmax_local_search(
         for _, node, target, pos, t in scored[:_RELOCATE_CANDIDATES]:
             found: list[bool] = []
             trimmed = two_opt(
-                route[:t] + route[t + 1 :], D, depot,
+                route[:t] + route[t + 1 :], D,
                 changed=(t,) if optimal[longest] else None, converged=found,
             )
             grown = two_opt(
-                orders[target][:pos] + [node] + orders[target][pos:], D, depot,
+                orders[target][:pos] + [node] + orders[target][pos:], D,
                 changed=(pos, pos + 1) if optimal[target] else None, converged=found,
             )
             new_lengths = list(lengths)
-            new_lengths[longest] = _route_cost(D, depot, trimmed)
-            new_lengths[target] = _route_cost(D, depot, grown)
+            new_lengths[longest] = _route_cost(D, trimmed)
+            new_lengths[target] = _route_cost(D, grown)
             new_max = max(new_lengths)
             if new_max < cur_max - _IMPROVE_EPS:
                 moves.append((new_max, node, target, trimmed, grown, found, new_lengths))
@@ -321,19 +314,19 @@ def minmax_local_search(
 # exact oracle
 
 
-def _subset_tours(
-    D: np.ndarray, n: int, depot: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Optimal depot-to-depot tour cost for every non-empty node subset.
+def _subset_tours(D: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Optimal depot-to-depot tour cost for every non-empty subset of the
+    ``len(D) - 1`` nodes.
 
     Returns (cost per mask, best final node per mask, dp). dp[mask, last] is
     the cheapest depot -> ... -> last path over exactly ``mask``, relaxed by
     subset size; closing back to the depot is taken at query time.
     """
+    n = len(D) - 1
     size = 1 << n
     dp = np.full((size, n), np.inf)
     bit = 1 << np.arange(n)
-    dp[bit, np.arange(n)] = D[depot, :n]
+    dp[bit, np.arange(n)] = D[_DEPOT, :n]
     in_mask = (np.arange(size)[:, None] & bit) != 0
     count = in_mask.sum(axis=1)
     for c in range(2, n + 1):
@@ -341,7 +334,7 @@ def _subset_tours(
         # min over prev of dp[mask without last, prev] + D[prev, last], inf off that mask
         dp[mask, last] = (dp[mask ^ bit[last]] + D[:n, last].T).min(axis=1)
 
-    closes = dp + D[:n, depot]
+    closes = dp + D[:n, _DEPOT]
     tour_last = np.argmin(closes, axis=1)
     tour_cost = closes[np.arange(size), tour_last]
     tour_cost[0], tour_last[0] = np.inf, -1
@@ -391,9 +384,8 @@ def exact_minmax(inst: FarmInstance, k: int) -> Solution:
         )
     if k < 1 or k > n:
         raise InvalidK(f"k={k} infeasible for {n} nodes")
-    dm = DistanceMatrix.from_instance(inst)
-    D, depot = dm.entries, dm.depot
-    tour_cost, tour_last, dp = _subset_tours(D, n, depot)
+    D = DistanceMatrix.from_instance(inst).entries
+    tour_cost, tour_last, dp = _subset_tours(D)
     partitions = _partitions(n, k)
     costs = tour_cost[partitions]  # costs[p, r]: route r of partition p
     worst = costs.max(axis=1)
@@ -404,7 +396,7 @@ def exact_minmax(inst: FarmInstance, k: int) -> Solution:
     def canonical_routes(parts) -> list[tuple[tuple[int, ...], float]]:
         orders = [_reconstruct(dp, D, mask, int(tour_last[mask])) for mask in parts]
         chosen = sorted(min(tuple(o), tuple(o[::-1])) for o in orders)
-        return [(order, _route_cost(D, depot, list(order))) for order in chosen]
+        return [(order, _route_cost(D, list(order))) for order in chosen]
 
     chosen = min(canonical_routes(partitions[p].tolist()) for p in tied)
     routes = tuple(Route(node_order=order, length=length) for order, length in chosen)

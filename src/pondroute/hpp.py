@@ -41,8 +41,6 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import (
-    AntipodalPair,
-    ConvexPolygon,
     DegenerateInput,
     Point,
     antipodal_pairs,
@@ -463,39 +461,24 @@ def _coordinates(pts: Sequence[Point], corners: Sequence[Point]) -> tuple[np.nda
     cxy = np.array([[c.x for c in corners], [c.y for c in corners]], dtype=float)
     hits = (xy[0] == cxy[0][:, None]) & (xy[1] == cxy[1][:, None])
     if not hits.any(axis=1).all():
-        raise ValueError("anchor pair endpoints must be cluster nodes")
+        raise ValueError("sweep start and end must be cluster nodes")
     return xy, hits.argmax(axis=1).tolist()
 
 
-def serpentine_route(
-    pts: Sequence[Point],
-    hull: ConvexPolygon,
-    pair: AntipodalPair,
-    orientation: str,
-    spacing: float,
-) -> list[int]:
-    """Back-and-forth visit order over ``pts`` anchored at an antipodal pair.
+def serpentine_route(pts: Sequence[Point], start: Point, end: Point, spacing: float) -> list[int]:
+    """Back-and-forth visit order over ``pts`` from ``start`` to ``end``.
 
-    ``orientation`` is ``"forward"`` (start at vertex ``pair.i``) or
-    ``"reverse"``. Lane stacking along y (grid rows) and along x are both
-    tried and the shorter sweep wins, ties going to rows. Returns positions
-    into ``pts``; the first is the start anchor, the last the end anchor.
-    Raises ValueError unless ``spacing`` is positive and finite and ``pair``
-    indexes vertices of ``hull``.
+    Lane stacking along y (grid rows) and along x are both tried and the
+    shorter sweep wins, ties going to rows. Returns positions into ``pts``;
+    the first is that of ``start``, the last that of ``end`` (the first copy
+    of each). Raises ValueError unless ``spacing`` is positive and finite,
+    both endpoints are in ``pts`` and they are different points.
     """
-    if orientation not in ("forward", "reverse"):
-        raise ValueError(f"orientation must be 'forward' or 'reverse', got {orientation!r}")
     _check_spacing(spacing)
-    if pair.j >= len(hull):
-        raise ValueError(
-            f"anchor pair ({pair.i}, {pair.j}) is out of range for {len(hull)} hull vertices"
-        )
-    p_pt = hull.vertices[pair.i]
-    q_pt = hull.vertices[pair.j]
-    if orientation == "reverse":
-        p_pt, q_pt = q_pt, p_pt
-    xy, (pos_p, pos_q) = _coordinates(pts, (p_pt, q_pt))
-    return _ClusterLanes(xy, [pos_p], spacing).order(pos_p, pos_q, ("y", "x"))
+    if start == end:
+        raise ValueError("sweep start and end must be different points")
+    xy, (p, q) = _coordinates(pts, (start, end))
+    return _ClusterLanes(xy, [p], spacing).order(p, q, ("y", "x"))
 
 
 def route_cluster(

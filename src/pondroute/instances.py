@@ -102,64 +102,64 @@ def _left_sum(values: Iterable[float]) -> float:
     return functools.reduce(operator.add, values, 0.0)
 
 
-def _lattice_points(
-    poly: ConvexPolygon, origin: Point, spacing: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """x and y of the lattice points inside the polygon, in (y, x) order."""
+def _lattice_points(poly: ConvexPolygon, spacing: float) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of the lattice points inside the polygon, in (y, x) order. The
+    lattice has pitch ``spacing`` and its origin at the bounding box's minimum."""
     xmin, ymin, xmax, ymax = poly.bounding_box()
-    na = int(math.floor((xmax - origin.x) / spacing + 1e-12)) + 1
-    nb = int(math.floor((ymax - origin.y) / spacing + 1e-12)) + 1
-    xs = origin.x + spacing * np.arange(na)
-    ys = origin.y + spacing * np.arange(nb)
+    na = int(math.floor((xmax - xmin) / spacing + 1e-12)) + 1
+    nb = int(math.floor((ymax - ymin) / spacing + 1e-12)) + 1
+    xs = xmin + spacing * np.arange(na)
+    ys = ymin + spacing * np.arange(nb)
     gx, gy = np.meshgrid(xs, ys)  # row-major flattening yields (y, x) order
     gx, gy = gx.ravel(), gy.ravel()
     keep = _inside(poly, gx, gy)
     return gx[keep], gy[keep]
 
 
-def _choose_spacing(poly: ConvexPolygon, origin: Point, target: int, minimum: int) -> float:
+def _choose_spacing(poly: ConvexPolygon, target: int, minimum: int) -> float:
     """Bisect the grid pitch until the polygon holds ~``target`` lattice points.
 
-    Each spacing is counted once: ``visit`` is a pure function of ``s``, and
-    offering an equal ``best`` key again changes nothing.
+    Each spacing is counted once; of the counts within ``_COUNT_SLACK`` of
+    ``target`` and at least ``minimum``, the nearest wins, ties going to the
+    larger spacing.
     """
-    best: tuple[int, float, float] | None = None  # (|count-target|, -spacing, spacing)
+    counts: dict[float, int] = {}  # once lo and hi are adjacent floats, mid repeats one
 
-    @functools.cache  # once lo and hi are adjacent floats, mid repeats one of them
-    def visit(s: float) -> int:
-        nonlocal best
-        c = len(_lattice_points(poly, origin, s)[0])
-        if c >= minimum and abs(c - target) <= _COUNT_SLACK:
-            key = (abs(c - target), -s, s)
-            if best is None or key < best:
-                best = key
-        return c
+    def count(s: float) -> int:
+        if s not in counts:
+            counts[s] = len(_lattice_points(poly, s)[0])
+        return counts[s]
 
     s0 = math.sqrt(max(poly.area(), 1e-12) / target)
     lo = hi = s0
     for _ in range(_BISECT_ITERATIONS):
-        if visit(lo) >= target:
+        if count(lo) >= target:
             break
         lo *= 0.5
     else:
         raise GenerationFailure(f"could not bracket {target} lattice points from below")
     for _ in range(_BISECT_ITERATIONS):
-        if visit(hi) <= target:
+        if count(hi) <= target:
             break
         hi *= 2.0
     else:
         raise GenerationFailure(f"could not bracket {target} lattice points from above")
     for _ in range(_BISECT_ITERATIONS):
         mid = 0.5 * (lo + hi)
-        if visit(mid) >= target:
+        if count(mid) >= target:
             lo = mid
         else:
             hi = mid
-    if best is None:
+    fits = [
+        (abs(c - target), -s)
+        for s, c in counts.items()
+        if c >= minimum and abs(c - target) <= _COUNT_SLACK
+    ]
+    if not fits:
         raise GenerationFailure(
             f"bisection missed the target lattice count {target} (polygon too degenerate)"
         )
-    return best[2]
+    return -min(fits)[1]
 
 
 def place_depot(inst: FarmInstance) -> FarmInstance:
@@ -182,12 +182,9 @@ def generate(cfg: GeneratorConfig) -> FarmInstance:
     rng = make_rng(cfg.seed)
     samples = rng.random((_POLYGON_SAMPLES, 2))
     polygon = convex_hull([Point(float(x), float(y)) for x, y in samples])
-    xmin, ymin, _, _ = polygon.bounding_box()
-    origin = Point(xmin, ymin)
-
     target = math.ceil(cfg.node_count / (1.0 - _DELETION_FRACTION))
-    spacing = _choose_spacing(polygon, origin, target, cfg.node_count)
-    xs, ys = _lattice_points(polygon, origin, spacing)
+    spacing = _choose_spacing(polygon, target, cfg.node_count)
+    xs, ys = _lattice_points(polygon, spacing)
 
     keep = np.ones(len(xs), dtype=bool)
     keep[rng.permutation(len(xs))[: len(xs) - cfg.node_count]] = False
@@ -198,7 +195,7 @@ def generate(cfg: GeneratorConfig) -> FarmInstance:
         seed=cfg.seed,
         polygon=polygon,
         spacing=spacing,
-        lattice_origin=origin,
+        lattice_origin=Point(*polygon.bounding_box()[:2]),
         depot=Point(0.0, 0.0),
         nodes=nodes,
     )

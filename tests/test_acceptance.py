@@ -197,19 +197,7 @@ def test_criterion_4_serpentine_optimality():
             ]
         for a, b in anchor_pairs:
             for start, end in ((a, b), (b, a)):
-                if w == 1 or h == 1:
-                    seq = pts if start == pts[0] else pts[::-1]
-                else:
-                    hull = convex_hull(pts)
-                    vi = {(p.x, p.y): t for t, p in enumerate(hull.vertices)}
-                    ia, ib = vi[(start.x, start.y)], vi[(end.x, end.y)]
-                    pair = next(
-                        p for p in antipodal_pairs(hull) if {p.i, p.j} == {ia, ib}
-                    )
-                    orientation = "forward" if hull.vertices[pair.i] == start else "reverse"
-                    order = serpentine_route(pts, hull, pair, orientation, 1.0)
-                    seq = [pts[t] for t in order]
-                got = path_length(seq)
+                got = path_length([pts[t] for t in serpentine_route(pts, start, end, 1.0)])
                 want = min_fixed_endpoint_path(pts, pts.index(start), pts.index(end))
                 checked += 1
                 if not math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-9):

@@ -87,18 +87,16 @@ class TestTwoOpt:
     def test_straightens_a_crossing(self):
         pts = [Point(0, 0), Point(1, 1), Point(1, 0), Point(0, 1)]
         inst = synthetic_instance(pts, Point(-1, 0))
-        dm = DistanceMatrix.from_instance(inst)
-        order = two_opt([0, 1, 2, 3], dm.entries, dm.depot)
+        order = two_opt([0, 1, 2, 3], DistanceMatrix.from_instance(inst).entries)
         after = route_length(inst.depot, [pts[i] for i in order])
         before = route_length(inst.depot, pts)
         assert after < before
 
     def test_local_optimum_no_improving_move(self):
         inst = generate(GeneratorConfig(node_count=25, seed=2))
-        dm = DistanceMatrix.from_instance(inst)
-        order = two_opt(list(range(25)), dm.entries, dm.depot)
-        D, depot = dm.entries, dm.depot
-        P = [depot] + order + [depot]
+        D = DistanceMatrix.from_instance(inst).entries
+        order = two_opt(list(range(25)), D)
+        P = [25] + order + [25]
         m = len(order)
         for i in range(m):
             for j in range(i + 1, m):
@@ -133,8 +131,7 @@ class TestExactMinMax:
 
     def test_subset_dp_matches_tour_enumeration(self):
         inst = generate(GeneratorConfig(node_count=7, seed=9))
-        dm = DistanceMatrix.from_instance(inst)
-        tour_cost, _, _ = _subset_tours(dm.entries, 7, dm.depot)
+        tour_cost, _, _ = _subset_tours(DistanceMatrix.from_instance(inst).entries)
         full = (1 << 7) - 1
         assert tour_cost[full] == pytest.approx(min_depot_tour(inst.depot, list(inst.nodes)))
 
@@ -300,7 +297,7 @@ class TestExactMatchesOracle:
         xy = np.random.default_rng(seed).integers(0, 3, size=(10, 2)).astype(float)
         inst = synthetic_instance([Point(x, y) for x, y in xy[:9]], Point(*xy[9]))
         D = DistanceMatrix.from_instance(inst).entries
-        _, _, dp = _subset_tours(D, 9, 9)
+        _, _, dp = _subset_tours(D)
         _, _, parent = subset_tours_oracle(D, 9, 9)
         for mask, last in zip(*np.nonzero(np.isfinite(dp))):
             want = reconstruct_oracle(parent, int(mask), int(last))
@@ -318,12 +315,12 @@ class TestMatchesOracle:
         D, depot = DistanceMatrix.from_instance(inst).entries, n
         assert D.tobytes() == distance_matrix_oracle(inst).tobytes()
         nodes = rng.permutation(n)[: rng.integers(1, n + 1)].tolist()
-        assert _nearest_neighbor(nodes, D, depot) == nearest_neighbor_oracle(nodes, D, depot)
-        assert two_opt(nodes, D, depot) == two_opt_oracle(nodes, D, depot)
-        assert _route_cost(D, depot, nodes) == route_cost_oracle(D, depot, nodes)
+        assert _nearest_neighbor(nodes, D) == nearest_neighbor_oracle(nodes, D, depot)
+        assert two_opt(nodes, D) == two_opt_oracle(nodes, D, depot)
+        assert _route_cost(D, nodes) == route_cost_oracle(D, depot, nodes)
         extra = [i for i in range(n) if i not in nodes] or [0]
         for order in (nodes, []):
-            assert _best_insertions(order, extra, D, depot) == [
+            assert _best_insertions(order, extra, D) == [
                 best_insertion_oracle(order, x, D, depot) for x in extra
             ]
 
@@ -345,19 +342,19 @@ class TestMatchesOracle:
         D, depot = DistanceMatrix.from_instance(inst).entries, n
         perm = rng.permutation(n).tolist()
         stopped: list[bool] = []
-        tour = two_opt(perm[: rng.integers(3, n)], D, depot, converged=stopped)
+        tour = two_opt(perm[: rng.integers(3, n)], D, converged=stopped)
         assert stopped == [True]
         assert two_opt_deltas(tour, D, depot).min() >= -baseline._IMPROVE_EPS
 
         t = int(rng.integers(len(tour)))
         trimmed = tour[:t] + tour[t + 1 :]
-        assert two_opt(trimmed, D, depot, changed=(t,)) == two_opt_oracle(trimmed, D, depot)
+        assert two_opt(trimmed, D, changed=(t,)) == two_opt_oracle(trimmed, D, depot)
 
         node = perm[-1]
-        [(best, _)] = _best_insertions(tour, [node], D, depot)
+        [(best, _)] = _best_insertions(tour, [node], D)
         for pos in {best, int(rng.integers(len(tour) + 1))}:
             grown = tour[:pos] + [node] + tour[pos:]
-            got = two_opt(grown, D, depot, changed=(pos, pos + 1))
+            got = two_opt(grown, D, changed=(pos, pos + 1))
             assert got == two_opt_oracle(grown, D, depot)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -388,7 +385,7 @@ class TestMatchesOracle:
         D = DistanceMatrix.from_instance(point_set("uniform", rng, n)).entries.copy()
         depot = n
         stopped: list[bool] = []
-        tour = two_opt(rng.permutation(n)[:10].tolist(), D, depot, converged=stopped)
+        tour = two_opt(rng.permutation(n)[:10].tolist(), D, converged=stopped)
         assert stopped == [True]
         P = [depot, *tour, depot]
         on_tour = {frozenset(e) for e in zip(P, P[1:])}
@@ -399,7 +396,7 @@ class TestMatchesOracle:
         D[P[t], P[t + 2]] = D[P[t + 2], P[t]] = np.inf
         trimmed = tour[:t] + tour[t + 1 :]
         assert np.isnan(two_opt_deltas(trimmed, D, depot)).any()
-        assert two_opt(trimmed, D, depot, changed=(t,)) == two_opt_oracle(trimmed, D, depot)
+        assert two_opt(trimmed, D, changed=(t,)) == two_opt_oracle(trimmed, D, depot)
 
     @pytest.mark.parametrize("cap", [1, 2])
     def test_pass_cap_falls_back_to_full_passes(self, monkeypatch, cap):

@@ -15,7 +15,6 @@ from pondroute import hpp
 from pondroute.baseline import TooLarge, minmax_local_search
 from pondroute.evaluation import ALGORITHMS, InstanceMetrics, score, solve_with
 from pondroute.geometry import (
-    AntipodalPair,
     Point,
     antipodal_pairs,
     collinear,
@@ -66,17 +65,6 @@ GRID_3X3 = [Point(float(x), float(y)) for y in range(3) for x in range(3)]
 
 def grid_points(w: int, h: int) -> list[Point]:
     return [Point(float(x), float(y)) for y in range(h) for x in range(w)]
-
-
-def serpentine_between(pts: list[Point], a: Point, b: Point) -> list[int]:
-    hull = convex_hull(pts)
-    index = {(p.x, p.y): i for i, p in enumerate(hull.vertices)}
-    ia, ib = index[(a.x, a.y)], index[(b.x, b.y)]
-    from pondroute.geometry import antipodal_pairs
-
-    pair = next(p for p in antipodal_pairs(hull) if {p.i, p.j} == {ia, ib})
-    orientation = "forward" if hull.vertices[pair.i] == a else "reverse"
-    return serpentine_route(pts, hull, pair, orientation, 1.0)
 
 
 class TestKMeans:
@@ -406,18 +394,14 @@ class TestRepairClusters:
 class TestSerpentineRoute:
     def test_single_lane(self):
         # Three collinear nodes in one lane: anchors are the endpoints and the
-        # interior node follows in sweep order. The hull providing the anchor
-        # pair has a third off-line vertex that is not part of the cluster.
-        from pondroute.geometry import AntipodalPair
-
+        # interior node follows in sweep order.
         sub = [Point(0, 0), Point(1, 0), Point(2, 0)]
-        anchor_hull = convex_hull([Point(0, 0), Point(2, 0), Point(1, 0.5)])
-        seq = serpentine_route(sub, anchor_hull, AntipodalPair(0, 1), "forward", 1.0)
+        seq = serpentine_route(sub, Point(0, 0), Point(2, 0), 1.0)
         assert [sub[i] for i in seq] == [Point(0, 0), Point(1, 0), Point(2, 0)]
         assert path_length([sub[i] for i in seq]) == pytest.approx(2.0)
 
     def test_3x3_diagonal_matches_expected_sequence(self):
-        order = serpentine_between(GRID_3X3, Point(0, 0), Point(2, 2))
+        order = serpentine_route(GRID_3X3, Point(0, 0), Point(2, 2), 1.0)
         seq = [GRID_3X3[i] for i in order]
         assert seq == [
             Point(0, 0), Point(1, 0), Point(2, 0),
@@ -434,7 +418,7 @@ class TestSerpentineRoute:
 
     def test_2x2_diagonal_both_orders_enumerated(self):
         pts = grid_points(2, 2)
-        order = serpentine_between(pts, Point(0, 0), Point(1, 1))
+        order = serpentine_route(pts, Point(0, 0), Point(1, 1), 1.0)
         seq = [pts[i] for i in order]
         assert seq[0] == Point(0, 0) and seq[-1] == Point(1, 1)
         # Enumerating both interior orders: each has length 2 + sqrt(2).
@@ -450,11 +434,10 @@ class TestSerpentineRoute:
         inst = generate(GeneratorConfig(node_count=40, seed=8))
         pts = list(inst.nodes)
         hull = convex_hull(pts)
-        from pondroute.geometry import antipodal_pairs
-
         for pair in antipodal_pairs(hull):
-            for orientation in ("forward", "reverse"):
-                order = serpentine_route(pts, hull, pair, orientation, inst.spacing)
+            p, q = hull.vertices[pair.i], hull.vertices[pair.j]
+            for start, end in ((p, q), (q, p)):
+                order = serpentine_route(pts, start, end, inst.spacing)
                 assert sorted(order) == list(range(len(pts)))
 
     def test_optimal_on_full_grids_with_opposite_corner_anchors(self):
@@ -474,16 +457,10 @@ class TestSerpentineRoute:
                 if a == b:
                     continue
                 for start, end in ((a, b), (b, a)):
-                    if w == 1 or h == 1:
-                        seq = pts if start == pts[0] else pts[::-1]
-                        got = path_length(seq)
-                    else:
-                        order = serpentine_between(pts, start, end)
-                        seq = [pts[i] for i in order]
-                        assert seq[0] == start and seq[-1] == end
-                        got = path_length(seq)
+                    seq = [pts[i] for i in serpentine_route(pts, start, end, 1.0)]
+                    assert seq[0] == start and seq[-1] == end
                     want = min_fixed_endpoint_path(pts, pts.index(start), pts.index(end))
-                    assert got == pytest.approx(want), (w, h, start, end)
+                    assert path_length(seq) == pytest.approx(want), (w, h, start, end)
 
 
 class TestRouteCluster:
@@ -530,33 +507,23 @@ class TestRouteCluster:
 
 
 @pytest.mark.parametrize(
-    ("spacing", "pair", "message"),
-    [
-        (0.0, AntipodalPair(0, 2), "spacing must be positive and finite"),
-        (-1.0, AntipodalPair(0, 2), "spacing must be positive and finite"),
-        (math.nan, AntipodalPair(0, 2), "spacing must be positive and finite"),
-        (math.inf, AntipodalPair(0, 2), "spacing must be positive and finite"),
-        (1.0, AntipodalPair(0, 9), r"anchor pair \(0, 9\) is out of range for 4 hull vertices"),
-    ],
-    ids=["zero", "negative", "nan", "inf", "pair-out-of-range"],
+    "spacing", [0.0, -1.0, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"]
 )
-def test_bad_spacing_or_pair_raises_value_error(spacing, pair, message):
+def test_bad_spacing_or_pair_raises_value_error(spacing):
     pts = grid_points(2, 2)
-    hull = convex_hull(pts)
-    with pytest.raises(ValueError, match=message):
-        serpentine_route(pts, hull, pair, "forward", spacing)
-    if pair.j < len(hull):
-        with pytest.raises(ValueError, match=message):
-            route_cluster(list(enumerate(pts)), Point(0, -1), spacing)
+    with pytest.raises(ValueError, match="spacing must be positive and finite"):
+        serpentine_route(pts, pts[0], pts[3], spacing)
+    with pytest.raises(ValueError, match="spacing must be positive and finite"):
+        route_cluster(list(enumerate(pts)), Point(0, -1), spacing)
 
 
 @pytest.mark.parametrize("orientation", ["forward", "reverse"])
 def test_anchor_outside_cluster_raises_value_error(orientation):
-    hull = convex_hull(grid_points(3, 3))
     pts = [pt for pt in grid_points(3, 3) if pt != Point(0.0, 0.0)]
-    pair = next(p for p in antipodal_pairs(hull) if hull.vertices[p.i] == Point(0.0, 0.0))
-    with pytest.raises(ValueError, match="anchor pair endpoints must be cluster nodes"):
-        serpentine_route(pts, hull, pair, orientation, 1.0)
+    ends = (Point(0.0, 0.0), Point(2.0, 2.0))
+    start, end = ends if orientation == "forward" else ends[::-1]
+    with pytest.raises(ValueError, match="sweep start and end must be cluster nodes"):
+        serpentine_route(pts, start, end, 1.0)
 
 
 PITCH = 0.05
@@ -581,6 +548,52 @@ def oracle_cluster(family: str, seed: int, w: int, h: int) -> tuple[list[Point],
     elif family == "duplicates" and len(xy):
         xy = rng.permutation(np.vstack([xy, xy[rng.integers(len(xy), size=len(xy) // 3 + 1)]]))
     return [Point(float(x), float(y)) for x, y in xy], centre, below
+
+
+def sweep_points(family: str, seed: int, n: int) -> list[Point]:
+    """n points: distinct lattice points, uniform off-lattice points, distinct
+    lattice points on one line, or lattice points drawn with repeats (and
+    signed zeros) from a 3 x 3 grid."""
+    rng = np.random.default_rng(seed)
+    if family == "lattice":
+        cells = rng.choice(64, size=min(n, 64), replace=False)
+        xy = np.stack([cells % 8, cells // 8], axis=1) * PITCH
+    elif family == "off-lattice":
+        xy = rng.random((n, 2))
+    elif family == "collinear":
+        steps = rng.choice(20, size=min(n, 20), replace=False)
+        direction = [(1, 0), (0, 1), (1, 1), (2, -1)][rng.integers(4)]
+        xy = steps[:, None] * np.array(direction) * PITCH
+    else:
+        xy = rng.integers(0, 3, size=(n, 2)) * PITCH
+        zeros = xy == 0.0
+        xy[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+    return [Point(float(x), float(y)) for x, y in xy]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    family=st.sampled_from(["lattice", "off-lattice", "collinear", "duplicates"]),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 40),
+    data=st.data(),
+)
+def test_serpentine_route_visits_every_position_from_start_to_end(family, seed, n, data):
+    pts = sweep_points(family, seed, n)
+    start = pts[data.draw(st.integers(0, len(pts) - 1), label="start")]
+    with pytest.raises(ValueError, match="must be different points"):
+        serpentine_route(pts, start, start, PITCH)
+    outside = Point(max(pt.x for pt in pts) + 1.0, 0.0)
+    for ends in ((outside, start), (start, outside)):
+        with pytest.raises(ValueError, match="must be cluster nodes"):
+            serpentine_route(pts, *ends, PITCH)
+    others = [pt for pt in pts if pt != start]
+    if not others:
+        return
+    end = data.draw(st.sampled_from(others), label="end")
+    order = serpentine_route(pts, start, end, PITCH)
+    assert sorted(order) == list(range(len(pts)))
+    assert (order[0], order[-1]) == (pts.index(start), pts.index(end))
 
 
 class TestRouteClusterMatchesOracle:
@@ -617,10 +630,10 @@ class TestRouteClusterMatchesOracle:
 
         hull = convex_hull(pts)
         for pair in antipodal_pairs(hull):
-            for orientation in ("forward", "reverse"):
-                assert serpentine_route(pts, hull, pair, orientation, PITCH) == serpentine_oracle(
-                    pts, hull, pair, orientation, PITCH
-                )
+            p, q = hull.vertices[pair.i], hull.vertices[pair.j]
+            for orientation, (start, end) in (("forward", (p, q)), ("reverse", (q, p))):
+                want = serpentine_oracle(pts, hull, pair, orientation, PITCH)
+                assert serpentine_route(pts, start, end, PITCH) == want
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("spacing", [1e-20, 1e-300])

@@ -68,13 +68,13 @@ class TestGenerate:
     def test_700_pre_deletion_count_bracket(self):
         # ceil(700 / 0.8) = 875; lattice counts are step functions, +-2 slack.
         inst = make_instance(700, 7)
-        count = len(_lattice_points(inst.polygon, inst.lattice_origin, inst.spacing)[0])
+        count = len(_lattice_points(inst.polygon, inst.spacing)[0])
         assert 873 <= count <= 877
 
     def test_density_property(self):
         for seed in range(5):
             inst = make_instance(200, seed)
-            count = len(_lattice_points(inst.polygon, inst.lattice_origin, inst.spacing)[0])
+            count = len(_lattice_points(inst.polygon, inst.spacing)[0])
             assert abs(count - math.ceil(200 / 0.8)) <= 2
 
     def test_deterministic_byte_identical(self, tmp_path):
