@@ -13,7 +13,6 @@ from .evaluation import (
     score,
 )
 from .geometry import (
-    AntipodalPair,
     ConvexPolygon,
     DegenerateInput,
     Point,
@@ -36,7 +35,6 @@ from .instances import (
     FarmInstance,
     FormatError,
     GenerationFailure,
-    GeneratorConfig,
     ManifestEntry,
     VersionError,
     generate,

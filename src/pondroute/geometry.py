@@ -81,18 +81,6 @@ class ConvexPolygon:
         return 0.5 * s
 
 
-@dataclass(frozen=True, slots=True)
-class AntipodalPair:
-    """Indices (i < j) of two polygon vertices admitting parallel support lines."""
-
-    i: int
-    j: int
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.i < self.j):
-            raise ValueError(f"pair indices must satisfy 0 <= i < j, got ({self.i}, {self.j})")
-
-
 def _hull_ring(points: Iterable[Point]) -> list[tuple[float, float]]:
     """Strict corners of the monotone-chain hull, CCW from the smallest (x, y).
 
@@ -149,14 +137,15 @@ def convex_hull(points: Iterable[Point]) -> ConvexPolygon:
     return ConvexPolygon(tuple(Point(x, y) for x, y in ring))
 
 
-def antipodal_pairs(poly: ConvexPolygon) -> list[AntipodalPair]:
+def antipodal_pairs(poly: ConvexPolygon) -> list[tuple[int, int]]:
     """Enumerate all antipodal vertex pairs by rotating calipers.
 
     For each edge, one pointer walks to the vertex farthest from the edge line
     (the walk is monotone around the polygon, so the whole scan is linear).
     That vertex is antipodal to both edge endpoints; when the next vertex is
     equally far the opposite edge is parallel and the tied vertex contributes
-    the extra pair combinations. Returns a deduplicated list sorted by (i, j).
+    the extra pair combinations. Returns the vertex-index pairs ``(i, j)``
+    with i < j, deduplicated and sorted.
     """
     v = poly.vertices
     n = len(v)
@@ -183,7 +172,7 @@ def antipodal_pairs(poly: ConvexPolygon) -> list[AntipodalPair]:
             for a in (i, i1):
                 if a != far2:
                     pairs.add((min(a, far2), max(a, far2)))
-    return [AntipodalPair(a, b) for a, b in sorted(pairs)]
+    return sorted(pairs)
 
 
 def _inside(poly: ConvexPolygon, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

@@ -72,10 +72,11 @@ class ClusterAssignment:
     def __post_init__(self) -> None:
         if not self.centroids:
             raise ValueError("need at least one centroid")
-        counts = [0] * self.k
+        k = len(self.centroids)
+        counts = [0] * k
         for lab in self.labels:
-            if not 0 <= lab < self.k:
-                raise ValueError(f"label {lab} out of range for k={self.k}")
+            if not 0 <= lab < k:
+                raise ValueError(f"label {lab} out of range for k={k}")
             counts[lab] += 1
         if any(c == 0 for c in counts):
             raise ValueError("every cluster must be non-empty")
@@ -487,7 +488,7 @@ def route_cluster(
     """Best serpentine route for one cluster, depot legs included in the score.
 
     Every antipodal pair of the cluster hull is tried in both orientations;
-    ties go to the lexicographically smallest (pair.i, pair.j, orientation).
+    ties go to the lexicographically smallest (i, j, orientation).
     Raises DegenerateInput when the members span no polygon (``hpp_solve``
     relies on this to detect a cluster that needs repair), and ValueError
     unless ``spacing`` is positive and finite.
@@ -512,8 +513,8 @@ def route_cluster(
     xy, anchors = _coordinates(pts, hull.vertices)
     lanes = _ClusterLanes(xy, anchors, spacing)
     ends = []
-    for pair in antipodal_pairs(hull):
-        p, q = anchors[pair.i], anchors[pair.j]
+    for i, j in antipodal_pairs(hull):
+        p, q = anchors[i], anchors[j]
         ends += [(p, q), (q, p)]
     legs = {a: dist(depot, pts[a]) for a in anchors}
     axis_lengths = [lanes.lengths(p, q) for p, q in ends]

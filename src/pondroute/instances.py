@@ -61,18 +61,6 @@ class VersionError(FormatError):
 
 
 @dataclass(frozen=True)
-class GeneratorConfig:
-    node_count: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.node_count < 3:
-            raise ValueError(f"node_count must be at least 3, got {self.node_count}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-
-
-@dataclass(frozen=True)
 class FarmInstance:
     name: str
     seed: int
@@ -171,28 +159,31 @@ def place_depot(inst: FarmInstance) -> FarmInstance:
     return replace(inst, depot=depot)
 
 
-def generate(cfg: GeneratorConfig) -> FarmInstance:
+def generate(node_count: int, seed: int) -> FarmInstance:
     """Generate a deterministic instance: lattice fill of a random convex region.
 
     The polygon is the hull of 12 uniform points in the unit square; the
     pitch is bisected so the lattice holds about ``node_count / 0.8``
     in-polygon points, then random points are deleted until exactly
-    ``node_count`` remain.
+    ``node_count`` remain. Raises ValueError for fewer than 3 nodes or a
+    negative seed.
     """
-    rng = make_rng(cfg.seed)
+    if node_count < 3:
+        raise ValueError(f"node_count must be at least 3, got {node_count}")
+    rng = make_rng(seed)
     samples = rng.random((_POLYGON_SAMPLES, 2))
     polygon = convex_hull([Point(float(x), float(y)) for x, y in samples])
-    target = math.ceil(cfg.node_count / (1.0 - _DELETION_FRACTION))
-    spacing = _choose_spacing(polygon, target, cfg.node_count)
+    target = math.ceil(node_count / (1.0 - _DELETION_FRACTION))
+    spacing = _choose_spacing(polygon, target, node_count)
     xs, ys = _lattice_points(polygon, spacing)
 
     keep = np.ones(len(xs), dtype=bool)
-    keep[rng.permutation(len(xs))[: len(xs) - cfg.node_count]] = False
+    keep[rng.permutation(len(xs))[: len(xs) - node_count]] = False
     nodes = tuple(Point(float(x), float(y)) for x, y in zip(xs[keep], ys[keep]))
 
     inst = FarmInstance(
-        name=f"farm-n{cfg.node_count}-s{cfg.seed}",
-        seed=cfg.seed,
+        name=f"farm-n{node_count}-s{seed}",
+        seed=seed,
         polygon=polygon,
         spacing=spacing,
         lattice_origin=Point(*polygon.bounding_box()[:2]),
@@ -360,23 +351,23 @@ def generate_dataset(
         raise ValueError(f"sizes must be distinct, got {sizes}")
     if count_per_size < 1:
         raise ValueError("count_per_size must be at least 1")
-    configs = [
-        GeneratorConfig(node_count=size, seed=base_seed + i)
-        for size in sizes
-        for i in range(count_per_size)
-    ]
+    if min(sizes) < 3:
+        raise ValueError(f"node_count must be at least 3, got {min(sizes)}")
+    if base_seed < 0:
+        raise ValueError(f"seed must be non-negative, got {base_seed}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     records = []
-    for cfg in configs:
-        try:
-            inst = generate(cfg)
-        except GenerationFailure as exc:
-            raise GenerationFailure(f"size={cfg.node_count} seed={cfg.seed}: {exc}") from exc
-        fname = f"{inst.name}.txt"
-        save(inst, out_dir / fname)
-        records.append(f"{fname} {cfg.node_count} {cfg.seed}")
+    for size in sizes:
+        for seed in range(base_seed, base_seed + count_per_size):
+            try:
+                inst = generate(size, seed)
+            except GenerationFailure as exc:
+                raise GenerationFailure(f"size={size} seed={seed}: {exc}") from exc
+            fname = f"{inst.name}.txt"
+            save(inst, out_dir / fname)
+            records.append(f"{fname} {size} {seed}")
 
     manifest = out_dir / "manifest.txt"
     manifest.write_text(MANIFEST_HEADER + "\n" + "\n".join(records) + "\n", encoding="utf-8")

@@ -218,7 +218,8 @@ def serpentine_oracle(
     pts: list[Point], hull: ConvexPolygon, pair, orientation: str, spacing: float
 ) -> list[int]:
     """Both stacking axes swept from scratch; the shorter wins, ties to rows."""
-    p_pt, q_pt = hull.vertices[pair.i], hull.vertices[pair.j]
+    i, j = pair
+    p_pt, q_pt = hull.vertices[i], hull.vertices[j]
     if orientation == "reverse":
         p_pt, q_pt = q_pt, p_pt
     pos_p = next(i for i, pt in enumerate(pts) if pt == p_pt)

@@ -18,7 +18,7 @@ from pondroute.baseline import exact_minmax, minmax_local_search
 from pondroute.evaluation import run_benchmark, score
 from pondroute.geometry import Point, antipodal_pairs, contains, convex_hull
 from pondroute.hpp import hpp_solve, kmeans, serpentine_route
-from pondroute.instances import GeneratorConfig, generate, generate_dataset, save
+from pondroute.instances import generate, generate_dataset, save
 from pondroute.solution import save_solution
 
 from _oracles import (
@@ -76,7 +76,7 @@ def batch(tmp_path_factory):
         validated = 0
         digest = hashlib.sha256()
         for i in range(PER_SIZE):
-            inst = generate(GeneratorConfig(node_count=size, seed=BASE_SEED + i))
+            inst = generate(size, BASE_SEED + i)
             if size == 300:
                 size_300_instances.append(inst)
             t0 = time.perf_counter()
@@ -125,7 +125,7 @@ def test_criterion_2_geometry_oracles():
         n = int(rng.integers(3, 31))
         pts = [Point(float(x), float(y)) for x, y in rng.random((max(n, 3), 2))]
         hull = convex_hull(pts)
-        ours = {(p.i, p.j) for p in antipodal_pairs(hull)}
+        ours = set(antipodal_pairs(hull))
         if ours != antipodal_oracle_arcs(hull):
             antipodal_mismatches += 1
 
@@ -158,7 +158,7 @@ def test_criterion_3_exact_oracle_dominance():
     count = 50
     for i in range(count):
         n = 6 + (i % 5)
-        inst = generate(GeneratorConfig(node_count=n, seed=i))
+        inst = generate(n, i)
         exact = exact_minmax(inst, k=2)
         ls = minmax_local_search(inst, k=2, seed=0, max_iterations=200)
         hp = hpp_solve(inst, k=2, seed=0)
@@ -250,13 +250,13 @@ def test_criterion_7_determinism(tmp_path):
     inst_ok = True
     for size, seed in ((50, 42), (100, 77), (12, 3)):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-        save(generate(GeneratorConfig(node_count=size, seed=seed)), a)
-        save(generate(GeneratorConfig(node_count=size, seed=seed)), b)
+        save(generate(size, seed), a)
+        save(generate(size, seed), b)
         inst_ok = inst_ok and a.read_bytes() == b.read_bytes()
 
     # solution files (both solvers)
     sol_ok = True
-    inst = generate(GeneratorConfig(node_count=60, seed=42))
+    inst = generate(60, 42)
     for solver in (
         lambda: hpp_solve(inst, k=K, seed=0),
         lambda: minmax_local_search(inst, k=K, seed=0, max_iterations=50),

@@ -26,7 +26,7 @@ from pondroute.baseline import (
 )
 from pondroute.geometry import Point, convex_hull
 from pondroute.hpp import hpp_solve
-from pondroute.instances import FarmInstance, GeneratorConfig, generate
+from pondroute.instances import FarmInstance, generate
 from pondroute.solution import InvalidK, route_length, save_solution
 
 from _oracles import (
@@ -66,13 +66,13 @@ def synthetic_instance(nodes: list[Point], depot: Point) -> FarmInstance:
 
 class TestBudgetAndMatrix:
     def test_budget_requires_a_bound(self):
-        inst = generate(GeneratorConfig(node_count=12, seed=0))
+        inst = generate(12, 0)
         with pytest.raises(ValueError, match="max_iterations"):
             minmax_local_search(inst, k=2, seed=0, max_iterations=-1)
         minmax_local_search(inst, k=2, seed=0, max_iterations=0)
 
     def test_matrix_symmetric_zero_diagonal(self):
-        inst = generate(GeneratorConfig(node_count=30, seed=1))
+        inst = generate(30, 1)
         dm = DistanceMatrix.from_instance(inst)
         assert dm.entries.shape == (31, 31)
         assert np.allclose(dm.entries, dm.entries.T, atol=1e-12)
@@ -93,7 +93,7 @@ class TestTwoOpt:
         assert after < before
 
     def test_local_optimum_no_improving_move(self):
-        inst = generate(GeneratorConfig(node_count=25, seed=2))
+        inst = generate(25, 2)
         D = DistanceMatrix.from_instance(inst).entries
         order = two_opt(list(range(25)), D)
         P = [25] + order + [25]
@@ -124,19 +124,19 @@ class TestExactMinMax:
 
     def test_matches_permutation_oracle(self):
         for seed, n, k in ((3, 6, 2), (4, 7, 2), (5, 6, 3), (6, 7, 3)):
-            inst = generate(GeneratorConfig(node_count=n, seed=seed))
+            inst = generate(n, seed)
             sol = exact_minmax(inst, k=k)
             want = brute_minmax(inst.depot, list(inst.nodes), k)
             assert sol.max_length() == pytest.approx(want)
 
     def test_subset_dp_matches_tour_enumeration(self):
-        inst = generate(GeneratorConfig(node_count=7, seed=9))
+        inst = generate(7, 9)
         tour_cost, _, _ = _subset_tours(DistanceMatrix.from_instance(inst).entries)
         full = (1 << 7) - 1
         assert tour_cost[full] == pytest.approx(min_depot_tour(inst.depot, list(inst.nodes)))
 
     def test_dominates_other_solvers(self):
-        inst = generate(GeneratorConfig(node_count=6, seed=3))
+        inst = generate(6, 3)
         exact = exact_minmax(inst, k=2)
         ls = minmax_local_search(inst, k=2, seed=0)
         hp = hpp_solve(inst, k=2, seed=0)
@@ -144,17 +144,17 @@ class TestExactMinMax:
         assert exact.max_length() <= hp.max_length() + 1e-9
 
     def test_limits_enforced(self):
-        big = generate(GeneratorConfig(node_count=11, seed=0))
+        big = generate(11, 0)
         with pytest.raises(TooLarge):
             exact_minmax(big, k=2)
-        small = generate(GeneratorConfig(node_count=8, seed=0))
+        small = generate(8, 0)
         with pytest.raises(TooLarge):
             exact_minmax(small, k=4)
 
 
 class TestMinMaxLocalSearch:
     def test_k1_collapses_to_single_tour(self):
-        inst = generate(GeneratorConfig(node_count=30, seed=5))
+        inst = generate(30, 5)
         sol = minmax_local_search(inst, k=1, seed=0)
         assert sol.k == 1
         assert sol.total_length() == pytest.approx(sol.max_length())
@@ -183,40 +183,40 @@ class TestMinMaxLocalSearch:
             assert math.hypot(a.x - b.x, a.y - b.y) == pytest.approx(math.sqrt(2.0))
 
     def test_partition_feasibility(self):
-        inst = generate(GeneratorConfig(node_count=53, seed=11))
+        inst = generate(53, 11)
         sol = minmax_local_search(inst, k=5, seed=0)
         seen = sorted(i for r in sol.routes for i in r.node_order)
         assert seen == list(range(53))
         assert len(sol.routes) == 5
 
     def test_sector_sizes_near_equal(self):
-        inst = generate(GeneratorConfig(node_count=23, seed=1))
+        inst = generate(23, 1)
         sol = minmax_local_search(inst, k=4, seed=0, max_iterations=0)
         sizes = sorted(len(r.node_order) for r in sol.routes)
         assert max(sizes) - min(sizes) <= 1
 
     def test_monotone_improvement_trace(self):
-        inst = generate(GeneratorConfig(node_count=60, seed=7))
+        inst = generate(60, 7)
         trace: list[float] = []
         minmax_local_search(inst, k=5, seed=0, trace=trace)
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
         assert len(trace) >= 1
 
     def test_deterministic_with_iteration_budget(self):
-        inst = generate(GeneratorConfig(node_count=45, seed=13))
+        inst = generate(45, 13)
         a = minmax_local_search(inst, k=4, seed=0, max_iterations=60)
         b = minmax_local_search(inst, k=4, seed=0, max_iterations=60)
         assert a == b
 
     def test_invalid_k(self):
-        inst = generate(GeneratorConfig(node_count=10, seed=0))
+        inst = generate(10, 0)
         with pytest.raises(InvalidK):
             minmax_local_search(inst, k=0, seed=0)
         with pytest.raises(InvalidK):
             minmax_local_search(inst, k=11, seed=0)
 
     def test_budget_zero_returns_constructive_solution(self):
-        inst = generate(GeneratorConfig(node_count=40, seed=2))
+        inst = generate(40, 2)
         sol = minmax_local_search(inst, k=4, seed=0, max_iterations=0)
         seen = sorted(i for r in sol.routes for i in r.node_order)
         assert seen == list(range(40))
@@ -365,7 +365,7 @@ class TestMatchesOracle:
     )
     def test_whole_solutions(self, family, seed, n):
         if family == "generated":
-            inst = generate(GeneratorConfig(node_count=n, seed=seed))
+            inst = generate(n, seed)
         else:
             inst = point_set(family, np.random.default_rng(seed), n)
         for k in range(1, min(n, 6) + 1):
@@ -405,7 +405,7 @@ class TestMatchesOracle:
         monkeypatch.setattr(baseline, "_TWO_OPT_MAX_PASSES", cap)
         monkeypatch.setattr(_oracles, "LS_TWO_OPT_MAX_PASSES", cap)
         for n, seed, k in ((60, 1, 3), (150, 2, 5), (200, 3, 4)):
-            inst = generate(GeneratorConfig(node_count=n, seed=seed))
+            inst = generate(n, seed)
             assert minmax_local_search(inst, k=k, seed=0) == minmax_ls_oracle(inst, k=k, seed=0)
 
 
@@ -418,7 +418,7 @@ def test_returned_routes_are_2opt_local_optima(family, n, seed, k):
     # The bound the relocation screen relies on: no 2-opt move on a returned
     # route of 3 or more nodes gains more than _IMPROVE_EPS.
     if family == "generated":
-        inst = generate(GeneratorConfig(node_count=n, seed=seed))
+        inst = generate(n, seed)
     else:
         inst = point_set(family, np.random.default_rng(seed), n)
     D = distance_matrix_oracle(inst)

@@ -3,14 +3,14 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from pondroute.cli import main
-from pondroute.instances import generate, generate_dataset, GeneratorConfig, load, save
+from pondroute.instances import generate, generate_dataset, load, save
 
 from test_instances import write_square
 
 
 @pytest.fixture()
 def instance_file(tmp_path):
-    inst = generate(GeneratorConfig(node_count=20, seed=1))
+    inst = generate(20, 1)
     path = tmp_path / "inst.txt"
     save(inst, path)
     return path
@@ -72,7 +72,7 @@ class TestSolve:
         assert "TooLarge" in capsys.readouterr().err
 
     def test_infeasible_k_exits_1_then_succeeds_with_fewer_routes(self, tmp_path, capsys):
-        inst = generate(GeneratorConfig(node_count=12, seed=0))
+        inst = generate(12, 0)
         path = tmp_path / "i12.txt"
         save(inst, path)
         code = main(["solve", "--algorithm", "hpp", "--routes", "5",
@@ -154,6 +154,28 @@ class TestBench:
         assert err.startswith("error: FormatError: ") and "farm-n30-s0.txt" in err
         assert not report.exists()
 
+    def test_solver_failure_exits_1_without_report(self, tmp_path, capsys):
+        manifest = generate_dataset([8], 1, 0, tmp_path / "data")
+        report = tmp_path / "r.csv"
+        code = main(["bench", "--manifest", str(manifest), "--algorithms", "hpp",
+                     "--routes", "5", "--report", str(report)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: RuntimeError: solver 'hpp' failed on instance farm-n8-s0: ")
+        assert "Traceback" not in err
+        assert not report.exists()
+
+    def test_table_file_matches_printed_table(self, tmp_path, capsys):
+        manifest = generate_dataset([10], 2, 0, tmp_path / "data")
+        table = tmp_path / "table.txt"
+        code = main(["bench", "--manifest", str(manifest), "--algorithms", "hpp,minmax-ls",
+                     "--routes", "2", "--report", str(tmp_path / "r.csv"),
+                     "--table", str(table)])
+        assert code == 0
+        printed = capsys.readouterr().out
+        assert "Average total distance" in printed
+        assert table.read_text(encoding="utf-8") == printed
+
 
 class TestPlot:
     def test_instance_only(self, instance_file, tmp_path, capsys):
@@ -191,7 +213,7 @@ class TestPlot:
                 assert -1 <= x <= width + 1 and -1 <= y <= height + 1
 
     def test_mismatched_solution_no_output(self, instance_file, tmp_path, capsys):
-        other = generate(GeneratorConfig(node_count=15, seed=9))
+        other = generate(15, 9)
         other_path = tmp_path / "other.txt"
         save(other, other_path)
         sol_path = tmp_path / "sol.txt"

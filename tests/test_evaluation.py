@@ -16,11 +16,10 @@ from pondroute.hpp import hpp_solve
 from pondroute.instances import (
     FarmInstance,
     FormatError,
-    GeneratorConfig,
     generate,
     generate_dataset,
 )
-from pondroute.solution import Route, Solution, load_solution, save_solution
+from pondroute.solution import InvalidK, Route, Solution, load_solution, save_solution
 
 
 def synthetic_instance(nodes: list[Point], depot: Point) -> FarmInstance:
@@ -87,7 +86,7 @@ class TestScore:
             score(inst, one_route_solution((5,)))
 
     def test_ignores_stored_lengths(self, tmp_path):
-        inst = generate(GeneratorConfig(node_count=30, seed=4))
+        inst = generate(30, 4)
         sol = hpp_solve(inst, k=3, seed=0)
         clean = score(inst, sol)
         path = tmp_path / "s.txt"
@@ -101,7 +100,7 @@ class TestScore:
         assert score(inst, corrupted).max_route_length == clean.max_route_length
 
     def test_total_is_sum_and_max_is_max(self):
-        inst = generate(GeneratorConfig(node_count=40, seed=6))
+        inst = generate(40, 6)
         metrics = score(inst, hpp_solve(inst, k=4, seed=0))
         assert metrics.total_distance == pytest.approx(
             sum(metrics.route_lengths), rel=1e-9
@@ -175,6 +174,14 @@ class TestRunBenchmark:
         manifest.write_text("farm-manifest v1\nfarm-n30-s0.txt 12 0\n")
         with pytest.raises(FormatError, match=r"wrong\.txt: .*farm-n30-s0\.txt has 30 nodes"):
             run_benchmark(manifest, ["hpp"], k=2, seed=0)
+
+    def test_solver_failure_names_instance(self, tmp_path):
+        manifest = generate_dataset([8], 1, 0, tmp_path)
+        with pytest.raises(
+            RuntimeError, match=r"^solver 'hpp' failed on instance farm-n8-s0: k=5 is infeasible"
+        ) as info:
+            run_benchmark(manifest, ["hpp"], k=5)
+        assert isinstance(info.value.__cause__, InvalidK)
 
 
 GOLDEN_BENCH = "9104f615c361dee75786795f822575786a6a32afe84201cd6407178b18976b41"

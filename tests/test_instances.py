@@ -8,7 +8,6 @@ from pondroute.geometry import ConvexPolygon, Point, contains
 from pondroute.instances import (
     FarmInstance,
     FormatError,
-    GeneratorConfig,
     VersionError,
     _lattice_points,
     generate,
@@ -22,7 +21,7 @@ from pondroute.solution import load_solution, save_solution
 
 
 def make_instance(n: int, seed: int) -> FarmInstance:
-    return generate(GeneratorConfig(node_count=n, seed=seed))
+    return generate(n, seed)
 
 
 def write_square(path, scale: float, low: float = 0.0):
@@ -84,8 +83,12 @@ class TestGenerate:
         assert a.read_bytes() == b.read_bytes()
 
     def test_rejects_tiny_node_count(self):
-        with pytest.raises(ValueError):
-            GeneratorConfig(node_count=2, seed=0)
+        with pytest.raises(ValueError, match=r"^node_count must be at least 3, got 2$"):
+            generate(2, 0)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+            generate(10, -1)
 
 
 class TestPlaceDepot:
@@ -213,6 +216,16 @@ class TestSaveLoad:
         with pytest.raises(FormatError, match="line 5: lattice_origin"):
             load(path)
 
+    def test_negative_seed_names_line(self, tmp_path):
+        path = tmp_path / "i.txt"
+        save(make_instance(20, 1), path)
+        lines = path.read_text().splitlines()
+        assert lines[2].startswith("seed: ")
+        lines[2] = "seed: -1"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=r"i.txt: line 3: seed must be non-negative"):
+            load(path)
+
     def test_negative_node_count(self, tmp_path):
         inst = make_instance(20, 1)
         path = tmp_path / "i.txt"
@@ -284,6 +297,12 @@ class TestSpacing:
         path, _ = self.write_with_spacing(tmp_path / "farm.txt", "1e-300")
         inst = load(path)
         score(inst, solve_with("hpp", inst, k=5, seed=0))
+
+    @pytest.mark.parametrize("spacing", ["0", "-0.5", "nan", "inf"])
+    def test_non_positive_or_non_finite_spacing_names_line(self, tmp_path, spacing):
+        path, _ = self.write_with_spacing(tmp_path / "farm.txt", spacing)
+        with pytest.raises(FormatError, match=r"farm.txt: line 4: spacing must be positive and finite"):
+            load(path)
 
     def test_subnormal_spacing_is_format_error(self, tmp_path):
         path, last = self.write_with_spacing(tmp_path / "farm.txt", "1e-315")
