@@ -6,8 +6,11 @@ validity check: cluster repair runs only when some k-means cluster spans no
 polygon, and the repaired clusters are then routed instead. Every antipodal
 pair is tried in both orientations and the candidate with the shortest
 depot-to-depot length wins. A k-means round over n nodes and k clusters
-costs one (n, k) table of squared distances, one ``argmin`` per row and two
-``bincount``s for the new centroids.
+costs two ``bincount``s for the new centroids, O(n) bound updates and the
+squared distances, one ``argmin`` and one ``min`` over k entries of only the
+nodes whose bounds overlap (about a fifth of them at n = 2000, k = 20). The
+full (k, n) table is built in the first round, in a round that leaves a
+cluster empty, at the iteration cap, and in every round when n * k < 10000.
 
 Candidates are scored without building them. Per cluster and stacking axis
 (rows, columns) the nodes are bucketed into lanes and sorted once, and each
@@ -58,6 +61,7 @@ KMEANS_TOL = 1e-9
 KMEANS_MAX_ITER = 100
 MIN_CLUSTER_SIZE = 3
 NEAR_BEST = 1e-9  # relative slack of route_cluster's exact re-scoring
+_BOUNDED_MIN_ENTRIES = 10_000  # smallest n * k for which kmeans bounds its points
 
 
 class RepairImpossible(RuntimeError):
@@ -93,36 +97,75 @@ class ClusterAssignment:
 # clustering
 
 
+def _table(xs: np.ndarray, ys: np.ndarray, cents: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Squared distances from the centroids to the m points (``xs``, ``ys``),
+    one row per centroid and one column per point, written into the first
+    k * m entries of ``work[0]``.
+
+    ``cents`` holds the centroid x row over the y row, and ``work`` is
+    (2, k * n) scratch space with n >= m; reusing it across rounds saves
+    faulting in two fresh tables each time. Every entry is
+    ``(x - cx)**2 + (y - cy)**2`` in that order, so a point's column is the
+    same floats whichever points are computed with it.
+    """
+    k, m = cents.shape[1], len(xs)
+    d2, dy = work[:, : k * m].reshape(2, k, m)
+    np.subtract(xs, cents[0][:, None], out=d2)
+    np.subtract(ys, cents[1][:, None], out=dy)
+    d2 *= d2
+    dy *= dy
+    d2 += dy
+    return d2
+
+
 def _assign_labels(
     xs: np.ndarray, ys: np.ndarray, cents: np.ndarray, work: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nearest-centroid labels (ties to the lowest index) and cluster sizes,
-    reseeding empty clusters.
+    """Nearest-centroid labels (ties to the lowest index) and cluster sizes
+    from the full (k, n) ``_table``, reseeding empty clusters.
 
-    ``cents`` holds the centroid x row over the y row, and ``work`` is (2, n, k)
-    scratch space for the squared-distance table; reusing it across rounds
-    saves faulting in two fresh tables each time. An empty cluster's centroid
-    is moved onto the point farthest from its nearest centroid, then labels
-    are recomputed. Raises RepairImpossible when a cluster is still empty
-    after ``2 * k + 1`` rounds.
+    An empty cluster's centroid is moved onto the point farthest from its
+    nearest centroid, then labels are recomputed. On return ``work[0]``
+    holds the table of the returned centroids. Raises RepairImpossible when
+    a cluster is still empty after ``2 * k + 1`` rounds.
     """
     k = cents.shape[1]
     cents = cents.copy()
-    d2, dy = work
     for _ in range(2 * k + 1):
-        np.subtract.outer(xs, cents[0], out=d2)
-        np.subtract.outer(ys, cents[1], out=dy)
-        d2 *= d2
-        dy *= dy
-        d2 += dy
-        labels = d2.argmin(axis=1)
+        d2 = _table(xs, ys, cents, work)
+        labels = d2.argmin(axis=0)
         sizes = np.bincount(labels, minlength=k)
         empty = np.flatnonzero(sizes == 0)
         if empty.size == 0:
             return labels, sizes, cents
-        farthest = int(d2.min(axis=1).argmax())
+        farthest = int(d2.min(axis=0).argmax())
         cents[:, int(empty[0])] = xs[farthest], ys[farthest]
     raise RepairImpossible("could not repair empty clusters")
+
+
+def _bounds(d2: np.ndarray, labels: np.ndarray, slack: float) -> tuple[np.ndarray, np.ndarray]:
+    """``kmeans``' upper and lower bounds of the points whose ``_table``
+    columns are ``d2`` and labels ``labels``: the root of the own entry plus
+    ``slack``, and the root of the smallest other entry minus ``slack``.
+    Overwrites the own entries."""
+    own = (labels, np.arange(len(labels)))
+    upper = np.sqrt(d2[own])
+    upper += slack
+    d2[own] = np.inf
+    lower = np.sqrt(d2.min(axis=0))
+    lower -= slack
+    return upper, lower
+
+
+def _bound_slack(xs: np.ndarray, ys: np.ndarray) -> float | None:
+    """``kmeans``' bound slack, 2^-40 s for the instance scale s: the smallest
+    power of two at least the largest |coordinate|, 1 when every coordinate
+    is 0. None when s is outside [2^-400, 2^400], where the rounding argument
+    in ``kmeans`` does not hold."""
+    top = max(float(np.abs(xs).max()), float(np.abs(ys).max()))
+    mantissa, exponent = math.frexp(top)
+    scale = math.ldexp(1.0, exponent - 1 if mantissa == 0.5 else exponent) if top else 1.0
+    return 2.0**-40 * scale if 2.0**-400 <= scale <= 2.0**400 else None
 
 
 def _kmeans_pp_init(
@@ -153,10 +196,57 @@ def kmeans(nodes: Sequence[Point], k: int, seed: int) -> ClusterAssignment:
     RepairImpossible when some cluster stays empty, as it must when the nodes
     sit on fewer than ``k`` distinct positions.
 
-    A round is one (n, k) table of squared distances, one ``argmin`` per row
-    and two weighted ``bincount``s. ``bincount`` adds a cluster's coordinates
-    one at a time in index order, so each centroid is the same float as the
-    ``mean`` of its cluster's rows, up to the sign of a zero.
+    New centroids are two weighted ``bincount``s. ``bincount`` adds a
+    cluster's coordinates one at a time in index order, so each centroid is
+    the same float as the ``mean`` of its cluster's rows, up to the sign of a
+    zero. A point's label is the ``argmin`` of its ``_table`` column, ties
+    going to the lowest index. ``_assign_labels`` builds the full (k, n)
+    table in the first round, in a round that leaves a cluster empty (its
+    reseed needs the whole table) and at the iteration cap. Every other round
+    recomputes, with the same operations, only the columns of the points
+    whose label the bounds below do not fix (Hamerly 2010, "Making k-means
+    even faster"), so labels and centroids are the floats that full tables
+    give. A table of fewer than
+    ``_BOUNDED_MIN_ENTRIES`` entries is cheaper to rebuild than to bound, so
+    it is built in full every round, as it is when ``_bound_slack`` gives
+    None.
+
+    Each point keeps an upper bound ``u`` on its distance to its own
+    centroid and a lower bound ``l`` on its distance to every other centroid,
+    reset to the roots of its column's own and smallest other entry, plus
+    and minus a slack delta. When the centroids move, ``u`` grows by its own
+    centroid's move plus delta, and ``l`` shrinks by the largest move of any
+    centroid plus delta. The point's column is recomputed only when
+    ``u >= l``.
+
+    Why a skipped point's ``argmin`` is its label. Let eps = 2^-53 and s the
+    instance scale, the smallest power of two at least the largest
+    |coordinate|, so that under 2^j scaling the same points are skipped.
+    ``_bound_slack`` gives delta = 2^-40 s, for 2^-400 <= s <= 2^400. Take
+    m = delta / 2. Centroids are points or means of points, so every
+    point-centroid distance and every centroid move is below 3s, and each
+    relative error below is also absolute, a multiple of eps s.
+
+    - A table entry is four rounded operations on d^2 (differences, squares,
+      sum): d^2 (1 + t) with |t| <= 4 eps, plus at most 2^-1072 from gradual
+      underflow. Its root is d within 3 eps d < 9 eps s. A reset adds delta,
+      rounding by 3 eps s more, so it leaves ``u >= d_own + m`` and
+      ``l <= d_other - m`` with d the exact distances.
+    - A move's two rounded differences and ``hypot`` are off by at most
+      3 eps of it, under 9 eps s. A point can be skipped only while both
+      bounds are below 3s: ``l`` only shrinks from a root, and ``u`` only
+      grows and must stay under ``l``. So adding delta to the move and then
+      the move to the bound rounds by at most 9 eps s more. ``l -= ...`` can
+      cancel, so these errors are absolute and would add up over rounds;
+      but each round's delta covers its own error, and by the triangle
+      inequality ``u >= d_own + m`` and ``l <= d_other - m`` still hold.
+
+    A skipped point then has d_other - d_own > 2m, so d_other^2 - d_own^2 >
+    2m (d_other + d_own). The two entries are off by at most 4 eps (d_other^2
+    + d_own^2) <= 24 eps s (d_other + d_own) plus 2^-1071, less than that
+    when s >= 2^-400, so the own entry is strictly the smallest whatever the
+    tie rule. Below s = 2^400 no square overflows. A wider slack only
+    recomputes more points; it never changes a label.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
@@ -166,15 +256,34 @@ def kmeans(nodes: Sequence[Point], k: int, seed: int) -> ClusterAssignment:
     ys = np.array([p.y for p in nodes], dtype=float)
     rng = make_rng(seed)
     cents = _kmeans_pp_init(xs, ys, k, rng)
-    work = np.empty((2, len(xs), k))
-    for _ in range(KMEANS_MAX_ITER):
-        labels, sizes, cents = _assign_labels(xs, ys, cents, work)
+    slack = _bound_slack(xs, ys) if len(xs) * k >= _BOUNDED_MIN_ENTRIES else None
+    work = np.empty((2, k * len(xs)))
+    labels, sizes, cents = _assign_labels(xs, ys, cents, work)
+    if slack is not None:
+        upper, lower = _bounds(work[0].reshape(k, -1), labels, slack)
+    for iteration in range(1, KMEANS_MAX_ITER + 1):
         new_cents = np.array([np.bincount(labels, xs, k), np.bincount(labels, ys, k)]) / sizes
-        if float(np.abs(new_cents - cents).max()) < KMEANS_TOL:
+        moved = new_cents - cents
+        if float(np.abs(moved).max()) < KMEANS_TOL:
             break
         cents = new_cents
-    else:
-        labels, _, cents = _assign_labels(xs, ys, cents, work)
+        if slack is None or iteration == KMEANS_MAX_ITER:
+            labels, sizes, cents = _assign_labels(xs, ys, cents, work)
+            continue  # at the cap, the loop ends with these labels
+        moves = np.hypot(moved[0], moved[1])
+        moves += slack
+        upper += moves[labels]
+        lower -= moves.max()
+        stale = np.flatnonzero(upper >= lower)
+        if stale.size:
+            d2 = _table(xs[stale], ys[stale], cents, work)
+            relabelled = d2.argmin(axis=0)
+            labels[stale] = relabelled
+            upper[stale], lower[stale] = _bounds(d2, relabelled, slack)
+        sizes = np.bincount(labels, minlength=k)
+        if not sizes.all():
+            labels, sizes, cents = _assign_labels(xs, ys, cents, work)
+            upper, lower = _bounds(work[0].reshape(k, -1), labels, slack)
     return ClusterAssignment(
         labels=tuple(labels.tolist()),
         centroids=tuple(Point(x, y) for x, y in zip(*cents.tolist())),

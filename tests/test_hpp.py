@@ -201,6 +201,97 @@ class TestKMeans:
         monkeypatch.setattr(hpp, "KMEANS_MAX_ITER", 100)
         assert kmeans(nodes, 8, seed=8) != capped
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        family=st.sampled_from(["lattice", "nudged-1-ulp", "duplicates"]),
+        exponent=st.sampled_from([-20, 0, 20]),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 8),
+        side=st.integers(2, 20),
+    )
+    def test_matches_oracle_near_ties(self, family, exponent, seed, k, side):
+        # Bounded rounds on every table size, against full tables. The
+        # lattices are dyadic and mirror-symmetric about both middle lines,
+        # so points on the perpendicular bisector of two seeds (k-means++
+        # seeds are points) or of two mirrored centroids are exactly
+        # equidistant from both. "nudged-1-ulp" moves some coordinates one
+        # ulp, just off such a bisector, and "duplicates" stacks several nodes
+        # on each position. Scaling by 2^exponent is exact, so it scales the
+        # ties with the instance.
+        rng = np.random.default_rng(seed)
+        width, height = side, int(rng.integers(1, side + 1))
+        grid = np.array([(x, y) for x in range(width) for y in range(height)], dtype=float)
+        half = grid[rng.random(len(grid)) < 0.5]
+        half = np.vstack([half, half * [-1, 1] + [width - 1, 0]])
+        xy = np.unique(np.vstack([half, half * [1, -1] + [0, height - 1]]), axis=0)
+        if family == "nudged-1-ulp":
+            moved = rng.random(xy.shape) < 0.2
+            xy[moved] = np.nextafter(xy[moved], rng.choice([-np.inf, np.inf], moved.sum()))
+        elif family == "duplicates":
+            xy = xy[rng.integers(len(xy), size=min(400, 3 * len(xy)))]
+        xy = np.ldexp(xy / 8, exponent)
+        pts = [Point(float(x), float(y)) for x, y in xy]
+
+        def outcome(fit):
+            try:
+                result = fit(pts, k, seed)
+            except (ValueError, RepairImpossible) as exc:
+                return type(exc), str(exc)
+            return result.labels, result.centroids
+
+        expected = outcome(kmeans_oracle)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hpp, "_BOUNDED_MIN_ENTRIES", 0)
+            assert outcome(kmeans) == expected
+
+    @pytest.mark.parametrize("exponent", [0, 20])
+    @pytest.mark.parametrize("seed", [6, 9, 11])
+    def test_tie_that_flips_in_a_bounded_round(self, exponent, seed):
+        # Node p sits on the perpendicular bisector of the two seeds a and b
+        # (these kmeans seeds pick a copy of a first, then of b), so the tie
+        # gives it label 0. Node q on the far side of a then pulls centroid 0
+        # away from p by 2^-24 / 22 per coordinate while centroid 1 stays,
+        # and p must move to label 1 in the first bounded round, although
+        # every centroid moved by less than 2^-27 s. Scaling by 2^20 is
+        # exact; smaller scales stop at the absolute KMEANS_TOL first.
+        h = 2.0**-24
+        a, b, p, q = (0.5, 0.5), (0.5 + 2 * h, 0.5), (0.5 + h, 0.5 + h), (0.5 - 2 * h, 0.5 - 2 * h)
+        xy = [a] * 20 + [b] * 20 + [p, q]
+        pts = [Point(math.ldexp(x, exponent), math.ldexp(y, exponent)) for x, y in xy]
+        expected = kmeans_oracle(pts, 2, seed)
+        assert expected.labels[0] == 0 and expected.labels[40] == expected.labels[20] == 1
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hpp, "_BOUNDED_MIN_ENTRIES", 0)
+            assert kmeans(pts, 2, seed) == expected
+
+    @pytest.mark.parametrize("n, seed", [(2000, 21), (2000, 22), (2000, 23), (5000, 21), (5000, 22)])
+    def test_matches_oracle_at_farm_scale(self, n, seed):
+        nodes = generate(n, seed).nodes
+        assert kmeans(nodes, 20, seed=seed) == kmeans_oracle(nodes, 20, seed=seed)
+
+    @pytest.mark.parametrize("cap", [2, 5])
+    def test_iteration_cap_after_bounded_rounds(self, monkeypatch, cap):
+        monkeypatch.setattr(hpp, "KMEANS_MAX_ITER", cap)
+        monkeypatch.setattr(_oracles, "KMEANS_MAX_ITER", cap)
+        nodes = generate(2000, 24).nodes
+        assert kmeans(nodes, 20, seed=0) == kmeans_oracle(nodes, 20, seed=0)
+
+    @pytest.mark.parametrize("seed", [1001, 1002, 1003])
+    def test_full_tables_at_most_twice(self, monkeypatch, seed):
+        # The first round and the iteration cap build the full (k, n) table;
+        # every other round without an empty cluster recomputes only the
+        # points its bounds cannot settle.
+        full_table = hpp._assign_labels
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return full_table(*args)
+
+        monkeypatch.setattr(hpp, "_assign_labels", counted)
+        kmeans(generate(2000, seed).nodes, 20, seed=0)
+        assert 1 <= len(calls) <= 2
+
 
 @pytest.mark.parametrize(
     "labels, k, message",
