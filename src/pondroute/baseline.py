@@ -4,9 +4,14 @@
 the depot, polishes each with 2-opt, then relocates nodes off the longest
 route while the maximum strictly decreases. Each relocation step tries up to
 10 moves and re-polishes the two routes of each. Those routes are 2-opt local
-optima with one node removed or inserted, so ``two_opt`` first scans only the
-O(m) moves that drop a new edge, for a route of m nodes; full O(m^2) passes
-run only after that scan finds an improving move.
+optima with one node removed or inserted, so only the O(m) moves that drop a
+new edge can improve them, for a route of m nodes. A step is a fixed set of
+table operations, whatever k and the number of trials: one ``np.hypot``
+table shortlists the candidate nodes, one (candidates x routes x edges)
+table prices every insertion, one table over all trial tours screens their
+new-edge moves, and one row-wise fold sums their lengths. ``two_opt`` with
+its full O(m^2) passes runs only on the few trial tours whose screen finds
+an improving move.
 
 ``exact_minmax`` scores every partition of up to 10 nodes into at most 3
 routes as one array of masks. Per-subset optimal tours are walked back from a
@@ -59,13 +64,25 @@ class DistanceMatrix:
 
 
 def _route_cost(D: np.ndarray, order: list[int]) -> float:
-    if not order:
-        return 0.0
-    P = np.array(order)
-    cost = float(D[_DEPOT, order[0]] + D[order[-1], _DEPOT])
-    for leg in D[P[:-1], P[1:]].tolist():  # one leg at a time, in tour order
-        cost += leg
-    return cost
+    P = np.array([_DEPOT, *order, _DEPOT])
+    return _tour_lengths(D[P[:-1], P[1:]][None], np.array([len(order)]))[0]
+
+
+def _tour_lengths(legs: np.ndarray, sizes: np.ndarray) -> list[float]:
+    """Each tour's length, added one float at a time: the two depot legs
+    first, then every other leg in tour order.
+
+    Row r holds the edge lengths of a tour of sizes[r] nodes, as a
+    depot-to-depot node row padded with the depot: its closing leg is
+    legs[r, sizes[r]], and every later entry is ``D[depot, depot]``, 0.0,
+    which changes no sum. The closing leg is moved into the first column,
+    and ``np.add.accumulate`` adds along each row strictly from the left.
+    """
+    rows = np.arange(len(legs))
+    legs = legs.copy()
+    legs[:, 0] += legs[rows, sizes]
+    legs[rows, sizes] = 0.0
+    return np.add.accumulate(legs, axis=1)[:, -1].tolist()
 
 
 def two_opt(
@@ -126,36 +143,50 @@ def _screen(D: np.ndarray, P: np.ndarray, changed: tuple[int, ...]) -> tuple[int
     """``two_opt``'s first pass when only moves that drop a ``changed`` edge
     can gain more than ``_IMPROVE_EPS``: the pass's move, or None to stop.
 
-    It reads the rows and the columns of the full pass's distance block that
-    touch the changed edges. Each block of moves below holds (i, e - 1),
-    i < e - 1, or (e, j), j > e, for one changed edge e, computed as the
-    full pass computes them, with the flat index i * m + j of its first move
-    and the step between moves.
+    Row r of the table holds the moves that drop edge changed[r].
     """
-    m = len(P) - 2
-    lo, hi = min(changed), max(changed) + 2
-    rows = D[P[lo:hi, None], P]  # rows[a - lo, b] = D[P[a], P[b]]
-    cols = D[P[:, None], P[lo:hi]]  # cols[a, b - lo] = D[P[a], P[b]]
-    cons = D[P[:-1], P[1:]]
-    blocks = []
-    for e in changed:
-        c = e - lo
-        if e >= 2:
-            col = cols[: e - 1, c] + cols[1:e, c + 1] - cons[: e - 1] - cons[e]
-            blocks.append((col, e - 1, m))
-        if e <= m - 2:
-            row = rows[c, e + 2 : m + 1] + rows[c + 1, e + 3 :] - cons[e] - cons[e + 2 :]
-            blocks.append((row, e * m + e + 1, 1))
-    if all(vals.min() >= -_IMPROVE_EPS for vals, _, _ in blocks):
+    m, e = len(P) - 2, np.array(changed)
+    tour, cost = P[None].repeat(len(e), axis=0), D[P[:-1], P[1:]][None].repeat(len(e), axis=0)
+    gains = _screen_table(D, tour, cost, np.full(len(e), m + 1), e)
+    if (gains >= -_IMPROVE_EPS).all():
         return None
-    # The full pass's argmin: the first NaN, else the first minimum.
-    vals = np.concatenate([v for v, _, _ in blocks])
-    flat = np.concatenate([first + step * np.arange(len(v)) for v, first, step in blocks])
-    pick = np.isnan(vals)
+    # The full pass's argmin: the first NaN, else the first minimum, where
+    # the full pass orders move (i, j) by its flat index i * m + j.
+    pick = np.isnan(gains)
     if not pick.any():
-        pick = vals == vals.min()
-    i, j = divmod(int(flat[pick].min()), m)
-    return i, j
+        pick = gains == gains.min()
+    rows, edges = np.nonzero(pick)
+    return min(
+        (s, e - 1) if s < e else (e, s - 1) for e, s in zip(e[rows].tolist(), edges.tolist())
+    )
+
+
+def _screen_table(
+    D: np.ndarray, tours: np.ndarray, cost: np.ndarray, stop: np.ndarray, e: np.ndarray
+) -> np.ndarray:
+    """Cost change of every 2-opt move of tour row r that drops its edge e[r],
+    +inf where there is no such move.
+
+    Edge s of row r joins tours[r, s] and tours[r, s + 1] and is cost[r, s]
+    long; edges from ``stop[r]`` on pad a shorter tour. With (a, b) edge
+    e[r] and (c, d) edge s, ``two_opt``'s full pass computes a move with
+    s < e[r] - 1 as ((D[c, a] + D[d, b]) - D[c, d]) - D[a, b] (the column
+    block of edge e[r]), and one with e[r] + 1 < s < stop[r] as ((D[a, c] +
+    D[b, d]) - D[a, b]) - D[c, d] (its row block). D is symmetric, so both
+    blocks add the same two distances. Edges e[r] - 1 and e[r] + 1 share a
+    node with edge e[r], so neither they nor e[r] itself make a move.
+    """
+    rows = np.arange(len(e))
+    new = cost[rows, e][:, None]
+    ends = D[tours[:, :-1], tours[rows, e][:, None]]
+    ends += D[tours[:, 1:], tours[rows, e + 1][:, None]]
+    before = ends - cost
+    before -= new
+    ends -= new
+    ends -= cost
+    s = np.arange(cost.shape[1])
+    d = s - e[:, None]
+    return np.where(d < -1, before, np.where((d > 1) & (s < stop[:, None]), ends, np.inf))
 
 
 def _nearest_neighbor(nodes: list[int], D: np.ndarray) -> list[int]:
@@ -197,18 +228,79 @@ def _best_insertions(order: list[int], nodes: list[int], D: np.ndarray) -> list[
     """Cheapest position to insert each of ``nodes`` into ``order``, alone:
     (position, added cost) per node."""
     P = np.array([_DEPOT, *order, _DEPOT])
-    N = np.array(nodes)
-    # deltas[c, pos] = added cost of nodes[c] between P[pos] and P[pos + 1]
-    deltas = D[P[:-1], N[:, None]] + D[N[:, None], P[1:]] - D[P[:-1], P[1:]]
-    best = []
-    for row in deltas.tolist():
-        best_pos, best_delta = 0, math.inf
-        # not an argmin: a later position wins only by more than _IMPROVE_EPS
-        for pos, delta in enumerate(row):
-            if delta < best_delta - _IMPROVE_EPS:
-                best_pos, best_delta = pos, delta
-        best.append((best_pos, best_delta))
-    return best
+    pos, added = _insertions(D, P[None], D[P[:-1], P[1:]][None], np.array([len(P) - 1]), nodes)
+    return [(p, c) for [p], [c] in zip(pos, added)]
+
+
+def _insertions(
+    D: np.ndarray, tours: np.ndarray, cost: np.ndarray, edges: np.ndarray, nodes: list[int]
+) -> tuple[list[list[int]], list[list[float]]]:
+    """Cheapest position to insert each of ``nodes`` into each tour, alone:
+    positions and added costs, indexed [node][tour].
+
+    ``tours[r]`` is a depot-to-depot node row whose first ``edges[r]`` edges
+    are real, the rest padding; ``cost[r]`` holds their lengths. Along a row
+    of insertion costs a later position wins only by more than
+    ``_IMPROVE_EPS`` (``_first_clear_min``). That scan stops at the row's
+    first minimum unless the row holds a NaN or a value v above the minimum
+    for which ``min < v - _IMPROVE_EPS`` fails, so only such rows are
+    scanned.
+    """
+    # near[c, r, s] = D[tours[r, s], nodes[c]], as D is symmetric
+    near = D.take(nodes, axis=0).take(tours, axis=1)
+    # deltas[c, r, pos] = added cost of nodes[c] between tours[r, pos] and tours[r, pos + 1]
+    deltas = near[:, :, :-1] + near[:, :, 1:]
+    deltas -= cost
+    np.copyto(deltas, np.inf, where=np.arange(cost.shape[1]) >= edges[:, None])
+    pos = deltas.argmin(axis=2)
+    least = deltas.min(axis=2, keepdims=True)
+    unclear = ~((deltas <= least) | (least < deltas - _IMPROVE_EPS))
+    pos, least = pos.tolist(), least[..., 0].tolist()
+    for c, r in zip(*np.nonzero(unclear.any(axis=2))):
+        pos[c][r], least[c][r] = _first_clear_min(deltas[c, r, : edges[r]].tolist())
+    return pos, least
+
+
+def _first_clear_min(row: list[float]) -> tuple[int, float]:
+    best_pos, best_delta = 0, math.inf
+    # not an argmin: a later position wins only by more than _IMPROVE_EPS
+    for pos, delta in enumerate(row):
+        if delta < best_delta - _IMPROVE_EPS:
+            best_pos, best_delta = pos, delta
+    return best_pos, best_delta
+
+
+def _nearest(
+    R: np.ndarray, X: np.ndarray, Y: np.ndarray, cx: np.ndarray, cy: np.ndarray, count: int
+) -> list[tuple[float, int, int]]:
+    """The ``count`` smallest (gap, node, position) rows of the route R, where
+    a node's gap is its smallest ``math.hypot`` distance to any of the
+    centres (cx, cy), and node i lies at (X[i], Y[i]).
+
+    Only a shortlist gets the exact key. ``np.hypot`` ranks every node first:
+    its overflow-free distance and ``math.hypot``'s are each within one ulp
+    of the true distance of the same operands, so a node's two gaps h and g
+    differ by at most 2^-51 g + 2^-1073 (two ulps, normal or subnormal).
+    Let T be the count-th smallest h. The count nodes with h <= T have
+    g <= (T + 2^-1073) / (1 - 2^-51), which bounds G, the count-th smallest
+    g, and every node with g <= G then has h < T (1 + 2^-49) + 2^-1071. The
+    shortlist limit T (1 + 2^-40) + 2^-1070 is at least that in floating
+    point: for normal T, T (1 + 2^-40) rounds to at least T (1 + 2^-41);
+    for subnormal T it rounds to at least T, T 2^-49 < 2^-1071, and adding
+    2^-1070 is exact. So no node outside the shortlist has g <= G, and the
+    shortlist sorted by the exact key begins with the full ranking's rows.
+    """
+    gaps = np.hypot(X[R, None] - cx, Y[R, None] - cy).min(axis=1)
+    keep = np.arange(len(R))
+    if len(R) > count:
+        kth = np.partition(gaps, count - 1)[count - 1]
+        keep = np.flatnonzero(gaps <= kth * (1 + 2**-40) + 2**-1070)
+    S = R[keep]
+    centres = list(zip(cx.tolist(), cy.tolist()))
+    return sorted(
+        (min(math.hypot(x - cx, y - cy) for cx, cy in centres), i, t)
+        for t, i, x, y in zip(keep.tolist(), S.tolist(), X[S].tolist(), Y[S].tolist())
+    )[:count]
 
 
 def minmax_local_search(
@@ -231,8 +323,9 @@ def minmax_local_search(
     if max_iterations < 0:
         raise ValueError(f"max_iterations must be non-negative, got {max_iterations}")
     D = DistanceMatrix.from_instance(inst).entries
-    xs = [p.x for p in inst.nodes]
-    ys = [p.y for p in inst.nodes]
+    # Node coordinates, and 0.0 at _DEPOT: a depot entry adds nothing to a sum.
+    X = np.array([p.x for p in inst.nodes] + [0.0])
+    Y = np.array([p.y for p in inst.nodes] + [0.0])
 
     # optimal[r]: no 2-opt move on orders[r] gains more than _IMPROVE_EPS
     optimal: list[bool] = []
@@ -248,59 +341,102 @@ def minmax_local_search(
         cur_max = max(lengths)
         longest = lengths.index(cur_max)
         route = orders[longest]
-        if len(route) < 2:
+        m = len(route)
+        if m < 2:
             break
         others = [r for r in range(k) if r != longest]  # each holds at least one node
 
-        # The nodes nearest another route's centroid: (gap, node, position) rows.
-        centroids = [
-            (_left_sum(xs[i] for i in orders[r]) / len(orders[r]),
-             _left_sum(ys[i] for i in orders[r]) / len(orders[r]))
-            for r in others
-        ]
-        nearest = sorted(
-            (min(math.hypot(xs[i] - cx, ys[i] - cy) for cx, cy in centroids), i, t)
-            for t, i in enumerate(route)
-        )[:_RELOCATE_CANDIDATES]
-        candidates = [i for _, i, _ in nearest]
+        # Every route as a depot-to-depot row, padded with the depot to leave
+        # room for one more node, and the lengths of its edges.
+        sizes = [len(o) for o in orders]
+        width = max(sizes) + 3
+        tours = np.array([[_DEPOT, *o] + [_DEPOT] * (width - 1 - len(o)) for o in orders])
+        cost = D[tours[:, :-1], tours[:, 1:]]
+        sizes = np.array(sizes)
+
+        # The nodes nearest another route's centroid: (gap, node, position)
+        # rows. Each coordinate sum starts from the depot's 0.0 and adds the
+        # route's nodes strictly from the left, as _left_sum does.
+        cx = np.add.accumulate(X[tours[others]], axis=1)[:, -1] / sizes[others]
+        cy = np.add.accumulate(Y[tours[others]], axis=1)[:, -1] / sizes[others]
+        nearest = _nearest(tours[longest, 1 : m + 1], X, Y, cx, cy, _RELOCATE_CANDIDATES)
 
         # Cheap screening: removal gain plus cheapest-insertion cost.
-        P = np.array([_DEPOT, *route, _DEPOT])
+        P = tours[longest]
         T = np.array([t for _, _, t in nearest])
         N = P[T + 1]
         gains = (D[P[T], N] + D[N, P[T + 2]] - D[P[T], P[T + 2]]).tolist()
         others_max = max(lengths[r] for r in others)
-        scored = []
-        for target in others:
-            inserts = _best_insertions(orders[target], candidates, D)
-            for (_, node, t), gain, (pos, ins) in zip(nearest, gains, inserts):
-                est = max(lengths[longest] - gain, lengths[target] + ins, others_max)
-                scored.append((est, node, target, pos, t))
-        scored.sort()
+        places, added = _insertions(
+            D, tours[others], cost[others], sizes[others] + 1, [i for _, i, _ in nearest]
+        )
+        scored = sorted(
+            (max(lengths[longest] - gain, lengths[target] + ins, others_max), node, target, pos, t)
+            for target, at, extra in zip(others, zip(*places), zip(*added))
+            for (_, node, t), gain, pos, ins in zip(nearest, gains, at, extra)
+        )[:_RELOCATE_CANDIDATES]
+
+        # The trial tours, one row each: the longest route without the node
+        # at each distinct removed position t, then each target with its node
+        # at pos. A trial's changed edges are t, or pos and pos + 1.
+        node, target, pos, t = np.array([move[1:] for move in scored]).T
+        cut_of = {c: i for i, c in enumerate(dict.fromkeys(t.tolist()))}
+        cuts = np.array(list(cut_of))
+        span = np.arange(width)
+        trials = np.concatenate([
+            P[np.minimum(span + (span > cuts[:, None]), width - 1)],
+            tours[target[:, None], span - (span > pos[:, None] + 1)],
+        ])
+        grown = len(cuts) + np.arange(len(scored))
+        trials[grown, pos + 1] = node
+        trial_sizes = np.concatenate([np.full(len(cuts), m - 1), sizes[target] + 1])
+        legs = D[trials[:, :-1], trials[:, 1:]]
+
+        # two_opt's screen of every trial tour in one table, one row per
+        # changed edge; two_opt runs only where it finds a move, or on a
+        # route not known to be optimal.
+        rows = np.concatenate([np.arange(len(cuts)), np.repeat(grown, 2)])
+        changed = np.concatenate([cuts, np.stack([pos, pos + 1], axis=1).ravel()])
+        screen = _screen_table(D, trials[rows], legs[rows], trial_sizes[rows] + 1, changed)
+        moves_found = (~(screen >= -_IMPROVE_EPS)).any(axis=1).tolist()
+        found = moves_found[: len(cuts)] + [
+            a or b for a, b in zip(moves_found[len(cuts) :: 2], moves_found[len(cuts) + 1 :: 2])
+        ]
+        polished = []  # (tour, converged) per trial
+        trial_orders = [(route[:c] + route[c + 1 :], (c,), optimal[longest]) for c in cuts.tolist()]
+        trial_orders += [
+            (orders[r][:p] + [v] + orders[r][p:], (p, p + 1), optimal[r])
+            for v, r, p in zip(node.tolist(), target.tolist(), pos.tolist())
+        ]
+        for i, ((order, new_edges, known), hit) in enumerate(zip(trial_orders, found)):
+            if len(order) < 3 or (known and not hit):
+                polished.append((order, len(order) >= 3))
+                continue
+            stopped: list[bool] = []
+            order = two_opt(order, D, changed=new_edges if known else None, converged=stopped)
+            polished.append((order, stopped[0]))
+            trials[i, 1 : len(order) + 1] = order
+            legs[i] = D[trials[i, :-1], trials[i, 1:]]
+        trial_lengths = _tour_lengths(legs, trial_sizes)
 
         moves = []  # (new_max, node, target, trimmed, grown, converged, new_lengths)
-        for _, node, target, pos, t in scored[:_RELOCATE_CANDIDATES]:
-            found: list[bool] = []
-            trimmed = two_opt(
-                route[:t] + route[t + 1 :], D,
-                changed=(t,) if optimal[longest] else None, converged=found,
-            )
-            grown = two_opt(
-                orders[target][:pos] + [node] + orders[target][pos:], D,
-                changed=(pos, pos + 1) if optimal[target] else None, converged=found,
-            )
+        for g, (_, v, r, _, cut) in zip(grown.tolist(), scored):
+            c = cut_of[cut]
             new_lengths = list(lengths)
-            new_lengths[longest] = _route_cost(D, trimmed)
-            new_lengths[target] = _route_cost(D, grown)
+            new_lengths[longest] = trial_lengths[c]
+            new_lengths[r] = trial_lengths[g]
             new_max = max(new_lengths)
             if new_max < cur_max - _IMPROVE_EPS:
-                moves.append((new_max, node, target, trimmed, grown, found, new_lengths))
+                (trimmed, trim_done), (grown_order, grow_done) = polished[c], polished[g]
+                moves.append(
+                    (new_max, v, r, trimmed, grown_order, [trim_done, grow_done], new_lengths)
+                )
         if not moves:
             break
         # (node, target) is unique per move, so only the first three fields are compared
-        _, _, target, trimmed, grown, found, lengths = min(moves)
-        orders[longest], orders[target] = trimmed, grown
-        optimal[longest], optimal[target] = found
+        _, _, r, trimmed, grown_order, done, lengths = min(moves)
+        orders[longest], orders[r] = trimmed, grown_order
+        optimal[longest], optimal[r] = done
         if trace is not None:
             trace.append(max(lengths))
 

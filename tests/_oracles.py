@@ -552,6 +552,81 @@ def minmax_ls_oracle(inst, k: int = 5, seed: int = 0, max_iterations: int = 100,
 
 
 # ---------------------------------------------------------------------------
+# Three minmax-ls helpers copied verbatim from the library before its
+# relocation step became table operations over all trials and targets: the
+# 2-opt screen of the moves that drop a changed edge, the per-route cheapest
+# insertion with its sequential 1e-12 scan, and the depot-first route cost.
+# The library's table versions must agree with them bit for bit.
+
+_DEPOT = -1
+_IMPROVE_EPS = LS_IMPROVE_EPS
+
+
+def _route_cost(D: np.ndarray, order: list[int]) -> float:
+    if not order:
+        return 0.0
+    P = np.array(order)
+    cost = float(D[_DEPOT, order[0]] + D[order[-1], _DEPOT])
+    for leg in D[P[:-1], P[1:]].tolist():  # one leg at a time, in tour order
+        cost += leg
+    return cost
+
+
+def _screen(D: np.ndarray, P: np.ndarray, changed: tuple[int, ...]) -> tuple[int, int] | None:
+    """``two_opt``'s first pass when only moves that drop a ``changed`` edge
+    can gain more than ``_IMPROVE_EPS``: the pass's move, or None to stop.
+
+    It reads the rows and the columns of the full pass's distance block that
+    touch the changed edges. Each block of moves below holds (i, e - 1),
+    i < e - 1, or (e, j), j > e, for one changed edge e, computed as the
+    full pass computes them, with the flat index i * m + j of its first move
+    and the step between moves.
+    """
+    m = len(P) - 2
+    lo, hi = min(changed), max(changed) + 2
+    rows = D[P[lo:hi, None], P]  # rows[a - lo, b] = D[P[a], P[b]]
+    cols = D[P[:, None], P[lo:hi]]  # cols[a, b - lo] = D[P[a], P[b]]
+    cons = D[P[:-1], P[1:]]
+    blocks = []
+    for e in changed:
+        c = e - lo
+        if e >= 2:
+            col = cols[: e - 1, c] + cols[1:e, c + 1] - cons[: e - 1] - cons[e]
+            blocks.append((col, e - 1, m))
+        if e <= m - 2:
+            row = rows[c, e + 2 : m + 1] + rows[c + 1, e + 3 :] - cons[e] - cons[e + 2 :]
+            blocks.append((row, e * m + e + 1, 1))
+    if all(vals.min() >= -_IMPROVE_EPS for vals, _, _ in blocks):
+        return None
+    # The full pass's argmin: the first NaN, else the first minimum.
+    vals = np.concatenate([v for v, _, _ in blocks])
+    flat = np.concatenate([first + step * np.arange(len(v)) for v, first, step in blocks])
+    pick = np.isnan(vals)
+    if not pick.any():
+        pick = vals == vals.min()
+    i, j = divmod(int(flat[pick].min()), m)
+    return i, j
+
+
+def _best_insertions(order: list[int], nodes: list[int], D: np.ndarray) -> list[tuple[int, float]]:
+    """Cheapest position to insert each of ``nodes`` into ``order``, alone:
+    (position, added cost) per node."""
+    P = np.array([_DEPOT, *order, _DEPOT])
+    N = np.array(nodes)
+    # deltas[c, pos] = added cost of nodes[c] between P[pos] and P[pos + 1]
+    deltas = D[P[:-1], N[:, None]] + D[N[:, None], P[1:]] - D[P[:-1], P[1:]]
+    best = []
+    for row in deltas.tolist():
+        best_pos, best_delta = 0, math.inf
+        # not an argmin: a later position wins only by more than _IMPROVE_EPS
+        for pos, delta in enumerate(row):
+            if delta < best_delta - _IMPROVE_EPS:
+                best_pos, best_delta = pos, delta
+        best.append((best_pos, best_delta))
+    return best
+
+
+# ---------------------------------------------------------------------------
 # The exact oracle as first written: the subset DP relaxes one (mask, last,
 # prev) triple at a time, parent pointers live in one dict per mask, and
 # partitions come from a recursive generator and are compared one key at a

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import _oracles
@@ -427,3 +427,192 @@ def test_returned_routes_are_2opt_local_optima(family, n, seed, k):
     assert long_routes
     for order in long_routes:
         assert two_opt_deltas(order, D, n).min() >= -baseline._IMPROVE_EPS
+
+
+def screen_distances(family: str, rng: np.random.Generator, n: int) -> np.ndarray:
+    """A distance matrix over n nodes and the depot (index n). "diagonal"
+    puts them on the line y = x, 4096 apart: many moves gain exactly 0, and
+    their rounding error is about _IMPROVE_EPS, so the screen's subtraction
+    order decides whether they count as moves."""
+    if family == "diagonal":
+        xy = np.repeat(rng.integers(0, 40, size=(n + 1, 1)) * 4096.0, 2, axis=1)
+        inst = synthetic_instance([Point(float(x), float(y)) for x, y in xy[:n]], Point(*xy[n]))
+    else:
+        inst = point_set("uniform" if family == "infinite" else family, rng, n)
+    return DistanceMatrix.from_instance(inst).entries.copy()
+
+
+def converged_tours(D: np.ndarray, rng: np.random.Generator, n: int) -> list[list[int]]:
+    """2-opt local optima of three different lengths."""
+    tours = []
+    for size in sorted(rng.choice(np.arange(3, n), size=3, replace=False).tolist()):
+        stopped: list[bool] = []
+        tour = two_opt(rng.permutation(n)[:size].tolist(), D, converged=stopped)
+        if stopped == [True]:
+            tours.append(tour)
+    return tours
+
+
+class TestRelocationTables:
+    """The relocation step's table forms against the helpers they replaced."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        family=st.sampled_from(["diagonal", "infinite", *FAMILIES]),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(8, 30),
+    )
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_screen_table_finds_the_moves_screen_finds(self, family, seed, n):
+        # Every converged tour with one node removed at every position and one
+        # node inserted at every position: one table row per changed edge,
+        # rows of different lengths padded with the depot or with any node.
+        rng = np.random.default_rng(seed)
+        D, depot = screen_distances(family, rng, n), n
+        tours = converged_tours(D, rng, n)
+        if family == "infinite":
+            on_tour = {frozenset(e) for t in tours for e in zip([depot, *t], [*t, depot])}
+            pairs = rng.integers(n + 1, size=(3 * n, 2)).tolist()
+            for tour in tours:  # and one new edge of a trimmed tour, as in the 2-opt test
+                P, t = [depot, *tour, depot], int(rng.integers(len(tour)))
+                pairs.append([P[t], P[t + 2]])
+            for a, b in pairs:
+                if frozenset((a, b)) not in on_tour:  # the tours stay local optima
+                    D[a, b] = D[b, a] = np.inf
+        trials = []
+        for tour in tours:
+            trials += [(tour[:t] + tour[t + 1 :], (t,)) for t in range(len(tour))]
+            node = next(v for v in rng.permutation(n).tolist() if v not in tour)
+            trials += [(tour[:p] + [node] + tour[p:], (p, p + 1)) for p in range(len(tour) + 1)]
+        trials = [(order, changed) for order, changed in trials if len(order) >= 3]
+        assume(trials)  # two_opt may stop at its pass cap on collinear nodes
+        width = max(len(order) for order, _ in trials) + 2
+        rows, edges, stops = [], [], []
+        for order, changed in trials:
+            pad = depot if rng.random() < 0.5 else int(rng.integers(n + 1))
+            row = [depot, *order, depot] + [pad] * (width - len(order) - 2)
+            for e in changed:
+                rows.append(row)
+                edges.append(e)
+                stops.append(len(order) + 1)
+        tours_table = np.array(rows)
+        cost = D[tours_table[:, :-1], tours_table[:, 1:]]
+        gains = baseline._screen_table(D, tours_table, cost, np.array(stops), np.array(edges))
+        found = (~(gains >= -baseline._IMPROVE_EPS)).any(axis=1).tolist()
+        at = 0
+        for order, changed in trials:
+            want = _oracles._screen(D, np.array([depot, *order, depot]), changed) is not None
+            assert any(found[at : at + len(changed)]) == want, (order, changed)
+            at += len(changed)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_insertion_table_matches_sequential_scan(self, seed):
+        # Tour edges are 1.0 long and a candidate's distances come from a set
+        # with gaps below _IMPROVE_EPS, so a row's first minimum is often not
+        # what the 1e-12 scan picks. Other rows hold a NaN or are all inf.
+        rng = np.random.default_rng(seed)
+        n, cands = 16, [12, 13, 14, 15]
+        D = np.ones((n + 1, n + 1))
+        np.fill_diagonal(D, 0.0)
+        depot = n
+        cut = sorted(rng.choice(np.arange(1, 12), size=2, replace=False).tolist())
+        perm = rng.permutation(12).tolist()
+        tours = [perm[: cut[0]], perm[cut[0] : cut[1]], perm[cut[1] :]]
+        near = [0.5, 0.5 + 2**-42, 0.5 + 2**-41, 0.5 + 2**-40, 0.5 + 2**-38, 0.75]
+        for c, kind in zip(cands, ["staircase", *rng.choice(["near", "nan", "inf"], size=3)]):
+            if kind == "staircase":  # descends by steps below _IMPROVE_EPS along each tour
+                for tour in tours:
+                    for j, v in enumerate(tour):
+                        D[c, v] = 0.5 + 2**-42 * (len(tour) - j)
+                D[c, depot] = 0.75
+            else:
+                D[c, : n + 1] = rng.choice(near, size=n + 1)
+                if kind == "nan":
+                    D[c, rng.integers(n + 1)] = np.nan
+                elif kind == "inf":
+                    D[c, : n + 1] = np.inf
+            D[:, c] = D[c, :]
+
+        width = max(map(len, tours)) + 3
+        pad = int(rng.integers(n + 1))
+        table = np.array([[depot, *t, depot] + [pad] * (width - len(t) - 2) for t in tours])
+        cost = D[table[:, :-1], table[:, 1:]]
+        edges = np.array([len(t) + 1 for t in tours])
+        scanned = []
+        first_clear_min = baseline._first_clear_min
+
+        def scan(row):
+            scanned.append(row)
+            return first_clear_min(row)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(baseline, "_first_clear_min", scan)
+            pos, added = baseline._insertions(D, table, cost, edges, cands)
+
+        must_scan = []
+        for c, node in enumerate(cands):
+            for r, tour in enumerate(tours):
+                assert (pos[c][r], added[c][r]) == best_insertion_oracle(tour, node, D, depot)
+                P = [depot, *tour, depot]
+                row = [D[a, node] + D[node, b] - D[a, b] for a, b in zip(P, P[1:])]
+                first = int(np.argmin(row))
+                if np.isnan(row).any() or any(row[first] < v <= row[first] + 1e-12 for v in row):
+                    must_scan.append(row)
+        assert must_scan  # the staircase candidate's rows, at least
+        for row in must_scan:
+            assert any(np.array_equal(row, s, equal_nan=True) for s in scanned)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        family=st.sampled_from(["lattice", "duplicates", "circle"]),
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 40),
+        count=st.sampled_from([1, 3, 10]),
+        j=st.sampled_from([-1060, -500, 0, 500, 1000]),
+    )
+    def test_shortlist_ranking_equals_full_ranking(self, family, seed, size, count, j):
+        # "circle" puts nodes at distance 1 from the centre (0, 0), half of
+        # them where np.hypot and math.hypot differ in the last bit.
+        rng = np.random.default_rng(seed)
+        if family == "lattice":
+            xy = rng.integers(-16, 17, size=(size + 3, 2)) / 8
+        elif family == "duplicates":
+            xy = (rng.random((3, 2)) * 4)[rng.integers(3, size=size + 3)]
+        else:
+            angle = rng.random(400 * size) * 2 * math.pi
+            x, y = np.cos(angle), np.sin(angle)
+            differ = np.hypot(x, y) != [math.hypot(a, b) for a, b in zip(x.tolist(), y.tolist())]
+            pick = np.concatenate([np.flatnonzero(differ)[: size - size // 2], np.arange(size // 2)])
+            xy = np.concatenate([np.stack([x[pick], y[pick]], 1), [[0, 0], [3, 3], [-4, 1]]])
+        xy = xy * 2.0**j
+        X, Y = xy[:size, 0], xy[:size, 1]
+        cx, cy = xy[size:, 0], xy[size:, 1]
+        R = rng.permutation(size)
+        xs, ys = X.tolist(), Y.tolist()
+        want = sorted(
+            (min(math.hypot(xs[i] - a, ys[i] - b) for a, b in zip(cx.tolist(), cy.tolist())), i, t)
+            for t, i in enumerate(R.tolist())
+        )[:count]
+        assert baseline._nearest(R, X, Y, cx, cy, count) == want
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(family=st.sampled_from(FAMILIES), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
+    def test_distance_matrix_exactly_symmetric(self, family, seed, n):
+        # The screen and insertion tables read D[c, a] for D[a, c].
+        D = DistanceMatrix.from_instance(point_set(family, np.random.default_rng(seed), n)).entries
+        assert np.array_equal(D, D.T)
+
+    @pytest.mark.parametrize("seed", [1000, 1001, 1002])
+    def test_two_opt_runs_only_where_screen_finds_a_move(self, monkeypatch, seed):
+        calls = []
+        real = baseline.two_opt
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(baseline, "two_opt", counted)
+        minmax_local_search(generate(500, seed), k=5, seed=0)
+        assert len(calls) <= 30
