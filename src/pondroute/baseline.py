@@ -11,7 +11,10 @@ table shortlists the candidate nodes, one (candidates x routes x edges)
 table prices every insertion, one table over all trial tours screens their
 new-edge moves, and one row-wise fold sums their lengths. ``two_opt`` with
 its full O(m^2) passes runs only on the few trial tours whose screen finds
-an improving move.
+an improving move. Construction computes the distance matrix in blocks of
+64 rows, so it needs one 64 x n scratch array beside the n x n result, and
+each sector's nearest-neighbour tour is one (m + 1) x m gather and one
+``argmin`` per node.
 
 ``exact_minmax`` scores every partition of up to 10 nodes into at most 3
 routes as one array of masks. Per-subset optimal tours are walked back from a
@@ -35,6 +38,7 @@ _RELOCATE_CANDIDATES = 10
 _IMPROVE_EPS = 1e-12
 _TWO_OPT_MAX_PASSES = 1000
 _DEPOT = -1  # the depot's row and column: the distance matrix's last
+_MATRIX_BLOCK = 64  # rows of the distance matrix computed per block
 
 
 class TooLarge(ValueError):
@@ -55,12 +59,17 @@ class DistanceMatrix:
     def from_instance(cls, inst: FarmInstance) -> "DistanceMatrix":
         xs = np.array([p.x for p in inst.nodes] + [inst.depot.x], dtype=float)
         ys = np.array([p.y for p in inst.nodes] + [inst.depot.y], dtype=float)
-        dx = xs[:, None] - xs[None, :]
-        dy = ys[:, None] - ys[None, :]
-        dx *= dx
-        dy *= dy
-        dx += dy
-        return cls(entries=np.sqrt(dx, out=dx))
+        entries = np.empty((len(xs), len(xs)))
+        scratch = np.empty((_MATRIX_BLOCK, len(xs)))
+        for r in range(0, len(xs), _MATRIX_BLOCK):
+            dx, dy = entries[r : r + _MATRIX_BLOCK], scratch[: len(xs) - r]
+            np.subtract(xs[r : r + _MATRIX_BLOCK, None], xs, out=dx)
+            np.subtract(ys[r : r + _MATRIX_BLOCK, None], ys, out=dy)
+            dx *= dx
+            dy *= dy
+            dx += dy
+            np.sqrt(dx, out=dx)
+        return cls(entries=entries)
 
 
 def _route_cost(D: np.ndarray, order: list[int]) -> float:
@@ -190,16 +199,30 @@ def _screen_table(
 
 
 def _nearest_neighbor(nodes: list[int], D: np.ndarray) -> list[int]:
-    remaining = np.array(sorted(nodes))
-    order: list[int] = []
-    current = _DEPOT
-    for left in range(len(nodes), 0, -1):
-        # argmin's first index in ascending node order is the (distance, node) minimum
-        t = int(np.argmin(D[current, remaining[:left]]))
-        current = int(remaining[t])
-        order.append(current)
-        remaining[t : left - 1] = remaining[t + 1 : left]
-    return order
+    """Greedy tour from the depot, each step to the (distance, node) minimum
+    among the unvisited nodes.
+
+    Row t of one (m + 1) x m gather holds the distances from the t-th node in
+    ascending order (the depot last) to all m; a visited column is set to
+    inf, so ``argmin``'s first index is the minimum among the unvisited. A
+    row whose minimum is inf has only infinite distances left, and takes
+    the first unvisited column, as that rule does.
+    """
+    ids = np.array(sorted(nodes), dtype=np.intp)
+    sub = D[np.append(ids, _DEPOT)[:, None], ids]
+    cols = sub.T  # cols[t] is column t of sub, so one index sets it
+    unvisited = np.ones(len(ids), dtype=bool)
+    picks: list[np.intp] = []
+    row = sub[-1]
+    for _ in range(len(ids)):
+        t = row.argmin()
+        if row[t] == np.inf:
+            t = unvisited.argmax()
+        unvisited[t] = False
+        cols[t] = np.inf
+        picks.append(t)
+        row = sub[t]
+    return ids[picks].tolist()
 
 
 def _sector_partition(inst: FarmInstance, k: int) -> list[list[int]]:

@@ -6,6 +6,13 @@ below the grid pitch of any generated instance. There it bounds a distance
 (each cross product is divided by an edge length). It also bounds the height
 ties of ``antipodal_pairs``, where it is compared with a raw cross product,
 an area (twice the triangle's), not a distance.
+
+A hull of m points costs one ``np.lexsort`` and a few O(m) array passes,
+then the two monotone chains in Python over the lowest and highest point of
+each x column only: about a fifth of the points on ``hpp``'s lattice
+clusters (the column filter of ``_hull_ring``). Below
+``_FILTER_MIN_POINTS`` points, where numpy's per-call cost outweighs the
+chain, the points are sorted as a set of tuples and the chains read all.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 EPS = 1e-9
+_FILTER_MIN_POINTS = 32  # fewest points for which _hull_ring sorts arrays and filters columns
 
 
 class DegenerateInput(ValueError):
@@ -81,32 +89,106 @@ class ConvexPolygon:
         return 0.5 * s
 
 
+def _chain(xs: list[float], ys: list[float]) -> list[tuple[float, float]]:
+    """One monotone chain over points in sweep order; a point whose turn is
+    not a left turn by more than EPS times the chord is popped."""
+    chain: list[tuple[float, float]] = []
+    for x, y in zip(xs, ys):
+        while len(chain) >= 2:
+            (ox, oy), (ax, ay) = chain[-2], chain[-1]
+            turn = (ax - ox) * (y - oy) - (ay - oy) * (x - ox)
+            if turn > 0.0 and turn > EPS * math.hypot(x - ox, y - oy):
+                break
+            chain.pop()
+        chain.append((x, y))
+    return chain
+
+
 def _hull_ring(points: Iterable[Point]) -> list[tuple[float, float]]:
     """Strict corners of the monotone-chain hull, CCW from the smallest (x, y).
 
-    Exact coordinate duplicates are dropped first, and a chain point whose
-    perpendicular deviation from the chord of its neighbours is at most EPS
-    (a distance, so the cross product is normalized by the chord length)
-    counts as collinear. Fewer than 3 entries means the points span no
-    polygon.
+    Exact coordinate duplicates are dropped first (the first copy is kept,
+    and ``-0.0 == 0.0``), and a chain point whose perpendicular deviation
+    from the chord of its neighbours is at most EPS (a distance, so the
+    cross product is normalized by the chord length) counts as collinear.
+    Fewer than 3 entries means the points span no polygon.
+
+    From ``_FILTER_MIN_POINTS`` points on, the points are sorted by one
+    ``np.lexsort`` (stable, so the first copy of a duplicate comes first)
+    and each chain reads only the ends of the x columns: the lower chain
+    every column's bottom plus the last column's top, the upper chain every
+    column's top, right to left, plus the first column's bottom. That gives
+    the ring of the chains over every point whenever
+
+        gx * gy > EPS * hypot(W, H) * (1 + 2^-40) + 2^-48 * W * H + 2^-1070,
+
+    W and H being the x and y extents, gx the smallest gap between distinct
+    x and gy the smallest gap between successive y of one column, all as
+    computed in floats. Otherwise, or when gx * gy or 4 * W * H is not
+    finite, the chains read every point.
+
+    Proof for the lower chain; the upper one is its mirror image. Let a
+    column at x = c hold y1 < y2 < ... < yk, and u = 2^-53. (a) When yj,
+    j >= 2, arrives with (o, y1) on top of the chain, o lies in an earlier
+    column and both x-differences of the turn are the same float
+    d = fl(c - ox), gx <= d <= W. The turn is fl(fl(d * A) - fl(B * d)) with
+    A = fl(yj - oy) and B = fl(y1 - oy), both at most H in size, so
+    A - B >= gy * (1 - u) - 2u * H * (1 + u) and the turn is at least
+    gx * gy * (1 - 2u) - 8u * W * H - 2^-1073 (no product overflows, as
+    4 * W * H is finite). The chord ``hypot(d, A)`` is at most
+    hypot(W, H) * (1 + 4u), ``math.hypot`` erring by less than one ulp. The
+    margin covers both with room for its own rounding, so yj passes the
+    test and pops nothing. If y1 is the chain's only point there is no test
+    and yj is pushed. (b) The point after yj in the column finds (y1, yj)
+    on top; both x-differences are exactly 0, so its turn is a zero and it
+    pops yj, and (a) applies to it. (c) The next column's bottom finds
+    (y1, yk) on top, with turn 0 * A - (yk - y1) * (c' - c) <= 0, and pops
+    yk. So after every column but the last the chain holds what it holds
+    after y1 alone, and each test on the column ends has the operands of
+    the same test on all points. In the last column, (b) leaves yk alone on
+    y1, as on the column ends.
     """
-    pts = sorted({(p.x, p.y) for p in points})
-    if len(pts) < 3:
-        return pts
+    pts = list(points)
+    if len(pts) < _FILTER_MIN_POINTS:
+        ring = sorted({(p.x, p.y) for p in pts})
+        if len(ring) < 3:
+            return ring
+        xs, ys = [x for x, _ in ring], [y for _, y in ring]
+        return _chain(xs, ys)[:-1] + _chain(xs[::-1], ys[::-1])[:-1]
+    xs = np.array([p.x for p in pts])
+    ys = np.array([p.y for p in pts])
+    by = np.lexsort((ys, xs))
+    xs, ys = xs[by], ys[by]
+    keep = np.ones(len(xs), dtype=bool)
+    keep[1:] = (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])
+    xs, ys = xs[keep], ys[keep]
+    if len(xs) < 3:
+        return list(zip(xs.tolist(), ys.tolist()))
+    new_col = xs[1:] != xs[:-1]  # point i + 1 starts a column, point i ends one
+    if _column_ends_suffice(xs, ys, new_col):
+        lower = np.ones(len(xs), dtype=bool)
+        lower[1:-1] = new_col[:-1]
+        upper = np.ones(len(xs), dtype=bool)
+        upper[1:-1] = new_col[1:]
+        xl, yl = xs[lower].tolist(), ys[lower].tolist()
+        xu, yu = xs[upper][::-1].tolist(), ys[upper][::-1].tolist()
+    else:
+        xl, yl = xs.tolist(), ys.tolist()
+        xu, yu = xl[::-1], yl[::-1]
+    return _chain(xl, yl)[:-1] + _chain(xu, yu)[:-1]
 
-    def build(seq: list[tuple[float, float]]) -> list[tuple[float, float]]:
-        chain: list[tuple[float, float]] = []
-        for x, y in seq:
-            while len(chain) >= 2:
-                (ox, oy), (ax, ay) = chain[-2], chain[-1]
-                turn = (ax - ox) * (y - oy) - (ay - oy) * (x - ox)
-                if turn > 0.0 and turn > EPS * math.hypot(x - ox, y - oy):
-                    break
-                chain.pop()
-            chain.append((x, y))
-        return chain
 
-    return build(pts)[:-1] + build(pts[::-1])[:-1]
+def _column_ends_suffice(xs: np.ndarray, ys: np.ndarray, new_col: np.ndarray) -> bool:
+    """The margin test of ``_hull_ring`` over its (x, y)-sorted distinct
+    points. Extents are checked first, so no array difference overflows."""
+    w = float(xs[-1]) - float(xs[0])
+    h = float(ys.max()) - float(ys.min())
+    if not math.isfinite(4.0 * w * h):
+        return False
+    gx = float((xs[1:] - xs[:-1])[new_col].min(initial=math.inf))
+    gy = float((ys[1:] - ys[:-1])[~new_col].min(initial=math.inf))
+    margin = EPS * math.hypot(w, h) * (1.0 + 2.0**-40) + 2.0**-48 * w * h + 2.0**-1070
+    return math.isfinite(gx * gy) and gx * gy > margin
 
 
 def collinear(points: Iterable[Point]) -> bool:

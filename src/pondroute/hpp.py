@@ -27,7 +27,9 @@ tie. Only candidates within rounding of the best are built in full and
 re-scored by exact summation, and each builds only the axis that can win
 unless its two table lengths are that close too, so the chosen route and
 its stored length are the ones exhaustive scoring gives. A cluster of m
-nodes with h hull vertices costs one vectorised O(h * m) quantization, an
+nodes with h hull vertices costs one O(m log m) ``lexsort`` and a chain
+over its column ends for the hull (about a fifth of the nodes on a
+lattice), one vectorised O(h * m) corner lookup and quantization, an
 O(m log m) sort per distinct lane table (one per axis on a lattice), one
 pass over each anchor's lane, O(1) per candidate, and O(m) per exact
 re-score (about two per cluster on generated instances). The routes come

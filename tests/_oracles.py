@@ -14,7 +14,7 @@ import operator
 
 import numpy as np
 
-from pondroute.geometry import ConvexPolygon, Point, collinear
+from pondroute.geometry import EPS, ConvexPolygon, Point, collinear
 
 TWO_PI = 2.0 * math.pi
 
@@ -42,6 +42,29 @@ def hull_vertex_oracle(points: list[Point]) -> set[tuple[float, float]]:
                 vertices.add((px, py))
                 break
     return vertices
+
+
+def hull_ring_oracle(points: list[Point]) -> list[tuple[float, float]]:
+    """The monotone-chain ring over every distinct point, with no column
+    filter: ``geometry._hull_ring`` as it was before the filter, kept
+    verbatim so the filtered ring can be compared with it."""
+    pts = sorted({(p.x, p.y) for p in points})
+    if len(pts) < 3:
+        return pts
+
+    def build(seq: list[tuple[float, float]]) -> list[tuple[float, float]]:
+        chain: list[tuple[float, float]] = []
+        for x, y in seq:
+            while len(chain) >= 2:
+                (ox, oy), (ax, ay) = chain[-2], chain[-1]
+                turn = (ax - ox) * (y - oy) - (ay - oy) * (x - ox)
+                if turn > 0.0 and turn > EPS * math.hypot(x - ox, y - oy):
+                    break
+                chain.pop()
+            chain.append((x, y))
+        return chain
+
+    return build(pts)[:-1] + build(pts[::-1])[:-1]
 
 
 def _support_arcs(poly: ConvexPolygon) -> list[tuple[float, float]]:

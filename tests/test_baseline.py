@@ -398,6 +398,28 @@ class TestMatchesOracle:
         assert np.isnan(two_opt_deltas(trimmed, D, depot)).any()
         assert two_opt(trimmed, D, changed=(t,)) == two_opt_oracle(trimmed, D, depot)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_nearest_neighbor_with_infinite_distances(self, seed):
+        # A node whose distances to every unvisited node are inf continues at
+        # the first unvisited node, as the (distance, node) rule does.
+        rng = np.random.default_rng(seed)
+        n = 14
+        D = DistanceMatrix.from_instance(point_set("uniform", rng, n)).entries.copy()
+        for a, b in rng.integers(n + 1, size=(60, 2)):
+            D[a, b] = D[b, a] = np.inf
+        row = int(rng.integers(n))
+        D[row, :n] = D[:n, row] = np.inf
+        nodes = rng.permutation(n)[: rng.integers(2, n + 1)].tolist()
+        assert _nearest_neighbor(nodes, D) == nearest_neighbor_oracle(nodes, D, n)
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 128, 129, 500])
+    def test_matrix_blocks_match_oracle(self, n):
+        # Rows are computed in blocks of 64; each entry keeps its operations.
+        for family in FAMILIES:
+            inst = point_set(family, np.random.default_rng(n), n)
+            got = DistanceMatrix.from_instance(inst).entries
+            assert got.tobytes() == distance_matrix_oracle(inst).tobytes()
+
     @pytest.mark.parametrize("cap", [1, 2])
     def test_pass_cap_falls_back_to_full_passes(self, monkeypatch, cap):
         # Routes cut off by the pass cap are not known to be local optima, so

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pondroute.geometry as geometry
 from pondroute.geometry import (
+    EPS,
     ConvexPolygon,
     DegenerateInput,
     Point,
@@ -15,8 +17,15 @@ from pondroute.geometry import (
     convex_hull,
     dist,
 )
+from pondroute.hpp import kmeans
+from pondroute.instances import generate
 
-from _oracles import antipodal_oracle_arcs, antipodal_oracle_sweep, hull_vertex_oracle
+from _oracles import (
+    antipodal_oracle_arcs,
+    antipodal_oracle_sweep,
+    hull_ring_oracle,
+    hull_vertex_oracle,
+)
 
 UNIT_SQUARE = ConvexPolygon((Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)))
 TRIANGLE = ConvexPolygon((Point(0, 0), Point(4, 0), Point(1, 3)))
@@ -111,6 +120,104 @@ class TestConvexHull:
         again = convex_hull(list(hull.vertices))
         assert again.vertices == hull.vertices
         assert all(contains(hull, p) for p in pts)
+
+
+def ring_and_reads(points: list[Point]) -> tuple[list[tuple[float, float]], int]:
+    """``_hull_ring`` of the points, and how many points its two chains read."""
+    reads: list[int] = []
+    chain = geometry._chain
+
+    def counted(xs, ys):
+        reads.append(len(xs))
+        return chain(xs, ys)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_chain", counted)
+        ring = geometry._hull_ring(points)
+    return ring, sum(reads)
+
+
+def bits(ring: list[tuple[float, float]]) -> list[tuple[str, str]]:
+    """Coordinates as hex strings, so -0.0 and 0.0 differ."""
+    return [(x.hex(), y.hex()) for x, y in ring]
+
+
+def filter_margin(w: float, h: float) -> float:
+    """The bound ``_hull_ring``'s docstring sets on gx * gy for extents w, h."""
+    return EPS * math.hypot(w, h) * (1.0 + 2.0**-40) + 2.0**-48 * w * h + 2.0**-1070
+
+
+def margin_points(scale: float, above: bool) -> list[Point]:
+    """34 points in three columns, x = 0, gx and scale: the outer two at
+    pitch scale / 8 in y, the middle one 16 points at pitch gy = scale / 256
+    from scale / 2. gx * gy is 2^-20 above or below the filter margin."""
+    gy = scale * 2.0**-8
+    gx = filter_margin(scale, scale) / gy * (1.0 + (2.0**-20 if above else -(2.0**-20)))
+    outer = [Point(x, scale * i / 8) for x in (0.0, scale) for i in range(9)]
+    return outer + [Point(gx, scale / 2 + gy * k) for k in range(16)]
+
+
+RING_FAMILIES = ["lattice", "jittered", "near-line", "duplicates", "margin"]
+RING_SCALES = [-500, -30, 0, 30, 500]
+
+
+def ring_points(family: str, rng: np.random.Generator, n: int, j: int) -> list[Point]:
+    """Up to n points of the family, scaled by exactly 2^j."""
+    if family == "margin":
+        return margin_points(2.0**j, above=bool(rng.integers(2)))
+    cols, rows = rng.integers(2, 14, size=2)
+    grid = np.stack(np.meshgrid(np.arange(cols), np.arange(rows)), axis=-1).reshape(-1, 2) / 8
+    xy = rng.permutation(grid)[:n]  # a lattice with random deletions
+    if family == "jittered":
+        xy = xy + (rng.random(xy.shape) < 0.3) * rng.normal(0.0, 2.0**-12, xy.shape)
+    elif family == "near-line":  # a band about EPS wide around one line
+        xy[:, 1] = 0.25 + rng.choice([0.0, 0.5, 3.0]) * xy[:, 0]
+        xy[:, 1] += rng.integers(-2, 3, size=len(xy)) * 4e-10
+    elif family == "duplicates":  # repeated positions, zeros of both signs
+        xy = rng.choice([-0.25, -0.0, 0.0, 0.25, 0.5], size=(n, 2))
+    return [Point(float(x) * 2.0**j, float(y) * 2.0**j) for x, y in xy]
+
+
+class TestHullRing:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        family=st.sampled_from(RING_FAMILIES),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 120),
+    )
+    def test_matches_unfiltered_chain(self, family, seed, n):
+        # The same corners, in the same order and with the same zero signs,
+        # as the chains over every distinct point, at every scale.
+        rng = np.random.default_rng(seed)
+        for j in RING_SCALES:
+            pts = ring_points(family, rng, n, j)
+            assert bits(geometry._hull_ring(pts)) == bits(hull_ring_oracle(pts)), j
+
+    @pytest.mark.parametrize("j", RING_SCALES)
+    @pytest.mark.parametrize("above", [True, False])
+    def test_margin_decides_the_path(self, j, above):
+        # Just above the margin the chains read only the column ends; just
+        # below it they read every point. At j < 0 no x gap can reach the
+        # margin, so every set takes the full chains.
+        pts = margin_points(2.0**j, above)
+        ring, reads = ring_and_reads(pts)
+        assert bits(ring) == bits(hull_ring_oracle(pts))
+        filtered = reads < 2 * len(pts)
+        assert filtered == (above and j >= 0)
+        if filtered:
+            assert reads == 8  # 3 column bottoms + the last top, 3 tops + the first bottom
+
+    def test_chains_read_a_quarter_of_each_cluster(self):
+        # On hpp's k-means clusters of generated farms, every column holds
+        # several lattice points, and the chains skip all but its two ends.
+        for seed in (1000, 1001, 1002):
+            inst = generate(2000, seed)
+            assign = kmeans(inst.nodes, 5, seed=0)
+            for c in range(5):
+                pts = [inst.nodes[i] for i in assign.members(c)]
+                ring, reads = ring_and_reads(pts)
+                assert ring == hull_ring_oracle(pts)
+                assert reads <= 0.25 * len({(p.x, p.y) for p in pts}), (seed, c)
 
 
 class TestAntipodalPairs:
