@@ -247,14 +247,6 @@ def _sector_partition(inst: FarmInstance, k: int) -> list[list[int]]:
     return [keyed[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
-def _best_insertions(order: list[int], nodes: list[int], D: np.ndarray) -> list[tuple[int, float]]:
-    """Cheapest position to insert each of ``nodes`` into ``order``, alone:
-    (position, added cost) per node."""
-    P = np.array([_DEPOT, *order, _DEPOT])
-    pos, added = _insertions(D, P[None], D[P[:-1], P[1:]][None], np.array([len(P) - 1]), nodes)
-    return [(p, c) for [p], [c] in zip(pos, added)]
-
-
 def _insertions(
     D: np.ndarray, tours: np.ndarray, cost: np.ndarray, edges: np.ndarray, nodes: list[int]
 ) -> tuple[list[list[int]], list[list[float]]]:

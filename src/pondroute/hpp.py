@@ -12,28 +12,31 @@ nodes whose bounds overlap (about a fifth of them at n = 2000, k = 20). The
 full (k, n) table is built in the first round, in a round that leaves a
 cluster empty, at the iteration cap, and in every round when n * k < 10000.
 
-Candidates are scored without building them. Per cluster and stacking axis
-(rows, columns) the nodes are bucketed into lanes and sorted once, and each
-lane table keeps prefix sums of its lane lengths and of the hops between
+Candidates are scored without building them, every cluster of a solve in
+one pass. Per stacking axis (rows, columns) a cluster's nodes fall into
+lanes, and the lane tables of all clusters and anchors share one array,
+sorted once, with running sums of the lane lengths and of the hops between
 adjacent lanes. A sweep from anchor p to anchor q walks the rest of p's lane
 away from p, then the lanes behind p, the lanes between p and q, and the
 lanes beyond q from the far end back, alternating direction per lane, and
 ends with the rest of q's lane toward q. A candidate's table length is then
-O(1): its two anchor runs are the rest of the anchors' lanes, and the lanes
-between them are a few prefix differences. An anchor lane is sorted, for
-scoring and building alike, only when it holds both anchors, when the
-anchor sits inside it (off-lattice clusters), or when distances along it
-tie. Only candidates within rounding of the best are built in full and
-re-scored by exact summation, and each builds only the axis that can win
-unless its two table lengths are that close too, so the chosen route and
-its stored length are the ones exhaustive scoring gives. A cluster of m
-nodes with h hull vertices costs one O(m log m) ``lexsort`` and a chain
-over its column ends for the hull (about a fifth of the nodes on a
-lattice), one vectorised O(h * m) corner lookup and quantization, an
-O(m log m) sort per distinct lane table (one per axis on a lattice), one
-pass over each anchor's lane, O(1) per candidate, and O(m) per exact
-re-score (about two per cluster on generated instances). The routes come
-back as a ``solution.Solution``, whose module also holds the file format.
+a few differences of those sums, computed for every candidate and both axes
+as whole arrays. An anchor lane is sorted, for scoring and building alike,
+only when it holds both anchors, when the anchor sits inside it (off-lattice
+clusters), or when distances along it tie. Only candidates within rounding
+of their cluster's best are built in full and re-scored by exact summation,
+and each builds only the axis that can win unless its two table lengths are
+that close too, so the chosen routes and their stored lengths are the ones
+exhaustive scoring gives. Routing k clusters of n nodes in all costs, per
+cluster of m nodes, one O(m log m) ``lexsort`` and a chain over its column
+ends for the hull (about a fifth of the nodes on a lattice) and O(m) per
+exact re-score (about two per cluster on generated instances); and for all
+clusters together, two stable sorts of the n nodes, a lane key for each
+hull corner at each distinct row and column coordinate of its cluster, one
+sort of the table entries (a table lists its cluster's m nodes, and a
+lattice cluster has one table per axis, so 2n entries), and a fixed number
+of array operations over all candidates. The routes come back as a
+``solution.Solution``, whose module also holds the file format.
 """
 
 from __future__ import annotations
@@ -371,194 +374,336 @@ def repair_clusters(assign: ClusterAssignment, nodes: Sequence[Point]) -> Cluste
 # serpentine routing
 
 
-class _Lanes:
-    """One stacking axis of a cluster, bucketed into lanes and sorted once.
-
-    ``lam`` holds each position's lane key. ``xs`` and ``ys`` are the
-    cluster's coordinate lists, shared by all its tables, and ``tc`` is the
-    one along the lanes. Lanes are stored in key order; each lists its
-    positions in (tc, position) order, with ``sums`` the length of that path.
-    Any anchor whose own quantization puts the nodes into the same lanes in
-    the same order shares the table, since a sweep depends only on that order.
-
-    The sweep from p to q starts with p's anchor run, then covers the lanes
-    of ``_spans`` (those behind p, those between p and q, and those beyond q
-    from the far end back), alternating direction per lane, and ends with
-    q's anchor run reversed. An anchor run is the anchor's lane without
-    either anchor, nearest to the anchor first. It is the rest of the lane,
-    unsorted, when the anchor is its lane's first or last member, the other
-    anchor lies in another lane, and distances from the anchor strictly
-    rise along it. Otherwise (both anchors in one lane, an anchor inside
-    its lane, or tied distances) ``_anchor_lane`` sorts it.
-
-    ``length`` scores a sweep in O(1) from prefix sums and ``order`` builds
-    it. They add in different orders, so the two agree up to rounding.
-    """
-
-    def __init__(self, lam: np.ndarray, xy: np.ndarray, t: int, xys: list[list[float]]) -> None:
-        m = len(lam)
-        by_lane = np.lexsort((np.arange(m), xy[t], lam))
-        cuts = np.flatnonzero(np.diff(lam[by_lane])) + 1
-        steps = np.hypot(*np.diff(xy[:, by_lane], axis=1))
-        steps[cuts - 1] = 0.0  # hops between lanes
-        bounds = [0, *cuts.tolist(), m]
-        flat = by_lane.tolist()
-        self.members = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
-        self.sums = np.add.reduceat(np.append(steps, 0.0), bounds[:-1]).tolist()
-        lane_of = np.empty(m, dtype=np.intp)
-        lane_of[by_lane] = np.repeat(np.arange(len(self.members)), np.diff(bounds))
-        self.lane_of = lane_of.tolist()
-        self.xs, self.ys = xys
-        self.tc = xys[t]
-        # Scoring tables: prefix sums of the lane lengths, and of the hops
-        # between adjacent lanes' first members or last members, alternating:
-        # ``hops[0]`` hops between last members after an even lane and
-        # between first members after an odd one, ``hops[1]`` the other way.
-        self.prefix = [0.0, *itertools.accumulate(self.sums)]
-        firsts = self.firsts = [flat[a] for a in bounds[:-1]]
-        lasts = self.lasts = [flat[b - 1] for b in bounds[1:]]
-        xs, ys, hypot = self.xs, self.ys, math.hypot
-        first_hop = [hypot(xs[a] - xs[b], ys[a] - ys[b]) for a, b in zip(firsts, firsts[1:])]
-        last_hop = [hypot(xs[a] - xs[b], ys[a] - ys[b]) for a, b in zip(lasts, lasts[1:])]
-        even, odd = last_hop[:], first_hop[:]
-        even[1::2], odd[1::2] = first_hop[1::2], last_hop[1::2]
-        self.hops = ([0.0, *itertools.accumulate(even)], [0.0, *itertools.accumulate(odd)])
-        self._rests: dict[int, tuple[list[int], float] | None] = {}
-
-    def _gap(self, a: int, b: int) -> float:
-        return math.hypot(self.xs[a] - self.xs[b], self.ys[a] - self.ys[b])
-
-    def _spans(self, a: int, b: int) -> tuple[tuple[int, int, int], ...]:
-        """(first, last, step) of the three spans of lanes that a sweep from
-        lane a to lane b covers between its anchor runs, in visit order. A
-        span with ``(last - first) * step < 0`` is empty."""
-        last = len(self.members) - 1
-        if b >= a:
-            return ((a - 1, 0, -1), (a + 1, b - 1, 1), (last, b + 1, -1))
-        return ((a + 1, last, 1), (a - 1, b + 1, -1), (0, b - 1, 1))
-
-    def _anchor_run(self, anchor: int, other: int, toward: int) -> tuple[list[int], float]:
-        """``anchor``'s run (``toward`` 1 for a start run, -1 for an end run)
-        and the path length from ``anchor`` through it, 0.0 if it is empty.
-        An unsorted run is cached once per anchor; with the hop from the
-        anchor it is the whole lane's path."""
-        lane = self.lane_of[anchor]
-        if self.lane_of[other] != lane:
-            if anchor not in self._rests:
-                members, tc, t0 = self.members[lane], self.tc, self.tc[anchor]
-                rest = members[1:] if anchor == members[0] else members[-2::-1]
-                far = [abs(tc[i] - t0) for i in rest]
-                rises = anchor in (members[0], members[-1]) and all(
-                    a < b for a, b in zip(far, far[1:])
-                )
-                self._rests[anchor] = (rest, self.sums[lane]) if rises else None
-            if self._rests[anchor] is not None:
-                return self._rests[anchor]
-        return self._anchor_lane(lane, anchor, other, toward)
-
-    def _anchor_lane(
-        self, lane: int, anchor: int, other: int, toward: int
-    ) -> tuple[list[int], float]:
-        """``_anchor_run``'s sorted run.
-
-        The lane is sorted in visit order, by distance from ``anchor`` along
-        it (nearest first for ``toward`` 1, farthest first for -1) and then
-        by (tc, position), and its length is summed in that order before the
-        run is returned nearest first."""
-        tc, t0 = self.tc, self.tc[anchor]
-        run = sorted(
-            (i for i in self.members[lane] if i != anchor and i != other),
-            key=lambda i: (toward * abs(tc[i] - t0), tc[i], i),
-        )
-        inner = _left_sum(self._gap(a, b) for a, b in zip(run, run[1:]))
-        run = run[::toward]
-        return run, self._gap(anchor, run[0]) + inner if run else 0.0
-
-    def length(self, p: int, q: int) -> float:
-        """Path length of the sweep from p to q, in O(1) from the prefix sums.
-
-        Each span costs one hop from the previous tail, a difference of
-        ``prefix`` over its lanes, and a difference of the one ``hops`` list
-        that joins last members after each lane the span walks forward.
-        """
-        firsts, lasts, prefix, gap = self.firsts, self.lasts, self.prefix, self._gap
-        total, prev, forward = 0.0, p, False
-        start, start_length = self._anchor_run(p, q, 1)
-        if start:
-            total, prev = start_length, start[-1]
-            forward = self.tc[prev] < self.tc[p]
-        a, b = self.lane_of[p], self.lane_of[q]
-        for s, e, step in self._spans(a, b):
-            if (e - s) * step < 0:
-                continue
-            lo, hi = (s, e) if step == 1 else (e, s)
-            hops = self.hops[forward ^ (s & 1) ^ (step == 1)]
-            head = firsts[s] if forward else lasts[s]
-            forward ^= (hi - lo) & 1  # direction of the span's last lane
-            total += gap(prev, head) + (prefix[hi + 1] - prefix[lo]) + (hops[hi] - hops[lo])
-            prev, forward = (lasts[e] if forward else firsts[e]), not forward
-        end, end_length = self._anchor_run(q, p, -1) if b != a else ([], 0.0)
-        if end:
-            return total + gap(prev, end[-1]) + end_length
-        return total + gap(prev, q)
-
-    def order(self, p: int, q: int) -> list[int]:
-        """Visit order of the sweep from p to q, both anchors included."""
-        start, _ = self._anchor_run(p, q, 1)
-        order = [p, *start]
-        forward = bool(start) and self.tc[start[-1]] < self.tc[p]
-        a, b = self.lane_of[p], self.lane_of[q]
-        for s, e, step in self._spans(a, b):
-            for lane in range(s, e + step, step):
-                order.extend(self.members[lane] if forward else reversed(self.members[lane]))
-                forward = not forward
-        if b != a:
-            order.extend(reversed(self._anchor_run(q, p, -1)[0]))
-        order.append(q)
-        return order
+def _ranges(first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ranges ``first[r] ... first[r] + count[r] - 1`` laid end to end,
+    and the offset at which each range starts."""
+    at = np.cumsum(count) - count
+    return np.arange(int(count.sum())) + np.repeat(first - at, count), at
 
 
-class _ClusterLanes:
-    """Row (``"y"``) and column (``"x"``) lane tables of one cluster for the
-    given start anchors.
+def _spans(a, b, last):
+    """(first, last, step) of the three spans of lanes that a sweep from
+    lane a to lane b covers between its anchor runs, in visit order: the
+    lanes behind a, those between a and b, and those beyond b from the far
+    end back. ``last`` is the table's last lane. A span with
+    ``(last - first) * step < 0`` is empty. Works on ints and, elementwise,
+    on integer arrays."""
+    up = (b >= a) * 2 - 1  # 1 when b is not behind a
+    return ((a - up, (up < 0) * last, -up), (a + up, b - up, up), ((up > 0) * last, b + up, -up))
+
+
+class _LaneTables:
+    """Row and column lane tables of a batch of clusters, for the given
+    anchors, in one sorted array.
+
+    ``members`` lists positions into ``xy`` cluster by cluster, ascending
+    within each, and ``bounds`` delimits the clusters; a slot is an index
+    into ``members``. Anchor ``i`` is the first member of cluster
+    ``owner[i]`` at the point ``anchors[:, i]``. Axis 0 stacks lanes along y
+    (rows) and axis 1 along x (columns), and ``tc`` is the coordinate along
+    the lanes. The tables' entries are addressed by their index in the
+    sorted array.
 
     A sweep from anchor p quantizes each node's offset from p along the
-    stacking axis, ``round((s - s_p) / spacing)``. All anchors are quantized
-    at once with ``np.rint`` (half to even, like ``round``, on the same IEEE
-    quotients), and anchors whose lanes come out as translates of each other
-    share one table, so a lattice cluster builds one table per axis and
-    off-lattice nodes still land in exactly the lanes p itself gives them.
-    ``xy`` holds the x row over the y row; all tables share its one set of lists.
+    stacking axis, ``round((s - s_p) / spacing)``, all anchors at once with
+    ``np.rint`` (half to even, like ``round``, on the same IEEE quotients).
+    The key depends on a node only through its stacking coordinate, so it
+    is computed once per distinct coordinate (level) of the cluster. Anchors
+    of one cluster whose keys come out as translates of each other share a
+    table, so a lattice cluster has one table per axis and off-lattice nodes
+    still land in exactly the lanes p itself gives them. Each table lists
+    all of its cluster's nodes, lanes in key order and each lane in (tc,
+    position) order. A key never falls as the level rises, so each table's
+    lanes are the runs of equal keys along its levels, and the batch is
+    sorted once, by (lane, tc rank).
+
+    Per lane the tables keep its path length and its first and last entry.
+    Running sums over the batch of the lane lengths (``prefix``) and of the
+    hops between adjacent lanes' first or last entries (``hops``) give a
+    span's length as differences of two entries of one table; the hop out
+    of a table's last lane is 0. ``hops[0]`` hops between last entries after
+    a lane with an even index in its table and between first entries after
+    an odd one, ``hops[1]`` the other way.
+
+    The sweep from p to q starts with p's anchor run, covers the lanes of
+    ``_spans``, alternating direction per lane, and ends with q's anchor run
+    reversed. An anchor run is the anchor's lane without either anchor,
+    nearest to the anchor first. It is the rest of the lane, unsorted, when
+    the anchor is its lane's first or last entry, the other anchor lies in
+    another lane, and distances from the anchor strictly rise along it
+    (``fast``). Otherwise (both anchors in one lane, an anchor inside its
+    lane, or tied distances) ``_anchor_lanes`` sorts it.
+
+    ``lengths`` scores sweeps from the sums and ``sweep`` builds one. They
+    add in different orders, so the two agree up to rounding.
     """
 
-    def __init__(self, xy: np.ndarray, starts: Sequence[int], spacing: float) -> None:
-        xys = xy.tolist()
-        self.tables: dict[tuple[str, int], _Lanes] = {}
-        for axis, s, t in (("y", 1, 0), ("x", 0, 1)):
-            lam = np.rint((xy[s] - xy[s, starts][:, None]) / spacing)
-            # float keys: an offset may be more than 2^63 spacings; + 0.0 turns -0.0 into 0.0
-            lam = lam - lam.min(axis=1, keepdims=True) + 0.0
-            shared: dict[bytes, _Lanes] = {}
-            for p, row in zip(starts, lam):
-                key = row.tobytes()
-                if key not in shared:
-                    shared[key] = _Lanes(row, xy, t, xys)
-                self.tables[axis, p] = shared[key]
+    def __init__(
+        self,
+        xy: np.ndarray,
+        members: np.ndarray,
+        bounds: np.ndarray,
+        anchors: np.ndarray,
+        owner: np.ndarray,
+        spacing: float,
+    ) -> None:
+        slots, k, rows = len(members), len(bounds) - 1, len(owner)
+        sizes = np.diff(bounds)
+        coords = xy[:, members]
+        cluster = np.repeat(np.arange(k), sizes)
+        # Per axis: each slot's rank in tc order, the slots cluster by
+        # cluster in stacking order, and each cluster's levels in ascending
+        # order, with each slot's level and where each level's slots start.
+        by_x, by_y = (np.argsort(c, kind="stable") for c in coords)
+        tc_rank = np.empty((2, slots), dtype=np.intp)
+        stacked = np.empty((2, slots), dtype=np.intp)
+        level = np.empty((2, slots), dtype=np.intp)
+        values, first_level, level_count, level_start = [], [], [], []
+        for axis, along, across in ((0, by_x, by_y), (1, by_y, by_x)):
+            tc_rank[axis, along] = np.arange(slots)
+            stacked[axis] = across[np.argsort(cluster[across] * slots + np.arange(slots))]
+            v, owners = coords[1 - axis, stacked[axis]], cluster[stacked[axis]]
+            new = (np.diff(v, prepend=np.nan) != 0) | (np.diff(owners, prepend=-1) != 0)
+            count = np.bincount(owners[new], minlength=k)
+            first = np.cumsum(count) - count
+            level[axis, stacked[axis]] = np.cumsum(new) - 1 - first[owners]
+            values.append(v[new])
+            first_level.append(first)
+            level_count.append(count)
+            level_start.append(np.flatnonzero(new))
+        self.anchors = anchors
+        self.starts = starts = self._find(
+            coords, anchors, owner,
+            values[1], first_level[1], level_count[1], stacked[1], level_start[1],
+        )
 
-    def lengths(self, p: int, q: int) -> tuple[float, float]:
-        """Row and column sweep lengths from p to q, from the tables."""
-        return self.tables["y", p].length(p, q), self.tables["x", p].length(p, q)
+        # Lane keys of every (axis, anchor) row over its cluster's levels.
+        length = np.concatenate([count[owner] for count in level_count])
+        value_at = np.concatenate([first_level[0][owner], first_level[1][owner] + len(values[0])])
+        place, row0 = _ranges(value_at, length)
+        offsets = np.repeat(np.concatenate(coords[::-1, starts]), length)
+        keys = np.rint((np.concatenate(values)[place] - offsets) / spacing)
+        # float keys: an offset may be more than 2^63 spacings; + 0.0 turns -0.0 into 0.0
+        keys -= np.repeat(np.minimum.reduceat(keys, row0), length)
+        keys += 0.0
+        # Rows share a table when their axis, cluster and keys' bytes match.
+        raw, first_row = keys.tobytes(), {}
+        key_rows = zip(np.tile(owner, 2).tolist(), row0.tolist(), length.tolist())
+        rep = np.array([
+            first_row.setdefault((r >= rows, c, raw[8 * a : 8 * (a + n)]), r)
+            for r, (c, a, n) in enumerate(key_rows)
+        ])
+        tables = np.flatnonzero(rep == np.arange(2 * rows))
+        self.table = np.searchsorted(tables, rep).reshape(2, rows)
+        self.axis = tables // rows
+        place, at = _ranges(row0[tables], length[tables])
+        opens = np.diff(keys[place], prepend=np.nan) != 0
+        opens[at] = True
+        lane_at_level = np.cumsum(opens) - 1
 
-    def order(self, p: int, q: int, axes: Sequence[str]) -> list[int]:
-        """Visit order from p to q: the shorter of the sweeps along ``axes``
-        (rows before columns) by exact summation, ties within 1e-12 going to
-        rows. A single axis is built and not summed."""
-        orders = [self.tables[axis, p].order(p, q) for axis in axes]
-        if len(orders) == 1:
-            return orders[0]
-        gap = self.tables["y", p]._gap
-        rows, cols = (_left_sum(gap(a, b) for a, b in zip(o, o[1:])) for o in orders)
-        return orders[1] if cols < rows - 1e-12 else orders[0]
+        # Entries: every table lists its cluster's slots, sorted by lane and tc.
+        table_cluster = owner[tables % rows]
+        table_size = sizes[table_cluster]
+        slot, entry0 = _ranges(bounds[table_cluster], table_size)
+        self.entry0 = entry0 - bounds[table_cluster]
+        entry_axis = np.repeat(self.axis, table_size)
+        lane = lane_at_level[np.repeat(at, table_size) + level[entry_axis, slot]]
+        by = np.argsort(lane * slots + tc_rank[entry_axis, slot])
+        self.inv = np.empty_like(by)
+        self.inv[by] = np.arange(len(by))
+        slot = slot[by]
+        self.lane = lane = lane[by]
+        self.L0 = lane_at_level[at]
+        lane_size = np.bincount(lane)
+        self.last = np.cumsum(lane_size) - 1
+        self.first = self.last - lane_size + 1
+        self.last_lane = np.append(self.L0[1:], len(lane_size)) - self.L0 - 1
+        lane_table = np.repeat(np.arange(len(tables)), self.last_lane + 1)
+
+        self.x, self.y = x, y = coords[:, slot]
+        self.tc = tc = np.where(entry_axis[by] == 0, x, y)
+        steps = np.hypot(np.diff(x), np.diff(y))
+        same_lane = np.diff(lane) == 0
+        steps[~same_lane] = 0.0  # hops between lanes
+        self.sums = np.add.reduceat(np.append(steps, 0.0), self.first)
+        self.prefix = np.concatenate([[0.0], np.cumsum(self.sums)])
+        first_hop = np.hypot(np.diff(x[self.first]), np.diff(y[self.first]))
+        last_hop = np.hypot(np.diff(x[self.last]), np.diff(y[self.last]))
+        out = np.diff(lane_table) != 0
+        first_hop[out] = last_hop[out] = 0.0
+        even = (np.arange(len(lane_size) - 1) - self.L0[lane_table[:-1]]) % 2 == 0
+        self.hops = np.zeros((2, len(lane_size)))
+        np.cumsum(np.where(even, last_hop, first_hop), out=self.hops[0, 1:])
+        np.cumsum(np.where(even, first_hop, last_hop), out=self.hops[1, 1:])
+
+        # A run from a lane's first entry is fast when distances to the
+        # entries after it strictly rise; from its last, to those before it.
+        at_first = np.zeros(len(by), dtype=bool)
+        at_first[self.first] = True
+        at_last = np.zeros(len(by), dtype=bool)
+        at_last[self.last] = True
+        ahead = np.abs(tc - tc[self.first][lane])
+        behind = np.abs(tc - tc[self.last][lane])
+        tie_ahead = np.zeros(len(lane_size), dtype=bool)
+        tie_ahead[lane[1:][same_lane & ~at_first[:-1] & ~(ahead[1:] > ahead[:-1])]] = True
+        tie_behind = np.zeros(len(lane_size), dtype=bool)
+        tie_behind[lane[1:][same_lane & ~at_last[1:] & ~(behind[:-1] > behind[1:])]] = True
+        self.fast = np.where(at_first, ~tie_ahead[lane], at_last & ~tie_behind[lane])
+        # the other end of the entry's lane, or its first entry
+        self.far = np.where(at_first, self.last[lane], self.first[lane])
+        # what ``sweep`` reads, as lists
+        self.positions = members[slot].tolist()
+        self.lane_first, self.lane_last = self.first.tolist(), self.last.tolist()
+
+    @staticmethod
+    def _find(
+        coords: np.ndarray,
+        anchors: np.ndarray,
+        owner: np.ndarray,
+        x_values: np.ndarray,
+        first: np.ndarray,
+        count: np.ndarray,
+        by_x: np.ndarray,
+        level_start: np.ndarray,
+    ) -> np.ndarray:
+        """The slot of each anchor, the first member of its cluster at its
+        point, from the x levels: their values, each cluster's first level
+        and level count, the slots cluster by cluster by x and then slot,
+        and where each level's slots start among them. Raises ValueError
+        when an anchor is not a member."""
+        place, _ = _ranges(first[owner], count[owner])
+        row = np.repeat(np.arange(len(owner)), count[owner])
+        column = place[x_values[place] == anchors[0, row]]  # at most one per anchor
+        if len(column) == len(owner):
+            ends = np.append(level_start, len(by_x))
+            size = ends[column + 1] - level_start[column]
+            place, _ = _ranges(level_start[column], size)
+            row = np.repeat(np.arange(len(owner)), size)
+            hits = np.flatnonzero(coords[1, by_x[place]] == anchors[1, row])
+            hits = hits[np.diff(row[hits], prepend=-1) != 0]
+            if len(hits) == len(owner):
+                return by_x[place[hits]]
+        raise ValueError("sweep start and end must be cluster nodes")
+
+    def _entry(self, table, anchor):
+        """Sorted index of anchor ``anchor`` in ``table``."""
+        return self.inv[self.entry0[table] + self.starts[anchor]]
+
+    def _run(self, anchor: int, other: int, toward: int) -> list[int]:
+        """``anchor``'s run (``toward`` 1 for a start run, -1 for an end
+        run), nearest to the anchor first."""
+        lane = self.lane[anchor]
+        if self.lane[other] != lane and self.fast[anchor]:
+            a, b = self.first[lane], self.last[lane]
+            return list(range(a + 1, b + 1) if anchor == a else range(b - 1, a - 1, -1))
+        return self._anchor_lanes(np.array([anchor]), np.array([other]), toward)[0].tolist()
+
+    def _anchor_lanes(
+        self, anchor: np.ndarray, other: np.ndarray, toward: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sorted runs of the entries ``anchor`` (``toward`` 1 for start
+        runs, -1 for end runs), each without its ``other`` anchor: their
+        entries laid end to end, each run nearest to its anchor first; the
+        path length from each anchor through its run, 0.0 for an empty run;
+        and each run's last entry, or its anchor when it is empty.
+
+        A lane is sorted in visit order, by distance from the anchor along
+        it (nearest first for a start run, farthest first for an end run)
+        and then by (tc, position), which is entry order; an end run is
+        returned reversed."""
+        lane = self.lane[anchor]
+        size = self.last[lane] - self.first[lane] + 1
+        entries, _ = _ranges(self.first[lane], size)
+        run = np.repeat(np.arange(len(anchor)), size)
+        keep = (entries != anchor[run]) & (entries != other[run])
+        entries, run = entries[keep], run[keep]
+        by = np.lexsort((toward * entries, np.abs(self.tc[entries] - self.tc[anchor[run]]), run))
+        entries, run = entries[by], run[by]
+        steps = np.hypot(np.diff(self.x[entries]), np.diff(self.y[entries]))
+        steps[np.diff(run) != 0] = 0.0
+        count = np.bincount(run, minlength=len(anchor))
+        full = count > 0
+        at = (np.cumsum(count) - count)[full]
+        nearest = entries[at]
+        length = np.zeros(len(anchor))
+        length[full] = np.add.reduceat(np.append(steps, 0.0), at) + np.hypot(
+            self.x[anchor[full]] - self.x[nearest], self.y[anchor[full]] - self.y[nearest]
+        )
+        tail = anchor.copy()
+        tail[full] = entries[at + count[full] - 1]
+        return entries, length, tail
+
+    def lengths(self, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+        """Row and column table lengths, shape (2, len(start)), of the sweeps
+        from anchor ``start[c]`` to anchor ``end[c]`` of the same cluster.
+
+        Each span costs one hop from the previous tail, a difference of
+        ``prefix`` over its lanes, and a difference of the one ``hops`` row
+        that joins last entries after each lane the span walks forward.
+        """
+        table = self.table[:, start].reshape(-1)
+        p = self._entry(table, np.tile(start, 2))
+        q = self._entry(table, np.tile(end, 2))
+        L0 = self.L0[table]
+        a, b = self.lane[p] - L0, self.lane[q] - L0
+        # Anchor runs: the rest of the lane where fast, else sorted.
+        p_run, q_run = self.far[p] != p, self.far[q] != q  # lanes of more than the anchor
+        total = np.where(p_run, self.sums[self.lane[p]], 0.0)
+        prev = np.where(p_run, self.far[p], p)
+        tail = np.where(q_run & (a != b), self.sums[self.lane[q]], 0.0)
+        head = np.where(q_run & (a != b), self.far[q], q)
+        ranked = (a == b) | ~self.fast[p]
+        if ranked.any():
+            _, total[ranked], prev[ranked] = self._anchor_lanes(p[ranked], q[ranked], 1)
+        ranked = (a != b) & ~self.fast[q]
+        if ranked.any():
+            _, tail[ranked], head[ranked] = self._anchor_lanes(q[ranked], p[ranked], -1)
+        forward = self.tc[prev] < self.tc[p]  # False after an empty run too
+        # The three spans, one row each.
+        last = self.last_lane[table]
+        s, e, step = (np.array(v) for v in zip(*_spans(a, b, last)))
+        full = (e - s) * step >= 0
+        s, e = np.clip(s, 0, last), np.clip(e, 0, last)  # empty spans read in range
+        lo, hi = L0 + np.minimum(s, e), L0 + np.maximum(s, e)
+        odd = full & ((hi - lo) % 2 == 0)  # a full span of an odd lane count flips direction
+        forward = forward ^ ((np.cumsum(odd, axis=0) - odd) % 2 == 1)
+        tip = np.where(forward, self.first[L0 + s], self.last[L0 + s])
+        leave = np.where(forward ^ ((hi - lo) % 2 == 1), self.last[L0 + e], self.first[L0 + e])
+        tails = [prev]
+        for span in range(3):
+            tails.append(np.where(full[span], leave[span], tails[-1]))
+        prev = np.array(tails[:3])
+        row = (forward ^ (s % 2 == 1) ^ (step == 1)) * 1
+        span = (
+            np.hypot(self.x[prev] - self.x[tip], self.y[prev] - self.y[tip])
+            + (self.prefix[hi + 1] - self.prefix[lo])
+            + (self.hops[row, hi] - self.hops[row, lo])
+        )
+        total = total + np.where(full, span, 0.0).sum(axis=0)
+        prev = tails[3]
+        closing = np.hypot(self.x[prev] - self.x[head], self.y[prev] - self.y[head])
+        return (total + closing + tail).reshape(2, -1)
+
+    def sweep(self, axis: int, start: int, end: int) -> list[int]:
+        """Visit order, as positions into ``xy``, of the sweep on ``axis``
+        from anchor ``start`` to anchor ``end``, both included."""
+        table = self.table[axis, start]
+        p, q = int(self._entry(table, start)), int(self._entry(table, end))
+        pos, first, last = self.positions, self.lane_first, self.lane_last
+        run = self._run(p, q, 1)
+        order = [pos[p], *(pos[i] for i in run)]
+        forward = bool(run) and self.tc[run[-1]] < self.tc[p]
+        L0 = int(self.L0[table])
+        a, b = int(self.lane[p]) - L0, int(self.lane[q]) - L0
+        for s, e, step in _spans(a, b, int(self.last_lane[table])):
+            for lane in range(L0 + s, L0 + e + step, step):
+                entries = pos[first[lane] : last[lane] + 1]
+                order.extend(entries if forward else reversed(entries))
+                forward = not forward
+        if b != a:
+            order.extend(pos[i] for i in reversed(self._run(q, p, -1)))
+        order.append(pos[q])
+        return order
 
 
 def _check_spacing(spacing: float) -> None:
@@ -566,15 +711,18 @@ def _check_spacing(spacing: float) -> None:
         raise ValueError("spacing must be positive and finite")
 
 
-def _coordinates(pts: Sequence[Point], corners: Sequence[Point]) -> tuple[np.ndarray, list[int]]:
-    """The x row over the y row of ``pts``, and the first position in ``pts``
-    of each corner. Raises ValueError when a corner is not in ``pts``."""
-    xy = np.array([[pt.x for pt in pts], [pt.y for pt in pts]], dtype=float)
-    cxy = np.array([[c.x for c in corners], [c.y for c in corners]], dtype=float)
-    hits = (xy[0] == cxy[0][:, None]) & (xy[1] == cxy[1][:, None])
-    if not hits.any(axis=1).all():
-        raise ValueError("sweep start and end must be cluster nodes")
-    return xy, hits.argmax(axis=1).tolist()
+def _coordinate_rows(nodes: Sequence[Point]) -> np.ndarray:
+    """The x row over the y row of ``nodes``."""
+    return np.array([[p.x for p in nodes], [p.y for p in nodes]], dtype=float)
+
+
+def _shorter(nodes: Sequence[Point], rows: list[int], cols: list[int]) -> list[int]:
+    """The shorter of a row and a column sweep by exact summation, ties
+    within 1e-12 going to rows."""
+    row_length, col_length = (
+        _left_sum(dist(nodes[a], nodes[b]) for a, b in zip(o, o[1:])) for o in (rows, cols)
+    )
+    return cols if col_length < row_length - 1e-12 else rows
 
 
 def serpentine_route(pts: Sequence[Point], start: Point, end: Point, spacing: float) -> list[int]:
@@ -589,8 +737,67 @@ def serpentine_route(pts: Sequence[Point], start: Point, end: Point, spacing: fl
     _check_spacing(spacing)
     if start == end:
         raise ValueError("sweep start and end must be different points")
-    xy, (p, q) = _coordinates(pts, (start, end))
-    return _ClusterLanes(xy, [p], spacing).order(p, q, ("y", "x"))
+    xy, bounds = _coordinate_rows(pts), np.array([0, len(pts)])
+    ends = np.array([[start.x, end.x], [start.y, end.y]])
+    tables = _LaneTables(xy, np.arange(len(pts)), bounds, ends, np.zeros(2, dtype=np.intp), spacing)
+    return _shorter(pts, tables.sweep(0, 0, 1), tables.sweep(1, 0, 1))
+
+
+def _candidates(
+    nodes: Sequence[Point], xy: np.ndarray, labels: np.ndarray, k: int, spacing: float
+) -> tuple[_LaneTables, np.ndarray, np.ndarray, np.ndarray]:
+    """The lane tables of the k clusters of ``labels``, anchored at their
+    hull corners, and the candidate sweeps: each one's start and end anchor
+    and its cluster. Clusters come in order and, within one, each antipodal
+    pair (i, j) of the hull as (i, j) then (j, i).
+
+    Every hull is built before any table, so a cluster that spans no
+    polygon raises DegenerateInput first."""
+    members = np.argsort(labels, kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(labels, minlength=k))])
+    ids, cuts = members.tolist(), bounds.tolist()
+    hulls = [convex_hull([nodes[i] for i in ids[a:b]]) for a, b in zip(cuts, cuts[1:])]
+    corners = [v for h in hulls for v in h.vertices]
+    sizes = [len(h) for h in hulls]
+    pairs = [
+        [(o + i, o + j) for i, j in antipodal_pairs(h)]
+        for o, h in zip(itertools.accumulate(sizes, initial=0), hulls)
+    ]
+    ends = np.array([e for cluster_pairs in pairs for e in cluster_pairs]).reshape(-1, 2)
+    cluster = np.repeat(np.arange(k), [2 * len(p) for p in pairs])
+    anchors = np.array([[v.x for v in corners], [v.y for v in corners]])
+    tables = _LaneTables(xy, members, bounds, anchors, np.repeat(np.arange(k), sizes), spacing)
+    return tables, ends.reshape(-1), ends[:, ::-1].reshape(-1), cluster
+
+
+def _route_clusters(
+    nodes: Sequence[Point], labels: np.ndarray, k: int, depot: Point, spacing: float
+) -> list[Route]:
+    """Best serpentine route of each of the k clusters of ``labels``, picked
+    as ``route_cluster`` picks it, every cluster scored in one pass."""
+    _check_spacing(spacing)
+    xy = _coordinate_rows(nodes)
+    tables, start, end, cluster = _candidates(nodes, xy, labels, k, spacing)
+    rows, cols = tables.lengths(start, end)
+    legs = np.hypot(tables.anchors[0] - depot.x, tables.anchors[1] - depot.y)
+    scores = legs[start] + np.minimum(rows, cols) + legs[end]
+    count = np.bincount(cluster, minlength=k)
+    low = np.minimum.reduceat(scores, np.cumsum(count) - count)
+    slack = NEAR_BEST * np.maximum(1.0, low)
+    cutoff = low + slack + 1e-12 * count
+    best: list[tuple[float, list[int]] | None] = [None] * k
+    rescore = np.flatnonzero(~(scores > cutoff[cluster]))
+    for c, i, j, r, w in zip(*(v[rescore].tolist() for v in (cluster, start, end, rows, cols))):
+        if w > r + slack[c]:
+            order = tables.sweep(0, i, j)
+        elif r > w + slack[c]:
+            order = tables.sweep(1, i, j)
+        else:
+            order = _shorter(nodes, tables.sweep(0, i, j), tables.sweep(1, i, j))
+        length = route_length(depot, [nodes[t] for t in order])
+        if best[c] is None or length < best[c][0] - 1e-12:
+            best[c] = (length, order)
+    return [Route(node_order=tuple(order), length=length) for length, order in best]
 
 
 def route_cluster(
@@ -602,7 +809,8 @@ def route_cluster(
     ties go to the lexicographically smallest (i, j, orientation).
     Raises DegenerateInput when the members span no polygon (``hpp_solve``
     relies on this to detect a cluster that needs repair), and ValueError
-    unless ``spacing`` is positive and finite.
+    unless ``spacing`` is positive and finite. ``hpp_solve`` routes all of
+    its clusters through the same routine at once.
 
     Each candidate is first scored from the cluster's lane tables. Only those
     within ``NEAR_BEST * max(1, lowest)`` plus 1e-12 per candidate of the
@@ -617,40 +825,10 @@ def route_cluster(
     ``NEAR_BEST * max(1, lowest)``, since the rows-first 1e-12 rule between
     the two exact lengths would pick the same axis; otherwise it builds both.
     """
-    _check_spacing(spacing)
     ids = [i for i, _ in members]
-    pts = [pt for _, pt in members]
-    hull = convex_hull(pts)
-    xy, anchors = _coordinates(pts, hull.vertices)
-    lanes = _ClusterLanes(xy, anchors, spacing)
-    ends = []
-    for i, j in antipodal_pairs(hull):
-        p, q = anchors[i], anchors[j]
-        ends += [(p, q), (q, p)]
-    legs = {a: dist(depot, pts[a]) for a in anchors}
-    axis_lengths = [lanes.lengths(p, q) for p, q in ends]
-    scores = [legs[p] + min(both) + legs[q] for (p, q), both in zip(ends, axis_lengths)]
-    low = min(scores)
-    slack = NEAR_BEST * max(1.0, low)
-    cutoff = low + slack + 1e-12 * len(ends)
-    best: tuple[float, list[int]] | None = None
-    for (p, q), approx, (rows, cols) in zip(ends, scores, axis_lengths):
-        if approx > cutoff:
-            continue
-        axes = ("y",) if cols > rows + slack else ("x",) if rows > cols + slack else ("y", "x")
-        order = lanes.order(p, q, axes)
-        length = route_length(depot, [pts[t] for t in order])
-        if best is None or length < best[0] - 1e-12:
-            best = (length, order)
-    assert best is not None
-    return Route(node_order=tuple(ids[t] for t in best[1]), length=best[0])
-
-
-def _route_clusters(assign: ClusterAssignment, inst: FarmInstance) -> list[Route]:
-    members: list[list[tuple[int, Point]]] = [[] for _ in range(assign.k)]
-    for i, (lab, node) in enumerate(zip(assign.labels, inst.nodes)):
-        members[lab].append((i, node))
-    return [route_cluster(m, inst.depot, inst.spacing) for m in members]
+    labels = np.zeros(len(members), dtype=np.intp)
+    [route] = _route_clusters([pt for _, pt in members], labels, 1, depot, spacing)
+    return Route(node_order=tuple(ids[t] for t in route.node_order), length=route.length)
 
 
 def hpp_solve(inst: FarmInstance, k: int = 5, seed: int = 0) -> Solution:
@@ -670,8 +848,8 @@ def hpp_solve(inst: FarmInstance, k: int = 5, seed: int = 0) -> Solution:
         raise InvalidK(f"k={k} is infeasible: {n} nodes support {support}")
     assign = kmeans(inst.nodes, k, seed)
     try:
-        routes = _route_clusters(assign, inst)
+        routes = _route_clusters(inst.nodes, np.array(assign.labels), k, inst.depot, inst.spacing)
     except DegenerateInput:
-        routes = _route_clusters(repair_clusters(assign, inst.nodes), inst)
+        assign = repair_clusters(assign, inst.nodes)
+        routes = _route_clusters(inst.nodes, np.array(assign.labels), k, inst.depot, inst.spacing)
     return Solution(instance_ref=inst.name, algorithm="hpp", seed=seed, routes=tuple(routes))
-

@@ -13,7 +13,6 @@ from pondroute import baseline
 from pondroute.baseline import (
     DistanceMatrix,
     TooLarge,
-    _best_insertions,
     _nearest_neighbor,
     _partitions,
     _reconstruct,
@@ -250,6 +249,16 @@ def two_opt_deltas(order: list[int], D: np.ndarray, depot: int) -> np.ndarray:
     return delta[np.triu_indices(m, k=1)]
 
 
+def best_insertions(order: list[int], nodes: list[int], D: np.ndarray) -> list[tuple[int, float]]:
+    """Cheapest position to insert each of ``nodes`` into ``order``, alone,
+    from the relocation step's ``_insertions`` table: (position, added cost)
+    per node."""
+    P = np.array([baseline._DEPOT, *order, baseline._DEPOT])
+    edges = np.array([len(P) - 1])
+    pos, added = baseline._insertions(D, P[None], D[P[:-1], P[1:]][None], edges, nodes)
+    return [(p, c) for [p], [c] in zip(pos, added)]
+
+
 def saved_bytes_or_error(solve, inst: FarmInstance, k: int) -> bytes | tuple[str, str]:
     """The ``save_solution`` bytes of ``solve(inst, k)``, or its error."""
     try:
@@ -320,7 +329,7 @@ class TestMatchesOracle:
         assert _route_cost(D, nodes) == route_cost_oracle(D, depot, nodes)
         extra = [i for i in range(n) if i not in nodes] or [0]
         for order in (nodes, []):
-            assert _best_insertions(order, extra, D) == [
+            assert best_insertions(order, extra, D) == [
                 best_insertion_oracle(order, x, D, depot) for x in extra
             ]
 
@@ -351,7 +360,7 @@ class TestMatchesOracle:
         assert two_opt(trimmed, D, changed=(t,)) == two_opt_oracle(trimmed, D, depot)
 
         node = perm[-1]
-        [(best, _)] = _best_insertions(tour, [node], D)
+        [(best, _)] = best_insertions(tour, [node], D)
         for pos in {best, int(rng.integers(len(tour) + 1))}:
             grown = tour[:pos] + [node] + tour[pos:]
             got = two_opt(grown, D, changed=(pos, pos + 1))

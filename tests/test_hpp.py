@@ -50,6 +50,7 @@ from pondroute.solution import (
 import _oracles
 from _oracles import (
     kmeans_oracle,
+    lane_sweep_oracle,
     min_depot_tour,
     min_fixed_endpoint_path,
     path_length,
@@ -731,48 +732,105 @@ class TestRouteClusterMatchesOracle:
             assert route.length.hex() == length.hex()
 
 
-def assert_table_lengths_near_exact(pts: list[Point], spacing: float) -> None:
-    """Every candidate's row and column table lengths are within 1e-10 (relative
-    beyond 1) of the exact length of the sweep that table builds.
+def batch(clusters: list[list[Point]], seed: int = 0) -> tuple[list[Point], np.ndarray]:
+    """The clusters' nodes in a shuffled order, and the cluster of each."""
+    labels = np.repeat(np.arange(len(clusters)), [len(pts) for pts in clusters])
+    order = np.random.default_rng(seed).permutation(len(labels))
+    nodes = [pt for pts in clusters for pt in pts]
+    return [nodes[t] for t in order], labels[order]
+
+
+def apart(clusters: list[list[Point]]) -> list[list[Point]]:
+    """``oracle_cluster`` clusters moved 3 units apart in x, so no two overlap."""
+    return [[Point(pt.x + 3.0 * c, pt.y) for pt in pts] for c, pts in enumerate(clusters)]
+
+
+def assert_table_lengths_near_exact(clusters: list[list[Point]], spacing: float) -> None:
+    """Every candidate's row and column table lengths are within 1e-10
+    (relative beyond 1) of the exact length of the sweep that table builds,
+    for clusters whose tables are built and scored together: each reads its
+    lanes out of sums that run over the whole batch.
 
     route_cluster re-scores only candidates whose table score is within
     NEAR_BEST of the best, which picks the exhaustive route only while table
     and exact lengths differ by rounding.
     """
-    hull = convex_hull(pts)
-    xy, anchors = hpp._coordinates(pts, hull.vertices)
-    lanes = hpp._ClusterLanes(xy, anchors, spacing)
-    for i, j in antipodal_pairs(hull):
-        p, q = anchors[i], anchors[j]
-        for p, q in ((p, q), (q, p)):
-            for axis, table_length in zip(("y", "x"), lanes.lengths(p, q)):
-                order = lanes.tables[axis, p].order(p, q)
-                exact = _left_sum(dist(pts[a], pts[b]) for a, b in zip(order, order[1:]))
-                assert abs(table_length - exact) <= 1e-10 * max(1.0, exact)
+    nodes, labels = batch(clusters)
+    xy = hpp._coordinate_rows(nodes)
+    tables, start, end, _ = hpp._candidates(nodes, xy, labels, len(clusters), spacing)
+    for axis, lengths in enumerate(tables.lengths(start, end).tolist()):
+        for i, j, table_length in zip(start.tolist(), end.tolist(), lengths):
+            order = tables.sweep(axis, i, j)
+            exact = _left_sum(dist(nodes[a], nodes[b]) for a, b in zip(order, order[1:]))
+            assert abs(table_length - exact) <= 1e-10 * max(1.0, exact)
+
+
+CLUSTER = st.tuples(
+    st.sampled_from(["lattice", "jittered", "duplicates", "full-grid"]),
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 9),
+    st.integers(2, 9),
+)
+
+
+def polygons(params) -> list[list[Point]]:
+    """The ``oracle_cluster``s of ``params`` that span a polygon, moved apart."""
+    clusters = apart([oracle_cluster(*p)[0] for p in params])
+    return [pts for pts in clusters if len(pts) >= 3 and not collinear(pts)]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(
-    family=st.sampled_from(["lattice", "jittered", "duplicates", "full-grid"]),
-    seed=st.integers(0, 2**32 - 1),
-    w=st.integers(2, 9),
-    h=st.integers(2, 9),
-    spacing=st.sampled_from([PITCH, 1e-300]),
-)
-def test_table_length_within_rounding_of_exact(family, seed, w, h, spacing):
-    pts, _, _ = oracle_cluster(family, seed, w, h)
-    if len(pts) < 3 or collinear(pts):
-        return
-    assert_table_lengths_near_exact(pts, spacing)
+@given(params=st.lists(CLUSTER, min_size=1, max_size=4), spacing=st.sampled_from([PITCH, 1e-300]))
+def test_table_length_within_rounding_of_exact(params, spacing):
+    clusters = polygons(params)
+    if clusters:
+        assert_table_lengths_near_exact(clusters, spacing)
 
 
 def test_table_length_with_tied_lane_members():
     # (1, 0) and (1, 0.25) share a row lane and an x, and so do (0, 0) and
     # (0, 0.25): the rest of the lane reversed is not the sorted anchor run
-    # from (2, 0), and its length differs by about 0.28.
+    # from (2, 0), and its length differs by about 0.28. A lattice cluster
+    # is routed beside it.
     coords = [(0, 0), (1, 0), (1, 0.25), (2, 0), (0, 0.25), (0, 1), (2, 1), (1, 1)]
-    pts = [Point(float(x), float(y)) for x, y in coords]
-    assert_table_lengths_near_exact(pts, 1.0)
+    tied = [Point(float(x), float(y)) for x, y in coords]
+    assert_table_lengths_near_exact([grid_points(3, 2), tied], 1.0)
+    assert_table_lengths_near_exact([tied], 1.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    params=st.lists(CLUSTER, min_size=2, max_size=6),
+    depot=st.tuples(st.floats(-3.0, 18.0), st.floats(-3.0, 3.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+# the first cluster's rows fit in one lane for some anchor
+@example(params=[("jittered", 6, 4, 2), ("lattice", 1, 3, 3)], depot=(0.0, -1.0), seed=0)
+def test_clusters_routed_together_match_oracle(params, depot, seed):
+    # One batch of lane tables for every cluster, jittered ones with several
+    # tables per axis: each candidate's row and column sweeps are the sweeps
+    # built from scratch for its cluster alone, and each cluster gets the
+    # route that sweeping its every candidate from scratch gives.
+    clusters = polygons(params)
+    if len(clusters) < 2:
+        return
+    nodes, labels = batch(clusters, seed)
+    members = [np.flatnonzero(labels == c).tolist() for c in range(len(clusters))]
+    xy = hpp._coordinate_rows(nodes)
+    tables, start, end, cluster = hpp._candidates(nodes, xy, labels, len(clusters), PITCH)
+    for i, j, c in zip(start.tolist(), end.tolist(), cluster.tolist()):
+        pts = [nodes[t] for t in members[c]]
+        corners = [tuple(tables.anchors[:, a].tolist()) for a in (i, j)]
+        p, q = (next(t for t, pt in enumerate(pts) if (pt.x, pt.y) == at) for at in corners)
+        for axis, stack in enumerate("yx"):
+            want = [members[c][t] for t in lane_sweep_oracle(pts, p, q, PITCH, stack)]
+            assert tables.sweep(axis, i, j) == want
+
+    routes = hpp._route_clusters(nodes, labels, len(clusters), Point(*depot), PITCH)
+    for route, ids in zip(routes, members):
+        order, length = route_cluster_oracle([(i, nodes[i]) for i in ids], Point(*depot), PITCH)
+        assert route.node_order == order
+        assert route.length.hex() == length.hex()
 
 
 # SHA-256 of the save_solution bytes of hpp_solve(k=5, seed=0) on generated
@@ -918,71 +976,66 @@ class TestHppSolve:
         assert calls == {"convex_hull": k, "collinear": 0, "repair_clusters": 0, "__hash__": 0}
 
     def test_scoring_sorts_no_anchor_lane_and_rescores_one_axis(self, monkeypatch):
-        # Candidates are scored from each table's prefix sums, and on this
-        # lattice instance no anchor lane is sorted, neither while scoring
-        # nor while an exact re-score builds a sweep. That re-score builds
-        # both axes only when their table lengths are within route_cluster's
-        # slack of each other.
+        # Candidates are scored from the tables' sums, and on this lattice
+        # instance no anchor lane is sorted, neither while scoring nor while
+        # an exact re-score builds a sweep. That re-score builds both axes
+        # only when their table lengths are within its cluster's slack of
+        # each other.
         inst = generate(300, 42)
-        clusters = []  # per route_cluster call: its table lengths and re-scores
-        built = None  # tables whose sweep the current re-score builds
-        anchor_lane_calls = 0
+        batches = []  # per _candidates call: tables, candidates and their clusters
+        scores = []  # per lengths call: the table lengths
+        built = []  # (start, end, axis) per sweep built
+        sorted_runs = 0
 
         def wrap(owner, name, wrapper):
             real = getattr(owner, name)
             monkeypatch.setattr(owner, name, lambda *args: wrapper(real, *args))
 
-        def route_cluster(real, members, depot, spacing):
-            pts = [pt for _, pt in members]
-            clusters.append({"pts": pts, "depot": depot, "lengths": {}, "rescores": []})
-            return real(members, depot, spacing)
+        def candidates(real, *args):
+            batches.append(real(*args))
+            return batches[-1]
 
-        def lengths(real, lanes, p, q):
-            clusters[-1]["lengths"][p, q] = real(lanes, p, q)
-            return clusters[-1]["lengths"][p, q]
+        def lengths(real, tables, start, end):
+            scores.append(real(tables, start, end))
+            return scores[-1]
 
-        def cluster_order(real, lanes, p, q, *axes):
-            nonlocal built
-            built = []
-            clusters[-1]["rescores"].append((p, q, lanes, built))
-            try:
-                return real(lanes, p, q, *axes)
-            finally:
-                built = None
+        def sweep(real, tables, axis, start, end):
+            built.append((start, end, axis))
+            return real(tables, axis, start, end)
 
-        def table_order(real, table, p, q):
-            built.append(table)
-            return real(table, p, q)
+        def anchor_lanes(real, tables, anchor, *args):
+            nonlocal sorted_runs
+            sorted_runs += len(anchor)
+            return real(tables, anchor, *args)
 
-        def anchor_lane(real, table, *args):
-            nonlocal anchor_lane_calls
-            anchor_lane_calls += 1
-            return real(table, *args)
-
-        wrap(hpp, "route_cluster", route_cluster)
-        wrap(hpp._ClusterLanes, "lengths", lengths)
-        wrap(hpp._ClusterLanes, "order", cluster_order)
-        wrap(hpp._Lanes, "order", table_order)
-        wrap(hpp._Lanes, "_anchor_lane", anchor_lane)
+        wrap(hpp, "_candidates", candidates)
+        wrap(hpp._LaneTables, "lengths", lengths)
+        wrap(hpp._LaneTables, "sweep", sweep)
+        wrap(hpp._LaneTables, "_anchor_lanes", anchor_lanes)
         hpp_solve(inst, k=5, seed=0)
 
-        assert len(clusters) == 5
-        assert anchor_lane_calls == 0
+        [(tables, start, end, cluster)] = batches
+        [(rows, cols)] = scores
+        assert sorted(set(cluster.tolist())) == list(range(5))
+        assert sorted_runs == 0
+        legs = [dist(inst.depot, Point(x, y)) for x, y in tables.anchors.T.tolist()]
+        low = [math.inf] * 5
+        for c, i, j, r, w in zip(cluster, start, end, rows, cols):
+            low[c] = min(low[c], legs[i] + min(r, w) + legs[j])
+        candidate = {(i, j): x for x, (i, j) in enumerate(zip(start.tolist(), end.tolist()))}
         one_axis = 0
-        for c in clusters:
-            legs = [dist(c["depot"], pt) for pt in c["pts"]]
-            low = min(legs[p] + min(both) + legs[q] for (p, q), both in c["lengths"].items())
-            slack = hpp.NEAR_BEST * max(1.0, low)
-            for p, q, lanes, tables in c["rescores"]:
-                rows, cols = c["lengths"][p, q]
-                if cols > rows + slack:
-                    expected = [lanes.tables["y", p]]
-                elif rows > cols + slack:
-                    expected = [lanes.tables["x", p]]
-                else:
-                    expected = [lanes.tables["y", p], lanes.tables["x", p]]
-                assert tables == expected
-                one_axis += len(tables) == 1
+        for (i, j), group in itertools.groupby(built, key=lambda b: b[:2]):
+            x = candidate[i, j]
+            slack = hpp.NEAR_BEST * max(1.0, low[cluster[x]])
+            if cols[x] > rows[x] + slack:
+                expected = [0]
+            elif rows[x] > cols[x] + slack:
+                expected = [1]
+            else:
+                expected = [0, 1]
+            axes = [axis for _, _, axis in group]
+            assert axes == expected
+            one_axis += len(axes) == 1
         assert one_axis > 0
 
 
