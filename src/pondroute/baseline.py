@@ -9,12 +9,13 @@ new edge can improve them, for a route of m nodes. A step is a fixed set of
 table operations, whatever k and the number of trials: one ``np.hypot``
 table shortlists the candidate nodes, one (candidates x routes x edges)
 table prices every insertion, one table over all trial tours screens their
-new-edge moves, and one row-wise fold sums their lengths. ``two_opt`` with
-its full O(m^2) passes runs only on the few trial tours whose screen finds
-an improving move. Construction computes the distance matrix in blocks of
-64 rows, so it needs one 64 x n scratch array beside the n x n result, and
-each sector's nearest-neighbour tour is one (m + 1) x m gather and one
-``argmin`` per node.
+new-edge moves, and one row-wise fold sums their lengths. That screen alone
+decides whether 2-opt runs: ``two_opt`` has one path, full O(m^2)
+best-improvement passes, and runs only on the few trial tours whose screen
+finds an improving move. Construction computes the distance matrix in
+blocks of 64 rows, so it needs one 64 x n scratch array beside the n x n
+result, and each sector's nearest-neighbour tour is one (m + 1) x m gather
+and one ``argmin`` per node.
 
 ``exact_minmax`` scores every partition of up to 10 nodes into at most 3
 routes as one array of masks. Per-subset optimal tours are walked back from a
@@ -94,80 +95,39 @@ def _tour_lengths(legs: np.ndarray, sizes: np.ndarray) -> list[float]:
     return np.add.accumulate(legs, axis=1)[:, -1].tolist()
 
 
-def two_opt(
-    order: list[int],
-    D: np.ndarray,
-    *,
-    changed: tuple[int, ...] | None = None,
-    converged: list[bool] | None = None,
-) -> list[int]:
+def two_opt(order: list[int], D: np.ndarray, *, converged: list[bool] | None = None) -> list[int]:
     """Best-improvement 2-opt on a depot-anchored tour until no move helps
     (at most ``_TWO_OPT_MAX_PASSES`` passes).
 
     Edge t of the tour joins its positions t and t + 1, where the depot is
     position 0 and position ``len(order) + 1``; reversing ``order[i..j]``
-    replaces edges i and j + 1. ``changed`` names the edges of ``order``
-    that are new since one node was removed from or inserted into a tour on
-    which no move gained more than ``_IMPROVE_EPS``. Every move that keeps
-    them is a move of that tour, with the same four distances in the same
-    order, so the first pass scans only the O(m) moves that drop one of
-    them; ``None`` scans every move. A list passed as ``converged`` gets
-    True appended when the search stopped because no move helps, and False
-    when it ran into the pass cap or the tour has fewer than 3 nodes.
+    replaces edges i and j + 1. A list passed as ``converged`` gets True
+    appended when the search stopped because no move helps, and False when
+    it ran into the pass cap or the tour has fewer than 3 nodes.
     """
     m = len(order)
     P = np.array([_DEPOT, *order, _DEPOT])
     stopped = False
     if m >= 3:
-        S = None  # S[a, b] = D[P[a], P[b]], gathered at the first full pass
-        for pass_index in range(_TWO_OPT_MAX_PASSES):
-            if pass_index == 0 and changed is not None:
-                move = _screen(D, P, changed)
-            else:
-                if S is None:
-                    S = D[P[:, None], P]
-                    cons = S.diagonal(1)  # cons[t] = length of edge t, a view of S
-                    lower = np.tri(m, dtype=bool)  # j <= i: not a move
-                # delta[i, j] = cost change of reversing order[i..j]
-                delta = S[:m, 1 : m + 1] + S[1 : m + 1, 2:]
-                delta -= cons[:m, None]
-                delta -= cons[None, 1:]
-                np.copyto(delta, 0.0, where=lower)
-                i, j = divmod(int(np.argmin(delta)), m)
-                move = None if delta[i, j] >= -_IMPROVE_EPS else (i, j)
-            if move is None:
+        S = D[P[:, None], P]  # S[a, b] = D[P[a], P[b]]
+        cons = S.diagonal(1)  # cons[t] = length of edge t, a view of S
+        lower = np.tri(m, dtype=bool)  # j <= i: not a move
+        for _ in range(_TWO_OPT_MAX_PASSES):
+            # delta[i, j] = cost change of reversing order[i..j]
+            delta = S[:m, 1 : m + 1] + S[1 : m + 1, 2:]
+            delta -= cons[:m, None]
+            delta -= cons[None, 1:]
+            np.copyto(delta, 0.0, where=lower)
+            i, j = divmod(int(np.argmin(delta)), m)
+            if delta[i, j] >= -_IMPROVE_EPS:
                 stopped = True
                 break
-            i, j = move
             P[i + 1 : j + 2] = P[j + 1 : i : -1]
-            if S is not None:
-                S[i + 1 : j + 2] = S[j + 1 : i : -1]
-                S[:, i + 1 : j + 2] = S[:, j + 1 : i : -1]
+            S[i + 1 : j + 2] = S[j + 1 : i : -1]
+            S[:, i + 1 : j + 2] = S[:, j + 1 : i : -1]
     if converged is not None:
         converged.append(stopped)
     return P[1:-1].tolist()
-
-
-def _screen(D: np.ndarray, P: np.ndarray, changed: tuple[int, ...]) -> tuple[int, int] | None:
-    """``two_opt``'s first pass when only moves that drop a ``changed`` edge
-    can gain more than ``_IMPROVE_EPS``: the pass's move, or None to stop.
-
-    Row r of the table holds the moves that drop edge changed[r].
-    """
-    m, e = len(P) - 2, np.array(changed)
-    tour, cost = P[None].repeat(len(e), axis=0), D[P[:-1], P[1:]][None].repeat(len(e), axis=0)
-    gains = _screen_table(D, tour, cost, np.full(len(e), m + 1), e)
-    if (gains >= -_IMPROVE_EPS).all():
-        return None
-    # The full pass's argmin: the first NaN, else the first minimum, where
-    # the full pass orders move (i, j) by its flat index i * m + j.
-    pick = np.isnan(gains)
-    if not pick.any():
-        pick = gains == gains.min()
-    rows, edges = np.nonzero(pick)
-    return min(
-        (s, e - 1) if s < e else (e, s - 1) for e, s in zip(e[rows].tolist(), edges.tolist())
-    )
 
 
 def _screen_table(
@@ -407,9 +367,11 @@ def minmax_local_search(
         trial_sizes = np.concatenate([np.full(len(cuts), m - 1), sizes[target] + 1])
         legs = D[trials[:, :-1], trials[:, 1:]]
 
-        # two_opt's screen of every trial tour in one table, one row per
-        # changed edge; two_opt runs only where it finds a move, or on a
-        # route not known to be optimal.
+        # The screen of every trial tour in one table, one row per changed
+        # edge. On a trial of a route known to be optimal only the moves
+        # that drop a changed edge can gain more than _IMPROVE_EPS, so
+        # two_opt runs only where the screen finds one, and then its first
+        # pass takes the screen's move; on any other route two_opt runs.
         rows = np.concatenate([np.arange(len(cuts)), np.repeat(grown, 2)])
         changed = np.concatenate([cuts, np.stack([pos, pos + 1], axis=1).ravel()])
         screen = _screen_table(D, trials[rows], legs[rows], trial_sizes[rows] + 1, changed)
@@ -418,17 +380,17 @@ def minmax_local_search(
             a or b for a, b in zip(moves_found[len(cuts) :: 2], moves_found[len(cuts) + 1 :: 2])
         ]
         polished = []  # (tour, converged) per trial
-        trial_orders = [(route[:c] + route[c + 1 :], (c,), optimal[longest]) for c in cuts.tolist()]
+        trial_orders = [(route[:c] + route[c + 1 :], optimal[longest]) for c in cuts.tolist()]
         trial_orders += [
-            (orders[r][:p] + [v] + orders[r][p:], (p, p + 1), optimal[r])
+            (orders[r][:p] + [v] + orders[r][p:], optimal[r])
             for v, r, p in zip(node.tolist(), target.tolist(), pos.tolist())
         ]
-        for i, ((order, new_edges, known), hit) in enumerate(zip(trial_orders, found)):
+        for i, ((order, known), hit) in enumerate(zip(trial_orders, found)):
             if len(order) < 3 or (known and not hit):
                 polished.append((order, len(order) >= 3))
                 continue
             stopped: list[bool] = []
-            order = two_opt(order, D, changed=new_edges if known else None, converged=stopped)
+            order = two_opt(order, D, converged=stopped)
             polished.append((order, stopped[0]))
             trials[i, 1 : len(order) + 1] = order
             legs[i] = D[trials[i, :-1], trials[i, 1:]]

@@ -241,15 +241,17 @@ def antipodal_pairs(poly: ConvexPolygon) -> list[tuple[int, int]]:
         i1 = (i + 1) % n
         if j < i + 1:
             j = i + 1
-        while height(i, i1, j + 1) > height(i, i1, j) + EPS:
+        h, h_next = height(i, i1, j), height(i, i1, j + 1)
+        while h_next > h + EPS:
             j += 1
             if j > i + 2 * n:  # cannot happen for a valid polygon
                 raise RuntimeError("antipodal pointer failed to terminate")
+            h, h_next = h_next, height(i, i1, j + 1)
         far = j % n
         for a in (i, i1):
             if a != far:
                 pairs.add((min(a, far), max(a, far)))
-        if abs(height(i, i1, j + 1) - height(i, i1, j)) <= EPS:
+        if abs(h_next - h) <= EPS:
             far2 = (j + 1) % n
             for a in (i, i1):
                 if a != far2:

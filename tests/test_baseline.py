@@ -249,6 +249,34 @@ def two_opt_deltas(order: list[int], D: np.ndarray, depot: int) -> np.ndarray:
     return delta[np.triu_indices(m, k=1)]
 
 
+def assert_screen_decides(
+    order: list[int], new_edges: tuple[int, ...], D: np.ndarray, depot: int
+) -> None:
+    """The lemma the relocation step's skip relies on, for a 2-opt local
+    optimum with one node removed or inserted, whose new edges are
+    ``new_edges``: the ``_screen_table`` rows of those edges find a move
+    exactly when a full pass has a delta below -_IMPROVE_EPS or a NaN, and
+    the full pass's first move (its first NaN, else its first minimum)
+    drops a new edge."""
+    if len(order) < 3:  # two_opt makes no move
+        return
+    P = np.array([depot, *order, depot])
+    e = np.array(new_edges)
+    tours = P[None].repeat(len(e), axis=0)
+    cost = D[P[:-1], P[1:]][None].repeat(len(e), axis=0)
+    gains = baseline._screen_table(D, tours, cost, np.full(len(e), len(P) - 1), e)
+    found = bool((~(gains >= -baseline._IMPROVE_EPS)).any())
+    deltas = two_opt_deltas(order, D, depot)
+    assert found == bool((~(deltas >= -baseline._IMPROVE_EPS)).any())
+    if found:
+        pick = np.isnan(deltas)
+        if not pick.any():
+            pick = deltas == deltas.min()
+        first = int(np.flatnonzero(pick)[0])  # deltas run in (i, j) order
+        i, j = (int(a[first]) for a in np.triu_indices(len(order), k=1))
+        assert {i, j + 1} & set(new_edges), (order, new_edges, (i, j))
+
+
 def best_insertions(order: list[int], nodes: list[int], D: np.ndarray) -> list[tuple[int, float]]:
     """Cheapest position to insert each of ``nodes`` into ``order``, alone,
     from the relocation step's ``_insertions`` table: (position, added cost)
@@ -344,8 +372,8 @@ class TestMatchesOracle:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(family=st.sampled_from(FAMILIES), seed=st.integers(0, 2**32 - 1), n=st.integers(4, 40))
     def test_two_opt_one_node_from_local_optimum(self, family, seed, n):
-        # A 2-opt-optimal tour with one node removed or inserted: the first
-        # pass scans only the moves that drop a new edge.
+        # A 2-opt-optimal tour with one node removed or inserted: the screen
+        # of its new edges decides whether two_opt has a move to make.
         rng = np.random.default_rng(seed)
         inst = point_set(family, rng, n)
         D, depot = DistanceMatrix.from_instance(inst).entries, n
@@ -357,14 +385,15 @@ class TestMatchesOracle:
 
         t = int(rng.integers(len(tour)))
         trimmed = tour[:t] + tour[t + 1 :]
-        assert two_opt(trimmed, D, changed=(t,)) == two_opt_oracle(trimmed, D, depot)
+        assert_screen_decides(trimmed, (t,), D, depot)
+        assert two_opt(trimmed, D) == two_opt_oracle(trimmed, D, depot)
 
         node = perm[-1]
         [(best, _)] = best_insertions(tour, [node], D)
         for pos in {best, int(rng.integers(len(tour) + 1))}:
             grown = tour[:pos] + [node] + tour[pos:]
-            got = two_opt(grown, D, changed=(pos, pos + 1))
-            assert got == two_opt_oracle(grown, D, depot)
+            assert_screen_decides(grown, (pos, pos + 1), D, depot)
+            assert two_opt(grown, D) == two_opt_oracle(grown, D, depot)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -388,7 +417,7 @@ class TestMatchesOracle:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_two_opt_one_node_with_infinite_distances(self, seed):
         # Infinite distances make NaN move deltas (inf - inf). The full pass's
-        # argmin takes the first NaN, so the screen must too.
+        # argmin takes the first NaN, so that NaN must drop a new edge.
         rng = np.random.default_rng(seed)
         n = 14
         D = DistanceMatrix.from_instance(point_set("uniform", rng, n)).entries.copy()
@@ -405,7 +434,8 @@ class TestMatchesOracle:
         D[P[t], P[t + 2]] = D[P[t + 2], P[t]] = np.inf
         trimmed = tour[:t] + tour[t + 1 :]
         assert np.isnan(two_opt_deltas(trimmed, D, depot)).any()
-        assert two_opt(trimmed, D, changed=(t,)) == two_opt_oracle(trimmed, D, depot)
+        assert_screen_decides(trimmed, (t,), D, depot)
+        assert two_opt(trimmed, D) == two_opt_oracle(trimmed, D, depot)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_nearest_neighbor_with_infinite_distances(self, seed):
