@@ -95,19 +95,19 @@ def _tour_lengths(legs: np.ndarray, sizes: np.ndarray) -> list[float]:
     return np.add.accumulate(legs, axis=1)[:, -1].tolist()
 
 
-def two_opt(order: list[int], D: np.ndarray, *, converged: list[bool] | None = None) -> list[int]:
+def two_opt(order: list[int], D: np.ndarray) -> tuple[list[int], bool]:
     """Best-improvement 2-opt on a depot-anchored tour until no move helps
     (at most ``_TWO_OPT_MAX_PASSES`` passes).
 
-    Edge t of the tour joins its positions t and t + 1, where the depot is
-    position 0 and position ``len(order) + 1``; reversing ``order[i..j]``
-    replaces edges i and j + 1. A list passed as ``converged`` gets True
-    appended when the search stopped because no move helps, and False when
-    it ran into the pass cap or the tour has fewer than 3 nodes.
+    Returns the tour and whether it converged: True only when the search
+    stopped because no move helps, False when it ran into the pass cap or
+    the tour has fewer than 3 nodes. Edge t of the tour joins its positions
+    t and t + 1, where the depot is position 0 and position
+    ``len(order) + 1``; reversing ``order[i..j]`` replaces edges i and j + 1.
     """
     m = len(order)
     P = np.array([_DEPOT, *order, _DEPOT])
-    stopped = False
+    converged = False
     if m >= 3:
         S = D[P[:, None], P]  # S[a, b] = D[P[a], P[b]]
         cons = S.diagonal(1)  # cons[t] = length of edge t, a view of S
@@ -120,14 +120,12 @@ def two_opt(order: list[int], D: np.ndarray, *, converged: list[bool] | None = N
             np.copyto(delta, 0.0, where=lower)
             i, j = divmod(int(np.argmin(delta)), m)
             if delta[i, j] >= -_IMPROVE_EPS:
-                stopped = True
+                converged = True
                 break
             P[i + 1 : j + 2] = P[j + 1 : i : -1]
             S[i + 1 : j + 2] = S[j + 1 : i : -1]
             S[:, i + 1 : j + 2] = S[:, j + 1 : i : -1]
-    if converged is not None:
-        converged.append(stopped)
-    return P[1:-1].tolist()
+    return P[1:-1].tolist(), converged
 
 
 def _screen_table(
@@ -303,11 +301,12 @@ def minmax_local_search(
     Y = np.array([p.y for p in inst.nodes] + [0.0])
 
     # optimal[r]: no 2-opt move on orders[r] gains more than _IMPROVE_EPS
+    orders: list[list[int]] = []
     optimal: list[bool] = []
-    orders = [
-        two_opt(_nearest_neighbor(sector, D), D, converged=optimal)
-        for sector in _sector_partition(inst, k)
-    ]
+    for sector in _sector_partition(inst, k):
+        tour, done = two_opt(_nearest_neighbor(sector, D), D)
+        orders.append(tour)
+        optimal.append(done)
     lengths = [_route_cost(D, o) for o in orders]
     if trace is not None:
         trace.append(max(lengths))
@@ -315,8 +314,7 @@ def minmax_local_search(
     for _ in range(max_iterations if k > 1 else 0):  # one route has no relocation target
         cur_max = max(lengths)
         longest = lengths.index(cur_max)
-        route = orders[longest]
-        m = len(route)
+        m = len(orders[longest])
         if m < 2:
             break
         others = [r for r in range(k) if r != longest]  # each holds at least one node
@@ -379,24 +377,22 @@ def minmax_local_search(
         found = moves_found[: len(cuts)] + [
             a or b for a, b in zip(moves_found[len(cuts) :: 2], moves_found[len(cuts) + 1 :: 2])
         ]
-        polished = []  # (tour, converged) per trial
-        trial_orders = [(route[:c] + route[c + 1 :], optimal[longest]) for c in cuts.tolist()]
-        trial_orders += [
-            (orders[r][:p] + [v] + orders[r][p:], optimal[r])
-            for v, r, p in zip(node.tolist(), target.tolist(), pos.tolist())
-        ]
-        for i, ((order, known), hit) in enumerate(zip(trial_orders, found)):
-            if len(order) < 3 or (known and not hit):
-                polished.append((order, len(order) >= 3))
+
+        # Each trial is polished in its own row. converged[i]: no 2-opt move
+        # on trial i gains more than _IMPROVE_EPS.
+        converged = []
+        for i, (size, hit) in enumerate(zip(trial_sizes.tolist(), found)):
+            known = optimal[longest if i < len(cuts) else target[i - len(cuts)]]
+            if size < 3 or (known and not hit):
+                converged.append(size >= 3)
                 continue
-            stopped: list[bool] = []
-            order = two_opt(order, D, converged=stopped)
-            polished.append((order, stopped[0]))
-            trials[i, 1 : len(order) + 1] = order
+            tour, done = two_opt(trials[i, 1 : size + 1].tolist(), D)
+            converged.append(done)
+            trials[i, 1 : size + 1] = tour
             legs[i] = D[trials[i, :-1], trials[i, 1:]]
         trial_lengths = _tour_lengths(legs, trial_sizes)
 
-        moves = []  # (new_max, node, target, trimmed, grown, converged, new_lengths)
+        moves = []  # (new_max, node, target, cut row, grown row, new_lengths)
         for g, (_, v, r, _, cut) in zip(grown.tolist(), scored):
             c = cut_of[cut]
             new_lengths = list(lengths)
@@ -404,16 +400,14 @@ def minmax_local_search(
             new_lengths[r] = trial_lengths[g]
             new_max = max(new_lengths)
             if new_max < cur_max - _IMPROVE_EPS:
-                (trimmed, trim_done), (grown_order, grow_done) = polished[c], polished[g]
-                moves.append(
-                    (new_max, v, r, trimmed, grown_order, [trim_done, grow_done], new_lengths)
-                )
+                moves.append((new_max, v, r, c, g, new_lengths))
         if not moves:
             break
         # (node, target) is unique per move, so only the first three fields are compared
-        _, _, r, trimmed, grown_order, done, lengths = min(moves)
-        orders[longest], orders[r] = trimmed, grown_order
-        optimal[longest], optimal[r] = done
+        _, _, r, c, g, lengths = min(moves)
+        orders[longest] = trials[c, 1 : trial_sizes[c] + 1].tolist()
+        orders[r] = trials[g, 1 : trial_sizes[g] + 1].tolist()
+        optimal[longest], optimal[r] = converged[c], converged[g]
         if trace is not None:
             trace.append(max(lengths))
 

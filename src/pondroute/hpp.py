@@ -10,7 +10,7 @@ costs two ``bincount``s for the new centroids, O(n) bound updates and the
 squared distances, one ``argmin`` and one ``min`` over k entries of only the
 nodes whose bounds overlap (about a fifth of them at n = 2000, k = 20). The
 full (k, n) table is built in the first round, in a round that leaves a
-cluster empty, at the iteration cap, and in every round when n * k < 10000.
+cluster empty, and in every round when n * k < 10000.
 
 Candidates are scored without building them, every cluster of a solve in
 one pass. Per stacking axis (rows, columns) a cluster's nodes fall into
@@ -206,12 +206,12 @@ def kmeans(nodes: Sequence[Point], k: int, seed: int) -> ClusterAssignment:
     the same float as the ``mean`` of its cluster's rows, up to the sign of a
     zero. A point's label is the ``argmin`` of its ``_table`` column, ties
     going to the lowest index. ``_assign_labels`` builds the full (k, n)
-    table in the first round, in a round that leaves a cluster empty (its
-    reseed needs the whole table) and at the iteration cap. Every other round
-    recomputes, with the same operations, only the columns of the points
-    whose label the bounds below do not fix (Hamerly 2010, "Making k-means
-    even faster"), so labels and centroids are the floats that full tables
-    give. A table of fewer than
+    table in the first round and in a round that leaves a cluster empty (its
+    reseed needs the whole table). Every other round, the one at the
+    iteration cap included, recomputes, with the same operations, only the
+    columns of the points whose label the bounds below do not fix (Hamerly
+    2010, "Making k-means even faster"), so labels and centroids are the
+    floats that full tables give. A table of fewer than
     ``_BOUNDED_MIN_ENTRIES`` entries is cheaper to rebuild than to bound, so
     it is built in full every round, as it is when ``_bound_slack`` gives
     None.
@@ -266,15 +266,15 @@ def kmeans(nodes: Sequence[Point], k: int, seed: int) -> ClusterAssignment:
     labels, sizes, cents = _assign_labels(xs, ys, cents, work)
     if slack is not None:
         upper, lower = _bounds(work[0].reshape(k, -1), labels, slack)
-    for iteration in range(1, KMEANS_MAX_ITER + 1):
+    for _ in range(KMEANS_MAX_ITER):
         new_cents = np.array([np.bincount(labels, xs, k), np.bincount(labels, ys, k)]) / sizes
         moved = new_cents - cents
         if float(np.abs(moved).max()) < KMEANS_TOL:
             break
         cents = new_cents
-        if slack is None or iteration == KMEANS_MAX_ITER:
+        if slack is None:
             labels, sizes, cents = _assign_labels(xs, ys, cents, work)
-            continue  # at the cap, the loop ends with these labels
+            continue
         moves = np.hypot(moved[0], moved[1])
         moves += slack
         upper += moves[labels]

@@ -575,24 +575,12 @@ def minmax_ls_oracle(inst, k: int = 5, seed: int = 0, max_iterations: int = 100,
 
 
 # ---------------------------------------------------------------------------
-# Three minmax-ls helpers copied verbatim from the library before its
-# relocation step became table operations over all trials and targets: the
-# 2-opt screen of the moves that drop a changed edge, the per-route cheapest
-# insertion with its sequential 1e-12 scan, and the depot-first route cost.
-# The library's table versions must agree with them bit for bit.
+# A minmax-ls helper copied verbatim from the library before its relocation
+# step became table operations over all trials and targets: the 2-opt screen
+# of the moves that drop a changed edge. The library's table version must
+# agree with it bit for bit.
 
-_DEPOT = -1
 _IMPROVE_EPS = LS_IMPROVE_EPS
-
-
-def _route_cost(D: np.ndarray, order: list[int]) -> float:
-    if not order:
-        return 0.0
-    P = np.array(order)
-    cost = float(D[_DEPOT, order[0]] + D[order[-1], _DEPOT])
-    for leg in D[P[:-1], P[1:]].tolist():  # one leg at a time, in tour order
-        cost += leg
-    return cost
 
 
 def _screen(D: np.ndarray, P: np.ndarray, changed: tuple[int, ...]) -> tuple[int, int] | None:
@@ -629,24 +617,6 @@ def _screen(D: np.ndarray, P: np.ndarray, changed: tuple[int, ...]) -> tuple[int
         pick = vals == vals.min()
     i, j = divmod(int(flat[pick].min()), m)
     return i, j
-
-
-def _best_insertions(order: list[int], nodes: list[int], D: np.ndarray) -> list[tuple[int, float]]:
-    """Cheapest position to insert each of ``nodes`` into ``order``, alone:
-    (position, added cost) per node."""
-    P = np.array([_DEPOT, *order, _DEPOT])
-    N = np.array(nodes)
-    # deltas[c, pos] = added cost of nodes[c] between P[pos] and P[pos + 1]
-    deltas = D[P[:-1], N[:, None]] + D[N[:, None], P[1:]] - D[P[:-1], P[1:]]
-    best = []
-    for row in deltas.tolist():
-        best_pos, best_delta = 0, math.inf
-        # not an argmin: a later position wins only by more than _IMPROVE_EPS
-        for pos, delta in enumerate(row):
-            if delta < best_delta - _IMPROVE_EPS:
-                best_pos, best_delta = pos, delta
-        best.append((best_pos, best_delta))
-    return best
 
 
 # ---------------------------------------------------------------------------

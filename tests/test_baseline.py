@@ -83,18 +83,26 @@ class TestBudgetAndMatrix:
 
 
 class TestTwoOpt:
-    def test_straightens_a_crossing(self):
+    def test_straightens_a_crossing(self, monkeypatch):
         pts = [Point(0, 0), Point(1, 1), Point(1, 0), Point(0, 1)]
         inst = synthetic_instance(pts, Point(-1, 0))
-        order = two_opt([0, 1, 2, 3], DistanceMatrix.from_instance(inst).entries)
+        D = DistanceMatrix.from_instance(inst).entries
+        order, converged = two_opt([0, 1, 2, 3], D)
+        assert converged
         after = route_length(inst.depot, [pts[i] for i in order])
         before = route_length(inst.depot, pts)
         assert after < before
+        # One pass makes the move; the pass that would find no move never runs.
+        monkeypatch.setattr(baseline, "_TWO_OPT_MAX_PASSES", 1)
+        assert two_opt([0, 1, 2, 3], D) == (order, False)
 
     def test_local_optimum_no_improving_move(self):
         inst = generate(25, 2)
         D = DistanceMatrix.from_instance(inst).entries
-        order = two_opt(list(range(25)), D)
+        for short in ([], [7], [7, 3]):  # no move to make, so not a converged search
+            assert two_opt(short, D) == (short, False)
+        order, converged = two_opt(list(range(25)), D)
+        assert converged
         P = [25] + order + [25]
         m = len(order)
         for i in range(m):
@@ -353,7 +361,7 @@ class TestMatchesOracle:
         assert D.tobytes() == distance_matrix_oracle(inst).tobytes()
         nodes = rng.permutation(n)[: rng.integers(1, n + 1)].tolist()
         assert _nearest_neighbor(nodes, D) == nearest_neighbor_oracle(nodes, D, depot)
-        assert two_opt(nodes, D) == two_opt_oracle(nodes, D, depot)
+        assert two_opt(nodes, D)[0] == two_opt_oracle(nodes, D, depot)
         assert _route_cost(D, nodes) == route_cost_oracle(D, depot, nodes)
         extra = [i for i in range(n) if i not in nodes] or [0]
         for order in (nodes, []):
@@ -378,22 +386,21 @@ class TestMatchesOracle:
         inst = point_set(family, rng, n)
         D, depot = DistanceMatrix.from_instance(inst).entries, n
         perm = rng.permutation(n).tolist()
-        stopped: list[bool] = []
-        tour = two_opt(perm[: rng.integers(3, n)], D, converged=stopped)
-        assert stopped == [True]
+        tour, converged = two_opt(perm[: rng.integers(3, n)], D)
+        assert converged
         assert two_opt_deltas(tour, D, depot).min() >= -baseline._IMPROVE_EPS
 
         t = int(rng.integers(len(tour)))
         trimmed = tour[:t] + tour[t + 1 :]
         assert_screen_decides(trimmed, (t,), D, depot)
-        assert two_opt(trimmed, D) == two_opt_oracle(trimmed, D, depot)
+        assert two_opt(trimmed, D)[0] == two_opt_oracle(trimmed, D, depot)
 
         node = perm[-1]
         [(best, _)] = best_insertions(tour, [node], D)
         for pos in {best, int(rng.integers(len(tour) + 1))}:
             grown = tour[:pos] + [node] + tour[pos:]
             assert_screen_decides(grown, (pos, pos + 1), D, depot)
-            assert two_opt(grown, D) == two_opt_oracle(grown, D, depot)
+            assert two_opt(grown, D)[0] == two_opt_oracle(grown, D, depot)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -422,9 +429,8 @@ class TestMatchesOracle:
         n = 14
         D = DistanceMatrix.from_instance(point_set("uniform", rng, n)).entries.copy()
         depot = n
-        stopped: list[bool] = []
-        tour = two_opt(rng.permutation(n)[:10].tolist(), D, converged=stopped)
-        assert stopped == [True]
+        tour, converged = two_opt(rng.permutation(n)[:10].tolist(), D)
+        assert converged
         P = [depot, *tour, depot]
         on_tour = {frozenset(e) for e in zip(P, P[1:])}
         for a, b in rng.integers(n + 1, size=(30, 2)):
@@ -435,7 +441,7 @@ class TestMatchesOracle:
         trimmed = tour[:t] + tour[t + 1 :]
         assert np.isnan(two_opt_deltas(trimmed, D, depot)).any()
         assert_screen_decides(trimmed, (t,), D, depot)
-        assert two_opt(trimmed, D) == two_opt_oracle(trimmed, D, depot)
+        assert two_opt(trimmed, D)[0] == two_opt_oracle(trimmed, D, depot)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_nearest_neighbor_with_infinite_distances(self, seed):
@@ -507,9 +513,8 @@ def converged_tours(D: np.ndarray, rng: np.random.Generator, n: int) -> list[lis
     """2-opt local optima of three different lengths."""
     tours = []
     for size in sorted(rng.choice(np.arange(3, n), size=3, replace=False).tolist()):
-        stopped: list[bool] = []
-        tour = two_opt(rng.permutation(n)[:size].tolist(), D, converged=stopped)
-        if stopped == [True]:
+        tour, converged = two_opt(rng.permutation(n)[:size].tolist(), D)
+        if converged:
             tours.append(tour)
     return tours
 

@@ -89,3 +89,27 @@ def test_harness_reads_of_dataset_solution_and_metrics_resolve(tmp_path):
     assert [r.length for r in sol.routes] == pytest.approx(scored.route_lengths, abs=1e-9)
     assert scored.total_distance == sum(scored.route_lengths)
     assert scored.max_route_length == max(scored.route_lengths)
+
+
+@pytest.mark.parametrize(
+    "algorithm, spans",
+    [
+        ("hpp", {"hpp.hpp_solve", "hpp.kmeans", "geometry.convex_hull", "geometry.antipodal_pairs"}),
+        ("minmax-ls", {"baseline.minmax_local_search", "baseline.two_opt", "baseline.distance_matrix"}),
+    ],
+    ids=["hpp", "minmax-ls"],
+)
+def test_trace_spans_that_fire(tracing, algorithm, spans):
+    # Work moved out of a traced name silently empties that layer's span; a
+    # change that does so on purpose has to update this list and say so.
+    from pondroute import evaluation
+    from pondroute.instances import generate
+
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        evaluation.solve_with(algorithm, generate(300, 42), 5, seed=0)
+    tracer.finish_solve()
+    assert set(tracer.calls) == spans
+    assert not tracer.absent
+    if algorithm == "minmax-ls":
+        assert tracer.counts[tracing.RELOCATION_SPAN] > 0

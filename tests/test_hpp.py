@@ -270,18 +270,10 @@ class TestKMeans:
         nodes = generate(n, seed).nodes
         assert kmeans(nodes, 20, seed=seed) == kmeans_oracle(nodes, 20, seed=seed)
 
-    @pytest.mark.parametrize("cap", [2, 5])
-    def test_iteration_cap_after_bounded_rounds(self, monkeypatch, cap):
-        monkeypatch.setattr(hpp, "KMEANS_MAX_ITER", cap)
-        monkeypatch.setattr(_oracles, "KMEANS_MAX_ITER", cap)
-        nodes = generate(2000, 24).nodes
-        assert kmeans(nodes, 20, seed=0) == kmeans_oracle(nodes, 20, seed=0)
-
-    @pytest.mark.parametrize("seed", [1001, 1002, 1003])
-    def test_full_tables_at_most_twice(self, monkeypatch, seed):
-        # The first round and the iteration cap build the full (k, n) table;
-        # every other round without an empty cluster recomputes only the
-        # points its bounds cannot settle.
+    @pytest.fixture
+    def full_tables(self, monkeypatch) -> list[tuple]:
+        """The arguments of every ``hpp._assign_labels`` call: one per full
+        (k, n) table that k-means builds."""
         full_table = hpp._assign_labels
         calls = []
 
@@ -290,8 +282,25 @@ class TestKMeans:
             return full_table(*args)
 
         monkeypatch.setattr(hpp, "_assign_labels", counted)
+        return calls
+
+    @pytest.mark.parametrize("cap", [2, 5])
+    def test_iteration_cap_after_bounded_rounds(self, monkeypatch, full_tables, cap):
+        # The round at the cap is a bounded round too: only the first round
+        # builds the full (k, n) table.
+        monkeypatch.setattr(hpp, "KMEANS_MAX_ITER", cap)
+        monkeypatch.setattr(_oracles, "KMEANS_MAX_ITER", cap)
+        nodes = generate(2000, 24).nodes
+        assert kmeans(nodes, 20, seed=0) == kmeans_oracle(nodes, 20, seed=0)
+        assert len(full_tables) == 1
+
+    @pytest.mark.parametrize("seed", [1001, 1002, 1003])
+    def test_full_tables_at_most_twice(self, full_tables, seed):
+        # The first round builds the full (k, n) table, and so may one round
+        # that leaves a cluster empty; every other round recomputes only the
+        # points its bounds cannot settle.
         kmeans(generate(2000, seed).nodes, 20, seed=0)
-        assert 1 <= len(calls) <= 2
+        assert 1 <= len(full_tables) <= 2
 
 
 @pytest.mark.parametrize(
