@@ -10,9 +10,9 @@ an area (twice the triangle's), not a distance.
 A hull of m points costs one ``np.lexsort`` and a few O(m) array passes,
 then the two monotone chains in Python over the lowest and highest point of
 each x column only: about a fifth of the points on ``hpp``'s lattice
-clusters (the column filter of ``_hull_ring``). Below
-``_FILTER_MIN_POINTS`` points, where numpy's per-call cost outweighs the
-chain, the points are sorted as a set of tuples and the chains read all.
+clusters (the column filter of ``_hull_ring``). Small inputs take the same
+path: on a hull of a few dozen points numpy's per-call cost adds some tens
+of microseconds, far below what a solve or an instance generation resolves.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import Iterable, Iterator
 import numpy as np
 
 EPS = 1e-9
-_FILTER_MIN_POINTS = 32  # fewest points for which _hull_ring sorts arrays and filters columns
 
 
 class DegenerateInput(ValueError):
@@ -107,18 +106,19 @@ def _chain(xs: list[float], ys: list[float]) -> list[tuple[float, float]]:
 def _hull_ring(points: Iterable[Point]) -> list[tuple[float, float]]:
     """Strict corners of the monotone-chain hull, CCW from the smallest (x, y).
 
-    Exact coordinate duplicates are dropped first (the first copy is kept,
-    and ``-0.0 == 0.0``), and a chain point whose perpendicular deviation
-    from the chord of its neighbours is at most EPS (a distance, so the
-    cross product is normalized by the chord length) counts as collinear.
+    Coordinates are read as floats. Exact duplicates are dropped first (the
+    first copy is kept, and ``-0.0 == 0.0``), and a chain point whose
+    perpendicular deviation from the chord of its neighbours is at most EPS
+    (a distance, so the cross product is normalized by the chord length)
+    counts as collinear.
     Fewer than 3 entries means the points span no polygon.
 
-    From ``_FILTER_MIN_POINTS`` points on, the points are sorted by one
-    ``np.lexsort`` (stable, so the first copy of a duplicate comes first)
-    and each chain reads only the ends of the x columns: the lower chain
-    every column's bottom plus the last column's top, the upper chain every
-    column's top, right to left, plus the first column's bottom. That gives
-    the ring of the chains over every point whenever
+    The points are sorted by one ``np.lexsort`` (stable, so the first copy
+    of a duplicate comes first), and each chain reads only the ends of the
+    x columns: the lower chain every column's bottom plus the last column's
+    top, the upper chain every column's top, right to left, plus the first
+    column's bottom. That gives the ring of the chains over every point,
+    at any input size, whenever
 
         gx * gy > EPS * hypot(W, H) * (1 + 2^-40) + 2^-48 * W * H + 2^-1070,
 
@@ -149,14 +149,8 @@ def _hull_ring(points: Iterable[Point]) -> list[tuple[float, float]]:
     y1, as on the column ends.
     """
     pts = list(points)
-    if len(pts) < _FILTER_MIN_POINTS:
-        ring = sorted({(p.x, p.y) for p in pts})
-        if len(ring) < 3:
-            return ring
-        xs, ys = [x for x, _ in ring], [y for _, y in ring]
-        return _chain(xs, ys)[:-1] + _chain(xs[::-1], ys[::-1])[:-1]
-    xs = np.array([p.x for p in pts])
-    ys = np.array([p.y for p in pts])
+    xs = np.array([p.x for p in pts], dtype=float)
+    ys = np.array([p.y for p in pts], dtype=float)
     by = np.lexsort((ys, xs))
     xs, ys = xs[by], ys[by]
     keep = np.ones(len(xs), dtype=bool)
@@ -164,18 +158,15 @@ def _hull_ring(points: Iterable[Point]) -> list[tuple[float, float]]:
     xs, ys = xs[keep], ys[keep]
     if len(xs) < 3:
         return list(zip(xs.tolist(), ys.tolist()))
+    lower = np.ones(len(xs), dtype=bool)
+    upper = np.ones(len(xs), dtype=bool)
     new_col = xs[1:] != xs[:-1]  # point i + 1 starts a column, point i ends one
     if _column_ends_suffice(xs, ys, new_col):
-        lower = np.ones(len(xs), dtype=bool)
         lower[1:-1] = new_col[:-1]
-        upper = np.ones(len(xs), dtype=bool)
         upper[1:-1] = new_col[1:]
-        xl, yl = xs[lower].tolist(), ys[lower].tolist()
-        xu, yu = xs[upper][::-1].tolist(), ys[upper][::-1].tolist()
-    else:
-        xl, yl = xs.tolist(), ys.tolist()
-        xu, yu = xl[::-1], yl[::-1]
-    return _chain(xl, yl)[:-1] + _chain(xu, yu)[:-1]
+    lower_chain = _chain(xs[lower].tolist(), ys[lower].tolist())
+    upper_chain = _chain(xs[upper][::-1].tolist(), ys[upper][::-1].tolist())
+    return lower_chain[:-1] + upper_chain[:-1]
 
 
 def _column_ends_suffice(xs: np.ndarray, ys: np.ndarray, new_col: np.ndarray) -> bool:

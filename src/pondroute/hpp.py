@@ -65,7 +65,7 @@ from .solution import save_solution  # noqa: F401
 KMEANS_TOL = 1e-9
 KMEANS_MAX_ITER = 100
 MIN_CLUSTER_SIZE = 3
-NEAR_BEST = 1e-9  # relative slack of route_cluster's exact re-scoring
+NEAR_BEST = 1e-9  # relative slack of _route_clusters' exact re-scoring
 _BOUNDED_MIN_ENTRIES = 10_000  # smallest n * k for which kmeans bounds its points
 
 
@@ -495,7 +495,6 @@ class _LaneTables:
         ])
         tables = np.flatnonzero(rep == np.arange(2 * rows))
         self.table = np.searchsorted(tables, rep).reshape(2, rows)
-        self.axis = tables // rows
         place, at = _ranges(row0[tables], length[tables])
         opens = np.diff(keys[place], prepend=np.nan) != 0
         opens[at] = True
@@ -506,7 +505,7 @@ class _LaneTables:
         table_size = sizes[table_cluster]
         slot, entry0 = _ranges(bounds[table_cluster], table_size)
         self.entry0 = entry0 - bounds[table_cluster]
-        entry_axis = np.repeat(self.axis, table_size)
+        entry_axis = np.repeat(tables // rows, table_size)
         lane = lane_at_level[np.repeat(at, table_size) + level[entry_axis, slot]]
         by = np.argsort(lane * slots + tc_rank[entry_axis, slot])
         self.inv = np.empty_like(by)

@@ -4,13 +4,20 @@ No linter ships with the project, so this reads each module's syntax tree,
 as ``test_unused_imports.py`` does. A private name (one leading underscore)
 counts when a module in ``src/pondroute`` defines it as a top-level
 function or class, a method of a top-level class, or a module-level
-constant. It counts as used when some expression in ``src/`` outside its
-own definition names it, as a bare name or as an attribute. Tests do not
-count: code that only tests call is not part of the program.
+constant. Tests do not count: code that only tests call is not part of the
+program.
 
-Likewise every top-level function of ``tests/_oracles.py`` must be named by
-some expression of a test module (``_oracles.py`` included) outside its own
-definition; importing it is not a use.
+A top-level name of module M is resolved to its binding. It counts as used
+when, outside its own definition, an expression in M names it, a module
+that imports it from M names it, or an expression names it as an attribute
+of a name bound to M; a same-named definition in another module is no use.
+A method counts as used when any expression in ``src/`` outside its
+definition names it, as a bare name or as an attribute, since the type of
+an attribute's receiver is not known without running the code.
+
+Likewise every top-level function of ``tests/_oracles.py`` must be used, by
+the rule for top-level names, by a test module or ``_oracles.py`` itself;
+importing it is not a use.
 """
 
 import ast
@@ -50,37 +57,91 @@ def unused_private_names(package: Path) -> list[tuple[str, int, str]]:
         for name, node in definitions(tree)
         if name.startswith("_") and not name.startswith("__")
     ]
-    return not_named(trees, defined)
+    return not_named(trees, defined, package.name)
 
 
 def unused_oracles(tests: Path) -> list[tuple[str, int, str]]:
     """(file, line, name) of each top-level function of ``tests/_oracles.py``
-    that no test module names outside its definition."""
+    that no test module uses outside its definition."""
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(tests.glob("*.py"))}
     defined = [
         ("_oracles.py", node.name, node)
         for node in trees["_oracles.py"].body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     ]
-    return not_named(trees, defined)
+    return not_named(trees, defined, tests.name)
+
+
+def module_file(dotted: str, level: int, files: set[str], package: str) -> str | None:
+    """The file of ``files`` that an import of module ``dotted`` (``level``
+    dots before it) names, or None for a module from elsewhere."""
+    parts = dotted.split(".")
+    if level == 0 and parts[:1] == [package]:
+        parts = parts[1:]
+    file = f"{parts[0]}.py" if len(parts) == 1 else None
+    return file if file in files else None
+
+
+def bindings(
+    tree: ast.Module, files: set[str], package: str
+) -> tuple[dict[str, tuple[str, str]], dict[str, str]]:
+    """What a module's imports bind: each name imported from a module of
+    ``files`` to that (file, name), and each name bound to a module of
+    ``files`` to its file."""
+    imported: dict[str, tuple[str, str]] = {}
+    modules: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if file := module_file(alias.name, 0, files, package):
+                    modules[alias.asname or alias.name] = file
+        elif isinstance(node, ast.ImportFrom):
+            source = module_file(node.module or "", node.level, files, package)
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if source:
+                    imported[local] = (source, alias.name)
+                else:
+                    dotted = f"{node.module}.{alias.name}" if node.module else alias.name
+                    if file := module_file(dotted, node.level, files, package):
+                        modules[local] = file
+    return imported, modules
+
+
+def references(
+    trees: dict[str, ast.Module], package: str
+) -> list[tuple[str | None, str, ast.AST]]:
+    """(file, name, node) of each bare name or attribute in ``trees``, the
+    file being the module whose top-level binding it reads: a bare name its
+    own module's, unless the module imports it from a module of ``trees``;
+    an attribute that of the module of ``trees`` its bare-name receiver is
+    bound to, and None for any other receiver."""
+    refs = []
+    for file, tree in trees.items():
+        imported, modules = bindings(tree, set(trees), package)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.append((*imported.get(node.id, (file, node.id)), node))
+            elif isinstance(node, ast.Attribute):
+                receiver = node.value.id if isinstance(node.value, ast.Name) else None
+                refs.append((modules.get(receiver), node.attr, node))
+    return refs
 
 
 def not_named(
-    trees: dict[str, ast.Module], defined: list[tuple[str, str, ast.stmt]]
+    trees: dict[str, ast.Module], defined: list[tuple[str, str, ast.stmt]], package: str
 ) -> list[tuple[str, int, str]]:
     """(file, line, name) of each (file, name, definition) of ``defined``
-    that no tree of ``trees`` names outside that definition."""
+    that no tree of ``trees`` uses outside that definition: a top-level
+    name through its binding, a method through any name or attribute."""
+    refs = references(trees, package)
     unused = []
     for file, name, definition in defined:
         own = {id(node) for node in ast.walk(definition)}
+        top_level = definition in trees[file].body
         used = any(
-            id(node) not in own
-            and (
-                (isinstance(node, ast.Name) and node.id == name)
-                or (isinstance(node, ast.Attribute) and node.attr == name)
-            )
-            for tree in trees.values()
-            for node in ast.walk(tree)
+            id(node) not in own and ref == name and (target == file or not top_level)
+            for target, ref, node in refs
         )
         if not used:
             unused.append((file, definition.lineno, name))
@@ -109,16 +170,20 @@ def test_unused_oracle_is_reported(tmp_path):
         "    pass\n"
         "class Unread:\n"  # only functions are checked
         "    pass\n"
+        "def _route_cost():\n"
+        "    pass\n"
     )
     (tmp_path / "test_a.py").write_text(
         "import _oracles\n"
         "from _oracles import imported_oracle, used_oracle\n"
+        "from library import _route_cost\n"  # a same-named library function
         "def test_a():\n"
-        "    assert used_oracle() == _oracles.attribute_oracle()\n"
+        "    assert used_oracle() == _oracles.attribute_oracle() == _route_cost()\n"
     )
     assert unused_oracles(tmp_path) == [
         ("_oracles.py", 1, "helper_oracle"),
         ("_oracles.py", 9, "imported_oracle"),
+        ("_oracles.py", 13, "_route_cost"),
     ]
 
 
@@ -142,18 +207,28 @@ def test_unused_private_name_is_reported(tmp_path):
         "_SELF = _SELF_TOO = _LIMIT\n"
         "def public():\n"
         "    return _Used()._called()\n"
+        "def _shared():\n"
+        "    pass\n"
+        "def _imported():\n"
+        "    pass\n"
+        "_ON_OTHER = 5\n"  # b reads the name only on a value, not on module a
     )
     (tmp_path / "b.py").write_text(
         "from . import a\n"
+        "from .a import _imported as _alias\n"
         "def _unused():\n"
         "    pass\n"
-        "def f():\n"
-        "    return a._method_target, a._SELF\n"
+        "def _shared():\n"  # b's use of its own _shared leaves a's unused
+        "    pass\n"
+        "def f(other):\n"
+        "    return a._method_target, a._SELF, _alias, _shared, other._ON_OTHER\n"
     )
     assert unused_private_names(tmp_path) == [
         ("a.py", 1, "_helper"),
         ("a.py", 8, "_dead"),
         ("a.py", 15, "_UNREAD"),
         ("a.py", 16, "_SELF_TOO"),
-        ("b.py", 2, "_unused"),
+        ("a.py", 19, "_shared"),
+        ("a.py", 23, "_ON_OTHER"),
+        ("b.py", 3, "_unused"),
     ]

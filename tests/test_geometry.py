@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pondroute.geometry as geometry
@@ -62,6 +62,16 @@ class TestConvexHull:
     def test_triangle_already_convex(self):
         hull = convex_hull([Point(0, 0), Point(2, 0), Point(1, 1)])
         assert hull.vertices == (Point(0, 0), Point(2, 0), Point(1, 1))
+
+    def test_integer_coordinates_at_every_size(self):
+        # Coordinates are read as floats, so a lattice of ints gives the hull
+        # of the same lattice of floats, with float corners, at any size.
+        lattice = [Point(i % 7, i // 7) for i in range(42)]
+        for n in (10, 42):
+            floats = [Point(float(p.x), float(p.y)) for p in lattice[:n]]
+            ring = convex_hull(lattice[:n]).vertices
+            assert ring == convex_hull(floats).vertices
+            assert all(type(c) is float for p in ring for c in (p.x, p.y))
 
     def test_collinear_raises(self):
         with pytest.raises(DegenerateInput):
@@ -198,11 +208,15 @@ class TestHullRing:
     @given(
         family=st.sampled_from(RING_FAMILIES),
         seed=st.integers(0, 2**32 - 1),
-        n=st.integers(3, 120),
+        n=st.integers(0, 120),
     )
+    # Small duplicate sets whose ring changes if another copy of a zero is kept.
+    @example(family="duplicates", seed=207, n=12)
+    @example(family="duplicates", seed=175, n=31)
+    @example(family="duplicates", seed=241, n=32)
     def test_matches_unfiltered_chain(self, family, seed, n):
         # The same corners, in the same order and with the same zero signs,
-        # as the chains over every distinct point, at every scale.
+        # as the chains over every distinct point, at every scale and size.
         rng = np.random.default_rng(seed)
         for j in RING_SCALES:
             pts = ring_points(family, rng, n, j)
