@@ -12,10 +12,13 @@ table prices every insertion, one table over all trial tours screens their
 new-edge moves, and one row-wise fold sums their lengths. That screen alone
 decides whether 2-opt runs: ``two_opt`` has one path, full O(m^2)
 best-improvement passes, and runs only on the few trial tours whose screen
-finds an improving move. Construction computes the distance matrix in
-blocks of 64 rows, so it needs one 64 x n scratch array beside the n x n
-result, and each sector's nearest-neighbour tour is one (m + 1) x m gather
-and one ``argmin`` per node.
+finds an improving move. Each screen row's ``argmin`` is that row's move in
+a full first pass, so such a trial starts from its screen's move and skips
+one table. A pass fills one contiguous m x (m + 2) table of move costs with
+one flat add over the tour's gathered distances. Construction computes the
+distance matrix in blocks of 64 rows, so it needs one 64 x n scratch array
+beside the n x n result, and each sector's nearest-neighbour tour is one
+(m + 1) x m gather and one ``argmin`` per node.
 
 ``exact_minmax`` scores every partition of up to 10 nodes into at most 3
 routes as one array of masks. Per-subset optimal tours are walked back from a
@@ -95,7 +98,9 @@ def _tour_lengths(legs: np.ndarray, sizes: np.ndarray) -> list[float]:
     return np.add.accumulate(legs, axis=1)[:, -1].tolist()
 
 
-def two_opt(order: list[int], D: np.ndarray) -> tuple[list[int], bool]:
+def two_opt(
+    order: list[int], D: np.ndarray, *, first: tuple[int, int] | None = None
+) -> tuple[list[int], bool]:
     """Best-improvement 2-opt on a depot-anchored tour until no move helps
     (at most ``_TWO_OPT_MAX_PASSES`` passes).
 
@@ -104,21 +109,43 @@ def two_opt(order: list[int], D: np.ndarray) -> tuple[list[int], bool]:
     the tour has fewer than 3 nodes. Edge t of the tour joins its positions
     t and t + 1, where the depot is position 0 and position
     ``len(order) + 1``; reversing ``order[i..j]`` replaces edges i and j + 1.
+    ``first``, when given, is the move (i, j) that the first pass would
+    take: pass 1 reverses ``order[i..j]`` without building its table, and
+    counts against the pass cap as any pass does.
+
+    Each pass writes every move's cost change into one contiguous m x w
+    table, w = m + 2, with one flat add over the gathered distances S:
+    entry (i, j) is S[i, j + 1] + S[i + 1, j + 2], so it sits w + 1
+    elements after S[i, j + 1] in S's flat buffer, and the last two columns
+    of each row are padding. The argmin of its flat index i * w + j takes
+    the moves in row-major (i, j) order.
     """
     m = len(order)
     P = np.array([_DEPOT, *order, _DEPOT])
+    passes = _TWO_OPT_MAX_PASSES
+    if first is not None:
+        i, j = first
+        P[i + 1 : j + 2] = P[j + 1 : i : -1]
+        passes -= 1
     converged = False
     if m >= 3:
-        S = D[P[:, None], P]  # S[a, b] = D[P[a], P[b]]
+        w = m + 2
+        S = D.take(P, axis=0).take(P, axis=1)  # S[a, b] = D[P[a], P[b]]
+        flat = S.ravel()
         cons = S.diagonal(1)  # cons[t] = length of edge t, a view of S
-        lower = np.tri(m, dtype=bool)  # j <= i: not a move
-        for _ in range(_TWO_OPT_MAX_PASSES):
+        after = np.zeros(w)  # after[j] = cons[j + 1], then two zeros for the padding
+        delta = np.empty((m, w))
+        out = delta.ravel()
+        skip = np.tri(m, w, dtype=bool)  # j <= i: not a move
+        skip[:, m:] = True
+        for _ in range(passes):
             # delta[i, j] = cost change of reversing order[i..j]
-            delta = S[:m, 1 : m + 1] + S[1 : m + 1, 2:]
+            np.add(flat[1 : m * w + 1], flat[w + 2 : (m + 1) * w + 2], out=out)
             delta -= cons[:m, None]
-            delta -= cons[None, 1:]
-            np.copyto(delta, 0.0, where=lower)
-            i, j = divmod(int(np.argmin(delta)), m)
+            after[:m] = cons[1:]
+            delta -= after
+            np.copyto(delta, 0.0, where=skip)
+            i, j = divmod(int(np.argmin(out)), w)
             if delta[i, j] >= -_IMPROVE_EPS:
                 converged = True
                 break
@@ -156,6 +183,28 @@ def _screen_table(
     return np.where(d < -1, before, np.where((d > 1) & (s < stop[:, None]), ends, np.inf))
 
 
+def _screen_picks(screen: np.ndarray, e: np.ndarray) -> list[tuple[bool, float, int, int]]:
+    """Each ``_screen_table`` row's first-pass move as a sort key (no NaN,
+    cost change, i, j): of two rows' keys the smaller is the move a full
+    pass over both rows' moves takes, its first NaN, else its first minimum.
+
+    Column s of row r is move (s, e[r] - 1) when s < e[r] - 1 and move
+    (e[r], s - 1) when s > e[r] + 1, so the columns run in row-major (i, j)
+    order and the row's ``argmin`` is its first NaN, else its first minimum.
+    A key's move is an improving one when it is NaN or its cost change is
+    below -_IMPROVE_EPS; a row without such a move has a meaningless (i, j).
+    """
+    s = screen.argmin(axis=1)
+    change = screen[np.arange(len(s)), s]
+    nan = np.isnan(change)
+    return list(zip(
+        (~nan).tolist(),
+        np.where(nan, 0.0, change).tolist(),
+        np.minimum(s, e).tolist(),
+        (np.maximum(s, e) - 1).tolist(),
+    ))
+
+
 def _nearest_neighbor(nodes: list[int], D: np.ndarray) -> list[int]:
     """Greedy tour from the depot, each step to the (distance, node) minimum
     among the unvisited nodes.
@@ -167,7 +216,7 @@ def _nearest_neighbor(nodes: list[int], D: np.ndarray) -> list[int]:
     the first unvisited column, as that rule does.
     """
     ids = np.array(sorted(nodes), dtype=np.intp)
-    sub = D[np.append(ids, _DEPOT)[:, None], ids]
+    sub = D.take(np.append(ids, _DEPOT), axis=0).take(ids, axis=1)
     cols = sub.T  # cols[t] is column t of sub, so one index sets it
     unvisited = np.ones(len(ids), dtype=bool)
     picks: list[np.intp] = []
@@ -307,7 +356,9 @@ def minmax_local_search(
         tour, done = two_opt(_nearest_neighbor(sector, D), D)
         orders.append(tour)
         optimal.append(done)
-    lengths = [_route_cost(D, o) for o in orders]
+    width = max(map(len, orders)) + 2
+    tours = np.array([[_DEPOT, *o] + [_DEPOT] * (width - 1 - len(o)) for o in orders])
+    lengths = _tour_lengths(D[tours[:, :-1], tours[:, 1:]], np.array([len(o) for o in orders]))
     if trace is not None:
         trace.append(max(lengths))
 
@@ -373,20 +424,21 @@ def minmax_local_search(
         rows = np.concatenate([np.arange(len(cuts)), np.repeat(grown, 2)])
         changed = np.concatenate([cuts, np.stack([pos, pos + 1], axis=1).ravel()])
         screen = _screen_table(D, trials[rows], legs[rows], trial_sizes[rows] + 1, changed)
-        moves_found = (~(screen >= -_IMPROVE_EPS)).any(axis=1).tolist()
-        found = moves_found[: len(cuts)] + [
-            a or b for a, b in zip(moves_found[len(cuts) :: 2], moves_found[len(cuts) + 1 :: 2])
-        ]
+        picks = _screen_picks(screen, changed)
+        # one pick per trial: a grown trial's two rows give the smaller key
+        picks[len(cuts) :] = map(min, picks[len(cuts) :: 2], picks[len(cuts) + 1 :: 2])
 
         # Each trial is polished in its own row. converged[i]: no 2-opt move
         # on trial i gains more than _IMPROVE_EPS.
         converged = []
-        for i, (size, hit) in enumerate(zip(trial_sizes.tolist(), found)):
+        for i, (size, (no_nan, change, a, b)) in enumerate(zip(trial_sizes.tolist(), picks)):
             known = optimal[longest if i < len(cuts) else target[i - len(cuts)]]
+            hit = not (no_nan and change >= -_IMPROVE_EPS)
             if size < 3 or (known and not hit):
                 converged.append(size >= 3)
                 continue
-            tour, done = two_opt(trials[i, 1 : size + 1].tolist(), D)
+            first = (a, b) if known else None
+            tour, done = two_opt(trials[i, 1 : size + 1].tolist(), D, first=first)
             converged.append(done)
             trials[i, 1 : size + 1] = tour
             legs[i] = D[trials[i, :-1], trials[i, 1:]]

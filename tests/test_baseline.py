@@ -265,7 +265,9 @@ def assert_screen_decides(
     ``new_edges``: the ``_screen_table`` rows of those edges find a move
     exactly when a full pass has a delta below -_IMPROVE_EPS or a NaN, and
     the full pass's first move (its first NaN, else its first minimum)
-    drops a new edge."""
+    drops a new edge. That move is the smaller of the rows' picks
+    (``_screen_picks``), and ``two_opt`` started from it makes the passes
+    a full first pass would."""
     if len(order) < 3:  # two_opt makes no move
         return
     P = np.array([depot, *order, depot])
@@ -274,6 +276,8 @@ def assert_screen_decides(
     cost = D[P[:-1], P[1:]][None].repeat(len(e), axis=0)
     gains = baseline._screen_table(D, tours, cost, np.full(len(e), len(P) - 1), e)
     found = bool((~(gains >= -baseline._IMPROVE_EPS)).any())
+    no_nan, change, *move = min(baseline._screen_picks(gains, e))
+    assert found == (not (no_nan and change >= -baseline._IMPROVE_EPS))
     deltas = two_opt_deltas(order, D, depot)
     assert found == bool((~(deltas >= -baseline._IMPROVE_EPS)).any())
     if found:
@@ -283,6 +287,11 @@ def assert_screen_decides(
         first = int(np.flatnonzero(pick)[0])  # deltas run in (i, j) order
         i, j = (int(a[first]) for a in np.triu_indices(len(order), k=1))
         assert {i, j + 1} & set(new_edges), (order, new_edges, (i, j))
+        assert move == [i, j], (order, new_edges)
+        for cap in (1, 2):  # the given move is pass 1
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(baseline, "_TWO_OPT_MAX_PASSES", cap)
+                assert two_opt(order, D, first=(i, j)) == two_opt(order, D)
 
 
 def best_insertions(order: list[int], nodes: list[int], D: np.ndarray) -> list[tuple[int, float]]:
@@ -443,6 +452,25 @@ class TestMatchesOracle:
         assert_screen_decides(trimmed, (t,), D, depot)
         assert two_opt(trimmed, D)[0] == two_opt_oracle(trimmed, D, depot)
 
+    @pytest.mark.parametrize("m", [3, 4, 5, 150])
+    @pytest.mark.parametrize("family", ["duplicates", "infinite"])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_two_opt_table_ends(self, family, m):
+        # A pass reads S's flat buffer at two offsets; at m = 3 both slices
+        # end inside it. Copies of one position tie many moves at 0.0, and
+        # infinite distances, one of them on the tour, make NaN deltas, so
+        # the first-minimum and first-NaN rules decide the moves.
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            n = m + 3
+            D = screen_distances(family, rng, n)
+            order = rng.permutation(n)[:m].tolist()
+            if family == "infinite":
+                P, t = [n, *order, n], int(rng.integers(m))
+                for a, b in [*rng.integers(n + 1, size=(n, 2)).tolist(), [P[t], P[t + 1]]]:
+                    D[a, b] = D[b, a] = np.inf
+            assert two_opt(order, D)[0] == two_opt_oracle(order, D, n)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_nearest_neighbor_with_infinite_distances(self, seed):
         # A node whose distances to every unvisited node are inf continues at
@@ -565,10 +593,14 @@ class TestRelocationTables:
         cost = D[tours_table[:, :-1], tours_table[:, 1:]]
         gains = baseline._screen_table(D, tours_table, cost, np.array(stops), np.array(edges))
         found = (~(gains >= -baseline._IMPROVE_EPS)).any(axis=1).tolist()
+        picks = baseline._screen_picks(gains, np.array(edges))
         at = 0
         for order, changed in trials:
-            want = _oracles._screen(D, np.array([depot, *order, depot]), changed) is not None
-            assert any(found[at : at + len(changed)]) == want, (order, changed)
+            want = _oracles._screen(D, np.array([depot, *order, depot]), changed)
+            assert any(found[at : at + len(changed)]) == (want is not None), (order, changed)
+            if want is not None:  # the rows' smaller pick is the full pass's move
+                assert tuple(min(picks[at : at + len(changed)])[2:]) == want, (order, changed)
+                assert_screen_decides(order, changed, D, depot)
             at += len(changed)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
