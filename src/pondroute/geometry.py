@@ -13,6 +13,13 @@ each x column only: about a fifth of the points on ``hpp``'s lattice
 clusters (the column filter of ``_hull_ring``). Small inputs take the same
 path: on a hull of a few dozen points numpy's per-call cost adds some tens
 of microseconds, far below what a solve or an instance generation resolves.
+
+Containment (``_inside``) tests every edge of an outline in one broadcast:
+``_edges`` builds the polygon's edge table once, with the edges on a leading
+axis, and the points may be any arrays that broadcast together, so the
+generator tests a lattice as an x row against a y column and builds no
+meshgrid. Edges go ``_EDGE_BLOCK`` at a time, so memory stays
+O(block * points) on an outline of any size.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 EPS = 1e-9
+_EDGE_BLOCK = 16  # edges per broadcast in ``_inside``
 
 
 class DegenerateInput(ValueError):
@@ -250,17 +258,40 @@ def antipodal_pairs(poly: ConvexPolygon) -> list[tuple[int, int]]:
     return sorted(pairs)
 
 
-def _inside(poly: ConvexPolygon, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Mask of the points (xs[i], ys[i]) inside or on the polygon: none lies
-    more than EPS (a distance, so the cross product is normalized by the
-    edge length) to the right of any CCW edge."""
-    inside = np.ones(xs.shape, dtype=bool)
+def _edges(poly: ConvexPolygon) -> np.ndarray:
+    """A (5, E) table of the polygon's E CCW edges from a to b: rows a.x, a.y,
+    b.x - a.x, b.y - a.y and the tolerance -EPS * hypot(b.x - a.x, b.y - a.y),
+    taken by ``math.hypot`` (``np.hypot`` can differ in the last bit)."""
+    rows = []
     for a, b in poly.edges():
-        cross = (b.x - a.x) * (ys - a.y) - (b.y - a.y) * (xs - a.x)
-        inside &= ~(cross < -EPS * math.hypot(b.x - a.x, b.y - a.y))
-    return inside
+        dx, dy = b.x - a.x, b.y - a.y
+        rows.append((a.x, a.y, dx, dy, -EPS * math.hypot(dx, dy)))
+    return np.array(rows, dtype=float).T
+
+
+def _inside(edges: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Mask of the points (xs, ys) inside or on the polygon of ``_edges``:
+    none lies more than EPS (a distance, so the cross product is normalized
+    by the edge length) to the right of any CCW edge. A NaN cross product
+    counts as inside.
+
+    ``xs`` and ``ys`` may have any shapes that broadcast together; a lattice
+    is an x row against a y column. All edges are tested in one broadcast,
+    with the edges on a leading axis, ``_EDGE_BLOCK`` at a time so that
+    memory stays O(block * points) on an outline of any size. Each (edge,
+    point) decision has the operands and order of a scalar loop. A lattice
+    count of the generator is one call, on an edge table built once per
+    outline; ``generate`` makes 42-55 of them per instance.
+    """
+    ax, ay, dx, dy, tol = edges.reshape(edges.shape + (1,) * max(np.ndim(xs), np.ndim(ys)))
+    outside = np.zeros(np.broadcast(xs, ys).shape, dtype=bool)
+    for lo in range(0, edges.shape[1], _EDGE_BLOCK):
+        e = slice(lo, lo + _EDGE_BLOCK)
+        cross = dx[e] * (ys - ay[e]) - dy[e] * (xs - ax[e])
+        outside |= (cross < tol[e]).any(axis=0)
+    return ~outside
 
 
 def contains(poly: ConvexPolygon, p: Point) -> bool:
     """True iff ``p`` is inside or on the polygon (boundary tolerance EPS)."""
-    return bool(_inside(poly, np.array([p.x]), np.array([p.y]))[0])
+    return bool(_inside(_edges(poly), np.array([p.x]), np.array([p.y]))[0])

@@ -1,5 +1,11 @@
 """Synthetic farm instances: lattice node sets inside random convex outlines.
 
+``generate`` bisects the lattice pitch until the outline holds the target
+number of points: 42-55 lattice counts per instance. A count is one
+``geometry._inside`` broadcast of the lattice's x row against its y column
+over every outline edge; the edge table and the bounding box are built once
+per outline, and the mask is counted with ``np.count_nonzero``.
+
 Instance file format (version 1), one text document per instance::
 
     farm-instance v1
@@ -35,7 +41,7 @@ from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
-from .geometry import ConvexPolygon, Point, _inside, convex_hull
+from .geometry import ConvexPolygon, Point, _edges, _inside, convex_hull
 from .rng import make_rng
 
 FORMAT_VERSION = 1
@@ -90,18 +96,26 @@ def _left_sum(values: Iterable[float]) -> float:
     return functools.reduce(operator.add, values, 0.0)
 
 
-def _lattice_points(poly: ConvexPolygon, spacing: float) -> tuple[np.ndarray, np.ndarray]:
-    """x and y of the lattice points inside the polygon, in (y, x) order. The
-    lattice has pitch ``spacing`` and its origin at the bounding box's minimum."""
-    xmin, ymin, xmax, ymax = poly.bounding_box()
+def _lattice_mask(
+    edges: np.ndarray, box: tuple[float, float, float, float], spacing: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x row, y column and (y, x) inside mask of the lattice of pitch
+    ``spacing`` with its origin at the minimum of the bounding ``box``,
+    against the polygon of ``edges`` (``geometry._edges``)."""
+    xmin, ymin, xmax, ymax = box
     na = int(math.floor((xmax - xmin) / spacing + 1e-12)) + 1
     nb = int(math.floor((ymax - ymin) / spacing + 1e-12)) + 1
     xs = xmin + spacing * np.arange(na)
     ys = ymin + spacing * np.arange(nb)
-    gx, gy = np.meshgrid(xs, ys)  # row-major flattening yields (y, x) order
-    gx, gy = gx.ravel(), gy.ravel()
-    keep = _inside(poly, gx, gy)
-    return gx[keep], gy[keep]
+    return xs, ys, _inside(edges, xs, ys[:, None])
+
+
+def _lattice_points(poly: ConvexPolygon, spacing: float) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of the lattice points inside the polygon, in (y, x) order. The
+    lattice has pitch ``spacing`` and its origin at the bounding box's minimum."""
+    xs, ys, mask = _lattice_mask(_edges(poly), poly.bounding_box(), spacing)
+    rows, cols = np.nonzero(mask)  # row-major, so in (y, x) order
+    return xs[cols], ys[rows]
 
 
 def _choose_spacing(poly: ConvexPolygon, target: int, minimum: int) -> float:
@@ -109,13 +123,15 @@ def _choose_spacing(poly: ConvexPolygon, target: int, minimum: int) -> float:
 
     Each spacing is counted once; of the counts within ``_COUNT_SLACK`` of
     ``target`` and at least ``minimum``, the nearest wins, ties going to the
-    larger spacing.
+    larger spacing. The edge table and the bounding box are built once, and
+    a count is one ``_inside`` broadcast over the lattice.
     """
     counts: dict[float, int] = {}  # once lo and hi are adjacent floats, mid repeats one
+    edges, box = _edges(poly), poly.bounding_box()
 
     def count(s: float) -> int:
         if s not in counts:
-            counts[s] = len(_lattice_points(poly, s)[0])
+            counts[s] = np.count_nonzero(_lattice_mask(edges, box, s)[2])
         return counts[s]
 
     s0 = math.sqrt(max(poly.area(), 1e-12) / target)
@@ -179,7 +195,7 @@ def generate(node_count: int, seed: int) -> FarmInstance:
 
     keep = np.ones(len(xs), dtype=bool)
     keep[rng.permutation(len(xs))[: len(xs) - node_count]] = False
-    nodes = tuple(Point(float(x), float(y)) for x, y in zip(xs[keep], ys[keep]))
+    nodes = tuple(map(Point, xs[keep].tolist(), ys[keep].tolist()))
 
     inst = FarmInstance(
         name=f"farm-n{node_count}-s{seed}",
@@ -317,7 +333,7 @@ def load(path: Path | str) -> FarmInstance:
     if not math.isfinite(2 * extent / spacing):
         raise r.error(f"spacing {_fmt(spacing)} is too small for an extent of {_fmt(extent)}")
     first = len(verts) + 1  # nodes follow the polygon vertices and the depot
-    inside = _inside(polygon, xs[first:], ys[first:])
+    inside = _inside(_edges(polygon), xs[first:], ys[first:])
     if not inside.all():
         i = int(np.argmin(inside))  # the first node outside
         r.pos -= len(nodes) - 1 - i  # the error names node i's own line

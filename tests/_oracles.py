@@ -67,6 +67,34 @@ def hull_ring_oracle(points: list[Point]) -> list[tuple[float, float]]:
     return build(pts)[:-1] + build(pts[::-1])[:-1]
 
 
+def inside_oracle(poly: ConvexPolygon, x: float, y: float) -> bool:
+    """One point against one edge at a time, in Python floats: outside as
+    soon as it lies more than EPS (cross product over edge length) to the
+    right of a CCW edge. A NaN cross product decides nothing."""
+    for a, b in poly.edges():
+        cross = (b.x - a.x) * (y - a.y) - (b.y - a.y) * (x - a.x)
+        if cross < -EPS * math.hypot(b.x - a.x, b.y - a.y):
+            return False
+    return True
+
+
+def lattice_points_oracle(poly: ConvexPolygon, spacing: float) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of the lattice points inside the polygon, in (y, x) order, as
+    a full meshgrid filtered by one array pass per edge."""
+    xmin, ymin, xmax, ymax = poly.bounding_box()
+    na = int(math.floor((xmax - xmin) / spacing + 1e-12)) + 1
+    nb = int(math.floor((ymax - ymin) / spacing + 1e-12)) + 1
+    xs = xmin + spacing * np.arange(na)
+    ys = ymin + spacing * np.arange(nb)
+    gx, gy = np.meshgrid(xs, ys)  # row-major flattening yields (y, x) order
+    gx, gy = gx.ravel(), gy.ravel()
+    inside = np.ones(gx.shape, dtype=bool)
+    for a, b in poly.edges():
+        cross = (b.x - a.x) * (gy - a.y) - (b.y - a.y) * (gx - a.x)
+        inside &= ~(cross < -EPS * math.hypot(b.x - a.x, b.y - a.y))
+    return gx[inside], gy[inside]
+
+
 def _support_arcs(poly: ConvexPolygon) -> list[tuple[float, float]]:
     """Per-vertex (start angle, width) of the directions where it is the argmax."""
     v = poly.vertices

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from _oracles import (
     antipodal_oracle_sweep,
     hull_ring_oracle,
     hull_vertex_oracle,
+    inside_oracle,
 )
 
 UNIT_SQUARE = ConvexPolygon((Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)))
@@ -328,3 +330,60 @@ class TestContains:
 
     def test_outside_beyond_tolerance(self):
         assert not contains(UNIT_SQUARE, Point(1.0 + 1e-6, 0.5))
+
+
+def regular_polygon(m: int, scale: float = 1.0, phase: float = 0.0) -> ConvexPolygon:
+    t = phase + 2.0 * np.pi * np.arange(m) / m
+    return ConvexPolygon(
+        tuple(Point(float(x), float(y)) for x, y in zip(scale * np.cos(t), scale * np.sin(t)))
+    )
+
+
+class TestInside:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(3, 40), j=st.integers(-20, 20))
+    def test_matches_scalar_loop(self, seed, m, j):
+        # Outlines with up to 40 edges (so more than one edge block), with
+        # points uniform over the box and points within 2 EPS of an edge,
+        # tested as flat arrays and as a lattice (x row against y column).
+        rng = np.random.default_rng(seed)
+        poly = regular_polygon(m, 2.0**j, float(rng.uniform(0, 2 * np.pi)))
+        edges = geometry._edges(poly)
+        ends = np.array([[a.x, a.y, b.x, b.y] for a, b in poly.edges()])
+        pick = rng.integers(0, len(ends), 60)
+        ax, ay, bx, by = ends[pick].T
+        t = rng.random(60)
+        offset = rng.choice([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0], 60) * EPS
+        length = np.hypot(bx - ax, by - ay)
+        near_x = ax + t * (bx - ax) + offset * (by - ay) / length
+        near_y = ay + t * (by - ay) - offset * (bx - ax) / length
+        box_x, box_y = rng.uniform(-1.2, 1.2, (2, 60)) * 2.0**j
+        xs, ys = np.concatenate([near_x, box_x]), np.concatenate([near_y, box_y])
+        want = [inside_oracle(poly, x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+        assert geometry._inside(edges, xs, ys).tolist() == want
+        row, col = xs[::10], ys[::10]
+        grid = [[inside_oracle(poly, x, y) for x in row.tolist()] for y in col.tolist()]
+        assert geometry._inside(edges, row, col[:, None]).tolist() == grid
+
+    def test_nan_counts_as_inside(self):
+        nan = np.array([math.nan, 0.5, math.nan])
+        half = np.array([0.5, math.nan, math.nan])
+        got = geometry._inside(geometry._edges(UNIT_SQUARE), nan, half)
+        assert got.tolist() == [inside_oracle(UNIT_SQUARE, x, y) for x, y in zip(nan, half)]
+        assert got.all()
+
+    def test_edge_blocks_bound_memory(self):
+        # All 1024 edges against 8192 points in one broadcast would need a
+        # 64 MB cross-product table; blocks of edges keep the peak far below.
+        poly = regular_polygon(1024)
+        edges = geometry._edges(poly)
+        xs, ys = np.random.default_rng(0).uniform(-1.2, 1.2, (2, 8192))
+        tracemalloc.start()
+        try:
+            inside = geometry._inside(edges, xs, ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        head = zip(xs[:256].tolist(), ys[:256].tolist())
+        assert inside[:256].tolist() == [inside_oracle(poly, x, y) for x, y in head]

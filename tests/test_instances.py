@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+import pondroute.instances as instances
 from pondroute.evaluation import ALGORITHMS, score, solve_with
 from pondroute.geometry import ConvexPolygon, Point, contains
 from pondroute.instances import (
@@ -18,6 +20,31 @@ from pondroute.instances import (
     save,
 )
 from pondroute.solution import load_solution, save_solution
+
+from _oracles import lattice_points_oracle
+
+# SHA-256 of the ``save(generate(n, seed))`` bytes, taken from the meshgrid
+# lattice code that preceded the one-broadcast counts.
+GOLDEN_INSTANCES = {
+    (3, 0): "b54bdf41db23e008f9da46cd0ab1d3d01d941d3cbd5f0bb148646b7391e289e9",
+    (3, 1): "f2784436b64369d44e8f1e4f34d8777a65dcbac542abb26df13795e9696e11c8",
+    (3, 7919): "85e5eec3cf8ba688555e6eb7cc23aa95f7ecc1a5624694be92eff9f4dfad173e",
+    (10, 0): "74d4d5b568502a12b4c87c8625d0fab664bd1130a895b84dac9ddad48cf286f8",
+    (10, 1): "2d10555ab5f9ff8d5ae6d9ed61d2cd695380faa09a769fe9f28cbd39d6fc877d",
+    (10, 7919): "90ac54dcd9d5f28623cabcd93c209d3fe741b2cd60818a9e2e99b14ae16e67bd",
+    (50, 0): "4411b72dab8baee31fe66211836b502d04e777d8a1ce11c57e0b31cef5699527",
+    (50, 1): "24e9ebe97ec835f5c21be2ddadd3be5e0ae60d5d6a3d59a5fa526d6022433bff",
+    (50, 7919): "49b24f47081446aff6f58b61f9837743d42a91be1c3fd2590828a38ad3506590",
+    (150, 0): "4e83b8885661dc6b0d4b943c0982ab7c12ef0dd327fde1a7025d9de27cad0e62",
+    (150, 1): "b7ef25c4c50a2d08b55cf36c70e9f9c6f3e0084f7d7e7dab6ef6d04e410965ba",
+    (150, 7919): "ee45aa10dd80e5c4d069d3e78ab11cdba9bafb62bb25e175cef0ffe7df7db2c7",
+    (500, 0): "73d7334770923f64c5c82b1db936c080c1a0c631add8fab895654daa6fb2e482",
+    (500, 1): "075d0808b5241d0b5bfbe5fcc32ded24562673dbd267a92a028807278300ba5c",
+    (500, 7919): "8cca533bf71ff173a99c867935b7d8dc2c307c54f446170da18c35e0484d6985",
+    (2000, 0): "3668f35fba96c3a38d6465011c0110bfb1c20f23b5f69931f9e73fb71a22b711",
+    (2000, 1): "a27ed1ddb2741b3d009f15780b35f316c22f705b82835c244bd99592738acaa1",
+    (2000, 7919): "bb0579d7004c956d0d663f19ccb5e5b2722e84cd5892843c26e4c68b66d207e6",
+}
 
 
 def make_instance(n: int, seed: int) -> FarmInstance:
@@ -89,6 +116,65 @@ class TestGenerate:
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
             generate(10, -1)
+
+
+class TestGoldenInstances:
+    @pytest.mark.parametrize(("n", "seed"), sorted(GOLDEN_INSTANCES))
+    def test_instance_bytes(self, tmp_path, n, seed):
+        path = tmp_path / "inst.txt"
+        save(generate(n, seed), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_INSTANCES[n, seed]
+
+
+def assert_oracle_lattice(poly: ConvexPolygon, spacing: float) -> int:
+    """``_lattice_points`` equals the oracle bit for bit and in order; the
+    number of points is returned."""
+    got, want = _lattice_points(poly, spacing), lattice_points_oracle(poly, spacing)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), spacing
+    return len(want[0])
+
+
+class TestLatticePoints:
+    @pytest.mark.parametrize("n", [3, 50, 500, 2000])
+    def test_every_visited_spacing_matches_oracle(self, monkeypatch, n):
+        # Each count the spacing bisection makes, and the final lattice,
+        # equal the meshgrid oracle's.
+        visited = []
+        lattice_mask = instances._lattice_mask
+
+        def recording(edges, box, spacing):
+            xs, ys, mask = lattice_mask(edges, box, spacing)
+            visited.append((spacing, int(np.count_nonzero(mask))))
+            return xs, ys, mask
+
+        monkeypatch.setattr(instances, "_lattice_mask", recording)
+        polygons = []
+        for seed in range(1000, 1010):
+            start = len(visited)
+            poly = generate(n, seed).polygon
+            polygons.append((poly, start, len(visited)))
+        monkeypatch.undo()
+        for poly, start, stop in polygons:
+            assert stop - start > 1
+            for spacing, count in visited[start:stop]:
+                assert assert_oracle_lattice(poly, spacing) == count
+
+    @pytest.mark.parametrize("j", [-20, 0, 20])
+    @pytest.mark.parametrize("spacing", [0.25, 0.1, 1 / 3])
+    @pytest.mark.parametrize(
+        ("corners", "on_quarter_lattice"),
+        [([(0, 0), (1, 0), (1, 1), (0, 1)], 25), ([(0, 0), (1, 0), (0, 1)], 15)],
+        ids=["square", "right-triangle"],
+    )
+    def test_points_on_edges_match_oracle(self, corners, on_quarter_lattice, spacing, j):
+        # Lattice points lie exactly on the square's sides and on the
+        # triangle's hypotenuse x + y = 1, at every scale.
+        scale = 2.0**j
+        poly = ConvexPolygon(tuple(Point(x * scale, y * scale) for x, y in corners))
+        count = assert_oracle_lattice(poly, spacing * scale)
+        if spacing == 0.25:
+            assert count == on_quarter_lattice
 
 
 class TestPlaceDepot:
