@@ -7,12 +7,16 @@ below the grid pitch of any generated instance. There it bounds a distance
 ties of ``antipodal_pairs``, where it is compared with a raw cross product,
 an area (twice the triangle's), not a distance.
 
-A hull of m points costs one ``np.lexsort`` and a few O(m) array passes,
-then the two monotone chains in Python over the lowest and highest point of
-each x column only: about a fifth of the points on ``hpp``'s lattice
-clusters (the column filter of ``_hull_ring``). Small inputs take the same
-path: on a hull of a few dozen points numpy's per-call cost adds some tens
-of microseconds, far below what a solve or an instance generation resolves.
+Hulls and antipodal pairs are computed on coordinate arrays, a hull's
+corners as positions into them, so an ``hpp`` solve reads its coordinates
+once; only the public functions take or build ``Point``s and
+``ConvexPolygon``s. A hull of m points costs one ``np.lexsort`` and a few
+O(m) array passes, then the two monotone chains in Python over the lowest
+and highest point of each x column only: about a fifth of the points on
+``hpp``'s lattice clusters (the column filter of ``_hull_ring``). Small
+inputs take the same path: on a hull of a few dozen points numpy's per-call
+cost adds some tens of microseconds, far below what a solve or an instance
+generation resolves.
 
 Containment (``_inside``) tests every edge of an outline in one broadcast:
 ``_edges`` builds the polygon's edge table once, with the edges on a leading
@@ -96,30 +100,37 @@ class ConvexPolygon:
         return 0.5 * s
 
 
-def _chain(xs: list[float], ys: list[float]) -> list[tuple[float, float]]:
-    """One monotone chain over points in sweep order; a point whose turn is
-    not a left turn by more than EPS times the chord is popped."""
-    chain: list[tuple[float, float]] = []
-    for x, y in zip(xs, ys):
+def _chain(xs: list[float], ys: list[float]) -> list[int]:
+    """One monotone chain over points in sweep order, as indices into ``xs``
+    and ``ys``; a point whose turn is not a left turn by more than EPS times
+    the chord is popped."""
+    chain: list[int] = []
+    for i, (x, y) in enumerate(zip(xs, ys)):
         while len(chain) >= 2:
-            (ox, oy), (ax, ay) = chain[-2], chain[-1]
-            turn = (ax - ox) * (y - oy) - (ay - oy) * (x - ox)
-            if turn > 0.0 and turn > EPS * math.hypot(x - ox, y - oy):
+            o, a = chain[-2], chain[-1]
+            turn = (xs[a] - xs[o]) * (y - ys[o]) - (ys[a] - ys[o]) * (x - xs[o])
+            if turn > 0.0 and turn > EPS * math.hypot(x - xs[o], y - ys[o]):
                 break
             chain.pop()
-        chain.append((x, y))
+        chain.append(i)
     return chain
 
 
-def _hull_ring(points: Iterable[Point]) -> list[tuple[float, float]]:
-    """Strict corners of the monotone-chain hull, CCW from the smallest (x, y).
+def _coordinate_rows(points: Iterable[Point]) -> np.ndarray:
+    """The x row over the y row of the points, read as floats."""
+    pts = list(points)
+    return np.array([[p.x for p in pts], [p.y for p in pts]], dtype=float)
 
-    Coordinates are read as floats. Exact duplicates are dropped first (the
-    first copy is kept, and ``-0.0 == 0.0``), and a chain point whose
-    perpendicular deviation from the chord of its neighbours is at most EPS
-    (a distance, so the cross product is normalized by the chord length)
-    counts as collinear.
-    Fewer than 3 entries means the points span no polygon.
+
+def _hull_ring(xs: np.ndarray, ys: np.ndarray) -> list[int]:
+    """Positions in (``xs``, ``ys``) of the strict corners of the
+    monotone-chain hull, CCW from the smallest (x, y).
+
+    Exact duplicates are dropped first (the position of the first copy is
+    kept, and ``-0.0 == 0.0``), and a chain point whose perpendicular
+    deviation from the chord of its neighbours is at most EPS (a distance,
+    so the cross product is normalized by the chord length) counts as
+    collinear. Fewer than 3 entries means the points span no polygon.
 
     The points are sorted by one ``np.lexsort`` (stable, so the first copy
     of a duplicate comes first), and each chain reads only the ends of the
@@ -156,25 +167,23 @@ def _hull_ring(points: Iterable[Point]) -> list[tuple[float, float]]:
     the same test on all points. In the last column, (b) leaves yk alone on
     y1, as on the column ends.
     """
-    pts = list(points)
-    xs = np.array([p.x for p in pts], dtype=float)
-    ys = np.array([p.y for p in pts], dtype=float)
     by = np.lexsort((ys, xs))
     xs, ys = xs[by], ys[by]
     keep = np.ones(len(xs), dtype=bool)
     keep[1:] = (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])
-    xs, ys = xs[keep], ys[keep]
+    by, xs, ys = by[keep], xs[keep], ys[keep]
     if len(xs) < 3:
-        return list(zip(xs.tolist(), ys.tolist()))
+        return by.tolist()
     lower = np.ones(len(xs), dtype=bool)
     upper = np.ones(len(xs), dtype=bool)
     new_col = xs[1:] != xs[:-1]  # point i + 1 starts a column, point i ends one
     if _column_ends_suffice(xs, ys, new_col):
         lower[1:-1] = new_col[:-1]
         upper[1:-1] = new_col[1:]
+    lower, upper = np.flatnonzero(lower), np.flatnonzero(upper)[::-1]
     lower_chain = _chain(xs[lower].tolist(), ys[lower].tolist())
-    upper_chain = _chain(xs[upper][::-1].tolist(), ys[upper][::-1].tolist())
-    return lower_chain[:-1] + upper_chain[:-1]
+    upper_chain = _chain(xs[upper].tolist(), ys[upper].tolist())
+    return by[np.append(lower[lower_chain[:-1]], upper[upper_chain[:-1]])].tolist()
 
 
 def _column_ends_suffice(xs: np.ndarray, ys: np.ndarray, new_col: np.ndarray) -> bool:
@@ -190,11 +199,21 @@ def _column_ends_suffice(xs: np.ndarray, ys: np.ndarray, new_col: np.ndarray) ->
     return math.isfinite(gx * gy) and gx * gy > margin
 
 
+def _polygon_ring(xs: np.ndarray, ys: np.ndarray) -> list[int]:
+    """``_hull_ring`` of points that must span a polygon, else DegenerateInput."""
+    ring = _hull_ring(xs, ys)
+    if len(ring) < 3:
+        raise DegenerateInput(
+            f"need at least 3 distinct, non-collinear points, got {len(ring)} hull corners"
+        )
+    return ring
+
+
 def collinear(points: Iterable[Point]) -> bool:
     """True iff the points span no polygon, which is exactly when
     ``convex_hull`` raises DegenerateInput: fewer than 3 distinct points, or
     no hull corner deviates more than EPS from the chord of its neighbours."""
-    return len(_hull_ring(points)) < 3
+    return len(_hull_ring(*_coordinate_rows(points))) < 3
 
 
 def convex_hull(points: Iterable[Point]) -> ConvexPolygon:
@@ -210,31 +229,21 @@ def convex_hull(points: Iterable[Point]) -> ConvexPolygon:
     Raises DegenerateInput for fewer than 3 distinct points or collinear
     input (see ``collinear``).
     """
-    ring = _hull_ring(points)
-    if len(ring) < 3:
-        raise DegenerateInput(
-            f"need at least 3 distinct, non-collinear points, got {len(ring)} hull corners"
-        )
-    return ConvexPolygon(tuple(Point(x, y) for x, y in ring))
+    xs, ys = _coordinate_rows(points)
+    ring = _polygon_ring(xs, ys)
+    return ConvexPolygon(tuple(map(Point, xs[ring].tolist(), ys[ring].tolist())))
 
 
-def antipodal_pairs(poly: ConvexPolygon) -> list[tuple[int, int]]:
-    """Enumerate all antipodal vertex pairs by rotating calipers.
-
-    For each edge, one pointer walks to the vertex farthest from the edge line
-    (the walk is monotone around the polygon, so the whole scan is linear).
-    That vertex is antipodal to both edge endpoints; when the next vertex is
-    equally far the opposite edge is parallel and the tied vertex contributes
-    the extra pair combinations. Returns the vertex-index pairs ``(i, j)``
-    with i < j, deduplicated and sorted.
-    """
-    v = poly.vertices
-    n = len(v)
+def _caliper_pairs(xs: list[float], ys: list[float]) -> list[tuple[int, int]]:
+    """``antipodal_pairs`` of the strictly convex CCW polygon with corners
+    (``xs``, ``ys``)."""
+    n = len(xs)
     pairs: set[tuple[int, int]] = set()
     j = 1  # absolute counter, vertex index is j % n
 
     def height(i: int, i1: int, idx: int) -> float:
-        return _cross(v[i], v[i1], v[idx % n])
+        b = idx % n  # _cross(v[i], v[i1], v[b]), operand for operand
+        return (xs[i1] - xs[i]) * (ys[b] - ys[i]) - (ys[i1] - ys[i]) * (xs[b] - xs[i])
 
     for i in range(n):
         i1 = (i + 1) % n
@@ -256,6 +265,20 @@ def antipodal_pairs(poly: ConvexPolygon) -> list[tuple[int, int]]:
                 if a != far2:
                     pairs.add((min(a, far2), max(a, far2)))
     return sorted(pairs)
+
+
+def antipodal_pairs(poly: ConvexPolygon) -> list[tuple[int, int]]:
+    """Enumerate all antipodal vertex pairs by rotating calipers.
+
+    For each edge, one pointer walks to the vertex farthest from the edge line
+    (the walk is monotone around the polygon, so the whole scan is linear).
+    That vertex is antipodal to both edge endpoints; when the next vertex is
+    equally far the opposite edge is parallel and the tied vertex contributes
+    the extra pair combinations. Returns the vertex-index pairs ``(i, j)``
+    with i < j, deduplicated and sorted.
+    """
+    v = poly.vertices
+    return _caliper_pairs([p.x for p in v], [p.y for p in v])
 
 
 def _edges(poly: ConvexPolygon) -> np.ndarray:

@@ -10,7 +10,11 @@ costs two ``bincount``s for the new centroids, O(n) bound updates and the
 squared distances, one ``argmin`` and one ``min`` over k entries of only the
 nodes whose bounds overlap (about a fifth of them at n = 2000, k = 20). The
 full (k, n) table is built in the first round, in a round that leaves a
-cluster empty, and in every round when n * k < 10000.
+cluster empty, and in every round when n * k < 10000. A solve reads the
+node coordinates once, into one (2, n) float array that k-means, hulls
+(corners are positions into it), lane tables and exact re-scores share;
+``Point``, ``ConvexPolygon`` and ``ClusterAssignment`` are built only by the
+public functions and by the rare cluster repair.
 
 Candidates are scored without building them, every cluster of a solve in
 one pass. Per stacking axis (rows, columns) a cluster's nodes fall into
@@ -41,7 +45,6 @@ of array operations over all candidates. The routes come back as a
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -51,14 +54,17 @@ import numpy as np
 from .geometry import (
     DegenerateInput,
     Point,
-    antipodal_pairs,
+    _caliper_pairs,
+    _coordinate_rows,
+    _polygon_ring,
     collinear,
-    convex_hull,
     dist,
 )
+# Bound here for the benchmark, which times hulls and pairs as hpp.<name>.
+from .geometry import antipodal_pairs, convex_hull  # noqa: F401
 from .instances import FarmInstance, _left_sum
 from .rng import make_rng
-from .solution import InvalidK, Route, Solution, route_length
+from .solution import InvalidK, Route, Solution
 # Re-exported: the benchmark digests solution files through hpp.save_solution.
 from .solution import save_solution  # noqa: F401
 
@@ -66,7 +72,7 @@ KMEANS_TOL = 1e-9
 KMEANS_MAX_ITER = 100
 MIN_CLUSTER_SIZE = 3
 NEAR_BEST = 1e-9  # relative slack of _route_clusters' exact re-scoring
-_BOUNDED_MIN_ENTRIES = 10_000  # smallest n * k for which kmeans bounds its points
+_BOUNDED_MIN_ENTRIES = 10_000  # smallest n * k for which _kmeans bounds its points
 
 
 class RepairImpossible(RuntimeError):
@@ -82,12 +88,10 @@ class ClusterAssignment:
         if not self.centroids:
             raise ValueError("need at least one centroid")
         k = len(self.centroids)
-        counts = [0] * k
-        for lab in self.labels:
-            if not 0 <= lab < k:
-                raise ValueError(f"label {lab} out of range for k={k}")
-            counts[lab] += 1
-        if any(c == 0 for c in counts):
+        stray = [lab for lab in self.labels if not 0 <= lab < k]
+        if stray:
+            raise ValueError(f"label {stray[0]} out of range for k={k}")
+        if len(set(self.labels)) < k:
             raise ValueError("every cluster must be non-empty")
 
     @property
@@ -149,7 +153,7 @@ def _assign_labels(
 
 
 def _bounds(d2: np.ndarray, labels: np.ndarray, slack: float) -> tuple[np.ndarray, np.ndarray]:
-    """``kmeans``' upper and lower bounds of the points whose ``_table``
+    """``_kmeans``' upper and lower bounds of the points whose ``_table``
     columns are ``d2`` and labels ``labels``: the root of the own entry plus
     ``slack``, and the root of the smallest other entry minus ``slack``.
     Overwrites the own entries."""
@@ -163,10 +167,10 @@ def _bounds(d2: np.ndarray, labels: np.ndarray, slack: float) -> tuple[np.ndarra
 
 
 def _bound_slack(xs: np.ndarray, ys: np.ndarray) -> float | None:
-    """``kmeans``' bound slack, 2^-40 s for the instance scale s: the smallest
+    """``_kmeans``' bound slack, 2^-40 s for the instance scale s: the smallest
     power of two at least the largest |coordinate|, 1 when every coordinate
     is 0. None when s is outside [2^-400, 2^400], where the rounding argument
-    in ``kmeans`` does not hold."""
+    in ``_kmeans`` does not hold."""
     top = max(float(np.abs(xs).max()), float(np.abs(ys).max()))
     mantissa, exponent = math.frexp(top)
     scale = math.ldexp(1.0, exponent - 1 if mantissa == 0.5 else exponent) if top else 1.0
@@ -199,7 +203,19 @@ def kmeans(nodes: Sequence[Point], k: int, seed: int) -> ClusterAssignment:
     ``|dx|`` or ``|dy|``) or after 100 iterations; returned labels are exactly
     nearest-centroid with respect to the returned centroids. Raises
     RepairImpossible when some cluster stays empty, as it must when the nodes
-    sit on fewer than ``k`` distinct positions.
+    sit on fewer than ``k`` distinct positions, and ValueError unless
+    ``1 <= k <= len(nodes)``.
+    """
+    return _assignment(*_kmeans(*_coordinate_rows(nodes), k, seed))
+
+
+def _assignment(labels: np.ndarray, cents: np.ndarray) -> ClusterAssignment:
+    """The ``ClusterAssignment`` of ``_kmeans``' label and centroid arrays."""
+    return ClusterAssignment(tuple(labels.tolist()), tuple(map(Point, *cents.tolist())))
+
+
+def _kmeans(xs: np.ndarray, ys: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``kmeans``' label and centroid (x row over y row) arrays of (``xs``, ``ys``).
 
     New centroids are two weighted ``bincount``s. ``bincount`` adds a
     cluster's coordinates one at a time in index order, so each centroid is
@@ -255,10 +271,8 @@ def kmeans(nodes: Sequence[Point], k: int, seed: int) -> ClusterAssignment:
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    if len(nodes) < k:
-        raise ValueError(f"need at least k={k} nodes, got {len(nodes)}")
-    xs = np.array([p.x for p in nodes], dtype=float)
-    ys = np.array([p.y for p in nodes], dtype=float)
+    if len(xs) < k:
+        raise ValueError(f"need at least k={k} nodes, got {len(xs)}")
     rng = make_rng(seed)
     cents = _kmeans_pp_init(xs, ys, k, rng)
     slack = _bound_slack(xs, ys) if len(xs) * k >= _BOUNDED_MIN_ENTRIES else None
@@ -289,10 +303,7 @@ def kmeans(nodes: Sequence[Point], k: int, seed: int) -> ClusterAssignment:
         if not sizes.all():
             labels, sizes, cents = _assign_labels(xs, ys, cents, work)
             upper, lower = _bounds(work[0].reshape(k, -1), labels, slack)
-    return ClusterAssignment(
-        labels=tuple(labels.tolist()),
-        centroids=tuple(Point(x, y) for x, y in zip(*cents.tolist())),
-    )
+    return labels, cents
 
 
 def repair_clusters(assign: ClusterAssignment, nodes: Sequence[Point]) -> ClusterAssignment:
@@ -398,8 +409,8 @@ class _LaneTables:
 
     ``members`` lists positions into ``xy`` cluster by cluster, ascending
     within each, and ``bounds`` delimits the clusters; a slot is an index
-    into ``members``. Anchor ``i`` is the first member of cluster
-    ``owner[i]`` at the point ``anchors[:, i]``. Axis 0 stacks lanes along y
+    into ``members``. Anchor ``i`` is the member at slot ``starts[i]``, and
+    ``anchors[:, i]`` is its point. Axis 0 stacks lanes along y
     (rows) and axis 1 along x (columns), and ``tc`` is the coordinate along
     the lanes. The tables' entries are addressed by their index in the
     sorted array.
@@ -443,39 +454,34 @@ class _LaneTables:
         xy: np.ndarray,
         members: np.ndarray,
         bounds: np.ndarray,
-        anchors: np.ndarray,
-        owner: np.ndarray,
+        starts: np.ndarray,
         spacing: float,
     ) -> None:
-        slots, k, rows = len(members), len(bounds) - 1, len(owner)
+        slots, k, rows = len(members), len(bounds) - 1, len(starts)
         sizes = np.diff(bounds)
         coords = xy[:, members]
         cluster = np.repeat(np.arange(k), sizes)
+        owner = cluster[starts]
         # Per axis: each slot's rank in tc order, the slots cluster by
         # cluster in stacking order, and each cluster's levels in ascending
-        # order, with each slot's level and where each level's slots start.
+        # order, with each slot's level.
         by_x, by_y = (np.argsort(c, kind="stable") for c in coords)
         tc_rank = np.empty((2, slots), dtype=np.intp)
-        stacked = np.empty((2, slots), dtype=np.intp)
         level = np.empty((2, slots), dtype=np.intp)
-        values, first_level, level_count, level_start = [], [], [], []
+        values, first_level, level_count = [], [], []
         for axis, along, across in ((0, by_x, by_y), (1, by_y, by_x)):
             tc_rank[axis, along] = np.arange(slots)
-            stacked[axis] = across[np.argsort(cluster[across] * slots + np.arange(slots))]
-            v, owners = coords[1 - axis, stacked[axis]], cluster[stacked[axis]]
+            stacked = across[np.argsort(cluster[across] * slots + np.arange(slots))]
+            v, owners = coords[1 - axis, stacked], cluster[stacked]
             new = (np.diff(v, prepend=np.nan) != 0) | (np.diff(owners, prepend=-1) != 0)
             count = np.bincount(owners[new], minlength=k)
             first = np.cumsum(count) - count
-            level[axis, stacked[axis]] = np.cumsum(new) - 1 - first[owners]
+            level[axis, stacked] = np.cumsum(new) - 1 - first[owners]
             values.append(v[new])
             first_level.append(first)
             level_count.append(count)
-            level_start.append(np.flatnonzero(new))
-        self.anchors = anchors
-        self.starts = starts = self._find(
-            coords, anchors, owner,
-            values[1], first_level[1], level_count[1], stacked[1], level_start[1],
-        )
+        self.starts = starts
+        self.anchors = coords[:, starts]
 
         # Lane keys of every (axis, anchor) row over its cluster's levels.
         length = np.concatenate([count[owner] for count in level_count])
@@ -553,36 +559,6 @@ class _LaneTables:
         # what ``sweep`` reads, as lists
         self.positions = members[slot].tolist()
         self.lane_first, self.lane_last = self.first.tolist(), self.last.tolist()
-
-    @staticmethod
-    def _find(
-        coords: np.ndarray,
-        anchors: np.ndarray,
-        owner: np.ndarray,
-        x_values: np.ndarray,
-        first: np.ndarray,
-        count: np.ndarray,
-        by_x: np.ndarray,
-        level_start: np.ndarray,
-    ) -> np.ndarray:
-        """The slot of each anchor, the first member of its cluster at its
-        point, from the x levels: their values, each cluster's first level
-        and level count, the slots cluster by cluster by x and then slot,
-        and where each level's slots start among them. Raises ValueError
-        when an anchor is not a member."""
-        place, _ = _ranges(first[owner], count[owner])
-        row = np.repeat(np.arange(len(owner)), count[owner])
-        column = place[x_values[place] == anchors[0, row]]  # at most one per anchor
-        if len(column) == len(owner):
-            ends = np.append(level_start, len(by_x))
-            size = ends[column + 1] - level_start[column]
-            place, _ = _ranges(level_start[column], size)
-            row = np.repeat(np.arange(len(owner)), size)
-            hits = np.flatnonzero(coords[1, by_x[place]] == anchors[1, row])
-            hits = hits[np.diff(row[hits], prepend=-1) != 0]
-            if len(hits) == len(owner):
-                return by_x[place[hits]]
-        raise ValueError("sweep start and end must be cluster nodes")
 
     def _entry(self, table, anchor):
         """Sorted index of anchor ``anchor`` in ``table``."""
@@ -710,18 +686,16 @@ def _check_spacing(spacing: float) -> None:
         raise ValueError("spacing must be positive and finite")
 
 
-def _coordinate_rows(nodes: Sequence[Point]) -> np.ndarray:
-    """The x row over the y row of ``nodes``."""
-    return np.array([[p.x for p in nodes], [p.y for p in nodes]], dtype=float)
+def _path_length(xs: list[float], ys: list[float], order: list[int]) -> float:
+    """Length of the path through the positions ``order`` of (``xs``,
+    ``ys``), its hops added one at a time from the left."""
+    return _left_sum(math.hypot(xs[a] - xs[b], ys[a] - ys[b]) for a, b in zip(order, order[1:]))
 
 
-def _shorter(nodes: Sequence[Point], rows: list[int], cols: list[int]) -> list[int]:
+def _shorter(xs: list[float], ys: list[float], rows: list[int], cols: list[int]) -> list[int]:
     """The shorter of a row and a column sweep by exact summation, ties
     within 1e-12 going to rows."""
-    row_length, col_length = (
-        _left_sum(dist(nodes[a], nodes[b]) for a, b in zip(o, o[1:])) for o in (rows, cols)
-    )
-    return cols if col_length < row_length - 1e-12 else rows
+    return cols if _path_length(xs, ys, cols) < _path_length(xs, ys, rows) - 1e-12 else rows
 
 
 def serpentine_route(pts: Sequence[Point], start: Point, end: Point, spacing: float) -> list[int]:
@@ -736,47 +710,46 @@ def serpentine_route(pts: Sequence[Point], start: Point, end: Point, spacing: fl
     _check_spacing(spacing)
     if start == end:
         raise ValueError("sweep start and end must be different points")
-    xy, bounds = _coordinate_rows(pts), np.array([0, len(pts)])
-    ends = np.array([[start.x, end.x], [start.y, end.y]])
-    tables = _LaneTables(xy, np.arange(len(pts)), bounds, ends, np.zeros(2, dtype=np.intp), spacing)
-    return _shorter(pts, tables.sweep(0, 0, 1), tables.sweep(1, 0, 1))
+    if start not in pts or end not in pts:
+        raise ValueError("sweep start and end must be cluster nodes")
+    ends = np.array([pts.index(start), pts.index(end)])
+    xy = _coordinate_rows(pts)
+    tables = _LaneTables(xy, np.arange(len(pts)), np.array([0, len(pts)]), ends, spacing)
+    return _shorter(*xy.tolist(), tables.sweep(0, 0, 1), tables.sweep(1, 0, 1))
 
 
 def _candidates(
-    nodes: Sequence[Point], xy: np.ndarray, labels: np.ndarray, k: int, spacing: float
+    xy: np.ndarray, labels: np.ndarray, k: int, spacing: float
 ) -> tuple[_LaneTables, np.ndarray, np.ndarray, np.ndarray]:
-    """The lane tables of the k clusters of ``labels``, anchored at their
-    hull corners, and the candidate sweeps: each one's start and end anchor
-    and its cluster. Clusters come in order and, within one, each antipodal
-    pair (i, j) of the hull as (i, j) then (j, i).
+    """The lane tables of the k clusters of ``labels`` over the points
+    ``xy``, anchored at their hull corners, and the candidate sweeps: each
+    one's start and end anchor and its cluster. Clusters come in order and,
+    within one, each antipodal pair (i, j) of the hull as (i, j) then (j, i).
 
     Every hull is built before any table, so a cluster that spans no
     polygon raises DegenerateInput first."""
     members = np.argsort(labels, kind="stable")
     bounds = np.concatenate([[0], np.cumsum(np.bincount(labels, minlength=k))])
-    ids, cuts = members.tolist(), bounds.tolist()
-    hulls = [convex_hull([nodes[i] for i in ids[a:b]]) for a, b in zip(cuts, cuts[1:])]
-    corners = [v for h in hulls for v in h.vertices]
-    sizes = [len(h) for h in hulls]
-    pairs = [
-        [(o + i, o + j) for i, j in antipodal_pairs(h)]
-        for o, h in zip(itertools.accumulate(sizes, initial=0), hulls)
-    ]
-    ends = np.array([e for cluster_pairs in pairs for e in cluster_pairs]).reshape(-1, 2)
-    cluster = np.repeat(np.arange(k), [2 * len(p) for p in pairs])
-    anchors = np.array([[v.x for v in corners], [v.y for v in corners]])
-    tables = _LaneTables(xy, members, bounds, anchors, np.repeat(np.arange(k), sizes), spacing)
-    return tables, ends.reshape(-1), ends[:, ::-1].reshape(-1), cluster
+    starts, pairs, cluster = [], [], []
+    for c, (a, b) in enumerate(zip(bounds.tolist(), bounds[1:].tolist())):
+        xs, ys = xy[:, members[a:b]]
+        ring = _polygon_ring(xs, ys)
+        ring_pairs = _caliper_pairs(xs[ring].tolist(), ys[ring].tolist())
+        pairs += [(len(starts) + i, len(starts) + j) for i, j in ring_pairs]
+        cluster += [c] * (2 * len(ring_pairs))
+        starts += [a + r for r in ring]
+    ends = np.array(pairs).reshape(-1, 2)
+    tables = _LaneTables(xy, members, bounds, np.array(starts), spacing)
+    return tables, ends.reshape(-1), ends[:, ::-1].reshape(-1), np.array(cluster)
 
 
 def _route_clusters(
-    nodes: Sequence[Point], labels: np.ndarray, k: int, depot: Point, spacing: float
+    xy: np.ndarray, labels: np.ndarray, k: int, depot: Point, spacing: float
 ) -> list[Route]:
-    """Best serpentine route of each of the k clusters of ``labels``, picked
-    as ``route_cluster`` picks it, every cluster scored in one pass."""
+    """Best serpentine route of each of the k clusters of ``labels`` over
+    ``xy``, picked as ``route_cluster`` picks it, all scored in one pass."""
     _check_spacing(spacing)
-    xy = _coordinate_rows(nodes)
-    tables, start, end, cluster = _candidates(nodes, xy, labels, k, spacing)
+    tables, start, end, cluster = _candidates(xy, labels, k, spacing)
     rows, cols = tables.lengths(start, end)
     legs = np.hypot(tables.anchors[0] - depot.x, tables.anchors[1] - depot.y)
     scores = legs[start] + np.minimum(rows, cols) + legs[end]
@@ -785,6 +758,8 @@ def _route_clusters(
     slack = NEAR_BEST * np.maximum(1.0, low)
     cutoff = low + slack + 1e-12 * count
     best: list[tuple[float, list[int]] | None] = [None] * k
+    xs, ys = np.append(xy, [[depot.x], [depot.y]], axis=1).tolist()  # the depot last
+    home = len(xs) - 1
     rescore = np.flatnonzero(~(scores > cutoff[cluster]))
     for c, i, j, r, w in zip(*(v[rescore].tolist() for v in (cluster, start, end, rows, cols))):
         if w > r + slack[c]:
@@ -792,8 +767,8 @@ def _route_clusters(
         elif r > w + slack[c]:
             order = tables.sweep(1, i, j)
         else:
-            order = _shorter(nodes, tables.sweep(0, i, j), tables.sweep(1, i, j))
-        length = route_length(depot, [nodes[t] for t in order])
+            order = _shorter(xs, ys, tables.sweep(0, i, j), tables.sweep(1, i, j))
+        length = _path_length(xs, ys, [home, *order, home])
         if best[c] is None or length < best[c][0] - 1e-12:
             best[c] = (length, order)
     return [Route(node_order=tuple(order), length=length) for length, order in best]
@@ -825,8 +800,8 @@ def route_cluster(
     the two exact lengths would pick the same axis; otherwise it builds both.
     """
     ids = [i for i, _ in members]
-    labels = np.zeros(len(members), dtype=np.intp)
-    [route] = _route_clusters([pt for _, pt in members], labels, 1, depot, spacing)
+    xy = _coordinate_rows(pt for _, pt in members)
+    [route] = _route_clusters(xy, np.zeros(len(members), dtype=np.intp), 1, depot, spacing)
     return Route(node_order=tuple(ids[t] for t in route.node_order), length=route.length)
 
 
@@ -845,10 +820,11 @@ def hpp_solve(inst: FarmInstance, k: int = 5, seed: int = 0) -> Solution:
             else f"no route of {MIN_CLUSTER_SIZE}+ nodes"
         )
         raise InvalidK(f"k={k} is infeasible: {n} nodes support {support}")
-    assign = kmeans(inst.nodes, k, seed)
+    xy = _coordinate_rows(inst.nodes)
+    labels, cents = _kmeans(*xy, k, seed)
     try:
-        routes = _route_clusters(inst.nodes, np.array(assign.labels), k, inst.depot, inst.spacing)
+        routes = _route_clusters(xy, labels, k, inst.depot, inst.spacing)
     except DegenerateInput:
-        assign = repair_clusters(assign, inst.nodes)
-        routes = _route_clusters(inst.nodes, np.array(assign.labels), k, inst.depot, inst.spacing)
+        assign = repair_clusters(_assignment(labels, cents), inst.nodes)
+        routes = _route_clusters(xy, np.array(assign.labels), k, inst.depot, inst.spacing)
     return Solution(instance_ref=inst.name, algorithm="hpp", seed=seed, routes=tuple(routes))

@@ -149,8 +149,17 @@ class TestConvexHull:
         assert all(contains(hull, p) for p in pts)
 
 
+def hull_ring(points: list[Point]) -> tuple[list[tuple[float, float]], list[int]]:
+    """``_hull_ring`` of the points: its corners' coordinates, and their
+    positions in ``points``."""
+    xs, ys = geometry._coordinate_rows(points)
+    ring = geometry._hull_ring(xs, ys)
+    return list(zip(xs[ring].tolist(), ys[ring].tolist())), ring
+
+
 def ring_and_reads(points: list[Point]) -> tuple[list[tuple[float, float]], int]:
-    """``_hull_ring`` of the points, and how many points its two chains read."""
+    """``_hull_ring`` of the points as coordinates, and how many points its
+    two chains read."""
     reads: list[int] = []
     chain = geometry._chain
 
@@ -160,7 +169,7 @@ def ring_and_reads(points: list[Point]) -> tuple[list[tuple[float, float]], int]
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(geometry, "_chain", counted)
-        ring = geometry._hull_ring(points)
+        ring, _ = hull_ring(points)
     return ring, sum(reads)
 
 
@@ -218,11 +227,17 @@ class TestHullRing:
     @example(family="duplicates", seed=241, n=32)
     def test_matches_unfiltered_chain(self, family, seed, n):
         # The same corners, in the same order and with the same zero signs,
-        # as the chains over every distinct point, at every scale and size.
+        # as the chains over every distinct point, at every scale and size;
+        # each at the position of the first point with its coordinates.
         rng = np.random.default_rng(seed)
         for j in RING_SCALES:
             pts = ring_points(family, rng, n, j)
-            assert bits(geometry._hull_ring(pts)) == bits(hull_ring_oracle(pts)), j
+            ring, positions = hull_ring(pts)
+            assert bits(ring) == bits(hull_ring_oracle(pts)), j
+            first: dict[tuple[float, float], int] = {}
+            for i, p in enumerate(pts):
+                first.setdefault((p.x, p.y), i)  # -0.0 and 0.0 are one key
+            assert positions == [first[corner] for corner in ring], j
 
     @pytest.mark.parametrize("j", RING_SCALES)
     @pytest.mark.parametrize("above", [True, False])

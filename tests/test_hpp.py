@@ -11,10 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pondroute import hpp
+from pondroute import geometry, hpp
 from pondroute.baseline import TooLarge, minmax_local_search
 from pondroute.evaluation import ALGORITHMS, InstanceMetrics, score, solve_with
 from pondroute.geometry import (
+    ConvexPolygon,
+    DegenerateInput,
     Point,
     antipodal_pairs,
     collinear,
@@ -609,6 +611,26 @@ def test_bad_spacing_or_pair_raises_value_error(spacing):
         route_cluster(list(enumerate(pts)), Point(0, -1), spacing)
 
 
+@pytest.mark.parametrize(
+    "coords, corners",
+    [
+        ([(0, 0), (1, 1), (3, 3), (2, 2)], 2),
+        ([(0, 0), (1, 0), (0, 0), (1, 0.0)], 2),
+        ([(0.5, 0.5)] * 3, 1),
+    ],
+    ids=["collinear", "two-distinct", "one-distinct"],
+)
+def test_route_cluster_raises_degenerate_input_on_no_polygon(coords, corners):
+    pts = [Point(float(x), float(y)) for x, y in coords]
+    message = f"need at least 3 distinct, non-collinear points, got {corners} hull corners"
+    with pytest.raises(DegenerateInput) as hull_error:
+        convex_hull(pts)
+    assert str(hull_error.value) == message
+    with pytest.raises(DegenerateInput) as route_error:
+        route_cluster(list(enumerate(pts)), Point(0, -1), 1.0)
+    assert str(route_error.value) == message
+
+
 @pytest.mark.parametrize("orientation", ["forward", "reverse"])
 def test_anchor_outside_cluster_raises_value_error(orientation):
     pts = [pt for pt in grid_points(3, 3) if pt != Point(0.0, 0.0)]
@@ -766,7 +788,7 @@ def assert_table_lengths_near_exact(clusters: list[list[Point]], spacing: float)
     """
     nodes, labels = batch(clusters)
     xy = hpp._coordinate_rows(nodes)
-    tables, start, end, _ = hpp._candidates(nodes, xy, labels, len(clusters), spacing)
+    tables, start, end, _ = hpp._candidates(xy, labels, len(clusters), spacing)
     for axis, lengths in enumerate(tables.lengths(start, end).tolist()):
         for i, j, table_length in zip(start.tolist(), end.tolist(), lengths):
             order = tables.sweep(axis, i, j)
@@ -826,7 +848,7 @@ def test_clusters_routed_together_match_oracle(params, depot, seed):
     nodes, labels = batch(clusters, seed)
     members = [np.flatnonzero(labels == c).tolist() for c in range(len(clusters))]
     xy = hpp._coordinate_rows(nodes)
-    tables, start, end, cluster = hpp._candidates(nodes, xy, labels, len(clusters), PITCH)
+    tables, start, end, cluster = hpp._candidates(xy, labels, len(clusters), PITCH)
     for i, j, c in zip(start.tolist(), end.tolist(), cluster.tolist()):
         pts = [nodes[t] for t in members[c]]
         corners = [tuple(tables.anchors[:, a].tolist()) for a in (i, j)]
@@ -835,7 +857,7 @@ def test_clusters_routed_together_match_oracle(params, depot, seed):
             want = [members[c][t] for t in lane_sweep_oracle(pts, p, q, PITCH, stack)]
             assert tables.sweep(axis, i, j) == want
 
-    routes = hpp._route_clusters(nodes, labels, len(clusters), Point(*depot), PITCH)
+    routes = hpp._route_clusters(xy, labels, len(clusters), Point(*depot), PITCH)
     for route, ids in zip(routes, members):
         order, length = route_cluster_oracle([(i, nodes[i]) for i in ids], Point(*depot), PITCH)
         assert route.node_order == order
@@ -966,23 +988,39 @@ class TestHppSolve:
 
     def test_one_hull_per_cluster(self, monkeypatch):
         # Valid k-means clusters are routed as they are: route_cluster's own
-        # hull is the only validity check, and repair never runs. Each
-        # cluster reads its members' coordinates into one array, so no Point
-        # is hashed to find the hull corners.
+        # hull is the only validity check, and repair never runs. The solve
+        # reads the coordinates into one array and keeps hull corners as
+        # positions into it, so it builds no Point and no ConvexPolygon and
+        # hashes no Point to find the corners.
         inst = generate(300, 42)
         k = 5
-        owners = {"convex_hull": hpp, "collinear": hpp, "repair_clusters": hpp, "__hash__": Point}
+        owners = {
+            "_hull_ring": geometry,
+            "collinear": hpp,
+            "repair_clusters": hpp,
+            "__hash__": Point,
+            "__post_init__": Point,
+            "ConvexPolygon.__post_init__": ConvexPolygon,
+        }
         calls = dict.fromkeys(owners, 0)
-        for name, owner in owners.items():
+        for key, owner in owners.items():
+            name = key.rpartition(".")[2]
             real = getattr(owner, name)
 
-            def counted(*args, _name=name, _real=real):
-                calls[_name] += 1
+            def counted(*args, _key=key, _real=real):
+                calls[_key] += 1
                 return _real(*args)
 
             monkeypatch.setattr(owner, name, counted)
         hpp_solve(inst, k=k, seed=0)
-        assert calls == {"convex_hull": k, "collinear": 0, "repair_clusters": 0, "__hash__": 0}
+        assert calls == {
+            "_hull_ring": k,
+            "collinear": 0,
+            "repair_clusters": 0,
+            "__hash__": 0,
+            "__post_init__": 0,
+            "ConvexPolygon.__post_init__": 0,
+        }
 
     def test_scoring_sorts_no_anchor_lane_and_rescores_one_axis(self, monkeypatch):
         # Candidates are scored from the tables' sums, and on this lattice
