@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import _coordinate_rows
 from .instances import FarmInstance, _left_sum
 from .solution import InvalidK, Route, Solution
 
@@ -232,22 +233,20 @@ def _nearest_neighbor(nodes: list[int], D: np.ndarray) -> list[int]:
     return ids[picks].tolist()
 
 
-def _sector_partition(inst: FarmInstance, k: int) -> list[list[int]]:
-    """Split nodes into k contiguous angular sectors of near-equal counts (+-1).
+def _sector_partition(
+    xs: list[float], ys: list[float], dx: float, dy: float, k: int
+) -> list[list[int]]:
+    """Split the nodes (``xs``, ``ys``) into k contiguous angular sectors of
+    near-equal counts (+-1) around the depot (``dx``, ``dy``).
 
     The sweep starts at the angle of node 0 relative to the depot; angular
     ties break by radius, then index.
     """
-    dx, dy = inst.depot.x, inst.depot.y
-    angles = [math.atan2(p.y - dy, p.x - dx) for p in inst.nodes]
+    angles = [math.atan2(y - dy, x - dx) for x, y in zip(xs, ys)]
     base = angles[0]
     keyed = sorted(
-        range(len(inst.nodes)),
-        key=lambda i: (
-            (angles[i] - base) % (2.0 * math.pi),
-            math.hypot(inst.nodes[i].x - dx, inst.nodes[i].y - dy),
-            i,
-        ),
+        range(len(xs)),
+        key=lambda i: ((angles[i] - base) % (2.0 * math.pi), math.hypot(xs[i] - dx, ys[i] - dy), i),
     )
     quota, extra = divmod(len(keyed), k)
     cuts = [c * quota + min(c, extra) for c in range(k + 1)]  # sector c starts at cuts[c]
@@ -346,13 +345,13 @@ def minmax_local_search(
         raise ValueError(f"max_iterations must be non-negative, got {max_iterations}")
     D = DistanceMatrix.from_instance(inst).entries
     # Node coordinates, and 0.0 at _DEPOT: a depot entry adds nothing to a sum.
-    X = np.array([p.x for p in inst.nodes] + [0.0])
-    Y = np.array([p.y for p in inst.nodes] + [0.0])
+    X, Y = np.append(_coordinate_rows(inst.nodes), [[0.0], [0.0]], axis=1)
 
     # optimal[r]: no 2-opt move on orders[r] gains more than _IMPROVE_EPS
     orders: list[list[int]] = []
     optimal: list[bool] = []
-    for sector in _sector_partition(inst, k):
+    xs, ys = X[:_DEPOT].tolist(), Y[:_DEPOT].tolist()
+    for sector in _sector_partition(xs, ys, inst.depot.x, inst.depot.y, k):
         tour, done = two_opt(_nearest_neighbor(sector, D), D)
         orders.append(tour)
         optimal.append(done)

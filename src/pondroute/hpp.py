@@ -2,19 +2,20 @@
 
 Pipeline: k-means over the node set, then one boustrophedon sweep per cluster
 anchored at an antipodal pair of the cluster hull. That hull is the only
-validity check: cluster repair runs only when some k-means cluster spans no
-polygon, and the repaired clusters are then routed instead. Every antipodal
-pair is tried in both orientations and the candidate with the shortest
-depot-to-depot length wins. A k-means round over n nodes and k clusters
-costs two ``bincount``s for the new centroids, O(n) bound updates and the
-squared distances, one ``argmin`` and one ``min`` over k entries of only the
-nodes whose bounds overlap (about a fifth of them at n = 2000, k = 20). The
-full (k, n) table is built in the first round, in a round that leaves a
-cluster empty, and in every round when n * k < 10000. A solve reads the
-node coordinates once, into one (2, n) float array that k-means, hulls
-(corners are positions into it), lane tables and exact re-scores share;
-``Point``, ``ConvexPolygon`` and ``ClusterAssignment`` are built only by the
-public functions and by the rare cluster repair.
+validity check, and it is built once per cluster: when some k-means cluster
+spans no polygon, repair moves nodes into it and rebuilds only the hulls of
+the two clusters each move changes, and the hulls it ends with are routed.
+Every antipodal pair is tried in both orientations and the candidate with
+the shortest depot-to-depot length wins. A k-means round over n nodes and k
+clusters costs two ``bincount``s for the new centroids, O(n) bound updates
+and the squared distances, one ``argmin`` and one ``min`` over k entries of
+only the nodes whose bounds overlap (about a fifth of them at n = 2000,
+k = 20). The full (k, n) table is built in the first round, in a round that
+leaves a cluster empty, and in every round when n * k < 10000. A solve reads
+the node coordinates once, into one (2, n) float array that k-means, hulls
+(corners are positions into it), cluster repair, lane tables and exact
+re-scores share; ``Point``, ``ConvexPolygon`` and ``ClusterAssignment`` are
+built only by the public functions.
 
 Candidates are scored without building them, every cluster of a solve in
 one pass. Per stacking axis (rows, columns) a cluster's nodes fall into
@@ -45,21 +46,14 @@ of array operations over all candidates. The routes come back as a
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .geometry import (
-    DegenerateInput,
-    Point,
-    _caliper_pairs,
-    _coordinate_rows,
-    _polygon_ring,
-    collinear,
-    dist,
-)
+from .geometry import Point, _caliper_pairs, _coordinate_rows, _hull_ring, _polygon_ring
 # Bound here for the benchmark, which times hulls and pairs as hpp.<name>.
 from .geometry import antipodal_pairs, convex_hull  # noqa: F401
 from .instances import FarmInstance, _left_sum
@@ -210,7 +204,8 @@ def kmeans(nodes: Sequence[Point], k: int, seed: int) -> ClusterAssignment:
 
 
 def _assignment(labels: np.ndarray, cents: np.ndarray) -> ClusterAssignment:
-    """The ``ClusterAssignment`` of ``_kmeans``' label and centroid arrays."""
+    """The ``ClusterAssignment`` of a label array and a centroid array (x row
+    over y row)."""
     return ClusterAssignment(tuple(labels.tolist()), tuple(map(Point, *cents.tolist())))
 
 
@@ -309,16 +304,8 @@ def _kmeans(xs: np.ndarray, ys: np.ndarray, k: int, seed: int) -> tuple[np.ndarr
 def repair_clusters(assign: ClusterAssignment, nodes: Sequence[Point]) -> ClusterAssignment:
     """Grow invalid clusters until each has >= 3 non-collinear members.
 
-    While some cluster is invalid it absorbs the node nearest to its centroid,
-    drawn from clusters with more than 3 members; if none can spare a node the
-    most populous cluster donates. A node whose removal would leave its donor
-    invalid is only taken when no safe candidate exists, which keeps the
-    greedy loop from ping-ponging a node between two small clusters.
-    Centroids are recomputed after each move. Candidates are tried nearest
-    first, so a donor hull is built only until a safe one is found, and at
-    most once per step for each (donor, position): copies of one position
-    leave the same point set behind. Raises ValueError unless there is one
-    node per label.
+    The greedy rule is ``_repair``'s; centroids are the repaired clusters'
+    means. Raises ValueError unless there is one node per label.
     """
     k = assign.k
     n = len(nodes)
@@ -328,57 +315,69 @@ def repair_clusters(assign: ClusterAssignment, nodes: Sequence[Point]) -> Cluste
         raise RepairImpossible(
             f"{n} nodes cannot give {k} clusters {MIN_CLUSTER_SIZE} members each"
         )
-    labels = list(assign.labels)
-    members: list[list[int]] = [[] for _ in range(k)]  # ascending node indices
-    for i, lab in enumerate(labels):
-        members[lab].append(i)
+    xy, labels = _coordinate_rows(nodes), np.array(assign.labels)
+    _repair(xy, labels, k)
+    return _assignment(labels, np.array([np.bincount(labels, w) for w in xy]) / np.bincount(labels))
 
-    def centroid(ids: list[int]) -> Point:
-        return Point(
-            _left_sum(nodes[i].x for i in ids) / len(ids),
-            _left_sum(nodes[i].y for i in ids) / len(ids),
-        )
 
-    safe: dict[tuple[int, Point], bool] = {}  # (donor, position) -> donor stays valid
+def _repair(xy: np.ndarray, labels: np.ndarray, k: int) -> list[list[int]]:
+    """Hull ring of each of the k clusters of ``labels`` over ``xy``, as
+    positions into the cluster's ascending members, after growing every
+    cluster that spans no polygon (a ring of fewer than 3 corners).
+    ``labels`` is updated in place; every cluster must be non-empty.
 
-    def leaves_donor_valid(i: int) -> bool:
-        key = (labels[i], nodes[i])
+    While some cluster is invalid, the first one absorbs the node nearest to
+    its centroid, drawn from clusters with more than 3 members; if none can
+    spare a node the most populous cluster donates. A node whose removal
+    would leave its donor invalid is only taken when no safe candidate
+    exists, which keeps the greedy loop from ping-ponging a node between two
+    small clusters. Candidates are tried nearest first, so a donor ring is
+    built only until a safe one is found, and at most once per step for each
+    (donor, position): copies of one position leave the same point set
+    behind. A move rebuilds only the donor's and the receiver's rings.
+    Raises RepairImpossible when no cluster can donate or after 10 n moves.
+    """
+    groups = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
+    rings = [_hull_ring(*xy[:, ids]) for ids in groups]
+    if all(len(ring) >= 3 for ring in rings):
+        return rings
+    xs, ys = xy.tolist()
+    groups = [ids.tolist() for ids in groups]  # ascending
+    safe: dict[tuple[int, float, float], bool] = {}  # (donor, x, y) -> donor stays valid
+
+    def leaves_donor_valid(i: int, donor: int) -> bool:
+        key = (donor, xs[i], ys[i])
         if key not in safe:
-            safe[key] = not collinear([nodes[m] for m in members[labels[i]] if m != i])
+            safe[key] = len(_hull_ring(*xy[:, [m for m in groups[donor] if m != i]])) >= 3
         return safe[key]
 
-    for _ in range(10 * n):
-        invalid = next(
-            (c for c in range(k) if collinear([nodes[i] for i in members[c]])),
-            None,
-        )
+    for _ in range(10 * len(xs)):
+        invalid = next((c for c, ring in enumerate(rings) if len(ring) < 3), None)
         if invalid is None:
-            break
-        target = centroid(members[invalid])
-        donors = [c for c in range(k) if c != invalid and len(members[c]) > MIN_CLUSTER_SIZE]
+            return rings
+        ids = groups[invalid]
+        cx, cy = _left_sum(xs[i] for i in ids) / len(ids), _left_sum(ys[i] for i in ids) / len(ids)
+        donors = [c for c in range(k) if c != invalid and len(groups[c]) > MIN_CLUSTER_SIZE]
         if not donors:
             biggest = max(
-                (c for c in range(k) if c != invalid and len(members[c]) > 1),
-                key=lambda c: (len(members[c]), -c),
+                (c for c in range(k) if c != invalid and len(groups[c]) > 1),
+                key=lambda c: (len(groups[c]), -c),
                 default=None,
             )
             if biggest is None:
                 raise RepairImpossible("no cluster can donate a node")
             donors = [biggest]
+        # nearest first, ties to the lowest position
         nearest = sorted(
-            (i for c in donors for i in members[c]),
-            key=lambda i: (dist(nodes[i], target), i),
+            (math.hypot(xs[i] - cx, ys[i] - cy), i, c) for c in donors for i in groups[c]
         )
         safe.clear()
-        moved = next((i for i in nearest if leaves_donor_valid(i)), nearest[0])
-        members[labels[moved]].remove(moved)
-        members[invalid] = sorted(members[invalid] + [moved])
+        _, moved, donor = next((t for t in nearest if leaves_donor_valid(*t[1:])), nearest[0])
+        groups[donor].remove(moved)
+        bisect.insort(ids, moved)
         labels[moved] = invalid
-    else:
-        raise RepairImpossible("cluster repair did not converge")
-
-    centroids = tuple(centroid(ids) for ids in members)
-    return ClusterAssignment(labels=tuple(labels), centroids=centroids)
+        rings[donor], rings[invalid] = (_hull_ring(*xy[:, groups[c]]) for c in (donor, invalid))
+    raise RepairImpossible("cluster repair did not converge")
 
 
 # ---------------------------------------------------------------------------
@@ -719,37 +718,35 @@ def serpentine_route(pts: Sequence[Point], start: Point, end: Point, spacing: fl
 
 
 def _candidates(
-    xy: np.ndarray, labels: np.ndarray, k: int, spacing: float
+    xy: np.ndarray, labels: np.ndarray, k: int, rings: list[list[int]], spacing: float
 ) -> tuple[_LaneTables, np.ndarray, np.ndarray, np.ndarray]:
     """The lane tables of the k clusters of ``labels`` over the points
     ``xy``, anchored at their hull corners, and the candidate sweeps: each
-    one's start and end anchor and its cluster. Clusters come in order and,
-    within one, each antipodal pair (i, j) of the hull as (i, j) then (j, i).
-
-    Every hull is built before any table, so a cluster that spans no
-    polygon raises DegenerateInput first."""
+    one's start and end anchor and its cluster. ``rings`` holds each
+    cluster's hull corners as positions into its ascending members
+    (``_repair``). Clusters come in order and, within one, each antipodal
+    pair (i, j) of the hull as (i, j) then (j, i)."""
     members = np.argsort(labels, kind="stable")
     bounds = np.concatenate([[0], np.cumsum(np.bincount(labels, minlength=k))])
     starts, pairs, cluster = [], [], []
-    for c, (a, b) in enumerate(zip(bounds.tolist(), bounds[1:].tolist())):
-        xs, ys = xy[:, members[a:b]]
-        ring = _polygon_ring(xs, ys)
-        ring_pairs = _caliper_pairs(xs[ring].tolist(), ys[ring].tolist())
+    for c, (a, ring) in enumerate(zip(bounds.tolist(), rings)):
+        corners = [a + r for r in ring]
+        ring_pairs = _caliper_pairs(*xy[:, members[corners]].tolist())
         pairs += [(len(starts) + i, len(starts) + j) for i, j in ring_pairs]
         cluster += [c] * (2 * len(ring_pairs))
-        starts += [a + r for r in ring]
+        starts += corners
     ends = np.array(pairs).reshape(-1, 2)
     tables = _LaneTables(xy, members, bounds, np.array(starts), spacing)
     return tables, ends.reshape(-1), ends[:, ::-1].reshape(-1), np.array(cluster)
 
 
 def _route_clusters(
-    xy: np.ndarray, labels: np.ndarray, k: int, depot: Point, spacing: float
+    xy: np.ndarray, labels: np.ndarray, k: int, rings: list[list[int]], depot: Point, spacing: float
 ) -> list[Route]:
     """Best serpentine route of each of the k clusters of ``labels`` over
-    ``xy``, picked as ``route_cluster`` picks it, all scored in one pass."""
-    _check_spacing(spacing)
-    tables, start, end, cluster = _candidates(xy, labels, k, spacing)
+    ``xy``, with the hull ``rings`` of ``_candidates``, picked as
+    ``route_cluster`` picks it, all scored in one pass."""
+    tables, start, end, cluster = _candidates(xy, labels, k, rings, spacing)
     rows, cols = tables.lengths(start, end)
     legs = np.hypot(tables.anchors[0] - depot.x, tables.anchors[1] - depot.y)
     scores = legs[start] + np.minimum(rows, cols) + legs[end]
@@ -781,10 +778,10 @@ def route_cluster(
 
     Every antipodal pair of the cluster hull is tried in both orientations;
     ties go to the lexicographically smallest (i, j, orientation).
-    Raises DegenerateInput when the members span no polygon (``hpp_solve``
-    relies on this to detect a cluster that needs repair), and ValueError
-    unless ``spacing`` is positive and finite. ``hpp_solve`` routes all of
-    its clusters through the same routine at once.
+    Raises ValueError unless ``spacing`` is positive and finite, and then
+    DegenerateInput when the members span no polygon. ``hpp_solve`` routes
+    all of its clusters, repaired so that each spans a polygon, through the
+    same routine at once.
 
     Each candidate is first scored from the cluster's lane tables. Only those
     within ``NEAR_BEST * max(1, lowest)`` plus 1e-12 per candidate of the
@@ -801,7 +798,9 @@ def route_cluster(
     """
     ids = [i for i, _ in members]
     xy = _coordinate_rows(pt for _, pt in members)
-    [route] = _route_clusters(xy, np.zeros(len(members), dtype=np.intp), 1, depot, spacing)
+    _check_spacing(spacing)
+    rings = [_polygon_ring(*xy)]
+    [route] = _route_clusters(xy, np.zeros(len(ids), dtype=np.intp), 1, rings, depot, spacing)
     return Route(node_order=tuple(ids[t] for t in route.node_order), length=route.length)
 
 
@@ -809,8 +808,9 @@ def hpp_solve(inst: FarmInstance, k: int = 5, seed: int = 0) -> Solution:
     """Cluster the instance into ``k`` groups and route each as a serpentine.
 
     Clusters are repaired only when a k-means cluster spans no polygon.
-    Raises InvalidK unless ``1 <= k <= n // 3``, and RepairImpossible when the
-    nodes cannot form ``k`` clusters of 3+ non-collinear members.
+    Raises InvalidK unless ``1 <= k <= n // 3``, ValueError unless the
+    spacing is positive and finite, and RepairImpossible when the nodes
+    cannot form ``k`` clusters of 3+ non-collinear members.
     """
     n = len(inst.nodes)
     if k < 1 or MIN_CLUSTER_SIZE * k > n:
@@ -821,10 +821,8 @@ def hpp_solve(inst: FarmInstance, k: int = 5, seed: int = 0) -> Solution:
         )
         raise InvalidK(f"k={k} is infeasible: {n} nodes support {support}")
     xy = _coordinate_rows(inst.nodes)
-    labels, cents = _kmeans(*xy, k, seed)
-    try:
-        routes = _route_clusters(xy, labels, k, inst.depot, inst.spacing)
-    except DegenerateInput:
-        assign = repair_clusters(_assignment(labels, cents), inst.nodes)
-        routes = _route_clusters(xy, np.array(assign.labels), k, inst.depot, inst.spacing)
+    labels, _ = _kmeans(*xy, k, seed)
+    _check_spacing(inst.spacing)
+    rings = _repair(xy, labels, k)
+    routes = _route_clusters(xy, labels, k, rings, inst.depot, inst.spacing)
     return Solution(instance_ref=inst.name, algorithm="hpp", seed=seed, routes=tuple(routes))

@@ -383,8 +383,10 @@ class TestMatchesOracle:
     def test_sector_partition(self, seed, n):
         # 5 x 5 lattice: nodes share rays from the depot, and radii too past 25 nodes
         inst = point_set("lattice", np.random.default_rng(seed), n)
+        xs, ys = [p.x for p in inst.nodes], [p.y for p in inst.nodes]
         for k in range(1, n + 1):
-            assert _sector_partition(inst, k) == sector_partition_oracle(inst, k)
+            got = _sector_partition(xs, ys, inst.depot.x, inst.depot.y, k)
+            assert got == sector_partition_oracle(inst, k)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(family=st.sampled_from(FAMILIES), seed=st.integers(0, 2**32 - 1), n=st.integers(4, 40))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pondroute import geometry, hpp
+from pondroute import hpp
 from pondroute.baseline import TooLarge, minmax_local_search
 from pondroute.evaluation import ALGORITHMS, InstanceMetrics, score, solve_with
 from pondroute.geometry import (
@@ -465,20 +465,20 @@ class TestRepairClusters:
 
     def test_hull_count_per_move_is_bounded_by_k(self, monkeypatch):
         # k-means puts the far copies in a cluster of one position; each move
-        # may build hulls for the k clusters and for the donor it draws from,
-        # not one per donor member.
+        # may build hulls for the clusters it changes and for the donor it
+        # draws from, not one per donor member.
         k = 5
         pts = list(generate(200, 1000).nodes)
         pts += [Point(3.0, 3.0)] * 12
         assign = kmeans(pts, k, seed=0)
         calls = []
-        collinear_hull = hpp.collinear
+        hull_ring = hpp._hull_ring
 
-        def counted(points):
-            calls.append(len(points))
-            return collinear_hull(points)
+        def counted(xs, ys):
+            calls.append(len(xs))
+            return hull_ring(xs, ys)
 
-        monkeypatch.setattr(hpp, "collinear", counted)
+        monkeypatch.setattr(hpp, "_hull_ring", counted)
         repaired = repair_clusters(assign, pts)
         moves = sum(a != b for a, b in zip(assign.labels, repaired.labels))
         assert moves >= 1
@@ -486,21 +486,21 @@ class TestRepairClusters:
 
     def test_hull_count_per_move_on_copies_is_bounded(self, monkeypatch):
         # Every cluster and every donor is invalid: 120 copies of each of four
-        # positions. A step builds at most k hulls to find an invalid cluster
-        # and one per (donor, position) it tries; copies move back and forth,
-        # about three steps per changed label.
+        # positions. Repair builds k hulls first, and a step builds one per
+        # (donor, position) it tries and two for the clusters it changes;
+        # copies move back and forth, about three steps per changed label.
         k, spots = 3, [(0.1, 0.2), (0.8, 0.3), (0.4, 0.9), (0.5, 0.5)]
         pts = [Point(x, y) for x, y in spots for _ in range(120)]
         labels = [c for c in (0, 1, 1, 2) for _ in range(120)]
         assign = ClusterAssignment(labels=tuple(labels), centroids=(Point(0, 0),) * k)
         calls = []
-        collinear_hull = hpp.collinear
+        hull_ring = hpp._hull_ring
 
-        def counted(points):
-            calls.append(len(points))
-            return collinear_hull(points)
+        def counted(xs, ys):
+            calls.append(len(xs))
+            return hull_ring(xs, ys)
 
-        monkeypatch.setattr(hpp, "collinear", counted)
+        monkeypatch.setattr(hpp, "_hull_ring", counted)
         repaired = repair_clusters(assign, pts)
         moves = sum(a != b for a, b in zip(assign.labels, repaired.labels))
         assert moves >= 1
@@ -763,6 +763,22 @@ class TestRouteClusterMatchesOracle:
             assert route.length.hex() == length.hex()
 
 
+def count_calls(monkeypatch, owners: dict[str, object]) -> dict[str, int]:
+    """Calls, from now on, of each attribute ``owners`` names (the text after
+    the last dot of its key) on its owner, counted in the returned dict."""
+    calls = dict.fromkeys(owners, 0)
+    for key, owner in owners.items():
+        name = key.rpartition(".")[2]
+        real = getattr(owner, name)
+
+        def counted(*args, _key=key, _real=real):
+            calls[_key] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def batch(clusters: list[list[Point]], seed: int = 0) -> tuple[list[Point], np.ndarray]:
     """The clusters' nodes in a shuffled order, and the cluster of each."""
     labels = np.repeat(np.arange(len(clusters)), [len(pts) for pts in clusters])
@@ -788,7 +804,8 @@ def assert_table_lengths_near_exact(clusters: list[list[Point]], spacing: float)
     """
     nodes, labels = batch(clusters)
     xy = hpp._coordinate_rows(nodes)
-    tables, start, end, _ = hpp._candidates(xy, labels, len(clusters), spacing)
+    rings = hpp._repair(xy, labels, len(clusters))
+    tables, start, end, _ = hpp._candidates(xy, labels, len(clusters), rings, spacing)
     for axis, lengths in enumerate(tables.lengths(start, end).tolist()):
         for i, j, table_length in zip(start.tolist(), end.tolist(), lengths):
             order = tables.sweep(axis, i, j)
@@ -848,7 +865,8 @@ def test_clusters_routed_together_match_oracle(params, depot, seed):
     nodes, labels = batch(clusters, seed)
     members = [np.flatnonzero(labels == c).tolist() for c in range(len(clusters))]
     xy = hpp._coordinate_rows(nodes)
-    tables, start, end, cluster = hpp._candidates(xy, labels, len(clusters), PITCH)
+    rings = hpp._repair(xy, labels, len(clusters))
+    tables, start, end, cluster = hpp._candidates(xy, labels, len(clusters), rings, PITCH)
     for i, j, c in zip(start.tolist(), end.tolist(), cluster.tolist()):
         pts = [nodes[t] for t in members[c]]
         corners = [tuple(tables.anchors[:, a].tolist()) for a in (i, j)]
@@ -857,7 +875,7 @@ def test_clusters_routed_together_match_oracle(params, depot, seed):
             want = [members[c][t] for t in lane_sweep_oracle(pts, p, q, PITCH, stack)]
             assert tables.sweep(axis, i, j) == want
 
-    routes = hpp._route_clusters(xy, labels, len(clusters), Point(*depot), PITCH)
+    routes = hpp._route_clusters(xy, labels, len(clusters), rings, Point(*depot), PITCH)
     for route, ids in zip(routes, members):
         order, length = route_cluster_oracle([(i, nodes[i]) for i in ids], Point(*depot), PITCH)
         assert route.node_order == order
@@ -987,39 +1005,47 @@ class TestHppSolve:
             assert str(info.value) == f"k={k} is infeasible: {n} nodes support no route of 3+ nodes"
 
     def test_one_hull_per_cluster(self, monkeypatch):
-        # Valid k-means clusters are routed as they are: route_cluster's own
-        # hull is the only validity check, and repair never runs. The solve
+        # Valid k-means clusters are routed as they are: each cluster's hull
+        # is the only validity check, and repair moves nothing. The solve
         # reads the coordinates into one array and keeps hull corners as
         # positions into it, so it builds no Point and no ConvexPolygon and
         # hashes no Point to find the corners.
         inst = generate(300, 42)
         k = 5
-        owners = {
-            "_hull_ring": geometry,
-            "collinear": hpp,
+        calls = count_calls(monkeypatch, {
+            "_hull_ring": hpp,
             "repair_clusters": hpp,
             "__hash__": Point,
             "__post_init__": Point,
             "ConvexPolygon.__post_init__": ConvexPolygon,
-        }
-        calls = dict.fromkeys(owners, 0)
-        for key, owner in owners.items():
-            name = key.rpartition(".")[2]
-            real = getattr(owner, name)
-
-            def counted(*args, _key=key, _real=real):
-                calls[_key] += 1
-                return _real(*args)
-
-            monkeypatch.setattr(owner, name, counted)
+        })
         hpp_solve(inst, k=k, seed=0)
         assert calls == {
             "_hull_ring": k,
-            "collinear": 0,
             "repair_clusters": 0,
             "__hash__": 0,
             "__post_init__": 0,
             "ConvexPolygon.__post_init__": 0,
+        }
+
+    def test_repair_rebuilds_only_the_hulls_it_changes(self, monkeypatch):
+        # k-means puts the far copies in a cluster of one position. Repair
+        # keeps the k hulls it checks and rebuilds a hull only for a donor
+        # position it tries and for the two clusters of each move, all on the
+        # solve's coordinate array: k + 2 per move + 1 per donor position.
+        inst = generate(2000, 1000)
+        inst = dataclasses.replace(inst, nodes=inst.nodes + (Point(3.0, 3.0),) * 12)
+        k = 20
+        calls = count_calls(monkeypatch, {
+            "_hull_ring": hpp,
+            "__post_init__": Point,
+            "ClusterAssignment.__post_init__": ClusterAssignment,
+        })
+        hpp_solve(inst, k=k, seed=0)
+        assert calls == {
+            "_hull_ring": 26,
+            "__post_init__": 0,
+            "ClusterAssignment.__post_init__": 0,
         }
 
     def test_scoring_sorts_no_anchor_lane_and_rescores_one_axis(self, monkeypatch):
@@ -1112,14 +1138,17 @@ def test_fallback_matches_repair_first_pipeline(monkeypatch):
     """hpp_solve gives the same file, or the same error, as repairing every
     k-means assignment before routing it, and some examples route repaired
     clusters."""
-    repair = hpp.repair_clusters
-    repairs = []
+    repair = hpp._repair
+    moved = []  # per returning _repair call: whether it changed a label
 
-    def counted(assign, nodes):
-        repairs.append(repair(assign, nodes))
-        return repairs[-1]
+    def counted(xy, labels, k):
+        before = labels.copy()
+        rings = repair(xy, labels, k)
+        moved.append(bool((labels != before).any()))
+        return rings
 
-    monkeypatch.setattr(hpp, "repair_clusters", counted)
+    monkeypatch.setattr(hpp, "_repair", counted)
+    repaired_solves = []
 
     def outcome(solve, tmp: Path):
         try:
@@ -1140,7 +1169,7 @@ def test_fallback_matches_repair_first_pipeline(monkeypatch):
         inst = _fallback_instance(family, seed, k, extra)
 
         def repair_first():
-            assign = repair(kmeans(inst.nodes, k, 0), inst.nodes)
+            assign = repair_clusters(kmeans(inst.nodes, k, 0), inst.nodes)
             routes = tuple(
                 route_cluster(
                     [(i, inst.nodes[i]) for i in assign.members(c)], inst.depot, inst.spacing
@@ -1151,10 +1180,26 @@ def test_fallback_matches_repair_first_pipeline(monkeypatch):
 
         with tempfile.TemporaryDirectory() as tmp:
             expected = outcome(repair_first, Path(tmp))
+            moved.clear()
             assert outcome(lambda: hpp_solve(inst, k=k, seed=0), Path(tmp)) == expected
+            repaired_solves.append(any(moved))
 
     check()
-    assert len(repairs) >= 10
+    assert sum(repaired_solves) >= 10
+
+
+@pytest.mark.parametrize("spacing", [0.0, math.nan])
+def test_spacing_is_checked_before_repair(spacing):
+    # Two positions, one k-means cluster each: no cluster can ever span a
+    # polygon, so repair raises. A bad spacing is reported first.
+    square = convex_hull([Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)])
+    nodes = (Point(0.25, 0.5), Point(0.75, 0.5)) * 6
+    inst = FarmInstance("two-spots", 0, square, 0.125, Point(0, 0), Point(0.5, 0), nodes)
+    with pytest.raises(RepairImpossible):
+        hpp_solve(inst, k=2, seed=0)
+    inst = dataclasses.replace(inst, spacing=spacing)
+    with pytest.raises(ValueError, match="^spacing must be positive and finite$"):
+        hpp_solve(inst, k=2, seed=0)
 
 
 # Few distinct positions, on and off the 1/8 lattice, so that duplicates and
