@@ -17,10 +17,8 @@ from .geometry import (
     DegenerateInput,
     Point,
     antipodal_pairs,
-    collinear,
     contains,
     convex_hull,
-    dist,
 )
 from .hpp import (
     ClusterAssignment,

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _coordinate_rows
 from .instances import FarmInstance, _left_sum
 from .solution import InvalidK, Route, Solution
 
@@ -62,8 +61,7 @@ class DistanceMatrix:
 
     @classmethod
     def from_instance(cls, inst: FarmInstance) -> "DistanceMatrix":
-        xs = np.array([p.x for p in inst.nodes] + [inst.depot.x], dtype=float)
-        ys = np.array([p.y for p in inst.nodes] + [inst.depot.y], dtype=float)
+        xs, ys = np.append(inst.xy, [[inst.depot.x], [inst.depot.y]], axis=1)
         entries = np.empty((len(xs), len(xs)))
         scratch = np.empty((_MATRIX_BLOCK, len(xs)))
         for r in range(0, len(xs), _MATRIX_BLOCK):
@@ -338,14 +336,14 @@ def minmax_local_search(
     ``trace`` to collect the max route length after the start and each
     accepted relocation.
     """
-    n = len(inst.nodes)
+    n = inst.xy.shape[1]
     if k < 1 or k > n:
         raise InvalidK(f"k={k} infeasible for {n} nodes")
     if max_iterations < 0:
         raise ValueError(f"max_iterations must be non-negative, got {max_iterations}")
     D = DistanceMatrix.from_instance(inst).entries
     # Node coordinates, and 0.0 at _DEPOT: a depot entry adds nothing to a sum.
-    X, Y = np.append(_coordinate_rows(inst.nodes), [[0.0], [0.0]], axis=1)
+    X, Y = np.append(inst.xy, [[0.0], [0.0]], axis=1)
 
     # optimal[r]: no 2-opt move on orders[r] gains more than _IMPROVE_EPS
     orders: list[list[int]] = []
@@ -534,7 +532,7 @@ def exact_minmax(inst: FarmInstance, k: int) -> Solution:
     routes and all visit orders; ties break by total distance, then by the
     lexicographically smallest canonical route content.
     """
-    n = len(inst.nodes)
+    n = inst.xy.shape[1]
     if n > EXACT_MAX_NODES or k > EXACT_MAX_ROUTES:
         raise TooLarge(
             f"exact oracle is limited to {EXACT_MAX_NODES} nodes and "

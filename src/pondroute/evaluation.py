@@ -16,9 +16,11 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import baseline, hpp
 from .instances import FarmInstance, FormatError, _fmt, _left_sum, load, load_manifest
-from .solution import Solution, route_length
+from .solution import Solution, _path_length
 
 ALGORITHMS = ("hpp", "minmax-ls", "exact")
 
@@ -61,7 +63,7 @@ def score(inst: FarmInstance, sol: Solution) -> InstanceMetrics:
     Raises InvalidSolution unless the routes partition the instance's node
     indices.
     """
-    n = len(inst.nodes)
+    n = inst.xy.shape[1]
     seen: dict[int, int] = {}
     for r, route in enumerate(sol.routes):
         for idx in route.node_order:
@@ -76,11 +78,9 @@ def score(inst: FarmInstance, sol: Solution) -> InstanceMetrics:
         missing = sorted(set(range(n)) - seen.keys())
         raise InvalidSolution(f"nodes not covered by any route: {missing[:10]}")
 
+    xs, ys = np.append(inst.xy, [[inst.depot.x], [inst.depot.y]], axis=1).tolist()
     return InstanceMetrics(
-        tuple(
-            route_length(inst.depot, [inst.nodes[i] for i in route.node_order])
-            for route in sol.routes
-        )
+        tuple(_path_length(xs, ys, [n, *route.node_order, n]) for route in sol.routes)
     )
 
 
@@ -149,9 +149,9 @@ def run_benchmark(
         batch = by_size[size]
         instances = [load(e.path) for e in batch]
         for e, inst in zip(batch, instances):
-            if len(inst.nodes) != size:
+            if inst.xy.shape[1] != size:
                 raise FormatError(
-                    f"{manifest}: {e.path} has {len(inst.nodes)} nodes, the manifest lists {size}"
+                    f"{manifest}: {e.path} has {inst.xy.shape[1]} nodes, the manifest lists {size}"
                 )
         for algorithm in algorithms:
             if algorithm == "exact" and (

@@ -52,10 +52,6 @@ class Point:
             raise ValueError(f"non-finite coordinate ({self.x!r}, {self.y!r})")
 
 
-def dist(a: Point, b: Point) -> float:
-    return math.hypot(a.x - b.x, a.y - b.y)
-
-
 def _cross(o: Point, a: Point, b: Point) -> float:
     """Twice the signed area of triangle (o, a, b); positive when CCW."""
     return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
@@ -209,13 +205,6 @@ def _polygon_ring(xs: np.ndarray, ys: np.ndarray) -> list[int]:
     return ring
 
 
-def collinear(points: Iterable[Point]) -> bool:
-    """True iff the points span no polygon, which is exactly when
-    ``convex_hull`` raises DegenerateInput: fewer than 3 distinct points, or
-    no hull corner deviates more than EPS from the chord of its neighbours."""
-    return len(_hull_ring(*_coordinate_rows(points))) < 3
-
-
 def convex_hull(points: Iterable[Point]) -> ConvexPolygon:
     """Monotone-chain convex hull.
 
@@ -226,8 +215,9 @@ def convex_hull(points: Iterable[Point]) -> ConvexPolygon:
     normalized by the chord length) counts as collinear, so every returned
     vertex is a strict corner.
 
-    Raises DegenerateInput for fewer than 3 distinct points or collinear
-    input (see ``collinear``).
+    Raises DegenerateInput when the points span no polygon: fewer than 3
+    distinct points, or no hull corner deviates more than EPS from the chord
+    of its neighbours.
     """
     xs, ys = _coordinate_rows(points)
     ring = _polygon_ring(xs, ys)

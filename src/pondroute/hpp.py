@@ -12,8 +12,8 @@ and the squared distances, one ``argmin`` and one ``min`` over k entries of
 only the nodes whose bounds overlap (about a fifth of them at n = 2000,
 k = 20). The full (k, n) table is built in the first round, in a round that
 leaves a cluster empty, and in every round when n * k < 10000. A solve reads
-the node coordinates once, into one (2, n) float array that k-means, hulls
-(corners are positions into it), cluster repair, lane tables and exact
+the instance's (2, n) coordinate array ``FarmInstance.xy``, which k-means,
+hulls (corners are positions into it), cluster repair, lane tables and exact
 re-scores share; ``Point``, ``ConvexPolygon`` and ``ClusterAssignment`` are
 built only by the public functions.
 
@@ -58,7 +58,7 @@ from .geometry import Point, _caliper_pairs, _coordinate_rows, _hull_ring, _poly
 from .geometry import antipodal_pairs, convex_hull  # noqa: F401
 from .instances import FarmInstance, _left_sum
 from .rng import make_rng
-from .solution import InvalidK, Route, Solution
+from .solution import InvalidK, Route, Solution, _path_length
 # Re-exported: the benchmark digests solution files through hpp.save_solution.
 from .solution import save_solution  # noqa: F401
 
@@ -685,12 +685,6 @@ def _check_spacing(spacing: float) -> None:
         raise ValueError("spacing must be positive and finite")
 
 
-def _path_length(xs: list[float], ys: list[float], order: list[int]) -> float:
-    """Length of the path through the positions ``order`` of (``xs``,
-    ``ys``), its hops added one at a time from the left."""
-    return _left_sum(math.hypot(xs[a] - xs[b], ys[a] - ys[b]) for a, b in zip(order, order[1:]))
-
-
 def _shorter(xs: list[float], ys: list[float], rows: list[int], cols: list[int]) -> list[int]:
     """The shorter of a row and a column sweep by exact summation, ties
     within 1e-12 going to rows."""
@@ -812,7 +806,7 @@ def hpp_solve(inst: FarmInstance, k: int = 5, seed: int = 0) -> Solution:
     spacing is positive and finite, and RepairImpossible when the nodes
     cannot form ``k`` clusters of 3+ non-collinear members.
     """
-    n = len(inst.nodes)
+    n = inst.xy.shape[1]
     if k < 1 or MIN_CLUSTER_SIZE * k > n:
         support = (
             f"between 1 and {n // MIN_CLUSTER_SIZE} routes of {MIN_CLUSTER_SIZE}+ nodes each"
@@ -820,9 +814,8 @@ def hpp_solve(inst: FarmInstance, k: int = 5, seed: int = 0) -> Solution:
             else f"no route of {MIN_CLUSTER_SIZE}+ nodes"
         )
         raise InvalidK(f"k={k} is infeasible: {n} nodes support {support}")
-    xy = _coordinate_rows(inst.nodes)
-    labels, _ = _kmeans(*xy, k, seed)
+    labels, _ = _kmeans(*inst.xy, k, seed)
     _check_spacing(inst.spacing)
-    rings = _repair(xy, labels, k)
-    routes = _route_clusters(xy, labels, k, rings, inst.depot, inst.spacing)
+    rings = _repair(inst.xy, labels, k)
+    routes = _route_clusters(inst.xy, labels, k, rings, inst.depot, inst.spacing)
     return Solution(instance_ref=inst.name, algorithm="hpp", seed=seed, routes=tuple(routes))

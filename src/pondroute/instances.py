@@ -24,6 +24,11 @@ round trip is bit-exact. Readers reject unknown versions. The depot line may
 be edited by hand to override the generated depot. ``_LineReader`` reads
 these two formats and the solution format of ``solution``.
 
+A ``FarmInstance`` holds its nodes once, as ``xy``: a read-only, C-ordered
+(2, n) float array, x row over y row, that ``generate`` and ``load`` fill
+from their arrays and every solver and ``evaluation.score`` read; ``nodes``
+builds ``Point``s from it on first use.
+
 Manifest file format (version 1), at least one record::
 
     farm-manifest v1
@@ -35,7 +40,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
@@ -44,7 +49,6 @@ import numpy as np
 from .geometry import ConvexPolygon, Point, _edges, _inside, convex_hull
 from .rng import make_rng
 
-FORMAT_VERSION = 1
 INSTANCE_HEADER = "farm-instance v1"
 MANIFEST_HEADER = "farm-manifest v1"
 _BISECT_ITERATIONS = 64
@@ -66,15 +70,36 @@ class VersionError(FormatError):
     """File declares an unsupported format version."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FarmInstance:
+    """A farm; ``xy`` is a read-only copy, equal by value (``-0.0 == 0.0``); unhashable."""
+
     name: str
     seed: int
     polygon: ConvexPolygon
     spacing: float
     lattice_origin: Point
     depot: Point
-    nodes: tuple[Point, ...]
+    xy: np.ndarray
+
+    def __post_init__(self) -> None:
+        xy = np.array(self.xy, dtype=float, order="C")
+        if xy.ndim != 2 or len(xy) != 2 or not np.isfinite(xy).all():
+            raise ValueError(f"xy must be a (2, n) array of finite floats, got shape {xy.shape}")
+        xy.flags.writeable = False
+        object.__setattr__(self, "xy", xy)
+
+    @functools.cached_property
+    def nodes(self) -> tuple[Point, ...]:
+        """The nodes as ``Point``s, built on first use."""
+        return tuple(map(Point, *self.xy.tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return np.array_equal(self.xy, other.xy) and all(
+            getattr(self, f.name) == getattr(other, f.name) for f in fields(self) if f.name != "xy"
+        )
 
 
 @dataclass(frozen=True)
@@ -195,7 +220,6 @@ def generate(node_count: int, seed: int) -> FarmInstance:
 
     keep = np.ones(len(xs), dtype=bool)
     keep[rng.permutation(len(xs))[: len(xs) - node_count]] = False
-    nodes = tuple(map(Point, xs[keep].tolist(), ys[keep].tolist()))
 
     inst = FarmInstance(
         name=f"farm-n{node_count}-s{seed}",
@@ -204,7 +228,7 @@ def generate(node_count: int, seed: int) -> FarmInstance:
         spacing=spacing,
         lattice_origin=Point(*polygon.bounding_box()[:2]),
         depot=Point(0.0, 0.0),
-        nodes=nodes,
+        xy=(xs[keep], ys[keep]),
     )
     return place_depot(inst)
 
@@ -221,8 +245,8 @@ def save(inst: FarmInstance, path: Path | str) -> None:
         f"polygon: {len(inst.polygon)}",
     ]
     lines += [f"{_fmt(p.x)} {_fmt(p.y)}" for p in inst.polygon]
-    lines.append(f"nodes: {len(inst.nodes)}")
-    lines += [f"{_fmt(p.x)} {_fmt(p.y)}" for p in inst.nodes]
+    lines.append(f"nodes: {inst.xy.shape[1]}")
+    lines += [f"{_fmt(x)} {_fmt(y)}" for x, y in zip(*inst.xy.tolist())]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -287,8 +311,20 @@ class _LineReader:
             raise self.error(f"{name} count must be non-negative")
         return n
 
-    def point(self, what: str) -> Point:
-        return self.parse(_point, self.next(what), what)
+    def points(self, count: int, what: str) -> np.ndarray:
+        """The next ``count`` lines, two finite floats each, as an x row over
+        a y row, parsed as one block; if that fails, the lines are parsed one
+        at a time, so the first bad one raises as ``f"{what} {i}"``."""
+        block = [line.split() for line in self.lines[self.pos : self.pos + count]]
+        try:
+            rows = np.array(block, dtype=float)
+        except ValueError:  # ragged, or a token that is not a float
+            rows = np.empty(0)
+        if rows.shape == (count, 2) and np.isfinite(rows).all():
+            self.pos += count
+            return rows.T
+        pts = [self.parse(_point, self.next(f"{what} {i}"), f"{what} {i}") for i in range(count)]
+        return np.array([(p.x, p.y) for p in pts]).reshape(count, 2).T
 
     def rest(self) -> Iterator[str]:
         """The remaining lines; ``error`` names each one while it is current."""
@@ -322,32 +358,22 @@ def load(path: Path | str) -> FarmInstance:
         raise r.error("spacing must be positive and finite")
     origin = r.field("lattice_origin", _point)
     depot = r.field("depot", _point)
-    verts = tuple(r.point(f"polygon vertex {i}") for i in range(r.count("polygon")))
-    polygon = r.parse(ConvexPolygon, verts, "polygon")
-    nodes = [r.point(f"node {i}") for i in range(r.count("nodes"))]
-    pts = (*verts, depot, *nodes)
-    xs, ys = np.array([p.x for p in pts]), np.array([p.y for p in pts])
+    verts = r.points(r.count("polygon"), "polygon vertex")
+    polygon = r.parse(ConvexPolygon, tuple(map(Point, *verts.tolist())), "polygon")
+    nodes = r.points(r.count("nodes"), "node")
+    xs, ys = np.concatenate([verts, [[depot.x], [depot.y]], nodes], axis=1)
     extent = max(float(xs.max()) - float(xs.min()), float(ys.max()) - float(ys.min()))
-    if not math.isfinite(2 * len(pts) * extent * extent):
-        raise r.error(f"{len(pts)} points span {_fmt(extent)}, so squared distances overflow")
+    if not math.isfinite(2 * len(xs) * extent * extent):
+        raise r.error(f"{len(xs)} points span {_fmt(extent)}, so squared distances overflow")
     if not math.isfinite(2 * extent / spacing):
         raise r.error(f"spacing {_fmt(spacing)} is too small for an extent of {_fmt(extent)}")
-    first = len(verts) + 1  # nodes follow the polygon vertices and the depot
-    inside = _inside(_edges(polygon), xs[first:], ys[first:])
+    inside = _inside(_edges(polygon), *nodes)
     if not inside.all():
         i = int(np.argmin(inside))  # the first node outside
-        r.pos -= len(nodes) - 1 - i  # the error names node i's own line
+        r.pos -= len(inside) - 1 - i  # the error names node i's own line
         raise r.error(f"node {i} lies outside the polygon")
     r.end()
-    return FarmInstance(
-        name=name,
-        seed=seed,
-        polygon=polygon,
-        spacing=spacing,
-        lattice_origin=origin,
-        depot=depot,
-        nodes=tuple(nodes),
-    )
+    return FarmInstance(name, seed, polygon, spacing, origin, depot, nodes)
 
 
 def generate_dataset(

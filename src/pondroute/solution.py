@@ -2,7 +2,8 @@
 
 ``hpp``, ``minmax-ls`` and ``exact`` all return a ``Solution``: ``k`` routes,
 each a depot-to-depot visit order over node indices of one instance, with
-the route's length as the solver computed it.
+the route's length as the solver computed it. ``_path_length`` is the one
+exact path sum; ``hpp`` and ``evaluation.score`` both measure routes with it.
 
 Solution file format (version 1)::
 
@@ -24,9 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
-from .geometry import Point, dist
 from .instances import _fmt, _left_sum, _LineReader
 
 SOLUTION_HEADER = "farm-solution v1"
@@ -70,14 +69,10 @@ class Solution:
         return max(r.length for r in self.routes)
 
 
-def route_length(depot: Point, pts: Sequence[Point]) -> float:
-    """Depot-to-depot length of a route visiting ``pts`` in order."""
-    if not pts:
-        return 0.0
-    total = dist(depot, pts[0])
-    for a, b in zip(pts, pts[1:]):
-        total += dist(a, b)
-    return total + dist(pts[-1], depot)
+def _path_length(xs: list[float], ys: list[float], order: list[int]) -> float:
+    """Length of the path through the positions ``order`` of (``xs``,
+    ``ys``), its hops added one at a time from the left."""
+    return _left_sum(math.hypot(xs[a] - xs[b], ys[a] - ys[b]) for a, b in zip(order, order[1:]))
 
 
 def save_solution(sol: Solution, path: Path | str) -> None:

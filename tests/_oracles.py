@@ -14,9 +14,14 @@ import operator
 
 import numpy as np
 
-from pondroute.geometry import EPS, ConvexPolygon, Point, collinear
+from pondroute.geometry import EPS, ConvexPolygon, Point
 
 TWO_PI = 2.0 * math.pi
+
+
+def xy_rows(points) -> list[list[float]]:
+    """The x row over the y row of ``points``, as ``FarmInstance.xy`` takes them."""
+    return [[p.x for p in points], [p.y for p in points]]
 
 
 def left_sum(values) -> float:
@@ -155,18 +160,20 @@ def antipodal_oracle_sweep(
     return pairs
 
 
+def distance(a: Point, b: Point) -> float:
+    """Euclidean distance, the one ``math.hypot`` of the path oracles."""
+    return math.hypot(a.x - b.x, a.y - b.y)
+
+
 def path_length(seq: list[Point]) -> float:
-    return sum(math.hypot(a.x - b.x, a.y - b.y) for a, b in zip(seq, seq[1:]))
+    return sum(distance(a, b) for a, b in zip(seq, seq[1:]))
 
 
 def tour_length(depot: Point, seq: list[Point]) -> float:
+    """Depot-to-depot length of a route visiting ``seq`` in order."""
     if not seq:
         return 0.0
-    return (
-        math.hypot(depot.x - seq[0].x, depot.y - seq[0].y)
-        + path_length(seq)
-        + math.hypot(seq[-1].x - depot.x, seq[-1].y - depot.y)
-    )
+    return distance(depot, seq[0]) + path_length(seq) + distance(seq[-1], depot)
 
 
 def min_fixed_endpoint_path(pts: list[Point], start: int, end: int) -> float:
@@ -261,10 +268,6 @@ def lane_sweep_oracle(
     return order
 
 
-def _dist(a: Point, b: Point) -> float:
-    return math.hypot(a.x - b.x, a.y - b.y)
-
-
 def serpentine_oracle(
     pts: list[Point], hull: ConvexPolygon, pair, orientation: str, spacing: float
 ) -> list[int]:
@@ -278,7 +281,7 @@ def serpentine_oracle(
     best_order, best_len = None, math.inf
     for stack_axis in ("y", "x"):
         order = lane_sweep_oracle(pts, pos_p, pos_q, spacing, stack_axis)
-        length = left_sum(_dist(pts[a], pts[b]) for a, b in zip(order, order[1:]))
+        length = left_sum(distance(pts[a], pts[b]) for a, b in zip(order, order[1:]))
         if length < best_len - 1e-12:
             best_order, best_len = order, length
     return best_order
@@ -300,10 +303,10 @@ def route_cluster_oracle(
         for orientation in ("forward", "reverse"):
             order = serpentine_oracle(pts, hull, pair, orientation, spacing)
             seq = [pts[t] for t in order]
-            length = _dist(depot, seq[0])
+            length = distance(depot, seq[0])
             for a, b in zip(seq, seq[1:]):
-                length += _dist(a, b)
-            length += _dist(seq[-1], depot)
+                length += distance(a, b)
+            length += distance(seq[-1], depot)
             if best is None or length < best[0] - 1e-12:
                 best = (length, order)
     return tuple(ids[t] for t in best[1]), best[0]
@@ -360,7 +363,7 @@ def repair_oracle(assign, nodes: list[Point]):
     from pondroute.hpp import MIN_CLUSTER_SIZE, ClusterAssignment, RepairImpossible
 
     def _cluster_valid(pts: list[Point]) -> bool:
-        return len(pts) >= 3 and not collinear(pts)
+        return len(hull_ring_oracle(pts)) >= 3
 
     k = assign.k
     n = len(nodes)
@@ -404,7 +407,7 @@ def repair_oracle(assign, nodes: list[Point]):
                 rest = [nodes[m] for m in members[c] if m != i]
                 (safe if _cluster_valid(rest) else unsafe).append(i)
         candidates = safe or unsafe
-        moved = min(candidates, key=lambda i: (_dist(nodes[i], target), i))
+        moved = min(candidates, key=lambda i: (distance(nodes[i], target), i))
         labels[moved] = invalid
     else:
         raise RepairImpossible("cluster repair did not converge")

@@ -26,7 +26,7 @@ from pondroute.baseline import (
 from pondroute.geometry import Point, convex_hull
 from pondroute.hpp import hpp_solve
 from pondroute.instances import FarmInstance, generate
-from pondroute.solution import InvalidK, route_length, save_solution
+from pondroute.solution import InvalidK, save_solution
 
 from _oracles import (
     best_insertion_oracle,
@@ -41,7 +41,9 @@ from _oracles import (
     route_cost_oracle,
     sector_partition_oracle,
     subset_tours_oracle,
+    tour_length,
     two_opt_oracle,
+    xy_rows,
 )
 
 
@@ -59,7 +61,7 @@ def synthetic_instance(nodes: list[Point], depot: Point) -> FarmInstance:
     )
     return FarmInstance(
         name="synthetic", seed=0, polygon=poly, spacing=1.0,
-        lattice_origin=Point(0, 0), depot=depot, nodes=tuple(nodes),
+        lattice_origin=Point(0, 0), depot=depot, xy=xy_rows(nodes),
     )
 
 
@@ -89,8 +91,8 @@ class TestTwoOpt:
         D = DistanceMatrix.from_instance(inst).entries
         order, converged = two_opt([0, 1, 2, 3], D)
         assert converged
-        after = route_length(inst.depot, [pts[i] for i in order])
-        before = route_length(inst.depot, pts)
+        after = tour_length(inst.depot, [pts[i] for i in order])
+        before = tour_length(inst.depot, pts)
         assert after < before
         # One pass makes the move; the pass that would find no move never runs.
         monkeypatch.setattr(baseline, "_TWO_OPT_MAX_PASSES", 1)

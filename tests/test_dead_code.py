@@ -15,6 +15,12 @@ A method counts as used when any expression in ``src/`` outside its
 definition names it, as a bare name or as an attribute, since the type of
 an attribute's receiver is not known without running the code.
 
+A public top-level function or module constant of the package must be
+used by the package by the same rule, re-exporting it from ``__init__`` not
+being a use, unless a fixed client names it: the acceptance suite
+(``tests/test_acceptance.py``), or the benchmark (``perfbench/harness.py``
+and the targets it traces, ``perfbench/tracing.py``'s ``TARGETS``).
+
 Likewise every top-level function of ``tests/_oracles.py`` must be used, by
 the rule for top-level names, by a test module or ``_oracles.py`` itself;
 importing it is not a use.
@@ -26,6 +32,7 @@ from typing import Iterator
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pondroute"
 TESTS = Path(__file__).resolve().parent
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def definitions(tree: ast.Module) -> Iterator[tuple[str, ast.stmt]]:
@@ -58,6 +65,49 @@ def unused_private_names(package: Path) -> list[tuple[str, int, str]]:
         if name.startswith("_") and not name.startswith("__")
     ]
     return not_named(trees, defined, package.name)
+
+
+def unused_public_names(package: Path, pinned: set[str]) -> list[tuple[str, int, str]]:
+    """(file, line, name) of each public top-level function or module
+    constant of ``package`` that no code of the package uses outside its
+    definition and that ``pinned`` does not hold."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    defined = [
+        (file, name, node)
+        for file, tree in trees.items()
+        for name, node in definitions(tree)
+        if node in tree.body and not isinstance(node, ast.ClassDef)
+        and not name.startswith("_") and name not in pinned
+    ]
+    return not_named(trees, defined, package.name)
+
+
+def named(path: Path) -> set[str]:
+    """Every name a file reads, imports or takes as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def traced(path: Path) -> set[str]:
+    """Each dotted part of the strings in ``path``'s ``TARGETS`` assignment."""
+    [targets] = [
+        node.value
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["TARGETS"]
+    ]
+    return {
+        part
+        for node in ast.walk(targets)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        for part in node.value.split(".")
+    }
 
 
 def unused_oracles(tests: Path) -> list[tuple[str, int, str]]:
@@ -152,6 +202,11 @@ def test_no_unused_private_names():
     assert unused_private_names(PACKAGE) == []
 
 
+def test_no_unused_public_names():
+    pinned = named(TESTS / "test_acceptance.py") | named(PERFBENCH / "harness.py")
+    assert unused_public_names(PACKAGE, pinned | traced(PERFBENCH / "tracing.py")) == []
+
+
 def test_no_unused_oracles():
     assert unused_oracles(TESTS) == []
 
@@ -232,3 +287,39 @@ def test_unused_private_name_is_reported(tmp_path):
         ("a.py", 23, "_ON_OTHER"),
         ("b.py", 3, "_unused"),
     ]
+
+
+def test_unused_public_name_is_reported(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import exported\n")  # no use
+    (tmp_path / "a.py").write_text(
+        "VERSION = 1\n"
+        "LIMIT = 2\n"
+        "def exported():\n"
+        "    return exported()\n"  # a call from its own body is no use
+        "def pinned():\n"
+        "    pass\n"
+        "def used():\n"
+        "    return LIMIT\n"
+        "class Unread:\n"  # classes are not checked
+        "    def method(self):\n"
+        "        pass\n"
+        "def _private():\n"  # the private rule covers it
+        "    pass\n"
+    )
+    (tmp_path / "b.py").write_text("from .a import used\nX = used()\n")
+    assert unused_public_names(tmp_path, {"pinned"}) == [
+        ("a.py", 1, "VERSION"),
+        ("a.py", 3, "exported"),
+        ("b.py", 2, "X"),
+    ]
+
+
+def test_pinned_names_are_the_fixed_clients_names(tmp_path):
+    (tmp_path / "tracing.py").write_text(
+        "TARGETS = (Target('hpp', 'route_cluster', 'hpp.span'),)\nOTHER = ('ignored',)\n"
+    )
+    (tmp_path / "harness.py").write_text(
+        "from pondroute import hpp\nfrom pondroute.instances import load\nhpp.save_solution\n"
+    )
+    assert traced(tmp_path / "tracing.py") == {"hpp", "route_cluster", "span"}
+    assert {"hpp", "load", "save_solution"} <= named(tmp_path / "harness.py")

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import pytest
@@ -11,15 +12,20 @@ from pondroute.evaluation import (
     solve_with,
     write_csv,
 )
-from pondroute.geometry import Point, convex_hull
+from pondroute.geometry import ConvexPolygon, Point, convex_hull
+from pondroute.baseline import minmax_local_search
 from pondroute.hpp import hpp_solve
 from pondroute.instances import (
     FarmInstance,
     FormatError,
     generate,
     generate_dataset,
+    load,
+    save,
 )
 from pondroute.solution import InvalidK, Route, Solution, load_solution, save_solution
+
+from _oracles import xy_rows
 
 
 def synthetic_instance(nodes: list[Point], depot: Point) -> FarmInstance:
@@ -35,7 +41,7 @@ def synthetic_instance(nodes: list[Point], depot: Point) -> FarmInstance:
     )
     return FarmInstance(
         name="synthetic", seed=0, polygon=poly, spacing=1.0,
-        lattice_origin=Point(0, 0), depot=depot, nodes=tuple(nodes),
+        lattice_origin=Point(0, 0), depot=depot, xy=xy_rows(nodes),
     )
 
 
@@ -106,6 +112,60 @@ class TestScore:
             sum(metrics.route_lengths), rel=1e-9
         )
         assert metrics.max_route_length == max(metrics.route_lengths)
+
+
+class TestCoordinateArray:
+    """Every solver and ``score`` read ``FarmInstance.xy``; a node ``Point``
+    is built only on request, so the data path builds as many ``Point``s
+    (polygon, depot and lattice origin) at any n."""
+
+    @staticmethod
+    def points_built(monkeypatch, tmp_path, n: int) -> int:
+        built = []
+        check = Point.__post_init__
+        monkeypatch.setattr(Point, "__post_init__", lambda p: built.append(check(p)))
+        save(generate(n, 1000), tmp_path / f"n{n}.txt")
+        inst = load(tmp_path / f"n{n}.txt")
+        hpp_solve(inst, k=5, seed=0)
+        score(inst, minmax_local_search(inst, k=5, seed=0))
+        return len(built)
+
+    def test_point_count_does_not_grow_with_n(self, monkeypatch, tmp_path):
+        small = self.points_built(monkeypatch, tmp_path, 200)
+        assert small < 200
+        assert self.points_built(monkeypatch, tmp_path, 2000) == small
+
+    def test_xy_is_read_only_and_c_contiguous(self, tmp_path):
+        inst = generate(50, 3)
+        save(inst, tmp_path / "i.txt")
+        moved = dataclasses.replace(inst, depot=Point(0.5, 0.0))
+        for xy in (inst.xy, load(tmp_path / "i.txt").xy, moved.xy):
+            assert xy.shape == (2, 50) and xy.dtype == float
+            assert xy.flags.c_contiguous and not xy.flags.writeable
+
+    def test_equality_compares_coordinates_by_value(self):
+        inst = synthetic_instance([Point(0.0, 1.0), Point(2.0, 3.0)], Point(0, 0))
+        negated = dataclasses.replace(inst, xy=[[-0.0, 2.0], [1.0, 3.0]])
+        assert negated == inst
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(inst)
+        assert dataclasses.replace(inst, xy=[[0.0, 2.0], [1.0, 3.5]]) != inst
+        others = {
+            "name": "other", "seed": 1, "spacing": 2.0, "xy": [[9.0, 2.0], [1.0, 3.0]],
+            "polygon": ConvexPolygon(inst.polygon.vertices[1:] + inst.polygon.vertices[:1]),
+            "lattice_origin": Point(5.0, 5.0), "depot": Point(5.0, 5.0),
+        }
+        assert others.keys() == {f.name for f in dataclasses.fields(inst)}
+        for name, value in others.items():  # every field takes part
+            assert dataclasses.replace(inst, **{name: value}) != inst, name
+        assert inst.__eq__(inst.name) is NotImplemented and inst != inst.name
+        assert inst.nodes == (Point(0.0, 1.0), Point(2.0, 3.0))
+
+    @pytest.mark.parametrize("xy", [[0.0, 1.0], [[0.0], [1.0], [2.0]], [[0.0], [float("nan")]]])
+    def test_rejects_other_shapes_and_non_finite(self, xy):
+        inst = synthetic_instance([Point(0.0, 1.0)], Point(0, 0))
+        with pytest.raises(ValueError, match=r"xy must be a \(2, n\) array of finite floats"):
+            dataclasses.replace(inst, xy=xy)
 
 
 @pytest.fixture(scope="module")

@@ -19,9 +19,7 @@ from pondroute.geometry import (
     DegenerateInput,
     Point,
     antipodal_pairs,
-    collinear,
     convex_hull,
-    dist,
 )
 from pondroute.hpp import (
     ClusterAssignment,
@@ -45,12 +43,13 @@ from pondroute.solution import (
     Route,
     Solution,
     load_solution,
-    route_length,
     save_solution,
 )
 
 import _oracles
 from _oracles import (
+    distance,
+    hull_ring_oracle,
     kmeans_oracle,
     lane_sweep_oracle,
     min_depot_tour,
@@ -59,6 +58,8 @@ from _oracles import (
     repair_oracle,
     route_cluster_oracle,
     serpentine_oracle,
+    tour_length,
+    xy_rows,
 )
 
 GRID_3X3 = [Point(float(x), float(y)) for y in range(3) for x in range(3)]
@@ -125,7 +126,7 @@ class TestKMeans:
         assign = kmeans(inst.nodes, 5, seed=3)
         cents = assign.centroids
         for i, p in enumerate(inst.nodes):
-            d = [dist(p, c) for c in cents]
+            d = [distance(p, c) for c in cents]
             assert d[assign.labels[i]] == min(d)
 
     def test_deterministic(self):
@@ -563,14 +564,14 @@ class TestRouteCluster:
         depot = Point(0.5, -3.0)
         route = route_cluster(list(enumerate(pts)), depot, 1.0)
         best = min(
-            route_length(depot, [pts[i] for i in perm])
+            tour_length(depot, [pts[i] for i in perm])
             for perm in itertools.permutations(range(3))
         )
         assert route.length == pytest.approx(best)
         # the nearer anchor hangs off the depot leg
         first = pts[route.node_order[0]]
         last = pts[route.node_order[-1]]
-        assert dist(depot, first) <= dist(depot, last)
+        assert distance(depot, first) <= distance(depot, last)
 
     def test_3x3_grid_close_to_hamiltonian_oracle(self):
         depot = Point(1.0, -5.0)
@@ -584,7 +585,7 @@ class TestRouteCluster:
         assert (first.x, first.y) in hull_pts and (last.x, last.y) in hull_pts
         assert route.length <= 1.10 * oracle
         assert route.length == pytest.approx(
-            route_length(depot, [GRID_3X3[i] for i in route.node_order])
+            tour_length(depot, [GRID_3X3[i] for i in route.node_order])
         )
 
     def test_convex_ring_self_consistent(self):
@@ -596,7 +597,7 @@ class TestRouteCluster:
         route = route_cluster(list(enumerate(ring)), depot, 1.0)
         assert sorted(route.node_order) == list(range(6))
         assert route.length == pytest.approx(
-            route_length(depot, [ring[i] for i in route.node_order])
+            tour_length(depot, [ring[i] for i in route.node_order])
         )
 
 
@@ -726,7 +727,7 @@ class TestRouteClusterMatchesOracle:
     )
     def test_same_route_and_bit_equal_length(self, family, seed, w, h, depot):
         pts, centre, below = oracle_cluster(family, seed, w, h)
-        if len(pts) < 3 or collinear(pts):
+        if len(hull_ring_oracle(pts)) < 3:
             return
         if depot == "centre":
             depot = centre
@@ -809,7 +810,7 @@ def assert_table_lengths_near_exact(clusters: list[list[Point]], spacing: float)
     for axis, lengths in enumerate(tables.lengths(start, end).tolist()):
         for i, j, table_length in zip(start.tolist(), end.tolist(), lengths):
             order = tables.sweep(axis, i, j)
-            exact = _left_sum(dist(nodes[a], nodes[b]) for a, b in zip(order, order[1:]))
+            exact = _left_sum(distance(nodes[a], nodes[b]) for a, b in zip(order, order[1:]))
             assert abs(table_length - exact) <= 1e-10 * max(1.0, exact)
 
 
@@ -824,7 +825,7 @@ CLUSTER = st.tuples(
 def polygons(params) -> list[list[Point]]:
     """The ``oracle_cluster``s of ``params`` that span a polygon, moved apart."""
     clusters = apart([oracle_cluster(*p)[0] for p in params])
-    return [pts for pts in clusters if len(pts) >= 3 and not collinear(pts)]
+    return [pts for pts in clusters if len(hull_ring_oracle(pts)) >= 3]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -931,7 +932,7 @@ class TestHppSolve:
         from pondroute.geometry import convex_hull as ch
 
         poly = ch([P(-5, -5), P(60, -5), P(60, 60), P(-5, 60)])
-        inst = FarmInstance("tri", 0, poly, 1.0, P(-5, -5), P(25, -5), tuple(pts))
+        inst = FarmInstance("tri", 0, poly, 1.0, P(-5, -5), P(25, -5), xy_rows(pts))
         sol = hpp_solve(inst, k=4, seed=0)
         groups = {frozenset(r.node_order) for r in sol.routes}
         assert groups == {
@@ -974,7 +975,7 @@ class TestHppSolve:
         inst = generate(75, 10)
         sol = hpp_solve(inst, k=3, seed=2)
         for route in sol.routes:
-            recomputed = route_length(inst.depot, [inst.nodes[i] for i in route.node_order])
+            recomputed = tour_length(inst.depot, [inst.nodes[i] for i in route.node_order])
             assert abs(recomputed - route.length) <= 1e-9 * max(1.0, route.length)
 
     def test_determinism_byte_identical(self, tmp_path):
@@ -996,7 +997,7 @@ class TestHppSolve:
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_invalid_k_below_three_nodes(self, tmp_path, n):
         inst = generate(12, 0)
-        save(dataclasses.replace(inst, nodes=inst.nodes[:n]), tmp_path / "small.txt")
+        save(dataclasses.replace(inst, xy=inst.xy[:, :n]), tmp_path / "small.txt")
         inst = load(tmp_path / "small.txt")
         assert len(inst.nodes) == n
         for k in (0, 1):
@@ -1034,7 +1035,7 @@ class TestHppSolve:
         # position it tries and for the two clusters of each move, all on the
         # solve's coordinate array: k + 2 per move + 1 per donor position.
         inst = generate(2000, 1000)
-        inst = dataclasses.replace(inst, nodes=inst.nodes + (Point(3.0, 3.0),) * 12)
+        inst = dataclasses.replace(inst, xy=np.append(inst.xy, np.full((2, 12), 3.0), axis=1))
         k = 20
         calls = count_calls(monkeypatch, {
             "_hull_ring": hpp,
@@ -1091,7 +1092,7 @@ class TestHppSolve:
         [(rows, cols)] = scores
         assert sorted(set(cluster.tolist())) == list(range(5))
         assert sorted_runs == 0
-        legs = [dist(inst.depot, Point(x, y)) for x, y in tables.anchors.T.tolist()]
+        legs = [distance(inst.depot, Point(x, y)) for x, y in tables.anchors.T.tolist()]
         low = [math.inf] * 5
         for c, i, j, r, w in zip(cluster, start, end, rows, cols):
             low[c] = min(low[c], legs[i] + min(r, w) + legs[j])
@@ -1117,7 +1118,7 @@ def _fallback_instance(family: str, seed: int, k: int, extra: int) -> FarmInstan
     ``far-copies`` is a generated instance plus 12 copies of one far point."""
     if family == "far-copies":
         inst = generate(200, seed)
-        return dataclasses.replace(inst, nodes=inst.nodes + (Point(3.0, 3.0),) * 12)
+        return dataclasses.replace(inst, xy=np.append(inst.xy, np.full((2, 12), 3.0), axis=1))
     rng = np.random.default_rng(seed)
     n = hpp.MIN_CLUSTER_SIZE * k + extra
     xy = rng.random((n, 2))
@@ -1130,8 +1131,7 @@ def _fallback_instance(family: str, seed: int, k: int, extra: int) -> FarmInstan
     else:
         xy[rng.random(n) < 0.3] = (3.0, 3.0)
     square = convex_hull([Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)])
-    nodes = tuple(Point(float(x), float(y)) for x, y in xy)
-    return FarmInstance("fallback", seed, square, 0.125, Point(0, 0), Point(0.5, 0), nodes)
+    return FarmInstance("fallback", seed, square, 0.125, Point(0, 0), Point(0.5, 0), xy.T)
 
 
 def test_fallback_matches_repair_first_pipeline(monkeypatch):
@@ -1194,7 +1194,7 @@ def test_spacing_is_checked_before_repair(spacing):
     # polygon, so repair raises. A bad spacing is reported first.
     square = convex_hull([Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)])
     nodes = (Point(0.25, 0.5), Point(0.75, 0.5)) * 6
-    inst = FarmInstance("two-spots", 0, square, 0.125, Point(0, 0), Point(0.5, 0), nodes)
+    inst = FarmInstance("two-spots", 0, square, 0.125, Point(0, 0), Point(0.5, 0), xy_rows(nodes))
     with pytest.raises(RepairImpossible):
         hpp_solve(inst, k=2, seed=0)
     inst = dataclasses.replace(inst, spacing=spacing)
@@ -1222,7 +1222,7 @@ def test_duplicate_nodes_keep_error_contract(positions, picks, k):
     returns a partition ``score`` accepts or raises its documented error."""
     square = convex_hull([Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)])
     nodes = tuple(Point(*positions[i % len(positions)]) for i in picks)
-    inst = FarmInstance("dup", 0, square, 0.125, Point(0, 0), Point(0.5, 0), nodes)
+    inst = FarmInstance("dup", 0, square, 0.125, Point(0, 0), Point(0.5, 0), xy_rows(nodes))
     with tempfile.TemporaryDirectory() as tmp:
         save(inst, Path(tmp) / "dup.txt")
         inst = load(Path(tmp) / "dup.txt")

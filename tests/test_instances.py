@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from pondroute.instances import (
 )
 from pondroute.solution import load_solution, save_solution
 
-from _oracles import lattice_points_oracle
+from _oracles import lattice_points_oracle, xy_rows
 
 # SHA-256 of the ``save(generate(n, seed))`` bytes, taken from the meshgrid
 # lattice code that preceded the one-broadcast counts.
@@ -182,7 +183,7 @@ class TestPlaceDepot:
     def _with_polygon(poly: ConvexPolygon) -> FarmInstance:
         return FarmInstance(
             name="t", seed=0, polygon=poly, spacing=1.0,
-            lattice_origin=Point(0, 0), depot=Point(0, 0), nodes=(Point(0.5, 0.5),),
+            lattice_origin=Point(0, 0), depot=Point(0, 0), xy=[[0.5], [0.5]],
         )
 
     def test_unit_square(self):
@@ -249,7 +250,7 @@ class TestSaveLoad:
         poly = ConvexPolygon((Point(0, 0), Point(2, 0), Point(2, 2), Point(0, 2)))
         inst = FarmInstance(
             name="sq", seed=0, polygon=poly, spacing=1.0,
-            lattice_origin=Point(0, 0), depot=Point(1, 0), nodes=tuple(nodes),
+            lattice_origin=Point(0, 0), depot=Point(1, 0), xy=xy_rows(nodes),
         )
         path = tmp_path / "sq.txt"
         save(inst, path)
@@ -348,6 +349,74 @@ class TestSaveLoad:
         lines[5] = "depot: 0.25 0.25"
         path.write_text("\n".join(lines) + "\n")
         assert load(path).depot == Point(0.25, 0.25)
+
+
+class TestBlockParse:
+    """A vertex or node block is parsed at once, and an error in it is
+    reported as the line-by-line reader reports it: the same text and line.
+    ``write_square``'s file has its polygon on lines 7-11 and its six nodes
+    on lines 12-18; node 2 is line 15."""
+
+    @pytest.mark.parametrize(
+        ("line", "error"),
+        [
+            ("0.2 0.3 0.4", "line 15: node 2: expected '<x> <y>', got '0.2 0.3 0.4'"),
+            ("nan 0.3", "line 15: node 2: non-finite coordinate (nan, 0.3)"),
+            ("0.2 inf", "line 15: node 2: non-finite coordinate (0.2, inf)"),
+            ("1e400 0.3", "line 15: node 2: non-finite coordinate (inf, 0.3)"),
+            ("1_0 0.3", "line 15: node 2 lies outside the polygon"),  # float("1_0") == 10
+            ("\u0669 0.3", "line 15: node 2 lies outside the polygon"),  # Arabic-Indic 9
+            ("\uff10.2 0.3", None),  # a full-width 0: the node loads as (0.2, 0.3)
+            ("", "line 15: node 2: expected '<x> <y>', got ''"),
+            (None, "line 16: unexpected end of file, expected node 3"),  # the file ends
+        ],
+        ids=[
+            "three-tokens", "nan", "inf", "overflow", "underscore", "unicode-digits",
+            "unicode-loads", "empty", "cut-short",
+        ],
+    )
+    def test_corrupt_node_line(self, tmp_path, line, error):
+        path = write_square(tmp_path / "sq.txt", 1.0)
+        lines = path.read_text().splitlines()
+        assert lines[14] == "0.2 0.3"
+        lines = lines[:15] if line is None else lines[:14] + [line] + lines[15:]
+        path.write_text("\n".join(lines) + "\n")
+        if error is None:
+            assert load(path).nodes[2] == Point(0.2, 0.3)
+        else:
+            with pytest.raises(FormatError, match=re.escape(f"sq.txt: {error}")):
+                load(path)
+
+    @pytest.mark.parametrize(
+        ("block", "error"),
+        [
+            (["nodes: 2", "0.39", "0.41"], "line 13: node 0: expected '<x> <y>', got '0.39'"),
+            (
+                ["polygon: 4", "0", "0", "1", "0"],
+                "line 8: polygon vertex 0: expected '<x> <y>', got '0'",
+            ),
+        ],
+        ids=["nodes", "polygon"],
+    )
+    def test_one_token_per_line_is_not_paired_across_lines(self, tmp_path, block, error):
+        # An even number of single tokens reshapes to pairs; the block must
+        # still be read as one point per line.
+        path = write_square(tmp_path / "sq.txt", 1.0)
+        lines = path.read_text().splitlines()
+        lines = lines[:11] + block if block[0] == "nodes: 2" else lines[:6] + block + lines[11:]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=re.escape(f"sq.txt: {error}")):
+            load(path)
+
+    def test_huge_count_over_a_short_block_fails_at_its_end(self, tmp_path):
+        # The count comes from the file: a reader that sized anything by it
+        # before reading the lines would run out of memory here.
+        path = write_square(tmp_path / "sq.txt", 1.0)
+        path.write_text(path.read_text().replace("nodes: 6", f"nodes: {10**12}"))
+        with pytest.raises(
+            FormatError, match=re.escape("sq.txt: line 19: unexpected end of file, expected node 6")
+        ):
+            load(path)
 
 
 class TestCoordinateExtent:
