@@ -15,10 +15,11 @@ best-improvement passes, and runs only on the few trial tours whose screen
 finds an improving move. Each screen row's ``argmin`` is that row's move in
 a full first pass, so such a trial starts from its screen's move and skips
 one table. A pass fills one contiguous m x (m + 2) table of move costs with
-one flat add over the tour's gathered distances. Construction computes the
-distance matrix in blocks of 64 rows, so it needs one 64 x n scratch array
-beside the n x n result, and each sector's nearest-neighbour tour is one
-(m + 1) x m gather and one ``argmin`` per node.
+one flat add over the tour's distances. No table bigger than a route's is
+built: every distance is computed where it is read, from the coordinate
+array (``_Distances``), so a solve's memory grows with its routes, not
+with n^2. Each sector's nearest-neighbour tour is one (m + 1) x m table and
+one ``argmin`` per node.
 
 ``exact_minmax`` scores every partition of up to 10 nodes into at most 3
 routes as one array of masks. Per-subset optimal tours are walked back from a
@@ -42,16 +43,43 @@ _RELOCATE_CANDIDATES = 10
 _IMPROVE_EPS = 1e-12
 _TWO_OPT_MAX_PASSES = 1000
 _DEPOT = -1  # the depot's row and column: the distance matrix's last
-_MATRIX_BLOCK = 64  # rows of the distance matrix computed per block
 
 
 class TooLarge(ValueError):
     """Instance exceeds the exact oracle's enforced limits."""
 
 
+class _Distances:
+    """Euclidean distances over an instance's nodes 0..n-1 and its depot at
+    index n (or ``_DEPOT``), each computed where it is read.
+
+    ``d[rows, cols]`` takes index arrays of any broadcast shape and computes
+    ``xs[r] - xs[c]`` and ``ys[r] - ys[c]``, their squares, the sum and the
+    ``sqrt``, in that order, so every entry has the bits of a full matrix
+    built with the same operations. Swapping the operands is exact: the
+    differences only change sign, which the squares do not see.
+    """
+
+    def __init__(self, inst: FarmInstance) -> None:
+        self.xs, self.ys = np.append(inst.xy, [[inst.depot.x], [inst.depot.y]], axis=1)
+
+    def __getitem__(self, index: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        rows, cols = index
+        dx = self.xs[rows] - self.xs[cols]
+        dy = self.ys[rows] - self.ys[cols]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        return np.sqrt(dx, out=dx)
+
+
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Symmetric Euclidean distances over nodes 0..n-1 plus the depot at index n."""
+    """Symmetric Euclidean distances over nodes 0..n-1 plus the depot at index n.
+
+    Only ``exact_minmax`` (n <= 10) and API callers build one; ``minmax-ls``
+    computes its distances where it reads them (``_Distances``).
+    """
 
     entries: np.ndarray
 
@@ -61,18 +89,8 @@ class DistanceMatrix:
 
     @classmethod
     def from_instance(cls, inst: FarmInstance) -> "DistanceMatrix":
-        xs, ys = np.append(inst.xy, [[inst.depot.x], [inst.depot.y]], axis=1)
-        entries = np.empty((len(xs), len(xs)))
-        scratch = np.empty((_MATRIX_BLOCK, len(xs)))
-        for r in range(0, len(xs), _MATRIX_BLOCK):
-            dx, dy = entries[r : r + _MATRIX_BLOCK], scratch[: len(xs) - r]
-            np.subtract(xs[r : r + _MATRIX_BLOCK, None], xs, out=dx)
-            np.subtract(ys[r : r + _MATRIX_BLOCK, None], ys, out=dy)
-            dx *= dx
-            dy *= dy
-            dx += dy
-            np.sqrt(dx, out=dx)
-        return cls(entries=entries)
+        every = np.arange(inst.xy.shape[1] + 1)
+        return cls(entries=_Distances(inst)[every[:, None], every])
 
 
 def _route_cost(D: np.ndarray, order: list[int]) -> float:
@@ -98,7 +116,7 @@ def _tour_lengths(legs: np.ndarray, sizes: np.ndarray) -> list[float]:
 
 
 def two_opt(
-    order: list[int], D: np.ndarray, *, first: tuple[int, int] | None = None
+    order: list[int], D: np.ndarray | _Distances, *, first: tuple[int, int] | None = None
 ) -> tuple[list[int], bool]:
     """Best-improvement 2-opt on a depot-anchored tour until no move helps
     (at most ``_TWO_OPT_MAX_PASSES`` passes).
@@ -110,10 +128,12 @@ def two_opt(
     ``len(order) + 1``; reversing ``order[i..j]`` replaces edges i and j + 1.
     ``first``, when given, is the move (i, j) that the first pass would
     take: pass 1 reverses ``order[i..j]`` without building its table, and
-    counts against the pass cap as any pass does.
+    counts against the pass cap as any pass does. ``D`` is a distance
+    matrix or a ``_Distances``; either is read as one (m + 2)^2 table S of
+    the tour's distances, ``D[P[:, None], P]`` for the tour's positions P.
 
     Each pass writes every move's cost change into one contiguous m x w
-    table, w = m + 2, with one flat add over the gathered distances S:
+    table, w = m + 2, with one flat add over S:
     entry (i, j) is S[i, j + 1] + S[i + 1, j + 2], so it sits w + 1
     elements after S[i, j + 1] in S's flat buffer, and the last two columns
     of each row are padding. The argmin of its flat index i * w + j takes
@@ -129,7 +149,7 @@ def two_opt(
     converged = False
     if m >= 3:
         w = m + 2
-        S = D.take(P, axis=0).take(P, axis=1)  # S[a, b] = D[P[a], P[b]]
+        S = D[P[:, None], P]  # S[a, b] = D[P[a], P[b]]
         flat = S.ravel()
         cons = S.diagonal(1)  # cons[t] = length of edge t, a view of S
         after = np.zeros(w)  # after[j] = cons[j + 1], then two zeros for the padding
@@ -155,7 +175,8 @@ def two_opt(
 
 
 def _screen_table(
-    D: np.ndarray, tours: np.ndarray, cost: np.ndarray, stop: np.ndarray, e: np.ndarray
+    D: np.ndarray | _Distances, tours: np.ndarray, cost: np.ndarray, stop: np.ndarray,
+    e: np.ndarray,
 ) -> np.ndarray:
     """Cost change of every 2-opt move of tour row r that drops its edge e[r],
     +inf where there is no such move.
@@ -204,18 +225,18 @@ def _screen_picks(screen: np.ndarray, e: np.ndarray) -> list[tuple[bool, float, 
     ))
 
 
-def _nearest_neighbor(nodes: list[int], D: np.ndarray) -> list[int]:
+def _nearest_neighbor(nodes: list[int], D: np.ndarray | _Distances) -> list[int]:
     """Greedy tour from the depot, each step to the (distance, node) minimum
     among the unvisited nodes.
 
-    Row t of one (m + 1) x m gather holds the distances from the t-th node in
+    Row t of one (m + 1) x m table holds the distances from the t-th node in
     ascending order (the depot last) to all m; a visited column is set to
     inf, so ``argmin``'s first index is the minimum among the unvisited. A
     row whose minimum is inf has only infinite distances left, and takes
     the first unvisited column, as that rule does.
     """
     ids = np.array(sorted(nodes), dtype=np.intp)
-    sub = D.take(np.append(ids, _DEPOT), axis=0).take(ids, axis=1)
+    sub = D[np.append(ids, _DEPOT)[:, None], ids]
     cols = sub.T  # cols[t] is column t of sub, so one index sets it
     unvisited = np.ones(len(ids), dtype=bool)
     picks: list[np.intp] = []
@@ -252,7 +273,8 @@ def _sector_partition(
 
 
 def _insertions(
-    D: np.ndarray, tours: np.ndarray, cost: np.ndarray, edges: np.ndarray, nodes: list[int]
+    D: np.ndarray | _Distances, tours: np.ndarray, cost: np.ndarray, edges: np.ndarray,
+    nodes: list[int],
 ) -> tuple[list[list[int]], list[list[float]]]:
     """Cheapest position to insert each of ``nodes`` into each tour, alone:
     positions and added costs, indexed [node][tour].
@@ -266,7 +288,7 @@ def _insertions(
     scanned.
     """
     # near[c, r, s] = D[tours[r, s], nodes[c]], as D is symmetric
-    near = D.take(nodes, axis=0).take(tours, axis=1)
+    near = D[np.array(nodes)[:, None, None], tours]
     # deltas[c, r, pos] = added cost of nodes[c] between tours[r, pos] and tours[r, pos + 1]
     deltas = near[:, :, :-1] + near[:, :, 1:]
     deltas -= cost
@@ -341,7 +363,7 @@ def minmax_local_search(
         raise InvalidK(f"k={k} infeasible for {n} nodes")
     if max_iterations < 0:
         raise ValueError(f"max_iterations must be non-negative, got {max_iterations}")
-    D = DistanceMatrix.from_instance(inst).entries
+    D = _Distances(inst)
     # Node coordinates, and 0.0 at _DEPOT: a depot entry adds nothing to a sum.
     X, Y = np.append(inst.xy, [[0.0], [0.0]], axis=1)
 

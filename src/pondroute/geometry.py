@@ -98,14 +98,21 @@ class ConvexPolygon:
 
 def _chain(xs: list[float], ys: list[float]) -> list[int]:
     """One monotone chain over points in sweep order, as indices into ``xs``
-    and ``ys``; a point whose turn is not a left turn by more than EPS times
-    the chord is popped."""
+    and ``ys``. The chain's top is popped when the next point makes no left
+    turn with it, or a left turn of at most EPS times the chord of the top's
+    neighbours while the top lies within that chord's extent (its
+    projection onto the chord's line falls on the chord). A top beyond the
+    chord is a corner, however thin its turn."""
     chain: list[int] = []
     for i, (x, y) in enumerate(zip(xs, ys)):
         while len(chain) >= 2:
             o, a = chain[-2], chain[-1]
-            turn = (xs[a] - xs[o]) * (y - ys[o]) - (ys[a] - ys[o]) * (x - xs[o])
-            if turn > 0.0 and turn > EPS * math.hypot(x - xs[o], y - ys[o]):
+            vx, vy = x - xs[o], y - ys[o]
+            turn = (xs[a] - xs[o]) * vy - (ys[a] - ys[o]) * vx
+            if turn > 0.0 and (
+                turn > EPS * math.hypot(vx, vy)
+                or not 0.0 <= (xs[a] - xs[o]) * vx + (ys[a] - ys[o]) * vy <= vx * vx + vy * vy
+            ):
                 break
             chain.pop()
         chain.append(i)
@@ -123,10 +130,11 @@ def _hull_ring(xs: np.ndarray, ys: np.ndarray) -> list[int]:
     monotone-chain hull, CCW from the smallest (x, y).
 
     Exact duplicates are dropped first (the position of the first copy is
-    kept, and ``-0.0 == 0.0``), and a chain point whose perpendicular
-    deviation from the chord of its neighbours is at most EPS (a distance,
-    so the cross product is normalized by the chord length) counts as
-    collinear. Fewer than 3 entries means the points span no polygon.
+    kept, and ``-0.0 == 0.0``), and a chain point that lies within the
+    extent of the chord of its neighbours, at a perpendicular deviation of
+    at most EPS from it (a distance, so the cross product is normalized by
+    the chord length), counts as collinear (``_chain``). Fewer than 3
+    entries means the points span no polygon.
 
     The points are sorted by one ``np.lexsort`` (stable, so the first copy
     of a duplicate comes first), and each chain reads only the ends of the
@@ -158,10 +166,12 @@ def _hull_ring(xs: np.ndarray, ys: np.ndarray) -> list[int]:
     on top; both x-differences are exactly 0, so its turn is a zero and it
     pops yj, and (a) applies to it. (c) The next column's bottom finds
     (y1, yk) on top, with turn 0 * A - (yk - y1) * (c' - c) <= 0, and pops
-    yk. So after every column but the last the chain holds what it holds
-    after y1 alone, and each test on the column ends has the operands of
-    the same test on all points. In the last column, (b) leaves yk alone on
-    y1, as on the column ends.
+    yk. A turn of at most zero pops the top wherever it lies, and one above
+    the margin keeps it, so the chord-extent rule of ``_chain`` decides
+    none of these tests. So after every column but the last the chain
+    holds what it holds after y1 alone, and each test on the column ends
+    has the operands, and so the outcome, of the same test on all points.
+    In the last column, (b) leaves yk alone on y1, as on the column ends.
     """
     by = np.lexsort((ys, xs))
     xs, ys = xs[by], ys[by]
@@ -210,14 +220,14 @@ def convex_hull(points: Iterable[Point]) -> ConvexPolygon:
 
     The result is canonical: CCW order starting from the lexicographically
     smallest (x, then y) vertex. Exact coordinate duplicates are dropped
-    first, and a chain point whose perpendicular deviation from the chord of
-    its neighbours is at most EPS (a distance, so the cross product is
-    normalized by the chord length) counts as collinear, so every returned
-    vertex is a strict corner.
+    first, and a chain point that lies within the extent of the chord of its
+    neighbours, at a perpendicular deviation of at most EPS from it (a
+    distance, so the cross product is normalized by the chord length),
+    counts as collinear, so every returned vertex is a strict corner.
 
     Raises DegenerateInput when the points span no polygon: fewer than 3
-    distinct points, or no hull corner deviates more than EPS from the chord
-    of its neighbours.
+    distinct points, or fewer than 3 chain points that are not collinear
+    in that sense.
     """
     xs, ys = _coordinate_rows(points)
     ring = _polygon_ring(xs, ys)

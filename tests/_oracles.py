@@ -51,8 +51,10 @@ def hull_vertex_oracle(points: list[Point]) -> set[tuple[float, float]]:
 
 def hull_ring_oracle(points: list[Point]) -> list[tuple[float, float]]:
     """The monotone-chain ring over every distinct point, with no column
-    filter: ``geometry._hull_ring`` as it was before the filter, kept
-    verbatim so the filtered ring can be compared with it."""
+    filter: ``geometry._hull_ring`` as it was before the filter, so the
+    filtered ring can be compared with it. A top within EPS of its
+    neighbours' line is popped only when it lies within their chord's
+    extent, as in ``geometry._chain``."""
     pts = sorted({(p.x, p.y) for p in points})
     if len(pts) < 3:
         return pts
@@ -63,7 +65,11 @@ def hull_ring_oracle(points: list[Point]) -> list[tuple[float, float]]:
             while len(chain) >= 2:
                 (ox, oy), (ax, ay) = chain[-2], chain[-1]
                 turn = (ax - ox) * (y - oy) - (ay - oy) * (x - ox)
-                if turn > 0.0 and turn > EPS * math.hypot(x - ox, y - oy):
+                along = (ax - ox) * (x - ox) + (ay - oy) * (y - oy)
+                chord = (x - ox) * (x - ox) + (y - oy) * (y - oy)
+                if turn > 0.0 and (
+                    turn > EPS * math.hypot(x - ox, y - oy) or not 0.0 <= along <= chord
+                ):
                     break
                 chain.pop()
             chain.append((x, y))

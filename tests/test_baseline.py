@@ -1,6 +1,7 @@
 import itertools
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,20 @@ def synthetic_instance(nodes: list[Point], depot: Point) -> FarmInstance:
 
 
 class TestBudgetAndMatrix:
+    def test_minmax_ls_peak_memory_below_a_quarter_of_the_matrix(self):
+        # minmax-ls computes each distance where it reads it, so no table
+        # grows with n^2: at n = 2000 its peak allocation (numpy buffers
+        # included) stays below a quarter of the (n + 1)^2 float64 matrix.
+        n = 2000
+        inst = generate(n, 3)
+        tracemalloc.start()
+        try:
+            minmax_local_search(inst, k=5, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (n + 1) ** 2 / 4
+
     def test_budget_requires_a_bound(self):
         inst = generate(12, 0)
         with pytest.raises(ValueError, match="max_iterations"):
@@ -371,8 +386,9 @@ class TestMatchesOracle:
         D, depot = DistanceMatrix.from_instance(inst).entries, n
         assert D.tobytes() == distance_matrix_oracle(inst).tobytes()
         nodes = rng.permutation(n)[: rng.integers(1, n + 1)].tolist()
-        assert _nearest_neighbor(nodes, D) == nearest_neighbor_oracle(nodes, D, depot)
-        assert two_opt(nodes, D)[0] == two_opt_oracle(nodes, D, depot)
+        for dist in (D, baseline._Distances(inst)):  # a matrix, or computed where read
+            assert _nearest_neighbor(nodes, dist) == nearest_neighbor_oracle(nodes, D, depot)
+            assert two_opt(nodes, dist)[0] == two_opt_oracle(nodes, D, depot)
         assert _route_cost(D, nodes) == route_cost_oracle(D, depot, nodes)
         extra = [i for i in range(n) if i not in nodes] or [0]
         for order in (nodes, []):
@@ -490,12 +506,27 @@ class TestMatchesOracle:
         assert _nearest_neighbor(nodes, D) == nearest_neighbor_oracle(nodes, D, n)
 
     @pytest.mark.parametrize("n", [63, 64, 65, 128, 129, 500])
-    def test_matrix_blocks_match_oracle(self, n):
-        # Rows are computed in blocks of 64; each entry keeps its operations.
-        for family in FAMILIES:
-            inst = point_set(family, np.random.default_rng(n), n)
+    def test_distances_match_oracle(self, n):
+        # Every entry, of the matrix and of the distances minmax-ls computes
+        # where it reads them, has the oracle's bits: on index arrays of any
+        # broadcast shape, in both operand orders, the depot as -1 or n, and
+        # on off-lattice points at every scale 2^j.
+        rng = np.random.default_rng(n)
+        insts = [point_set(family, np.random.default_rng(n), n) for family in FAMILIES]
+        insts += [
+            synthetic_instance([Point(x * 2.0**j, y * 2.0**j) for x, y in rng.random((n, 2))],
+                               Point(*rng.random(2) * 2.0**j))
+            for j in range(-30, 31)
+        ]
+        for inst in insts:
+            want = distance_matrix_oracle(inst)
             got = DistanceMatrix.from_instance(inst).entries
-            assert got.tobytes() == distance_matrix_oracle(inst).tobytes()
+            assert got.tobytes() == want.tobytes()
+            rows = rng.integers(-1, n + 1, size=(7, 1, 1))
+            cols = rng.integers(-1, n + 1, size=(3, 11))
+            D = baseline._Distances(inst)
+            assert D[rows, cols].tobytes() == want[rows, cols].tobytes()
+            assert D[cols, rows].tobytes() == want[cols, rows].tobytes()
 
     @pytest.mark.parametrize("cap", [1, 2])
     def test_pass_cap_falls_back_to_full_passes(self, monkeypatch, cap):

@@ -132,16 +132,12 @@ class TestConvexHull:
         assert again.vertices == hull.vertices
         assert all(contains(hull, p) for p in pts)
 
-    @pytest.mark.xfail(
-        reason="the EPS turn test pops a corner that lies within EPS of the line "
-        "through its neighbours but beyond their chord",
-        strict=True,
-    )
     def test_keeps_a_corner_beyond_its_neighbours_chord(self):
         # The upper chain reads the column x = -2.13e-17 top first: with
         # (0, -1) and (-2.13e-17, 1) on the chain, (-2.13e-17, 0) makes a
-        # left turn of 2.1e-17, below EPS times the chord, and pops the top,
-        # which then lies 1 unit outside the hull.
+        # left turn of 2.1e-17, below EPS times the chord. The top lies
+        # beyond that chord, so it stays; popped, it would lie 1 unit
+        # outside the hull.
         x = -2.1305760520699788e-17
         pts = [Point(0.0, -1.0), Point(-1.0, 0.0), Point(x, 0.0), Point(x, 1.0)]
         hull = convex_hull(pts)
