@@ -10,13 +10,18 @@ an area (twice the triangle's), not a distance.
 Hulls and antipodal pairs are computed on coordinate arrays, a hull's
 corners as positions into them, so an ``hpp`` solve reads its coordinates
 once; only the public functions take or build ``Point``s and
-``ConvexPolygon``s. A hull of m points costs one ``np.lexsort`` and a few
-O(m) array passes, then the two monotone chains in Python over the lowest
-and highest point of each x column only: about a fifth of the points on
-``hpp``'s lattice clusters (the column filter of ``_hull_ring``). Small
-inputs take the same path: on a hull of a few dozen points numpy's per-call
-cost adds some tens of microseconds, far below what a solve or an instance
-generation resolves.
+``ConvexPolygon``s. The hulls of every cluster of a labelled point set come
+from one call, ``_hull_rings``: one ``np.lexsort`` by (cluster, x, y) and a
+few array passes over all points, then, per cluster, the two monotone
+chains in Python over the lowest and highest point of each x column only:
+about a fifth of the points on ``hpp``'s lattice clusters (the column
+filter). ``_hull_ring`` is its one-cluster call. The antipodal pairs of
+every polygon of a batch likewise come from one call, ``_caliper_pairs``:
+the rotating-calipers walk of each polygon, O(m) steps for m corners;
+``antipodal_pairs`` is its one-polygon call. Small inputs take the same
+path: on a hull of a few dozen points numpy's per-call cost adds some tens
+of microseconds, far below what a solve or an instance generation resolves;
+``hpp``'s cluster repair pays it once per donor it tries.
 
 Containment (``_inside``) tests every edge of an outline in one broadcast:
 ``_edges`` builds the polygon's edge table once, with the edges on a leading
@@ -127,21 +132,91 @@ def _coordinate_rows(points: Iterable[Point]) -> np.ndarray:
 
 def _hull_ring(xs: np.ndarray, ys: np.ndarray) -> list[int]:
     """Positions in (``xs``, ``ys``) of the strict corners of the
-    monotone-chain hull, CCW from the smallest (x, y).
+    monotone-chain hull, CCW from the smallest (x, y): the one-cluster call
+    of ``_hull_rings``."""
+    return _hull_rings(xs, ys, np.zeros(len(xs), dtype=np.intp), 1)[0]
 
-    Exact duplicates are dropped first (the position of the first copy is
-    kept, and ``-0.0 == 0.0``), and a chain point that lies within the
-    extent of the chord of its neighbours, at a perpendicular deviation of
-    at most EPS from it (a distance, so the cross product is normalized by
-    the chord length), counts as collinear (``_chain``). Fewer than 3
-    entries means the points span no polygon.
 
-    The points are sorted by one ``np.lexsort`` (stable, so the first copy
-    of a duplicate comes first), and each chain reads only the ends of the
-    x columns: the lower chain every column's bottom plus the last column's
+def _hull_rings(xs: np.ndarray, ys: np.ndarray, labels: np.ndarray, k: int) -> list[list[int]]:
+    """The hull ring of each of the k clusters of ``labels`` over the points
+    (``xs``, ``ys``): the positions, into the cluster's ascending members, of
+    the strict corners of its monotone-chain hull, CCW from its smallest
+    (x, y).
+
+    Exact duplicates within a cluster are dropped first (the position of the
+    first copy is kept, and ``-0.0 == 0.0``); the same point in two clusters
+    stays in both. A chain point that lies within the extent of the chord of
+    its neighbours, at a perpendicular deviation of at most EPS from it (a
+    distance, so the cross product is normalized by the chord length),
+    counts as collinear (``_chain``). Fewer than 3 entries means the cluster
+    spans no polygon; a cluster of fewer than 3 distinct points gets those,
+    in (x, y) order.
+
+    All clusters are sorted by one stable ``np.lexsort`` on (label, x, y),
+    so the first copy of a duplicate comes first, and their column ends and
+    margin tests (``_column_ends_suffice``) are whole-array operations.
+    Where a cluster's margin holds, its chains read only the ends of its x
+    columns: the lower chain every column's bottom plus the last column's
     top, the upper chain every column's top, right to left, plus the first
-    column's bottom. That gives the ring of the chains over every point,
-    at any input size, whenever
+    column's bottom. Otherwise they read every point. Only the two chains of
+    each cluster run in Python, on its slices of the concatenated candidate
+    lists.
+    """
+    by = np.lexsort((ys, xs, labels))
+    lab, xs, ys = labels[by], xs[by], ys[by]
+    keep = np.ones(len(by), dtype=bool)
+    keep[1:] = (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1]) | (lab[1:] != lab[:-1])
+    count = np.bincount(labels, minlength=k)
+    rank = np.empty(len(by), dtype=np.intp)  # each point's position among its cluster's members
+    rank[np.argsort(labels, kind="stable")] = np.arange(len(by)) - np.repeat(
+        np.cumsum(count) - count, count
+    )
+    pos, lab, xs, ys = rank[by[keep]], lab[keep], xs[keep], ys[keep]
+    # cut[i]: point i is its cluster's first, col[i]: its column's bottom;
+    # both hold at the end, i = len(xs), too.
+    cut = np.ones(len(xs) + 1, dtype=bool)
+    cut[1:-1] = lab[1:] != lab[:-1]
+    col = cut.copy()
+    col[1:-1] |= xs[1:] != xs[:-1]
+    bounds = cut.nonzero()[0]  # the non-empty clusters, end to end
+    every = np.ones(k, dtype=bool)  # the chains read every point of the cluster
+    every[lab[bounds[:-1]]] = ~_column_ends_suffice(xs, ys, col, bounds)
+    size = np.bincount(lab, minlength=k)  # distinct points per cluster
+    every, chained = every[lab], (size >= 3)[lab]
+    lower = (chained & (every | col[:-1] | cut[1:])).nonzero()[0]
+    upper = (chained & (every | col[1:] | cut[:-1])).nonzero()[0][::-1]
+    lower_count = np.bincount(lab[lower], minlength=k).tolist()
+    upper_count = np.bincount(lab[upper], minlength=k).tolist()
+    lx, ly, lp = xs[lower].tolist(), ys[lower].tolist(), pos[lower].tolist()
+    ux, uy, up = xs[upper].tolist(), ys[upper].tolist(), pos[upper].tolist()
+    # Cluster c's lower candidates follow those of the clusters before it;
+    # its upper ones, right to left, precede them in the reversed list.
+    rings: list[list[int]] = []
+    a, lo, u = 0, 0, len(up)
+    for n, nl, nu in zip(size.tolist(), lower_count, upper_count):
+        u -= nu
+        if n < 3:
+            rings.append(pos[a : a + n].tolist())
+        else:
+            lower_chain = _chain(lx[lo : lo + nl], ly[lo : lo + nl])
+            upper_chain = _chain(ux[u : u + nu], uy[u : u + nu])
+            ring = [lp[lo + i] for i in lower_chain[:-1]]
+            rings.append(ring + [up[u + i] for i in upper_chain[:-1]])
+        a, lo = a + n, lo + nl
+    return rings
+
+
+def _column_ends_suffice(
+    xs: np.ndarray, ys: np.ndarray, col: np.ndarray, bounds: np.ndarray
+) -> np.ndarray:
+    """Per cluster, whether the chains of ``_hull_rings`` may read only its
+    column ends: the margin test over the (x, y)-sorted distinct points
+    ``xs[bounds[c]:bounds[c + 1]]``, ``ys[bounds[c]:bounds[c + 1]]`` of each
+    cluster c, ``col[i]`` marking the bottom of each column (a cluster's
+    first point starts one).
+
+    The chains of a cluster's column ends give the ring of the chains over
+    every point, at any input size, whenever
 
         gx * gy > EPS * hypot(W, H) * (1 + 2^-40) + 2^-48 * W * H + 2^-1070,
 
@@ -172,37 +247,29 @@ def _hull_ring(xs: np.ndarray, ys: np.ndarray) -> list[int]:
     holds what it holds after y1 alone, and each test on the column ends
     has the operands, and so the outcome, of the same test on all points.
     In the last column, (b) leaves yk alone on y1, as on the column ends.
+
+    The extents and gaps are whole-array reductions over all clusters; the
+    margin of each is taken in Python floats, as the proof has it.
+    Differences across clusters, and the extents of clusters that fail the
+    test, may overflow; they decide nothing, so overflow is not reported.
     """
-    by = np.lexsort((ys, xs))
-    xs, ys = xs[by], ys[by]
-    keep = np.ones(len(xs), dtype=bool)
-    keep[1:] = (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])
-    by, xs, ys = by[keep], xs[keep], ys[keep]
-    if len(xs) < 3:
-        return by.tolist()
-    lower = np.ones(len(xs), dtype=bool)
-    upper = np.ones(len(xs), dtype=bool)
-    new_col = xs[1:] != xs[:-1]  # point i + 1 starts a column, point i ends one
-    if _column_ends_suffice(xs, ys, new_col):
-        lower[1:-1] = new_col[:-1]
-        upper[1:-1] = new_col[1:]
-    lower, upper = np.flatnonzero(lower), np.flatnonzero(upper)[::-1]
-    lower_chain = _chain(xs[lower].tolist(), ys[lower].tolist())
-    upper_chain = _chain(xs[upper].tolist(), ys[upper].tolist())
-    return by[np.append(lower[lower_chain[:-1]], upper[upper_chain[:-1]])].tolist()
-
-
-def _column_ends_suffice(xs: np.ndarray, ys: np.ndarray, new_col: np.ndarray) -> bool:
-    """The margin test of ``_hull_ring`` over its (x, y)-sorted distinct
-    points. Extents are checked first, so no array difference overflows."""
-    w = float(xs[-1]) - float(xs[0])
-    h = float(ys.max()) - float(ys.min())
-    if not math.isfinite(4.0 * w * h):
-        return False
-    gx = float((xs[1:] - xs[:-1])[new_col].min(initial=math.inf))
-    gy = float((ys[1:] - ys[:-1])[~new_col].min(initial=math.inf))
-    margin = EPS * math.hypot(w, h) * (1.0 + 2.0**-40) + 2.0**-48 * w * h + 2.0**-1070
-    return math.isfinite(gx * gy) and gx * gy > margin
+    start, end = bounds[:-1], bounds[1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        widths = xs[end - 1] - xs[start]
+        heights = np.maximum.reduceat(ys, start) - np.minimum.reduceat(ys, start)
+        gaps = np.full((2, len(xs)), math.inf)  # entry i: the gap from point i to i + 1
+        np.subtract(xs[1:], xs[:-1], out=gaps[0, :-1], where=col[1:-1])
+        np.subtract(ys[1:], ys[:-1], out=gaps[1, :-1], where=~col[1:-1])
+    gaps[0, end - 1] = math.inf  # from a cluster's last point to the next cluster
+    suffice = []
+    gx, gy = np.minimum.reduceat(gaps, start, axis=1).tolist()
+    for w, h, gx, gy in zip(widths.tolist(), heights.tolist(), gx, gy):
+        if not (math.isfinite(4.0 * w * h) and math.isfinite(gx * gy)):
+            suffice.append(False)
+            continue
+        margin = EPS * math.hypot(w, h) * (1.0 + 2.0**-40) + 2.0**-48 * w * h + 2.0**-1070
+        suffice.append(gx * gy > margin)
+    return np.array(suffice, dtype=bool)
 
 
 def _polygon_ring(xs: np.ndarray, ys: np.ndarray) -> list[int]:
@@ -234,37 +301,57 @@ def convex_hull(points: Iterable[Point]) -> ConvexPolygon:
     return ConvexPolygon(tuple(map(Point, xs[ring].tolist(), ys[ring].tolist())))
 
 
-def _caliper_pairs(xs: list[float], ys: list[float]) -> list[tuple[int, int]]:
-    """``antipodal_pairs`` of the strictly convex CCW polygon with corners
-    (``xs``, ``ys``)."""
-    n = len(xs)
-    pairs: set[tuple[int, int]] = set()
-    j = 1  # absolute counter, vertex index is j % n
+def _caliper_pairs(xs: np.ndarray, ys: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """``antipodal_pairs`` of every strictly convex CCW polygon of a batch:
+    polygon r has the ``sizes[r]`` corners that follow the earlier ones in
+    (``xs``, ``ys``). Returns a (P, 2) array of corner positions into
+    (``xs``, ``ys``), each pair in ascending order, deduplicated and sorted,
+    so polygon by polygon.
 
-    def height(i: int, i1: int, idx: int) -> float:
-        b = idx % n  # _cross(v[i], v[i1], v[b]), operand for operand
-        return (xs[i1] - xs[i]) * (ys[b] - ys[i]) - (ys[i1] - ys[i]) * (xs[b] - xs[i])
-
-    for i in range(n):
-        i1 = (i + 1) % n
-        if j < i + 1:
-            j = i + 1
-        h, h_next = height(i, i1, j), height(i, i1, j + 1)
-        while h_next > h + EPS:
-            j += 1
-            if j > i + 2 * n:  # cannot happen for a valid polygon
-                raise RuntimeError("antipodal pointer failed to terminate")
-            h, h_next = h_next, height(i, i1, j + 1)
-        far = j % n
-        for a in (i, i1):
-            if a != far:
-                pairs.add((min(a, far), max(a, far)))
-        if abs(h_next - h) <= EPS:
-            far2 = (j + 1) % n
-            for a in (i, i1):
-                if a != far2:
-                    pairs.add((min(a, far2), max(a, far2)))
-    return sorted(pairs)
+    Each polygon gets its own pointer walk in Python, one height at a time,
+    so a polygon of m corners costs O(m) steps and memory. The walk records
+    per edge only where it stops and whether the next corner ties; the
+    pairs are built from those, for all polygons, in a few array passes.
+    """
+    px, py = xs.tolist(), ys.tolist()
+    far, tie = [], []  # per edge: where the walk stops, and whether the next corner ties
+    o = 0  # the polygon's first position
+    for n in sizes:
+        j = 1  # absolute counter, corner o + j % n
+        for i in range(n):
+            x0, y0 = px[o + i], py[o + i]
+            i1 = o + (i + 1) % n
+            ex, ey = px[i1] - x0, py[i1] - y0  # heights are _cross(v[i], v[i1], v[b])
+            if j < i + 1:
+                j = i + 1
+            b = o + j % n
+            h = ex * (py[b] - y0) - ey * (px[b] - x0)
+            b = o + (j + 1) % n
+            h_next = ex * (py[b] - y0) - ey * (px[b] - x0)
+            while h_next > h + EPS:
+                j += 1
+                if j > i + 2 * n:  # cannot happen for a valid polygon
+                    raise RuntimeError("antipodal pointer failed to terminate")
+                b = o + (j + 1) % n
+                h, h_next = h_next, ex * (py[b] - y0) - ey * (px[b] - x0)
+            far.append(j % n)
+            tie.append(abs(h_next - h) <= EPS)
+        o += n
+    # Edge (e, e1) pairs both ends with its far corner, and with the corner
+    # after it on a tie (the opposite edge is parallel); a corner is not
+    # paired with itself.
+    sizes = np.asarray(sizes, dtype=np.intp)
+    m, e = np.repeat(sizes, sizes), np.arange(len(px))
+    o = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    far, tie = np.array(far, dtype=np.intp), np.array(tie, dtype=bool)
+    e1, after, far = o + (e - o + 1) % m, o + (far + 1) % m, o + far
+    a = np.concatenate([e, e1, e[tie], e1[tie]])
+    b = np.concatenate([far, far, after[tie], after[tie]])
+    # Sorted and deduplicated by hand: a process's first ``np.unique`` call
+    # allocates about 1 MB once, which shows in a benchmark's peak RSS.
+    key = np.sort((np.minimum(a, b) * len(e) + np.maximum(a, b))[a != b])
+    key = key[np.diff(key, prepend=-1) != 0]
+    return np.stack(np.divmod(key, len(e)), axis=1)
 
 
 def antipodal_pairs(poly: ConvexPolygon) -> list[tuple[int, int]]:
@@ -275,10 +362,11 @@ def antipodal_pairs(poly: ConvexPolygon) -> list[tuple[int, int]]:
     That vertex is antipodal to both edge endpoints; when the next vertex is
     equally far the opposite edge is parallel and the tied vertex contributes
     the extra pair combinations. Returns the vertex-index pairs ``(i, j)``
-    with i < j, deduplicated and sorted.
+    with i < j, deduplicated and sorted. This is the one-polygon call of
+    ``_caliper_pairs``.
     """
-    v = poly.vertices
-    return _caliper_pairs([p.x for p in v], [p.y for p in v])
+    xs, ys = _coordinate_rows(poly.vertices)
+    return list(map(tuple, _caliper_pairs(xs, ys, [len(xs)]).tolist()))
 
 
 def _edges(poly: ConvexPolygon) -> np.ndarray:

@@ -33,15 +33,19 @@ of their cluster's best are built in full and re-scored by exact summation,
 and each builds only the axis that can win unless its two table lengths are
 that close too, so the chosen routes and their stored lengths are the ones
 exhaustive scoring gives. Routing k clusters of n nodes in all costs, per
-cluster of m nodes, one O(m log m) ``lexsort`` and a chain over its column
-ends for the hull (about a fifth of the nodes on a lattice) and O(m) per
-exact re-score (about two per cluster on generated instances); and for all
-clusters together, two stable sorts of the n nodes, a lane key for each
-hull corner at each distinct row and column coordinate of its cluster, one
-sort of the table entries (a table lists its cluster's m nodes, and a
-lattice cluster has one table per axis, so 2n entries), and a fixed number
-of array operations over all candidates. The routes come back as a
-``solution.Solution``, whose module also holds the file format.
+cluster of m nodes with c hull corners, the two monotone chains in Python
+over its column ends (about a fifth of the nodes on a lattice), a
+rotating-calipers walk of O(c) Python steps for the antipodal pairs, and
+O(m) per exact re-score (about two per cluster on generated instances); and
+for all clusters together, one ``lexsort`` of the n nodes by (cluster, x,
+y) with every cluster's column ends and margin test as whole-array
+operations (``geometry._hull_rings``), one call that walks every hull
+(``geometry._caliper_pairs``), two stable sorts of the n nodes, a lane key
+for each hull corner at each distinct row and column coordinate of its
+cluster, one sort of the table entries (a table lists its cluster's m
+nodes, and a lattice cluster has one table per axis, so 2n entries), and a
+fixed number of array operations over all candidates. The routes come back
+as a ``solution.Solution``, whose module also holds the file format.
 """
 
 from __future__ import annotations
@@ -53,7 +57,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Point, _caliper_pairs, _coordinate_rows, _hull_ring, _polygon_ring
+from .geometry import (
+    Point,
+    _caliper_pairs,
+    _coordinate_rows,
+    _hull_ring,
+    _hull_rings,
+    _polygon_ring,
+)
 # Bound here for the benchmark, which times hulls and pairs as hpp.<name>.
 from .geometry import antipodal_pairs, convex_hull  # noqa: F401
 from .instances import FarmInstance, _left_sum
@@ -334,14 +345,15 @@ def _repair(xy: np.ndarray, labels: np.ndarray, k: int) -> list[list[int]]:
     small clusters. Candidates are tried nearest first, so a donor ring is
     built only until a safe one is found, and at most once per step for each
     (donor, position): copies of one position leave the same point set
-    behind. A move rebuilds only the donor's and the receiver's rings.
+    behind. The k rings come from one ``_hull_rings`` call, and a move
+    rebuilds only the donor's and the receiver's rings, in one more.
     Raises RepairImpossible when no cluster can donate or after 10 n moves.
     """
-    groups = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
-    rings = [_hull_ring(*xy[:, ids]) for ids in groups]
+    rings = _hull_rings(*xy, labels, k)
     if all(len(ring) >= 3 for ring in rings):
         return rings
     xs, ys = xy.tolist()
+    groups = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
     groups = [ids.tolist() for ids in groups]  # ascending
     safe: dict[tuple[int, float, float], bool] = {}  # (donor, x, y) -> donor stays valid
 
@@ -376,7 +388,8 @@ def _repair(xy: np.ndarray, labels: np.ndarray, k: int) -> list[list[int]]:
         groups[donor].remove(moved)
         bisect.insort(ids, moved)
         labels[moved] = invalid
-        rings[donor], rings[invalid] = (_hull_ring(*xy[:, groups[c]]) for c in (donor, invalid))
+        pair = np.repeat([0, 1], [len(groups[donor]), len(ids)])
+        rings[donor], rings[invalid] = _hull_rings(*xy[:, groups[donor] + ids], pair, 2)
     raise RepairImpossible("cluster repair did not converge")
 
 
@@ -722,16 +735,12 @@ def _candidates(
     pair (i, j) of the hull as (i, j) then (j, i)."""
     members = np.argsort(labels, kind="stable")
     bounds = np.concatenate([[0], np.cumsum(np.bincount(labels, minlength=k))])
-    starts, pairs, cluster = [], [], []
-    for c, (a, ring) in enumerate(zip(bounds.tolist(), rings)):
-        corners = [a + r for r in ring]
-        ring_pairs = _caliper_pairs(*xy[:, members[corners]].tolist())
-        pairs += [(len(starts) + i, len(starts) + j) for i, j in ring_pairs]
-        cluster += [c] * (2 * len(ring_pairs))
-        starts += corners
-    ends = np.array(pairs).reshape(-1, 2)
-    tables = _LaneTables(xy, members, bounds, np.array(starts), spacing)
-    return tables, ends.reshape(-1), ends[:, ::-1].reshape(-1), np.array(cluster)
+    sizes = [len(ring) for ring in rings]
+    starts = np.repeat(bounds[:-1], sizes) + np.concatenate(rings)
+    ends = _caliper_pairs(*xy[:, members[starts]], sizes)
+    cluster = np.repeat(np.repeat(np.arange(k), sizes)[ends[:, 0]], 2)
+    tables = _LaneTables(xy, members, bounds, starts, spacing)
+    return tables, ends.reshape(-1), ends[:, ::-1].reshape(-1), cluster
 
 
 def _route_clusters(

@@ -166,6 +166,41 @@ def antipodal_oracle_sweep(
     return pairs
 
 
+def caliper_walk_oracle(xs: list[float], ys: list[float]) -> list[tuple[int, int]]:
+    """The rotating-calipers walk of ``geometry.antipodal_pairs`` over one
+    strictly convex CCW polygon with corners (``xs``, ``ys``), one height at
+    a time, frozen as the library had it before it walked many polygons at
+    once."""
+    n = len(xs)
+    pairs: set[tuple[int, int]] = set()
+    j = 1  # absolute counter, vertex index is j % n
+
+    def height(i: int, i1: int, idx: int) -> float:
+        b = idx % n  # _cross(v[i], v[i1], v[b]), operand for operand
+        return (xs[i1] - xs[i]) * (ys[b] - ys[i]) - (ys[i1] - ys[i]) * (xs[b] - xs[i])
+
+    for i in range(n):
+        i1 = (i + 1) % n
+        if j < i + 1:
+            j = i + 1
+        h, h_next = height(i, i1, j), height(i, i1, j + 1)
+        while h_next > h + EPS:
+            j += 1
+            if j > i + 2 * n:  # cannot happen for a valid polygon
+                raise RuntimeError("antipodal pointer failed to terminate")
+            h, h_next = h_next, height(i, i1, j + 1)
+        far = j % n
+        for a in (i, i1):
+            if a != far:
+                pairs.add((min(a, far), max(a, far)))
+        if abs(h_next - h) <= EPS:
+            far2 = (j + 1) % n
+            for a in (i, i1):
+                if a != far2:
+                    pairs.add((min(a, far2), max(a, far2)))
+    return sorted(pairs)
+
+
 def distance(a: Point, b: Point) -> float:
     """Euclidean distance, the one ``math.hypot`` of the path oracles."""
     return math.hypot(a.x - b.x, a.y - b.y)

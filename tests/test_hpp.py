@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pondroute import hpp
+from pondroute import geometry, hpp
 from pondroute.baseline import TooLarge, minmax_local_search
 from pondroute.evaluation import ALGORITHMS, InstanceMetrics, score, solve_with
 from pondroute.geometry import (
@@ -472,18 +472,11 @@ class TestRepairClusters:
         pts = list(generate(200, 1000).nodes)
         pts += [Point(3.0, 3.0)] * 12
         assign = kmeans(pts, k, seed=0)
-        calls = []
-        hull_ring = hpp._hull_ring
-
-        def counted(xs, ys):
-            calls.append(len(xs))
-            return hull_ring(xs, ys)
-
-        monkeypatch.setattr(hpp, "_hull_ring", counted)
+        rings = count_rings(monkeypatch)
         repaired = repair_clusters(assign, pts)
         moves = sum(a != b for a, b in zip(assign.labels, repaired.labels))
         assert moves >= 1
-        assert len(calls) <= 2 * k * moves
+        assert sum(rings) <= 2 * k * moves
 
     def test_hull_count_per_move_on_copies_is_bounded(self, monkeypatch):
         # Every cluster and every donor is invalid: 120 copies of each of four
@@ -494,18 +487,11 @@ class TestRepairClusters:
         pts = [Point(x, y) for x, y in spots for _ in range(120)]
         labels = [c for c in (0, 1, 1, 2) for _ in range(120)]
         assign = ClusterAssignment(labels=tuple(labels), centroids=(Point(0, 0),) * k)
-        calls = []
-        hull_ring = hpp._hull_ring
-
-        def counted(xs, ys):
-            calls.append(len(xs))
-            return hull_ring(xs, ys)
-
-        monkeypatch.setattr(hpp, "_hull_ring", counted)
+        rings = count_rings(monkeypatch)
         repaired = repair_clusters(assign, pts)
         moves = sum(a != b for a, b in zip(assign.labels, repaired.labels))
         assert moves >= 1
-        assert len(calls) <= 3 * (k + len(spots)) * moves
+        assert sum(rings) <= 3 * (k + len(spots)) * moves
 
 
 class TestSerpentineRoute:
@@ -780,6 +766,22 @@ def count_calls(monkeypatch, owners: dict[str, object]) -> dict[str, int]:
     return calls
 
 
+def count_rings(monkeypatch) -> list[int]:
+    """From now on, one entry per batched hull-ring call: the number of
+    cluster rings it builds. The one-cluster ``_hull_ring`` goes through
+    ``geometry._hull_rings`` too, so every ring built is counted."""
+    built: list[int] = []
+    real = geometry._hull_rings
+
+    def counted(xs, ys, labels, k):
+        built.append(k)
+        return real(xs, ys, labels, k)
+
+    monkeypatch.setattr(geometry, "_hull_rings", counted)
+    monkeypatch.setattr(hpp, "_hull_rings", counted)
+    return built
+
+
 def batch(clusters: list[list[Point]], seed: int = 0) -> tuple[list[Point], np.ndarray]:
     """The clusters' nodes in a shuffled order, and the cluster of each."""
     labels = np.repeat(np.arange(len(clusters)), [len(pts) for pts in clusters])
@@ -1013,16 +1015,20 @@ class TestHppSolve:
         # hashes no Point to find the corners.
         inst = generate(300, 42)
         k = 5
+        rings = count_rings(monkeypatch)
         calls = count_calls(monkeypatch, {
-            "_hull_ring": hpp,
+            "_caliper_pairs": hpp,
             "repair_clusters": hpp,
             "__hash__": Point,
             "__post_init__": Point,
             "ConvexPolygon.__post_init__": ConvexPolygon,
         })
         hpp_solve(inst, k=k, seed=0)
+        assert sum(rings) == k
+        # one batched call builds every ring, and one finds every ring's pairs
+        assert len(rings) == 1 and calls["_caliper_pairs"] == 1
         assert calls == {
-            "_hull_ring": k,
+            "_caliper_pairs": 1,
             "repair_clusters": 0,
             "__hash__": 0,
             "__post_init__": 0,
@@ -1037,14 +1043,14 @@ class TestHppSolve:
         inst = generate(2000, 1000)
         inst = dataclasses.replace(inst, xy=np.append(inst.xy, np.full((2, 12), 3.0), axis=1))
         k = 20
+        rings = count_rings(monkeypatch)
         calls = count_calls(monkeypatch, {
-            "_hull_ring": hpp,
             "__post_init__": Point,
             "ClusterAssignment.__post_init__": ClusterAssignment,
         })
         hpp_solve(inst, k=k, seed=0)
+        assert sum(rings) == 26
         assert calls == {
-            "_hull_ring": 26,
             "__post_init__": 0,
             "ClusterAssignment.__post_init__": 0,
         }
