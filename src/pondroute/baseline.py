@@ -2,24 +2,28 @@
 
 ``minmax_local_search`` builds k routes from an angular sector sweep around
 the depot, polishes each with 2-opt, then relocates nodes off the longest
-route while the maximum strictly decreases. Each relocation step tries up to
-10 moves and re-polishes the two routes of each. Those routes are 2-opt local
-optima with one node removed or inserted, so only the O(m) moves that drop a
-new edge can improve them, for a route of m nodes. A step is a fixed set of
-table operations, whatever k and the number of trials: one ``np.hypot``
-table shortlists the candidate nodes, one (candidates x routes x edges)
-table prices every insertion, one table over all trial tours screens their
-new-edge moves, and one row-wise fold sums their lengths. That screen alone
-decides whether 2-opt runs: ``two_opt`` has one path, full O(m^2)
-best-improvement passes, and runs only on the few trial tours whose screen
-finds an improving move. Each screen row's ``argmin`` is that row's move in
-a full first pass, so such a trial starts from its screen's move and skips
-one table. A pass fills one contiguous m x (m + 2) table of move costs with
-one flat add over the tour's distances. No table bigger than a route's is
-built: every distance is computed where it is read, from the coordinate
-array (``_Distances``), so a solve's memory grows with its routes, not
-with n^2. Each sector's nearest-neighbour tour is one (m + 1) x m table and
-one ``argmin`` per node.
+route while the maximum strictly decreases. The routes live in one table for
+the whole solve: route r is row r, depot to depot and padded with the depot,
+and ``sizes[r]`` counts its nodes. Construction fills the table once, each
+step reads it at ``max(sizes) + 3`` columns (a depot column is added when a
+route outgrew it), and an accepted move copies two trial rows in. Each
+relocation step tries up to 10 moves and re-polishes the two routes of each.
+Those routes are 2-opt local optima with one node removed or inserted, so
+only the O(m) moves that drop a new edge can improve them, for a route of m
+nodes. A step is a fixed set of table operations, whatever k and the number
+of trials: one ``np.hypot`` table shortlists the candidate nodes, one
+(candidates x routes x edges) table prices every insertion, one table over
+all trial tours screens their new-edge moves, and one row-wise fold sums
+their lengths. That screen alone decides whether 2-opt runs: ``two_opt`` has
+one path, full O(m^2) best-improvement passes, and runs only on the few
+trial tours whose screen finds an improving move. Each screen row's
+``argmin`` is that row's move in a full first pass, so such a trial starts
+from its screen's move and skips one table. A pass fills one contiguous m x
+(m + 2) table of move costs with one flat add over the tour's distances. No
+table bigger than a route's is built: every distance is computed where it is
+read, from the coordinate array (``_Distances``), so a solve's memory grows
+with its routes, not with n^2. Each sector's nearest-neighbour tour is one
+(m + 1) x m table and one ``argmin`` per node.
 
 ``exact_minmax`` scores every partition of up to 10 nodes into at most 3
 routes as one array of masks. Per-subset optimal tours are walked back from a
@@ -367,35 +371,36 @@ def minmax_local_search(
     # Node coordinates, and 0.0 at _DEPOT: a depot entry adds nothing to a sum.
     X, Y = np.append(inst.xy, [[0.0], [0.0]], axis=1)
 
-    # optimal[r]: no 2-opt move on orders[r] gains more than _IMPROVE_EPS
-    orders: list[list[int]] = []
-    optimal: list[bool] = []
+    # Route r is row r of one table, depot to depot and padded with the
+    # depot, over its sizes[r] nodes. optimal[r]: no 2-opt move on it gains
+    # more than _IMPROVE_EPS.
     xs, ys = X[:_DEPOT].tolist(), Y[:_DEPOT].tolist()
-    for sector in _sector_partition(xs, ys, inst.depot.x, inst.depot.y, k):
-        tour, done = two_opt(_nearest_neighbor(sector, D), D)
-        orders.append(tour)
-        optimal.append(done)
-    width = max(map(len, orders)) + 2
-    tours = np.array([[_DEPOT, *o] + [_DEPOT] * (width - 1 - len(o)) for o in orders])
-    lengths = _tour_lengths(D[tours[:, :-1], tours[:, 1:]], np.array([len(o) for o in orders]))
+    sectors = _sector_partition(xs, ys, inst.depot.x, inst.depot.y, k)
+    built = [two_opt(_nearest_neighbor(sector, D), D) for sector in sectors]
+    optimal = [done for _, done in built]
+    sizes = np.array([len(tour) for tour, _ in built])
+    width = int(sizes.max()) + 3
+    table = np.array([[_DEPOT, *tour] + [_DEPOT] * (width - 1 - len(tour)) for tour, _ in built])
+    lengths = _tour_lengths(D[table[:, :-1], table[:, 1:]], sizes)
     if trace is not None:
         trace.append(max(lengths))
 
     for _ in range(max_iterations if k > 1 else 0):  # one route has no relocation target
         cur_max = max(lengths)
         longest = lengths.index(cur_max)
-        m = len(orders[longest])
+        m = int(sizes[longest])
         if m < 2:
             break
         others = [r for r in range(k) if r != longest]  # each holds at least one node
 
-        # Every route as a depot-to-depot row, padded with the depot to leave
-        # room for one more node, and the lengths of its edges.
-        sizes = [len(o) for o in orders]
-        width = max(sizes) + 3
-        tours = np.array([[_DEPOT, *o] + [_DEPOT] * (width - 1 - len(o)) for o in orders])
+        # The routes at a width that leaves room for one more node, and the
+        # lengths of their edges. A move grows a route by one node, so a
+        # route outgrows the table by at most one depot column.
+        width = int(sizes.max()) + 3
+        if table.shape[1] < width:
+            table = np.append(table, np.full((k, 1), _DEPOT), axis=1)
+        tours = table[:, :width]
         cost = D[tours[:, :-1], tours[:, 1:]]
-        sizes = np.array(sizes)
 
         # The nodes nearest another route's centroid: (gap, node, position)
         # rows. Each coordinate sum starts from the depot's 0.0 and adds the
@@ -476,15 +481,14 @@ def minmax_local_search(
             break
         # (node, target) is unique per move, so only the first three fields are compared
         _, _, r, c, g, lengths = min(moves)
-        orders[longest] = trials[c, 1 : trial_sizes[c] + 1].tolist()
-        orders[r] = trials[g, 1 : trial_sizes[g] + 1].tolist()
+        tours[longest], tours[r] = trials[c], trials[g]
+        sizes[longest], sizes[r] = trial_sizes[c], trial_sizes[g]
         optimal[longest], optimal[r] = converged[c], converged[g]
         if trace is not None:
             trace.append(max(lengths))
 
-    routes = tuple(
-        Route(node_order=tuple(order), length=length) for order, length in zip(orders, lengths)
-    )
+    orders = (tuple(row[1 : size + 1].tolist()) for row, size in zip(table, sizes.tolist()))
+    routes = tuple(map(Route, orders, lengths))
     return Solution(instance_ref=inst.name, algorithm="minmax-ls", seed=seed, routes=routes)
 
 

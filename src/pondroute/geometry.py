@@ -7,21 +7,22 @@ below the grid pitch of any generated instance. There it bounds a distance
 ties of ``antipodal_pairs``, where it is compared with a raw cross product,
 an area (twice the triangle's), not a distance.
 
-Hulls and antipodal pairs are computed on coordinate arrays, a hull's
-corners as positions into them, so an ``hpp`` solve reads its coordinates
-once; only the public functions take or build ``Point``s and
-``ConvexPolygon``s. The hulls of every cluster of a labelled point set come
-from one call, ``_hull_rings``: one ``np.lexsort`` by (cluster, x, y) and a
-few array passes over all points, then, per cluster, the two monotone
-chains in Python over the lowest and highest point of each x column only:
-about a fifth of the points on ``hpp``'s lattice clusters (the column
-filter). ``_hull_ring`` is its one-cluster call. The antipodal pairs of
-every polygon of a batch likewise come from one call, ``_caliper_pairs``:
-the rotating-calipers walk of each polygon, O(m) steps for m corners;
-``antipodal_pairs`` is its one-polygon call. Small inputs take the same
-path: on a hull of a few dozen points numpy's per-call cost adds some tens
-of microseconds, far below what a solve or an instance generation resolves;
-``hpp``'s cluster repair pays it once per donor it tries.
+Hulls and antipodal pairs are computed on coordinate arrays, and a hull's
+corners come back as indices into them (a cluster's too, when the points are
+labelled), so an ``hpp`` solve reads its coordinates once; only the public
+functions take or build ``Point``s and ``ConvexPolygon``s. The hulls of
+every cluster of a labelled point set come from one call, ``_hull_rings``:
+one ``np.lexsort`` by (cluster, x, y) and a few array passes over all
+points, then, per cluster, the two monotone chains in Python over the lowest
+and highest point of each x column only: about a fifth of the points on
+``hpp``'s lattice clusters (the column filter). ``_hull_ring`` is its
+one-cluster call. The antipodal pairs of every polygon of a batch likewise
+come from one call, ``_caliper_pairs``: the rotating-calipers walk of each
+polygon, O(m) steps for m corners; ``antipodal_pairs`` is its one-polygon
+call. Small inputs take the same path: on a hull of a few dozen points
+numpy's per-call cost adds some tens of microseconds, far below what a solve
+or an instance generation resolves; ``hpp``'s cluster repair pays it once
+per donor it tries.
 
 Containment (``_inside``) tests every edge of an outline in one broadcast:
 ``_edges`` builds the polygon's edge table once, with the edges on a leading
@@ -131,7 +132,7 @@ def _coordinate_rows(points: Iterable[Point]) -> np.ndarray:
 
 
 def _hull_ring(xs: np.ndarray, ys: np.ndarray) -> list[int]:
-    """Positions in (``xs``, ``ys``) of the strict corners of the
+    """Indices into (``xs``, ``ys``) of the strict corners of the
     monotone-chain hull, CCW from the smallest (x, y): the one-cluster call
     of ``_hull_rings``."""
     return _hull_rings(xs, ys, np.zeros(len(xs), dtype=np.intp), 1)[0]
@@ -139,11 +140,10 @@ def _hull_ring(xs: np.ndarray, ys: np.ndarray) -> list[int]:
 
 def _hull_rings(xs: np.ndarray, ys: np.ndarray, labels: np.ndarray, k: int) -> list[list[int]]:
     """The hull ring of each of the k clusters of ``labels`` over the points
-    (``xs``, ``ys``): the positions, into the cluster's ascending members, of
-    the strict corners of its monotone-chain hull, CCW from its smallest
-    (x, y).
+    (``xs``, ``ys``): the indices, into (``xs``, ``ys``), of the strict
+    corners of its monotone-chain hull, CCW from its smallest (x, y).
 
-    Exact duplicates within a cluster are dropped first (the position of the
+    Exact duplicates within a cluster are dropped first (the index of the
     first copy is kept, and ``-0.0 == 0.0``); the same point in two clusters
     stays in both. A chain point that lies within the extent of the chord of
     its neighbours, at a perpendicular deviation of at most EPS from it (a
@@ -166,12 +166,7 @@ def _hull_rings(xs: np.ndarray, ys: np.ndarray, labels: np.ndarray, k: int) -> l
     lab, xs, ys = labels[by], xs[by], ys[by]
     keep = np.ones(len(by), dtype=bool)
     keep[1:] = (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1]) | (lab[1:] != lab[:-1])
-    count = np.bincount(labels, minlength=k)
-    rank = np.empty(len(by), dtype=np.intp)  # each point's position among its cluster's members
-    rank[np.argsort(labels, kind="stable")] = np.arange(len(by)) - np.repeat(
-        np.cumsum(count) - count, count
-    )
-    pos, lab, xs, ys = rank[by[keep]], lab[keep], xs[keep], ys[keep]
+    pos, lab, xs, ys = by[keep], lab[keep], xs[keep], ys[keep]
     # cut[i]: point i is its cluster's first, col[i]: its column's bottom;
     # both hold at the end, i = len(xs), too.
     cut = np.ones(len(xs) + 1, dtype=bool)

@@ -13,9 +13,9 @@ only the nodes whose bounds overlap (about a fifth of them at n = 2000,
 k = 20). The full (k, n) table is built in the first round, in a round that
 leaves a cluster empty, and in every round when n * k < 10000. A solve reads
 the instance's (2, n) coordinate array ``FarmInstance.xy``, which k-means,
-hulls (corners are positions into it), cluster repair, lane tables and exact
-re-scores share; ``Point``, ``ConvexPolygon`` and ``ClusterAssignment`` are
-built only by the public functions.
+hulls (every cluster's corners are node indices into it), cluster repair,
+lane tables and exact re-scores share; ``Point``, ``ConvexPolygon`` and
+``ClusterAssignment`` are built only by the public functions.
 
 Candidates are scored without building them, every cluster of a solve in
 one pass. Per stacking axis (rows, columns) a cluster's nodes fall into
@@ -333,8 +333,8 @@ def repair_clusters(assign: ClusterAssignment, nodes: Sequence[Point]) -> Cluste
 
 def _repair(xy: np.ndarray, labels: np.ndarray, k: int) -> list[list[int]]:
     """Hull ring of each of the k clusters of ``labels`` over ``xy``, as
-    positions into the cluster's ascending members, after growing every
-    cluster that spans no polygon (a ring of fewer than 3 corners).
+    node indices into ``xy``, after growing every cluster that spans no
+    polygon (a ring of fewer than 3 corners).
     ``labels`` is updated in place; every cluster must be non-empty.
 
     While some cluster is invalid, the first one absorbs the node nearest to
@@ -346,15 +346,15 @@ def _repair(xy: np.ndarray, labels: np.ndarray, k: int) -> list[list[int]]:
     built only until a safe one is found, and at most once per step for each
     (donor, position): copies of one position leave the same point set
     behind. The k rings come from one ``_hull_rings`` call, and a move
-    rebuilds only the donor's and the receiver's rings, in one more.
+    rebuilds only the donor's and the receiver's rings, in one more call on
+    those two clusters' members, whose rings are mapped back to node indices.
     Raises RepairImpossible when no cluster can donate or after 10 n moves.
     """
     rings = _hull_rings(*xy, labels, k)
     if all(len(ring) >= 3 for ring in rings):
         return rings
     xs, ys = xy.tolist()
-    groups = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
-    groups = [ids.tolist() for ids in groups]  # ascending
+    groups = [np.flatnonzero(labels == c).tolist() for c in range(k)]  # ascending
     safe: dict[tuple[int, float, float], bool] = {}  # (donor, x, y) -> donor stays valid
 
     def leaves_donor_valid(i: int, donor: int) -> bool:
@@ -388,8 +388,10 @@ def _repair(xy: np.ndarray, labels: np.ndarray, k: int) -> list[list[int]]:
         groups[donor].remove(moved)
         bisect.insort(ids, moved)
         labels[moved] = invalid
+        both = groups[donor] + ids
         pair = np.repeat([0, 1], [len(groups[donor]), len(ids)])
-        rings[donor], rings[invalid] = _hull_rings(*xy[:, groups[donor] + ids], pair, 2)
+        rebuilt = _hull_rings(*xy[:, both], pair, 2)
+        rings[donor], rings[invalid] = ([both[i] for i in ring] for ring in rebuilt)
     raise RepairImpossible("cluster repair did not converge")
 
 
@@ -730,16 +732,19 @@ def _candidates(
     """The lane tables of the k clusters of ``labels`` over the points
     ``xy``, anchored at their hull corners, and the candidate sweeps: each
     one's start and end anchor and its cluster. ``rings`` holds each
-    cluster's hull corners as positions into its ascending members
-    (``_repair``). Clusters come in order and, within one, each antipodal
-    pair (i, j) of the hull as (i, j) then (j, i)."""
+    cluster's hull corners as node indices into ``xy`` (``_repair``), and
+    one scatter over ``members`` gives each node's slot in the tables.
+    Clusters come in order and, within one, each antipodal pair (i, j) of
+    the hull as (i, j) then (j, i)."""
     members = np.argsort(labels, kind="stable")
     bounds = np.concatenate([[0], np.cumsum(np.bincount(labels, minlength=k))])
     sizes = [len(ring) for ring in rings]
-    starts = np.repeat(bounds[:-1], sizes) + np.concatenate(rings)
-    ends = _caliper_pairs(*xy[:, members[starts]], sizes)
+    corners = np.concatenate(rings)
+    slot = np.empty_like(members)
+    slot[members] = np.arange(len(members))
+    ends = _caliper_pairs(*xy[:, corners], sizes)
     cluster = np.repeat(np.repeat(np.arange(k), sizes)[ends[:, 0]], 2)
-    tables = _LaneTables(xy, members, bounds, starts, spacing)
+    tables = _LaneTables(xy, members, bounds, slot[corners], spacing)
     return tables, ends.reshape(-1), ends[:, ::-1].reshape(-1), cluster
 
 

@@ -449,6 +449,22 @@ class TestMatchesOracle:
             assert sol == minmax_ls_oracle(inst, k=k, seed=0, trace=want)
             assert trace == want
 
+    def test_routes_outgrow_the_starting_table(self):
+        # Relocations grow a route from the constructive solution's longest,
+        # 8 nodes, to 14, so the route table gains depot columns during the
+        # solve; every route and length still has the oracle's bits.
+        inst = generate(40, 5001)
+        start = minmax_local_search(inst, k=5, seed=0, max_iterations=0)
+        trace: list[float] = []
+        want: list[float] = []
+        sol = minmax_local_search(inst, k=5, seed=0, trace=trace)
+        oracle = minmax_ls_oracle(inst, k=5, seed=0, trace=want)
+        assert max(len(r.node_order) for r in start.routes) == 8
+        assert max(len(r.node_order) for r in sol.routes) == 14
+        assert [r.node_order for r in sol.routes] == [r.node_order for r in oracle.routes]
+        assert [r.length.hex() for r in sol.routes] == [r.length.hex() for r in oracle.routes]
+        assert [x.hex() for x in trace] == [x.hex() for x in want]
+
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_two_opt_one_node_with_infinite_distances(self, seed):

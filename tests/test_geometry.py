@@ -311,20 +311,19 @@ class TestHullRings:
     def test_matches_oracle_cluster_by_cluster(self, seed, j, k):
         # One call over all clusters gives, for each, the corners of the
         # chains over its distinct points, zero signs included, each at the
-        # position, among the cluster's ascending members, of the first
-        # point with its coordinates.
+        # node index of the cluster's first point with its coordinates.
         pts, labels = labelled_clusters(np.random.default_rng(seed), j, k)
         xs, ys = geometry._coordinate_rows(pts)
         rings = geometry._hull_rings(xs, ys, labels, k)
         assert len(rings) == k
-        for c, positions in enumerate(rings):
-            members = [pts[i] for i in np.flatnonzero(labels == c).tolist()]
-            want = hull_ring_oracle(members)
-            assert bits([(members[i].x, members[i].y) for i in positions]) == bits(want), c
+        for c, ring in enumerate(rings):
+            ids = np.flatnonzero(labels == c).tolist()
+            want = hull_ring_oracle([pts[i] for i in ids])
+            assert bits([(pts[i].x, pts[i].y) for i in ring]) == bits(want), c
             first: dict[tuple[float, float], int] = {}
-            for i, p in enumerate(members):
-                first.setdefault((p.x, p.y), i)
-            assert positions == [first[corner] for corner in want], c
+            for i in ids:
+                first.setdefault((pts[i].x, pts[i].y), i)
+            assert ring == [first[corner] for corner in want], c
         assert len(rings[0]) < 3
 
     @pytest.mark.parametrize("j", [0, 30, 500])
@@ -348,9 +347,9 @@ class TestHullRings:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(geometry, "_chain", counted)
             rings = geometry._hull_rings(xs, ys, labels, 2)
-        for positions, members in zip(rings, clusters):
-            ring = [(members[i].x, members[i].y) for i in positions]
-            assert bits(ring) == bits(hull_ring_oracle(members))
+        for ring, members in zip(rings, clusters):
+            corners = [(pts[i].x, pts[i].y) for i in ring]
+            assert bits(corners) == bits(hull_ring_oracle(members))
         # two chains per cluster, in cluster order
         per_cluster = [reads[0] + reads[1], reads[2] + reads[3]]
         assert per_cluster == ([8, 2 * len(below)] if above_first else [2 * len(below), 8])

@@ -1011,7 +1011,7 @@ class TestHppSolve:
         # Valid k-means clusters are routed as they are: each cluster's hull
         # is the only validity check, and repair moves nothing. The solve
         # reads the coordinates into one array and keeps hull corners as
-        # positions into it, so it builds no Point and no ConvexPolygon and
+        # node indices into it, so it builds no Point and no ConvexPolygon and
         # hashes no Point to find the corners.
         inst = generate(300, 42)
         k = 5
