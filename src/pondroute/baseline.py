@@ -28,7 +28,8 @@ with its routes, not with n^2. Each sector's nearest-neighbour tour is one
 ``exact_minmax`` scores every partition of up to 10 nodes into at most 3
 routes as one array of masks. Per-subset optimal tours are walked back from a
 single (2^n, n) dynamic-programming cost array relaxed one subset size per
-numpy step. It is the ground truth the heuristics are measured against.
+numpy step, each subset's route once; only the chosen routes are priced. It
+is the ground truth the heuristics are measured against.
 """
 
 from __future__ import annotations
@@ -556,7 +557,11 @@ def exact_minmax(inst: FarmInstance, k: int) -> Solution:
 
     Minimizes the maximum route length over all partitions into k non-empty
     routes and all visit orders; ties break by total distance, then by the
-    lexicographically smallest canonical route content.
+    lexicographically smallest canonical route content: the sorted list of
+    its routes, each in the smaller of its two directions. Over the tied
+    partitions it reconstructs each subset's route once; only the chosen
+    routes are priced. Distinct partitions have distinct route lists, so the
+    lengths never decide between them.
     """
     n = inst.xy.shape[1]
     if n > EXACT_MAX_NODES or k > EXACT_MAX_ROUTES:
@@ -573,13 +578,11 @@ def exact_minmax(inst: FarmInstance, k: int) -> Solution:
     worst = costs.max(axis=1)
     total = _left_sum(costs.T)  # column by column, as sum() adds a row
     tied = np.flatnonzero(worst == worst.min())
-    tied = tied[total[tied] == total[tied].min()]
-
-    def canonical_routes(parts) -> list[tuple[tuple[int, ...], float]]:
-        orders = [_reconstruct(dp, D, mask, int(tour_last[mask])) for mask in parts]
-        chosen = sorted(min(tuple(o), tuple(o[::-1])) for o in orders)
-        return [(order, _route_cost(D, list(order))) for order in chosen]
-
-    chosen = min(canonical_routes(partitions[p].tolist()) for p in tied)
-    routes = tuple(Route(node_order=order, length=length) for order, length in chosen)
+    parts = partitions[tied[total[tied] == total[tied].min()]]  # the tied partitions
+    canonical = {}  # mask -> its route in the smaller of its two directions
+    for mask in np.unique(parts).tolist():
+        order = _reconstruct(dp, D, mask, int(tour_last[mask]))
+        canonical[mask] = min(tuple(order), tuple(order[::-1]))
+    chosen = min(sorted(canonical[mask] for mask in part) for part in parts.tolist())
+    routes = tuple(Route(node_order=order, length=_route_cost(D, list(order))) for order in chosen)
     return Solution(instance_ref=inst.name, algorithm="exact", seed=0, routes=routes)

@@ -3,8 +3,9 @@
 Pipeline: k-means over the node set, then one boustrophedon sweep per cluster
 anchored at an antipodal pair of the cluster hull. That hull is the only
 validity check, and it is built once per cluster: when some k-means cluster
-spans no polygon, repair moves nodes into it and rebuilds only the hulls of
-the two clusters each move changes, and the hulls it ends with are routed.
+spans no polygon, repair moves nodes into it, each move keeping the donor's
+ring from the trial it takes and building only the receiver's, and the hulls
+it ends with are routed.
 Every antipodal pair is tried in both orientations and the candidate with
 the shortest depot-to-depot length wins. A k-means round over n nodes and k
 clusters costs two ``bincount``s for the new centroids, O(n) bound updates
@@ -40,12 +41,13 @@ O(m) per exact re-score (about two per cluster on generated instances); and
 for all clusters together, one ``lexsort`` of the n nodes by (cluster, x,
 y) with every cluster's column ends and margin test as whole-array
 operations (``geometry._hull_rings``), one call that walks every hull
-(``geometry._caliper_pairs``), two stable sorts of the n nodes, a lane key
-for each hull corner at each distinct row and column coordinate of its
-cluster, one sort of the table entries (a table lists its cluster's m
-nodes, and a lattice cluster has one table per axis, so 2n entries), and a
-fixed number of array operations over all candidates. The routes come back
-as a ``solution.Solution``, whose module also holds the file format.
+(``geometry._caliper_pairs``), one sort of the n nodes by (cluster,
+coordinate) per axis, a lane key for each hull corner at each distinct row
+and column coordinate of its cluster, one sort of the table entries (a
+table lists its cluster's m nodes, and a lattice cluster has one table per
+axis, so 2n entries), and a fixed number of array operations over all
+candidates. The routes come back as a ``solution.Solution``, whose module
+also holds the file format.
 """
 
 from __future__ import annotations
@@ -342,26 +344,30 @@ def _repair(xy: np.ndarray, labels: np.ndarray, k: int) -> list[list[int]]:
     spare a node the most populous cluster donates. A node whose removal
     would leave its donor invalid is only taken when no safe candidate
     exists, which keeps the greedy loop from ping-ponging a node between two
-    small clusters. Candidates are tried nearest first, so a donor ring is
-    built only until a safe one is found, and at most once per step for each
-    (donor, position): copies of one position leave the same point set
-    behind. The k rings come from one ``_hull_rings`` call, and a move
-    rebuilds only the donor's and the receiver's rings, in one more call on
-    those two clusters' members, whose rings are mapped back to node indices.
-    Raises RepairImpossible when no cluster can donate or after 10 n moves.
+    small clusters. Candidates are tried nearest first, so a donor's trial
+    ring (its ring without the candidate) is built only until a safe one is
+    found, and at most once per step for each (donor, position): copies of
+    one position leave the same point set behind. The candidate taken is the
+    first in that order with its (donor, position), so its trial ring,
+    mapped to node indices, is the donor's ring after the move. The k rings
+    come from one ``_hull_rings`` call; a move keeps the donor's trial ring
+    and builds only the receiver's, with one ``_hull_ring`` on its ascending
+    members. Raises RepairImpossible when no cluster can donate or after
+    10 n moves.
     """
     rings = _hull_rings(*xy, labels, k)
     if all(len(ring) >= 3 for ring in rings):
         return rings
     xs, ys = xy.tolist()
     groups = [np.flatnonzero(labels == c).tolist() for c in range(k)]  # ascending
-    safe: dict[tuple[int, float, float], bool] = {}  # (donor, x, y) -> donor stays valid
+    trials: dict[tuple[int, float, float], list[int]] = {}  # (donor, x, y) -> trial ring
 
-    def leaves_donor_valid(i: int, donor: int) -> bool:
+    def trial_ring(i: int, donor: int) -> list[int]:
         key = (donor, xs[i], ys[i])
-        if key not in safe:
-            safe[key] = len(_hull_ring(*xy[:, [m for m in groups[donor] if m != i]])) >= 3
-        return safe[key]
+        if key not in trials:
+            rest = [m for m in groups[donor] if m != i]
+            trials[key] = [rest[j] for j in _hull_ring(*xy[:, rest])]
+        return trials[key]
 
     for _ in range(10 * len(xs)):
         invalid = next((c for c, ring in enumerate(rings) if len(ring) < 3), None)
@@ -383,15 +389,13 @@ def _repair(xy: np.ndarray, labels: np.ndarray, k: int) -> list[list[int]]:
         nearest = sorted(
             (math.hypot(xs[i] - cx, ys[i] - cy), i, c) for c in donors for i in groups[c]
         )
-        safe.clear()
-        _, moved, donor = next((t for t in nearest if leaves_donor_valid(*t[1:])), nearest[0])
+        trials.clear()
+        _, moved, donor = next((t for t in nearest if len(trial_ring(*t[1:])) >= 3), nearest[0])
+        rings[donor] = trial_ring(moved, donor)
         groups[donor].remove(moved)
         bisect.insort(ids, moved)
         labels[moved] = invalid
-        both = groups[donor] + ids
-        pair = np.repeat([0, 1], [len(groups[donor]), len(ids)])
-        rebuilt = _hull_rings(*xy[:, both], pair, 2)
-        rings[donor], rings[invalid] = ([both[i] for i in ring] for ring in rebuilt)
+        rings[invalid] = [ids[j] for j in _hull_ring(*xy[:, ids])]
     raise RepairImpossible("cluster repair did not converge")
 
 
@@ -478,14 +482,16 @@ class _LaneTables:
         owner = cluster[starts]
         # Per axis: each slot's rank in tc order, the slots cluster by
         # cluster in stacking order, and each cluster's levels in ascending
-        # order, with each slot's level.
-        by_x, by_y = (np.argsort(c, kind="stable") for c in coords)
+        # order, with each slot's level. One sort per coordinate gives the
+        # (cluster, coordinate, slot) order that both need: ranks compare
+        # only within a lane, which lies in one cluster.
+        by = [np.lexsort((c, cluster)) for c in coords]
         tc_rank = np.empty((2, slots), dtype=np.intp)
         level = np.empty((2, slots), dtype=np.intp)
         values, first_level, level_count = [], [], []
-        for axis, along, across in ((0, by_x, by_y), (1, by_y, by_x)):
-            tc_rank[axis, along] = np.arange(slots)
-            stacked = across[np.argsort(cluster[across] * slots + np.arange(slots))]
+        for axis in (0, 1):
+            tc_rank[axis, by[axis]] = np.arange(slots)
+            stacked = by[1 - axis]
             v, owners = coords[1 - axis, stacked], cluster[stacked]
             new = (np.diff(v, prepend=np.nan) != 0) | (np.diff(owners, prepend=-1) != 0)
             count = np.bincount(owners[new], minlength=k)

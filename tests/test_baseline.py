@@ -26,7 +26,7 @@ from pondroute.baseline import (
 )
 from pondroute.geometry import Point, convex_hull
 from pondroute.hpp import hpp_solve
-from pondroute.instances import FarmInstance, generate
+from pondroute.instances import FarmInstance, _left_sum, generate
 from pondroute.solution import InvalidK, save_solution
 
 from _oracles import (
@@ -251,12 +251,16 @@ FAMILIES = ["lattice", "duplicates", "uniform"]
 
 def point_set(family: str, rng: np.random.Generator, n: int) -> FarmInstance:
     """n nodes and a depot: on a 5 x 5 integer lattice (ties and duplicates
-    everywhere), on three positions, or uniform in the unit square."""
+    everywhere), on three positions, or uniform in the unit square. Outside
+    ``FAMILIES``, "one-spot" and "two-spots" put every node on one or two
+    positions and the depot on one of them, which ties hundreds of
+    partitions in ``exact_minmax``."""
     if family == "lattice":
         xy = rng.integers(0, 5, size=(n + 1, 2)).astype(float)
-    elif family == "duplicates":
-        spots = rng.random((3, 2))
-        xy = spots[rng.integers(3, size=n + 1)]
+    elif family in ("duplicates", "one-spot", "two-spots"):
+        count = {"duplicates": 3, "one-spot": 1, "two-spots": 2}[family]
+        spots = rng.random((count, 2))
+        xy = spots[rng.integers(count, size=n + 1)]
     else:
         xy = rng.random((n + 1, 2))
     pts = [Point(float(x), float(y)) for x, y in xy]
@@ -345,11 +349,38 @@ class TestExactMatchesOracle:
     @example(family="lattice", seed=1, n=10)
     @example(family="duplicates", seed=2, n=10)
     @example(family="uniform", seed=3, n=10)
+    @example(family="one-spot", seed=4, n=10)
+    @example(family="two-spots", seed=5, n=10)
     def test_same_bytes_or_error(self, family, seed, n):
         inst = point_set(family, np.random.default_rng(seed), n)
         for k in (1, 2, 3):
             want = saved_bytes_or_error(exact_oracle, inst, k)
             assert saved_bytes_or_error(exact_minmax, inst, k) == want
+
+    @pytest.mark.parametrize("family, seed", [("one-spot", 4), ("two-spots", 5)])
+    def test_reconstructs_each_tied_mask_once(self, monkeypatch, family, seed):
+        # Hundreds of partitions tie on (max, total); the tie-break needs
+        # each of their subsets' routes once, not once per partition.
+        inst = point_set(family, np.random.default_rng(seed), 10)
+        D = DistanceMatrix.from_instance(inst).entries
+        tour_cost, _, _ = _subset_tours(D)
+        masks = []
+        real = baseline._reconstruct
+
+        def counted(dp, D, mask, last):
+            masks.append(mask)
+            return real(dp, D, mask, last)
+
+        monkeypatch.setattr(baseline, "_reconstruct", counted)
+        for k in (2, 3):
+            parts = _partitions(10, k).tolist()
+            keys = [(max(c), _left_sum(c)) for c in tour_cost[parts].tolist()]
+            best = min(keys)
+            tied = [p for p, key in zip(parts, keys) if key == best]
+            assert len(tied) >= 100
+            masks.clear()
+            exact_minmax(inst, k)
+            assert sorted(masks) == sorted({m for p in tied for m in p})
 
     def test_partitions_match_generator(self):
         stirling = {(0, 0): 1}  # S(n, k) partitions of n nodes into k blocks

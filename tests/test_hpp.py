@@ -464,6 +464,38 @@ class TestRepairClusters:
 
         assert outcome(repair_clusters) == outcome(repair_oracle)
 
+    @pytest.mark.parametrize("family", ["copies", "near-vertical", "collinear-rows"])
+    def test_kept_rings_are_the_clusters_rings(self, family):
+        # A move keeps the donor's trial ring: on copies, that ring must name
+        # the first remaining copy of each corner, as a fresh ring does.
+        moved = 0
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            k = int(rng.integers(2, 6))
+            n = hpp.MIN_CLUSTER_SIZE * k + int(rng.integers(0, 25))
+            xy = rng.random((2, n))
+            if family == "copies":
+                spots = rng.random((2, int(rng.integers(2, 9))))
+                xy = spots[:, rng.integers(spots.shape[1], size=n)]
+            elif family == "near-vertical":
+                xy[0] = 0.5 + rng.uniform(-1e-10, 1e-10, size=n)
+                xy[0, rng.random(n) < 0.1] += 0.2
+            else:
+                xy[1] = 0.25 * rng.integers(1, 4, size=n)
+                xy[0] = np.round(xy[0] * 8) / 8
+                xy[:, :2] = rng.random((2, 2))
+            start = rng.permutation(np.r_[np.arange(k), rng.integers(k, size=n - k)])
+            labels = start.copy()
+            try:
+                rings = hpp._repair(xy, labels, k)
+            except RepairImpossible:
+                continue
+            moved += (labels != start).any()
+            for c, ring in enumerate(rings):
+                members = np.flatnonzero(labels == c)
+                assert ring == members[geometry._hull_ring(*xy[:, members])].tolist()
+        assert moved >= 15
+
     def test_hull_count_per_move_is_bounded_by_k(self, monkeypatch):
         # k-means puts the far copies in a cluster of one position; each move
         # may build hulls for the clusters it changes and for the donor it
@@ -1037,9 +1069,10 @@ class TestHppSolve:
 
     def test_repair_rebuilds_only_the_hulls_it_changes(self, monkeypatch):
         # k-means puts the far copies in a cluster of one position. Repair
-        # keeps the k hulls it checks and rebuilds a hull only for a donor
-        # position it tries and for the two clusters of each move, all on the
-        # solve's coordinate array: k + 2 per move + 1 per donor position.
+        # keeps the k hulls it checks and builds a hull only for a donor
+        # position it tries, whose ring a move keeps, and for the receiver of
+        # each move, all on the solve's coordinate array: k + 1 per move + 1
+        # per donor position.
         inst = generate(2000, 1000)
         inst = dataclasses.replace(inst, xy=np.append(inst.xy, np.full((2, 12), 3.0), axis=1))
         k = 20
@@ -1049,7 +1082,7 @@ class TestHppSolve:
             "ClusterAssignment.__post_init__": ClusterAssignment,
         })
         hpp_solve(inst, k=k, seed=0)
-        assert sum(rings) == 26
+        assert sum(rings) == 24
         assert calls == {
             "__post_init__": 0,
             "ClusterAssignment.__post_init__": 0,
