@@ -25,11 +25,12 @@ read, from the coordinate array (``_Distances``), so a solve's memory grows
 with its routes, not with n^2. Each sector's nearest-neighbour tour is one
 (m + 1) x m table and one ``argmin`` per node.
 
-``exact_minmax`` scores every partition of up to 10 nodes into at most 3
-routes as one array of masks. Per-subset optimal tours are walked back from a
-single (2^n, n) dynamic-programming cost array relaxed one subset size per
-numpy step, each subset's route once; only the chosen routes are priced. It
-is the ground truth the heuristics are measured against.
+``exact_minmax`` reads one (n + 1)^2 table from ``_Distances`` and scores
+every partition of up to 10 nodes into at most 3 routes as one array of
+masks. Per-subset optimal tours are walked back from a single (2^n, n)
+dynamic-programming cost array relaxed one subset size per numpy step, each
+subset's route once; only the chosen routes are priced. It is the ground
+truth the heuristics are measured against.
 """
 
 from __future__ import annotations
@@ -82,8 +83,9 @@ class _Distances:
 class DistanceMatrix:
     """Symmetric Euclidean distances over nodes 0..n-1 plus the depot at index n.
 
-    Only ``exact_minmax`` (n <= 10) and API callers build one; ``minmax-ls``
-    computes its distances where it reads them (``_Distances``).
+    No solver builds one: they compute their distances where they read them
+    (``_Distances``), with the same operations. Only API callers build one,
+    and the benchmark's traced run still times ``from_instance``.
     """
 
     entries: np.ndarray
@@ -571,7 +573,8 @@ def exact_minmax(inst: FarmInstance, k: int) -> Solution:
         )
     if k < 1 or k > n:
         raise InvalidK(f"k={k} infeasible for {n} nodes")
-    D = DistanceMatrix.from_instance(inst).entries
+    every = np.arange(n + 1)
+    D = _Distances(inst)[every[:, None], every]
     tour_cost, tour_last, dp = _subset_tours(D)
     partitions = _partitions(n, k)
     costs = tour_cost[partitions]  # costs[p, r]: route r of partition p

@@ -195,7 +195,7 @@ def format_table(rows: tuple[ReportRow, ...]) -> str:
     count_label = f"{counts.pop()} instances" if len(counts) == 1 else "batch"
 
     def block(title: str, getter, fmt: str) -> list[str]:
-        width = max(10, *(len(a) + 2 for a in algorithms))
+        width = max([10, *(len(a) + 2 for a in algorithms)])
         out = [title]
         header = f"{'nodes':>8}" + "".join(f"{a:>{width}}" for a in algorithms)
         out.append(header)

@@ -113,21 +113,16 @@ class ClusterAssignment:
 # clustering
 
 
-def _table(xs: np.ndarray, ys: np.ndarray, cents: np.ndarray, work: np.ndarray) -> np.ndarray:
+def _table(xs: np.ndarray, ys: np.ndarray, cents: np.ndarray) -> np.ndarray:
     """Squared distances from the centroids to the m points (``xs``, ``ys``),
-    one row per centroid and one column per point, written into the first
-    k * m entries of ``work[0]``.
+    as a new (k, m) table: one row per centroid and one column per point.
 
-    ``cents`` holds the centroid x row over the y row, and ``work`` is
-    (2, k * n) scratch space with n >= m; reusing it across rounds saves
-    faulting in two fresh tables each time. Every entry is
+    ``cents`` holds the centroid x row over the y row. Every entry is
     ``(x - cx)**2 + (y - cy)**2`` in that order, so a point's column is the
     same floats whichever points are computed with it.
     """
-    k, m = cents.shape[1], len(xs)
-    d2, dy = work[:, : k * m].reshape(2, k, m)
-    np.subtract(xs, cents[0][:, None], out=d2)
-    np.subtract(ys, cents[1][:, None], out=dy)
+    d2 = xs - cents[0][:, None]
+    dy = ys - cents[1][:, None]
     d2 *= d2
     dy *= dy
     d2 += dy
@@ -135,25 +130,25 @@ def _table(xs: np.ndarray, ys: np.ndarray, cents: np.ndarray, work: np.ndarray) 
 
 
 def _assign_labels(
-    xs: np.ndarray, ys: np.ndarray, cents: np.ndarray, work: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nearest-centroid labels (ties to the lowest index) and cluster sizes
-    from the full (k, n) ``_table``, reseeding empty clusters.
+    xs: np.ndarray, ys: np.ndarray, cents: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Nearest-centroid labels (ties to the lowest index), cluster sizes and
+    centroids from the full (k, n) ``_table``, reseeding empty clusters, and
+    that table of the returned centroids.
 
     An empty cluster's centroid is moved onto the point farthest from its
-    nearest centroid, then labels are recomputed. On return ``work[0]``
-    holds the table of the returned centroids. Raises RepairImpossible when
-    a cluster is still empty after ``2 * k + 1`` rounds.
+    nearest centroid, then labels are recomputed. Raises RepairImpossible
+    when a cluster is still empty after ``2 * k + 1`` rounds.
     """
     k = cents.shape[1]
     cents = cents.copy()
     for _ in range(2 * k + 1):
-        d2 = _table(xs, ys, cents, work)
+        d2 = _table(xs, ys, cents)
         labels = d2.argmin(axis=0)
         sizes = np.bincount(labels, minlength=k)
         empty = np.flatnonzero(sizes == 0)
         if empty.size == 0:
-            return labels, sizes, cents
+            return labels, sizes, cents, d2
         farthest = int(d2.min(axis=0).argmax())
         cents[:, int(empty[0])] = xs[farthest], ys[farthest]
     raise RepairImpossible("could not repair empty clusters")
@@ -231,14 +226,14 @@ def _kmeans(xs: np.ndarray, ys: np.ndarray, k: int, seed: int) -> tuple[np.ndarr
     zero. A point's label is the ``argmin`` of its ``_table`` column, ties
     going to the lowest index. ``_assign_labels`` builds the full (k, n)
     table in the first round and in a round that leaves a cluster empty (its
-    reseed needs the whole table). Every other round, the one at the
-    iteration cap included, recomputes, with the same operations, only the
-    columns of the points whose label the bounds below do not fix (Hamerly
-    2010, "Making k-means even faster"), so labels and centroids are the
-    floats that full tables give. A table of fewer than
-    ``_BOUNDED_MIN_ENTRIES`` entries is cheaper to rebuild than to bound, so
-    it is built in full every round, as it is when ``_bound_slack`` gives
-    None.
+    reseed needs the whole table), and the bounds restart from the table it
+    returns. Every other round, the one at the iteration cap included,
+    recomputes, with the same operations, only the columns of the points
+    whose label the bounds below do not fix (Hamerly 2010, "Making k-means
+    even faster"), so labels and centroids are the floats that full tables
+    give. A table of fewer than ``_BOUNDED_MIN_ENTRIES`` entries is cheaper
+    to rebuild than to bound, so it is built in full every round, as it is
+    when ``_bound_slack`` gives None.
 
     Each point keeps an upper bound ``u`` on its distance to its own
     centroid and a lower bound ``l`` on its distance to every other centroid,
@@ -284,10 +279,9 @@ def _kmeans(xs: np.ndarray, ys: np.ndarray, k: int, seed: int) -> tuple[np.ndarr
     rng = make_rng(seed)
     cents = _kmeans_pp_init(xs, ys, k, rng)
     slack = _bound_slack(xs, ys) if len(xs) * k >= _BOUNDED_MIN_ENTRIES else None
-    work = np.empty((2, k * len(xs)))
-    labels, sizes, cents = _assign_labels(xs, ys, cents, work)
+    labels, sizes, cents, d2 = _assign_labels(xs, ys, cents)
     if slack is not None:
-        upper, lower = _bounds(work[0].reshape(k, -1), labels, slack)
+        upper, lower = _bounds(d2, labels, slack)
     for _ in range(KMEANS_MAX_ITER):
         new_cents = np.array([np.bincount(labels, xs, k), np.bincount(labels, ys, k)]) / sizes
         moved = new_cents - cents
@@ -295,7 +289,7 @@ def _kmeans(xs: np.ndarray, ys: np.ndarray, k: int, seed: int) -> tuple[np.ndarr
             break
         cents = new_cents
         if slack is None:
-            labels, sizes, cents = _assign_labels(xs, ys, cents, work)
+            labels, sizes, cents, _ = _assign_labels(xs, ys, cents)
             continue
         moves = np.hypot(moved[0], moved[1])
         moves += slack
@@ -303,14 +297,14 @@ def _kmeans(xs: np.ndarray, ys: np.ndarray, k: int, seed: int) -> tuple[np.ndarr
         lower -= moves.max()
         stale = np.flatnonzero(upper >= lower)
         if stale.size:
-            d2 = _table(xs[stale], ys[stale], cents, work)
+            d2 = _table(xs[stale], ys[stale], cents)
             relabelled = d2.argmin(axis=0)
             labels[stale] = relabelled
             upper[stale], lower[stale] = _bounds(d2, relabelled, slack)
         sizes = np.bincount(labels, minlength=k)
         if not sizes.all():
-            labels, sizes, cents = _assign_labels(xs, ys, cents, work)
-            upper, lower = _bounds(work[0].reshape(k, -1), labels, slack)
+            labels, sizes, cents, d2 = _assign_labels(xs, ys, cents)
+            upper, lower = _bounds(d2, labels, slack)
     return labels, cents
 
 
@@ -479,45 +473,42 @@ class _LaneTables:
         sizes = np.diff(bounds)
         coords = xy[:, members]
         cluster = np.repeat(np.arange(k), sizes)
-        owner = cluster[starts]
-        # Per axis: each slot's rank in tc order, the slots cluster by
-        # cluster in stacking order, and each cluster's levels in ascending
-        # order, with each slot's level. One sort per coordinate gives the
-        # (cluster, coordinate, slot) order that both need: ranks compare
-        # only within a lane, which lies in one cluster.
+        # Group g = axis * k + cluster holds one cluster's slots on one axis;
+        # ``tc_rank`` and ``level`` are indexed by axis * slots + slot. Axis a
+        # runs along coordinate a and stacks along coordinate 1 - a, so one
+        # sort per coordinate gives the (cluster, coordinate, slot) order that
+        # both need: ranks compare only within a lane, which lies in one
+        # cluster. ``stacked`` walks group by group in stacking order, and a
+        # group's levels are its distinct stacking coordinates, ascending.
         by = [np.lexsort((c, cluster)) for c in coords]
-        tc_rank = np.empty((2, slots), dtype=np.intp)
-        level = np.empty((2, slots), dtype=np.intp)
-        values, first_level, level_count = [], [], []
-        for axis in (0, 1):
-            tc_rank[axis, by[axis]] = np.arange(slots)
-            stacked = by[1 - axis]
-            v, owners = coords[1 - axis, stacked], cluster[stacked]
-            new = (np.diff(v, prepend=np.nan) != 0) | (np.diff(owners, prepend=-1) != 0)
-            count = np.bincount(owners[new], minlength=k)
-            first = np.cumsum(count) - count
-            level[axis, stacked] = np.cumsum(new) - 1 - first[owners]
-            values.append(v[new])
-            first_level.append(first)
-            level_count.append(count)
+        tc_rank = np.empty(2 * slots, dtype=np.intp)
+        tc_rank[np.concatenate([by[0], by[1] + slots])] = np.tile(np.arange(slots), 2)
+        stacked = np.concatenate([by[1], by[0] + slots])
+        v = np.concatenate(coords[::-1])[stacked]
+        group = np.add.outer([0, k], cluster).reshape(-1)[stacked]
+        new = (np.diff(v, prepend=np.nan) != 0) | (np.diff(group, prepend=-1) != 0)
+        count = np.bincount(group[new], minlength=2 * k)
+        first = np.cumsum(count) - count
+        level = np.empty(2 * slots, dtype=np.intp)
+        level[stacked] = np.cumsum(new) - 1 - first[group]
         self.starts = starts
         self.anchors = coords[:, starts]
 
-        # Lane keys of every (axis, anchor) row over its cluster's levels.
-        length = np.concatenate([count[owner] for count in level_count])
-        value_at = np.concatenate([first_level[0][owner], first_level[1][owner] + len(values[0])])
-        place, row0 = _ranges(value_at, length)
+        # Lane keys of every (axis, anchor) row over its group's levels.
+        row_group = np.add.outer([0, k], cluster[starts]).reshape(-1)
+        length = count[row_group]
+        place, row0 = _ranges(first[row_group], length)
         offsets = np.repeat(np.concatenate(coords[::-1, starts]), length)
-        keys = np.rint((np.concatenate(values)[place] - offsets) / spacing)
+        keys = np.rint((v[new][place] - offsets) / spacing)
         # float keys: an offset may be more than 2^63 spacings; + 0.0 turns -0.0 into 0.0
         keys -= np.repeat(np.minimum.reduceat(keys, row0), length)
         keys += 0.0
-        # Rows share a table when their axis, cluster and keys' bytes match.
+        # Rows share a table when their group and keys' bytes match.
         raw, first_row = keys.tobytes(), {}
-        key_rows = zip(np.tile(owner, 2).tolist(), row0.tolist(), length.tolist())
+        key_rows = zip(row_group.tolist(), row0.tolist(), length.tolist())
         rep = np.array([
-            first_row.setdefault((r >= rows, c, raw[8 * a : 8 * (a + n)]), r)
-            for r, (c, a, n) in enumerate(key_rows)
+            first_row.setdefault((g, raw[8 * a : 8 * (a + n)]), r)
+            for r, (g, a, n) in enumerate(key_rows)
         ])
         tables = np.flatnonzero(rep == np.arange(2 * rows))
         self.table = np.searchsorted(tables, rep).reshape(2, rows)
@@ -527,13 +518,14 @@ class _LaneTables:
         lane_at_level = np.cumsum(opens) - 1
 
         # Entries: every table lists its cluster's slots, sorted by lane and tc.
-        table_cluster = owner[tables % rows]
+        table_cluster = row_group[tables] % k
         table_size = sizes[table_cluster]
         slot, entry0 = _ranges(bounds[table_cluster], table_size)
         self.entry0 = entry0 - bounds[table_cluster]
         entry_axis = np.repeat(tables // rows, table_size)
-        lane = lane_at_level[np.repeat(at, table_size) + level[entry_axis, slot]]
-        by = np.argsort(lane * slots + tc_rank[entry_axis, slot])
+        flat = entry_axis * slots + slot
+        lane = lane_at_level[np.repeat(at, table_size) + level[flat]]
+        by = np.argsort(lane * slots + tc_rank[flat])
         self.inv = np.empty_like(by)
         self.inv[by] = np.arange(len(by))
         slot = slot[by]
@@ -563,10 +555,7 @@ class _LaneTables:
 
         # A run from a lane's first entry is fast when distances to the
         # entries after it strictly rise; from its last, to those before it.
-        at_first = np.zeros(len(by), dtype=bool)
-        at_first[self.first] = True
-        at_last = np.zeros(len(by), dtype=bool)
-        at_last[self.last] = True
+        at_first, at_last = np.append(True, ~same_lane), np.append(~same_lane, True)
         ahead = np.abs(tc - tc[self.first][lane])
         behind = np.abs(tc - tc[self.last][lane])
         tie_ahead = np.zeros(len(lane_size), dtype=bool)

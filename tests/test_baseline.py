@@ -87,6 +87,12 @@ class TestBudgetAndMatrix:
             minmax_local_search(inst, k=2, seed=0, max_iterations=-1)
         minmax_local_search(inst, k=2, seed=0, max_iterations=0)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)])
+    def test_matrix_must_be_square(self, shape):
+        message = "^entries must be a square matrix with the depot last$"
+        with pytest.raises(ValueError, match=message):
+            DistanceMatrix(np.zeros(shape))
+
     def test_matrix_symmetric_zero_diagonal(self):
         inst = generate(30, 1)
         dm = DistanceMatrix.from_instance(inst)

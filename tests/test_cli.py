@@ -4,6 +4,7 @@ import pytest
 
 from pondroute.cli import main
 from pondroute.instances import generate, generate_dataset, load, save
+from pondroute.solution import load_solution
 
 from test_instances import write_square
 
@@ -42,14 +43,19 @@ class TestGenerate:
         assert err.value.code == 2
         assert not out.exists()
 
-    def test_invalid_size_usage_error(self, tmp_path):
+    def test_invalid_size_usage_error(self, tmp_path, capsys):
         out = tmp_path / "data"
-        for sizes in ("0", "10,10"):  # below 3, repeated
+        for sizes, message in (
+            ("0", "every size must be an integer >= 3"),  # below 3
+            ("10,10", "sizes must be distinct, got '10,10'"),  # repeated
+            ("5,x", "sizes must be comma-separated integers, got '5,x'"),  # not a number
+        ):
             with pytest.raises(SystemExit) as err:
                 main(["generate", "--sizes", sizes, "--count", "1", "--seed", "1",
                       "--out", str(out)])
             assert err.value.code == 2
             assert not out.exists()
+            assert message in capsys.readouterr().err
 
 
 class TestSolve:
@@ -212,6 +218,22 @@ class TestPlot:
                 x, y = map(float, token.split(","))
                 assert -1 <= x <= width + 1 and -1 <= y <= height + 1
 
+    def test_clusters_skip_routes_without_a_hull(self, tmp_path):
+        # minmax-ls gives this instance routes of 5, 2, 1 and 4 nodes; the
+        # two- and one-node routes have no hull to draw, and the plot is
+        # still written.
+        inst_path, sol_path, out = tmp_path / "i12.txt", tmp_path / "sol.txt", tmp_path / "p.svg"
+        save(generate(12, 1), inst_path)
+        main(["solve", "--algorithm", "minmax-ls", "--routes", "4",
+              "--instance", str(inst_path), "--out", str(sol_path)])
+        assert [len(r.node_order) for r in load_solution(sol_path).routes] == [5, 2, 1, 4]
+        code = main(["plot", "--instance", str(inst_path),
+                     "--solution", str(sol_path), "--clusters", "--out", str(out)])
+        assert code == 0
+        children = list(ET.fromstring(out.read_text()).iter())
+        assert len([c for c in children if c.tag.endswith("polyline")]) == 4
+        assert len([c for c in children if "stroke-dasharray" in c.attrib]) == 2
+
     def test_mismatched_solution_no_output(self, instance_file, tmp_path, capsys):
         other = generate(15, 9)
         other_path = tmp_path / "other.txt"
@@ -267,6 +289,16 @@ class TestUsage:
                   "--report", str(report)])
         assert err.value.code == 2
         assert "algorithms must be distinct" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_unknown_algorithm_in_list_usage_error(self, tmp_path, capsys):
+        manifest = generate_dataset([10], 1, base_seed=0, out_dir=tmp_path)
+        report = tmp_path / "r.csv"
+        with pytest.raises(SystemExit) as err:
+            main(["bench", "--manifest", str(manifest), "--algorithms", "hpp,foo",
+                  "--report", str(report)])
+        assert err.value.code == 2
+        assert "algorithms must be drawn from hpp, minmax-ls, exact" in capsys.readouterr().err
         assert not report.exists()
 
     def test_unknown_command(self):

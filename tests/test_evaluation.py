@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 
 import pytest
 
@@ -220,6 +221,11 @@ class TestRunBenchmark:
         with pytest.raises(ValueError):
             run_benchmark(small_manifest, ["glop"], k=2, seed=0)
 
+    def test_solve_with_unknown_algorithm(self):
+        expected = "unknown algorithm 'nope', expected one of ('hpp', 'minmax-ls', 'exact')"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            solve_with("nope", generate(12, 0), 2, 0)
+
     def test_no_algorithm_rejected(self, small_manifest):
         with pytest.raises(ValueError, match="at least one algorithm"):
             run_benchmark(small_manifest, [], k=2, seed=0)
@@ -270,6 +276,18 @@ class TestReports:
         assert "Run time for 2 instances (s)" in table
         assert "---" in table  # exact skipped at size 16
         assert "hpp" in table and "exact" in table
+
+    def test_empty_report(self, tmp_path):
+        # No rows: the table keeps its three titled blocks with only their
+        # header lines, as the CSV keeps its header.
+        write_csv((), tmp_path / "report.csv")
+        assert (tmp_path / "report.csv").read_text() == CSV_HEADER + "\n"
+        header = f"{'nodes':>8}"
+        assert format_table(()) == "\n".join([
+            "Average total distance", header, "",
+            "Average maximum route length", header, "",
+            "Run time for batch (s)", header, "",
+        ])
 
     def test_golden_bench_bytes(self, tmp_path):
         # The CSV without its batch_time_s column plus the table's two mean

@@ -55,6 +55,10 @@ class TestConvexPolygon:
         with pytest.raises(ValueError):
             ConvexPolygon((Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 0)))
 
+    def test_rejects_two_vertices(self):
+        with pytest.raises(ValueError, match="^polygon needs at least 3 vertices$"):
+            ConvexPolygon((Point(0, 0), Point(1, 0)))
+
     def test_rejects_collinear_triple(self):
         with pytest.raises(ValueError):
             ConvexPolygon((Point(0, 0), Point(1, 0), Point(2, 0), Point(1, 1)))

@@ -305,6 +305,19 @@ class TestKMeans:
         kmeans(generate(2000, seed).nodes, 20, seed=0)
         assert 1 <= len(full_tables) <= 2
 
+    def test_bounded_round_that_empties_a_cluster(self, monkeypatch, full_tables):
+        # Twenty nodes on an eighth lattice. With bounds on every table size,
+        # a bounded round leaves a cluster empty, so the full table is built a
+        # second time and its reseed moves a centroid. The bounds must restart
+        # from that table: from the table of the centroids before the reseed,
+        # or from the old bounds, later rounds skip a point they must not.
+        monkeypatch.setattr(hpp, "_BOUNDED_MIN_ENTRIES", 0)
+        xs = [4, 1, 5, 1, 8, 1, 5, 2, 1, 2, 1, 4, 1, 1, 1, 1, 6, 1, 5, 6]
+        ys = [0, 2, 6, 6, 8, 0, 4, 6, 3, 5, 0, 3, 3, 7, 2, 0, 0, 7, 5, 3]
+        pts = [Point(x / 8, y / 8) for x, y in zip(xs, ys)]
+        assert kmeans(pts, 6, seed=83) == kmeans_oracle(pts, 6, seed=83)
+        assert len(full_tables) == 2
+
 
 @pytest.mark.parametrize(
     "labels, k, message",
@@ -1330,6 +1343,14 @@ class TestSolutionFiles:
             text = text.replace(old, new, 1)
         path.write_text(text)
         with pytest.raises(FormatError, match=re.escape(f"{path}: line {line}: ")):
+            load_solution(path)
+
+    def test_route_line_without_nodes(self, tmp_path):
+        path = tmp_path / "s.txt"
+        save_solution(hpp_solve(generate(40, 5), k=3, seed=1), path)
+        path.write_text(path.read_text().replace(" nodes ", " node ", 1))
+        expected = "line 9: route 0: expected 'length <float> nodes <i0> ...', got 'length "
+        with pytest.raises(FormatError, match=re.escape(f"{path}: {expected}")):
             load_solution(path)
 
     def test_trailing_content_rejected(self, tmp_path):

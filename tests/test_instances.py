@@ -313,6 +313,16 @@ class TestSaveLoad:
         with pytest.raises(FormatError, match=r"i.txt: line 3: seed must be non-negative"):
             load(path)
 
+    def test_misnamed_field_names_line(self, tmp_path):
+        path = tmp_path / "i.txt"
+        save(make_instance(20, 1), path)
+        lines = path.read_text().splitlines()
+        lines[2] = "sead: 1"
+        path.write_text("\n".join(lines) + "\n")
+        message = r"i.txt: line 3: expected field 'seed', got 'sead: 1'$"
+        with pytest.raises(FormatError, match=message):
+            load(path)
+
     def test_negative_node_count(self, tmp_path):
         inst = make_instance(20, 1)
         path = tmp_path / "i.txt"
@@ -492,6 +502,17 @@ class TestGenerateDataset:
             generate_dataset(sizes, 1, base_seed, out)
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "sizes, count, message",
+        [([], 1, "sizes must be non-empty"), ([10], 0, "count_per_size must be at least 1")],
+        ids=["no-sizes", "zero-count"],
+    )
+    def test_empty_dataset_rejected(self, tmp_path, sizes, count, message):
+        out = tmp_path / "data"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            generate_dataset(sizes, count, 0, out)
+        assert not out.exists()
+
     def test_manifest_order_stable(self, tmp_path):
         m1 = generate_dataset([10, 15], 2, 0, tmp_path / "a")
         m2 = generate_dataset([10, 15], 2, 0, tmp_path / "b")
@@ -508,6 +529,14 @@ class TestGenerateDataset:
         manifest = tmp_path / "manifest.txt"
         manifest.write_text(f"farm-manifest v1\n{record}\n")
         with pytest.raises(FormatError, match=r"manifest.txt: line 2: .*non-negative"):
+            load_manifest(manifest)
+
+    @pytest.mark.parametrize("record", ["foo.txt 5", "foo.txt 5 3 x"], ids=["two", "four"])
+    def test_manifest_record_needs_three_fields(self, tmp_path, record):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"farm-manifest v1\n{record}\n")
+        message = r"manifest.txt: line 2: expected '<file> <size> <seed>'$"
+        with pytest.raises(FormatError, match=message):
             load_manifest(manifest)
 
     def test_manifest_without_entries(self, tmp_path):
