@@ -385,9 +385,11 @@ def _inside(edges: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     is an x row against a y column. All edges are tested in one broadcast,
     with the edges on a leading axis, ``_EDGE_BLOCK`` at a time so that
     memory stays O(block * points) on an outline of any size. Each (edge,
-    point) decision has the operands and order of a scalar loop. A lattice
-    count of the generator is one call, on an edge table built once per
-    outline; ``generate`` makes 42-55 of them per instance.
+    point) decision has the operands and order of a scalar loop. Each
+    lattice count of the generator is one call, on an edge table built once
+    per outline. Per instance, ``generate`` makes 4-9 calls on the full
+    lattice, one per sign class of the edges to build its bracket
+    certificate, and 42-50 on the certificate's few dozen uncertain points.
     """
     ax, ay, dx, dy, tol = edges.reshape(edges.shape + (1,) * max(np.ndim(xs), np.ndim(ys)))
     outside = np.zeros(np.broadcast(xs, ys).shape, dtype=bool)

@@ -15,6 +15,7 @@ import operator
 import numpy as np
 
 from pondroute.geometry import EPS, ConvexPolygon, Point
+from pondroute.instances import GenerationFailure
 
 TWO_PI = 2.0 * math.pi
 
@@ -104,6 +105,45 @@ def lattice_points_oracle(poly: ConvexPolygon, spacing: float) -> tuple[np.ndarr
         cross = (b.x - a.x) * (gy - a.y) - (b.y - a.y) * (gx - a.x)
         inside &= ~(cross < -EPS * math.hypot(b.x - a.x, b.y - a.y))
     return gx[inside], gy[inside]
+
+
+def spacing_oracle(
+    poly: ConvexPolygon, target: int, minimum: int
+) -> tuple[float | None, dict[float, int]]:
+    """The spacing bisection with every count taken from the full meshgrid
+    (``lattice_points_oracle``): the chosen spacing (None when no count
+    fits) and each visited spacing's count, in visiting order."""
+    counts: dict[float, int] = {}
+
+    def count(s: float) -> int:
+        if s not in counts:
+            counts[s] = len(lattice_points_oracle(poly, s)[0])
+        return counts[s]
+
+    s0 = math.sqrt(max(poly.area(), 1e-12) / target)
+    lo = hi = s0
+    for _ in range(64):
+        if count(lo) >= target:
+            break
+        lo *= 0.5
+    else:
+        raise GenerationFailure(f"could not bracket {target} lattice points from below")
+    for _ in range(64):
+        if count(hi) <= target:
+            break
+        hi *= 2.0
+    else:
+        raise GenerationFailure(f"could not bracket {target} lattice points from above")
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if count(mid) >= target:
+            lo = mid
+        else:
+            hi = mid
+    fits = [
+        (abs(c - target), -s) for s, c in counts.items() if c >= minimum and abs(c - target) <= 2
+    ]
+    return (-min(fits)[1] if fits else None), counts
 
 
 def _support_arcs(poly: ConvexPolygon) -> list[tuple[float, float]]:

@@ -4,13 +4,16 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pondroute.instances as instances
 from pondroute.evaluation import ALGORITHMS, score, solve_with
-from pondroute.geometry import ConvexPolygon, Point, contains
+from pondroute.geometry import ConvexPolygon, Point, _edges, contains, convex_hull
 from pondroute.instances import (
     FarmInstance,
     FormatError,
+    GenerationFailure,
     VersionError,
     _lattice_points,
     generate,
@@ -20,12 +23,15 @@ from pondroute.instances import (
     place_depot,
     save,
 )
+from pondroute.rng import make_rng
 from pondroute.solution import load_solution, save_solution
 
-from _oracles import lattice_points_oracle, xy_rows
+from _oracles import lattice_points_oracle, spacing_oracle, xy_rows
 
 # SHA-256 of the ``save(generate(n, seed))`` bytes, taken from the meshgrid
-# lattice code that preceded the one-broadcast counts.
+# lattice code that preceded the one-broadcast counts; the n = 20000 entries,
+# where certified counts replace the most full ones, from the full counts
+# that preceded the bracket certificate.
 GOLDEN_INSTANCES = {
     (3, 0): "b54bdf41db23e008f9da46cd0ab1d3d01d941d3cbd5f0bb148646b7391e289e9",
     (3, 1): "f2784436b64369d44e8f1e4f34d8777a65dcbac542abb26df13795e9696e11c8",
@@ -45,6 +51,8 @@ GOLDEN_INSTANCES = {
     (2000, 0): "3668f35fba96c3a38d6465011c0110bfb1c20f23b5f69931f9e73fb71a22b711",
     (2000, 1): "a27ed1ddb2741b3d009f15780b35f316c22f705b82835c244bd99592738acaa1",
     (2000, 7919): "bb0579d7004c956d0d663f19ccb5e5b2722e84cd5892843c26e4c68b66d207e6",
+    (20000, 0): "eed5f59b829c173abac96ae2af6a378fc8bb22dcd3aec9c27414e86c8b33a5f1",
+    (20000, 7919): "c1e7989a7cb35121b6e2f81092f0a4f8c7b591f1c77307498e30d87d6a1d0a5e",
 }
 
 
@@ -139,17 +147,23 @@ def assert_oracle_lattice(poly: ConvexPolygon, spacing: float) -> int:
 class TestLatticePoints:
     @pytest.mark.parametrize("n", [3, 50, 500, 2000])
     def test_every_visited_spacing_matches_oracle(self, monkeypatch, n):
-        # Each count the spacing bisection makes, and the final lattice,
-        # equal the meshgrid oracle's.
+        # Each count the spacing bisection makes, full or certified, and the
+        # final lattice equal the meshgrid oracle's.
         visited = []
-        lattice_mask = instances._lattice_mask
+        lattice_count, lattice_points = instances._lattice_count, instances._lattice_points
 
-        def recording(edges, box, spacing):
-            xs, ys, mask = lattice_mask(edges, box, spacing)
-            visited.append((spacing, int(np.count_nonzero(mask))))
-            return xs, ys, mask
+        def recording_count(edges, box, spacing, certificate):
+            count = lattice_count(edges, box, spacing, certificate)
+            visited.append((spacing, count, "full" if certificate is None else "certified"))
+            return count
 
-        monkeypatch.setattr(instances, "_lattice_mask", recording)
+        def recording_points(poly, spacing):
+            xs, ys = lattice_points(poly, spacing)
+            visited.append((spacing, len(xs), "final"))
+            return xs, ys
+
+        monkeypatch.setattr(instances, "_lattice_count", recording_count)
+        monkeypatch.setattr(instances, "_lattice_points", recording_points)
         polygons = []
         for seed in range(1000, 1010):
             start = len(visited)
@@ -158,8 +172,10 @@ class TestLatticePoints:
         monkeypatch.undo()
         for poly, start, stop in polygons:
             assert stop - start > 1
-            for spacing, count in visited[start:stop]:
+            for spacing, count, _ in visited[start:stop]:
                 assert assert_oracle_lattice(poly, spacing) == count
+        if n == 2000:
+            assert {kind for _, _, kind in visited} == {"full", "certified", "final"}
 
     @pytest.mark.parametrize("j", [-20, 0, 20])
     @pytest.mark.parametrize("spacing", [0.25, 0.1, 1 / 3])
@@ -176,6 +192,86 @@ class TestLatticePoints:
         count = assert_oracle_lattice(poly, spacing * scale)
         if spacing == 0.25:
             assert count == on_quarter_lattice
+
+
+def square(scale: float) -> ConvexPolygon:
+    return ConvexPolygon((Point(0, 0), Point(scale, 0), Point(scale, scale), Point(0, scale)))
+
+
+@st.composite
+def outlines(draw) -> tuple[ConvexPolygon, int]:
+    """An outline and a target lattice count. The outline is a generator
+    outline (the hull of 12 ``make_rng`` samples), the same samples squeezed
+    into a band 1e-3 wide, or an axis-parallel square or right triangle at
+    scale 2^j, whose edges have a zero dx or dy. The target is at most 25000,
+    less where the bounding box is much larger than the outline, so that no
+    count is large."""
+    kind = draw(st.sampled_from(["generator", "thin", "square", "right-triangle"]))
+    if kind == "square":
+        poly = square(2.0 ** draw(st.integers(-20, 20)))
+    elif kind == "right-triangle":
+        scale = 2.0 ** draw(st.integers(-20, 20))
+        poly = ConvexPolygon((Point(0, 0), Point(scale, 0), Point(0, scale)))
+    else:
+        xs, ys = make_rng(draw(st.integers(0, 2**32))).random((12, 2)).T.tolist()
+        if kind == "thin":
+            base, slope = draw(st.floats(0.0, 0.85)), draw(st.floats(-0.1, 0.1))
+            ys = [base + 0.1 + slope * (x - 0.5) + 1e-3 * y for x, y in zip(xs, ys)]
+            if draw(st.booleans()):
+                xs, ys = ys, xs
+        poly = convex_hull(list(map(Point, xs, ys)))
+    xmin, ymin, xmax, ymax = poly.bounding_box()
+    fill = poly.area() / ((xmax - xmin) * (ymax - ymin))
+    return poly, draw(st.integers(4, max(4, min(25000, int(25000 * fill)))))
+
+
+class TestSpacingBisection:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=outlines(), slack=st.integers(0, 3))
+    def test_visits_and_picks_as_full_counts(self, case, slack):
+        # Certified counts give the bisection the full counts, so it visits
+        # the same spacings in the same order and picks the same one.
+        poly, target = case
+        want, want_counts = spacing_oracle(poly, target, target - slack)
+        visited = []
+        lattice_count = instances._lattice_count
+
+        def recording(edges, box, spacing, certificate):
+            count = lattice_count(edges, box, spacing, certificate)
+            visited.append((spacing, count))
+            return count
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(instances, "_lattice_count", recording)
+            if want is None:
+                with pytest.raises(GenerationFailure, match="bisection missed"):
+                    instances._choose_spacing(poly, target, target - slack)
+            else:
+                assert instances._choose_spacing(poly, target, target - slack) == want
+        assert visited == list(want_counts.items())
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        case=outlines(),
+        width=st.one_of(st.floats(0.0, 0.5), st.floats(1e-13, 1e-8)),
+        fractions=st.lists(st.floats(0.0, 1.0), max_size=4),
+    )
+    # lo is 0.1 and 10 * lo rounds to 1.0: column 10 lies on the square's
+    # right side at lo, and less than EPS beyond it at hi, where it does not
+    # exist.
+    @example(case=(square(1.0), 100), width=1e-10, fractions=[])
+    def test_certified_count_is_full_count(self, case, width, fractions):
+        # For any bracket, wide or narrow, every spacing in it counts the
+        # same through the bracket's certificate as on the full lattice.
+        poly, target = case
+        lo = math.sqrt(poly.area() / target)
+        hi = lo * (1.0 + width)
+        edges, box = _edges(poly), poly.bounding_box()
+        certificate = instances._certificate(edges, box, lo, hi)
+        for f in [0.0, 1.0, *fractions]:
+            s = min(hi, max(lo, lo + f * (hi - lo)))
+            full = instances._lattice_count(edges, box, s, None)
+            assert instances._lattice_count(edges, box, s, certificate) == full
 
 
 class TestPlaceDepot:
