@@ -39,7 +39,6 @@ from .instances import (
     generate_dataset,
     load,
     load_manifest,
-    place_depot,
     save,
 )
 from .solution import InvalidK, Route, Solution, load_solution, save_solution

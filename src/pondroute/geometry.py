@@ -323,10 +323,16 @@ def _caliper_pairs(xs: np.ndarray, ys: np.ndarray, sizes: list[int]) -> np.ndarr
             h = ex * (py[b] - y0) - ey * (px[b] - x0)
             b = o + (j + 1) % n
             h_next = ex * (py[b] - y0) - ey * (px[b] - x0)
+            # j never passes i + n, for any n >= 1 corners, so the walk ends.
+            # The heights of corners i and i + 1 are each exactly +-0.0:
+            # ``ex * 0.0 - ey * 0.0`` and ``ex * ey - ey * ex``, with the same
+            # rounded operands; where a difference overflows, a height is
+            # NaN. Either way ``h_next > h + EPS`` is false when stepping from
+            # position i + n to i + n + 1. By induction: edge 0 starts at
+            # j = 1 <= n, and once edge i ends with j <= i + n, edge i + 1
+            # starts at max(j, i + 2) <= (i + 1) + n.
             while h_next > h + EPS:
                 j += 1
-                if j > i + 2 * n:  # cannot happen for a valid polygon
-                    raise RuntimeError("antipodal pointer failed to terminate")
                 b = o + (j + 1) % n
                 h, h_next = h_next, ex * (py[b] - y0) - ey * (px[b] - x0)
             far.append(j % n)

@@ -47,7 +47,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, TypeVar
 
@@ -269,13 +269,21 @@ def _choose_spacing(poly: ConvexPolygon, target: int, minimum: int) -> float:
             break
         lo *= 0.5
     else:
+        # No bound on these rounds is known: on a sliver outline, with W and
+        # H near 2^-53, the lattice points ``xmin + s * i`` round onto one
+        # another as s falls. A hull of ``rng.random`` points is that thin
+        # with negligible probability, so no test reaches this through
+        # ``generate``.
         raise GenerationFailure(f"could not bracket {target} lattice points from below")
-    for _ in range(_BISECT_ITERATIONS):
-        if count(hi) <= target:
-            break
+    # This loop ends within 53 doublings, so it needs no bound on its
+    # rounds. ``generate``'s outline is a hull of ``rng.random`` points, so
+    # W, H <= 1 - 2^-53. The loop runs once count(lo) >= target, and a numpy
+    # mask holds fewer than 2^63 cells, so target < 2^63 and s0 >=
+    # sqrt(1e-12 / 2^63) > 3.2e-16 > 2^-52. After at most 53 exact doublings
+    # hi >= 2, ``_lattice_shape`` gives 1 x 1, and a count is at most
+    # 1 < 4 <= target (at least 3 nodes over 0.8).
+    while count(hi) > target:
         hi *= 2.0
-    else:
-        raise GenerationFailure(f"could not bracket {target} lattice points from above")
     for _ in range(_BISECT_ITERATIONS):
         if certificate is None and lo < hi and (hi - lo) * max(_lattice_shape(box, lo)) <= lo:
             certificate = _certificate(edges, box, lo, hi)
@@ -296,13 +304,10 @@ def _choose_spacing(poly: ConvexPolygon, target: int, minimum: int) -> float:
     return -min(fits)[1]
 
 
-def place_depot(inst: FarmInstance) -> FarmInstance:
-    """Put the depot at the boundary edge midpoint with minimal y (ties: minimal x)."""
-    mids = [
-        Point((a.x + b.x) / 2.0, (a.y + b.y) / 2.0) for a, b in inst.polygon.edges()
-    ]
-    depot = min(mids, key=lambda p: (p.y, p.x))
-    return replace(inst, depot=depot)
+def _depot(poly: ConvexPolygon) -> Point:
+    """The boundary edge midpoint with minimal y (ties: minimal x)."""
+    mids = [Point((a.x + b.x) / 2.0, (a.y + b.y) / 2.0) for a, b in poly.edges()]
+    return min(mids, key=lambda p: (p.y, p.x))
 
 
 def generate(node_count: int, seed: int) -> FarmInstance:
@@ -311,8 +316,10 @@ def generate(node_count: int, seed: int) -> FarmInstance:
     The polygon is the hull of 12 uniform points in the unit square; the
     pitch is bisected so the lattice holds about ``node_count / 0.8``
     in-polygon points, then random points are deleted until exactly
-    ``node_count`` remain. Raises ValueError for fewer than 3 nodes or a
-    negative seed.
+    ``node_count`` remain. The depot is the outline edge midpoint with the
+    least y, ties going to the smaller x. Raises ValueError for fewer than 3
+    nodes or a negative seed, and GenerationFailure if the bisection finds no
+    pitch whose lattice count is near enough the target.
     """
     if node_count < 3:
         raise ValueError(f"node_count must be at least 3, got {node_count}")
@@ -326,16 +333,15 @@ def generate(node_count: int, seed: int) -> FarmInstance:
     keep = np.ones(len(xs), dtype=bool)
     keep[rng.permutation(len(xs))[: len(xs) - node_count]] = False
 
-    inst = FarmInstance(
+    return FarmInstance(
         name=f"farm-n{node_count}-s{seed}",
         seed=seed,
         polygon=polygon,
         spacing=spacing,
         lattice_origin=Point(*polygon.bounding_box()[:2]),
-        depot=Point(0.0, 0.0),
+        depot=_depot(polygon),
         xy=(xs[keep], ys[keep]),
     )
-    return place_depot(inst)
 
 
 def save(inst: FarmInstance, path: Path | str) -> None:

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -310,3 +314,26 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["solve", "--algorithm", "glop", "--instance", str(instance_file)])
         assert err.value.code == 2
+
+
+class TestModuleEntryPoint:
+    """``python -m pondroute.cli`` exits with ``main``'s status."""
+
+    @staticmethod
+    def run_module(*argv, cwd):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        return subprocess.run(
+            [sys.executable, "-m", "pondroute.cli", *argv],
+            cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    def test_missing_instance_exits_1(self, tmp_path):
+        done = self.run_module("solve", "--algorithm", "hpp", "--instance", "nope.txt", cwd=tmp_path)
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: FileNotFoundError")
+
+    def test_missing_subcommand_exits_2(self, tmp_path):
+        done = self.run_module(cwd=tmp_path)
+        assert done.returncode == 2
+        assert "usage:" in done.stderr

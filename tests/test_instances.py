@@ -15,12 +15,12 @@ from pondroute.instances import (
     FormatError,
     GenerationFailure,
     VersionError,
+    _depot,
     _lattice_points,
     generate,
     generate_dataset,
     load,
     load_manifest,
-    place_depot,
     save,
 )
 from pondroute.rng import make_rng
@@ -275,26 +275,19 @@ class TestSpacingBisection:
 
 
 class TestPlaceDepot:
-    @staticmethod
-    def _with_polygon(poly: ConvexPolygon) -> FarmInstance:
-        return FarmInstance(
-            name="t", seed=0, polygon=poly, spacing=1.0,
-            lattice_origin=Point(0, 0), depot=Point(0, 0), xy=[[0.5], [0.5]],
-        )
-
     def test_unit_square(self):
         poly = ConvexPolygon((Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)))
-        assert place_depot(self._with_polygon(poly)).depot == Point(0.5, 0.0)
+        assert _depot(poly) == Point(0.5, 0.0)
 
     def test_triangle_base_midpoint(self):
         poly = ConvexPolygon((Point(0, 0), Point(4, 0), Point(1, 3)))
-        assert place_depot(self._with_polygon(poly)).depot == Point(2.0, 0.0)
+        assert _depot(poly) == Point(2.0, 0.0)
 
     def test_rotated_square_tie_breaks_on_x(self):
         # Edge midpoints: (0.5,0.5), (1.5,0.5), (1.5,1.5), (0.5,1.5);
         # both bottom edges tie at y=0.5 and the smaller x wins.
         poly = ConvexPolygon((Point(1, 0), Point(2, 1), Point(1, 2), Point(0, 1)))
-        assert place_depot(self._with_polygon(poly)).depot == Point(0.5, 0.5)
+        assert _depot(poly) == Point(0.5, 0.5)
 
     def test_generated_depot_on_boundary(self):
         for seed in range(5):
@@ -613,6 +606,17 @@ class TestGenerateDataset:
         m1 = generate_dataset([10, 15], 2, 0, tmp_path / "a")
         m2 = generate_dataset([10, 15], 2, 0, tmp_path / "b")
         assert m1.read_text() == m2.read_text()
+
+    def test_generation_failure_names_size_and_seed(self, tmp_path, monkeypatch):
+        cause = GenerationFailure("x")
+
+        def fail(node_count, seed):
+            raise cause
+
+        monkeypatch.setattr(instances, "generate", fail)
+        with pytest.raises(GenerationFailure, match=r"^size=10 seed=3: x$") as err:
+            generate_dataset([10], 1, base_seed=3, out_dir=tmp_path)
+        assert err.value.__cause__ is cause
 
     def test_malformed_manifest_names_line(self, tmp_path):
         manifest = generate_dataset([10], 2, base_seed=1, out_dir=tmp_path)
