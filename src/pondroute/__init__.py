@@ -1,7 +1,6 @@
 """Min-max multi-route coverage planning for gridded farm layouts."""
 
 from .baseline import (
-    DistanceMatrix,
     TooLarge,
     exact_minmax,
     minmax_local_search,
@@ -25,8 +24,6 @@ from .hpp import (
     RepairImpossible,
     hpp_solve,
     kmeans,
-    repair_clusters,
-    route_cluster,
     serpentine_route,
 )
 from .instances import (

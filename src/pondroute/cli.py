@@ -1,7 +1,11 @@
 """Command-line interface: generate, solve, bench, plot.
 
-Exit codes: 0 success, 1 runtime failure (solver or file errors), 2 usage
-errors. All randomness flows from explicit ``--seed`` flags.
+Exit codes: 0 success, 2 usage errors, and 1 when a command raises
+``DegenerateInput``, ``FormatError`` (``VersionError`` is one),
+``InvalidK``, ``TooLarge``, ``InvalidSolution``, a ``RuntimeError``
+(``GenerationFailure`` and ``RepairImpossible`` are ones) or an ``OSError``;
+it then prints the one line ``error: <class name>: <message>`` to stderr.
+All randomness flows from explicit ``--seed`` flags.
 """
 
 from __future__ import annotations
@@ -11,9 +15,11 @@ import sys
 import time
 from pathlib import Path
 
-from . import baseline, evaluation, hpp, instances
-from .geometry import DegenerateInput, Point, convex_hull
-from .instances import FormatError, GenerationFailure
+import numpy as np
+
+from . import baseline, evaluation, instances
+from .geometry import DegenerateInput, _coordinate_rows, _hull_ring
+from .instances import FormatError
 from .solution import InvalidK, load_solution, save_solution
 
 ROUTE_COLORS = (
@@ -107,55 +113,51 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _svg_document(inst, sol, draw_clusters: bool, width: int, height: int) -> str:
-    xs = [p.x for p in inst.nodes] + [p.x for p in inst.polygon] + [inst.depot.x]
-    ys = [p.y for p in inst.nodes] + [p.y for p in inst.polygon] + [inst.depot.y]
-    xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
+    n = inst.xy.shape[1]
+    # columns: the n nodes, then the outline's corners, then the depot
+    xy = np.hstack((inst.xy, _coordinate_rows(inst.polygon), [[inst.depot.x], [inst.depot.y]]))
+    (xmin, ymin), (xmax, ymax) = xy.min(axis=1).tolist(), xy.max(axis=1).tolist()
     span = max(xmax - xmin, ymax - ymin, 1e-9)
     pad = 0.05 * span
     scale = min(width / (xmax - xmin + 2 * pad), height / (ymax - ymin + 2 * pad))
     ox = (width - (xmax - xmin) * scale) / 2.0
     oy = (height - (ymax - ymin) * scale) / 2.0
+    sx = (ox + (xy[0] - xmin) * scale).tolist()  # pixel coordinates of every column
+    sy = (height - oy - (xy[1] - ymin) * scale).tolist()
 
-    def px(p: Point) -> tuple[float, float]:
-        return (ox + (p.x - xmin) * scale, height - oy - (p.y - ymin) * scale)
-
-    def pts_attr(points) -> str:
-        return " ".join(f"{x:.2f},{y:.2f}" for x, y in (px(p) for p in points))
+    def pts_attr(columns) -> str:
+        return " ".join(f"{sx[i]:.2f},{sy[i]:.2f}" for i in columns)
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<polygon points="{pts_attr(inst.polygon.vertices)}" fill="none" '
+        f'<polygon points="{pts_attr(range(n, len(sx) - 1))}" fill="none" '
         'stroke="#1f77b4" stroke-width="1.5"/>',
     ]
     if sol is not None:
         if draw_clusters:
             for r, route in enumerate(sol.routes):
-                pts = [inst.nodes[i] for i in route.node_order]
-                try:
-                    hull = convex_hull(pts)
-                except DegenerateInput:
+                order = route.node_order
+                ring = _hull_ring(*inst.xy[:, order])
+                if len(ring) < 3:  # the route spans no polygon
                     continue
                 color = ROUTE_COLORS[r % len(ROUTE_COLORS)]
                 parts.append(
-                    f'<polygon points="{pts_attr(hull.vertices)}" fill="none" '
+                    f'<polygon points="{pts_attr(order[i] for i in ring)}" fill="none" '
                     f'stroke="{color}" stroke-width="0.8" stroke-dasharray="4 3"/>'
                 )
         for r, route in enumerate(sol.routes):
             color = ROUTE_COLORS[r % len(ROUTE_COLORS)]
-            path = [inst.depot] + [inst.nodes[i] for i in route.node_order] + [inst.depot]
             parts.append(
-                f'<polyline points="{pts_attr(path)}" fill="none" '
+                f'<polyline points="{pts_attr((-1, *route.node_order, -1))}" fill="none" '
                 f'stroke="{color}" stroke-width="1.2"/>'
             )
-    for p in inst.nodes:
-        x, y = px(p)
+    for x, y in zip(sx[:n], sy[:n]):
         parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" fill="#333333"/>')
-    dx, dy = px(inst.depot)
-    parts.append(
-        f'<rect x="{dx - 5:.2f}" y="{dy - 5:.2f}" width="10" height="10" fill="#1f77b4"/>'
+    parts.append(  # the depot, the last column
+        f'<rect x="{sx[-1] - 5:.2f}" y="{sy[-1] - 5:.2f}" width="10" height="10" fill="#1f77b4"/>'
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -177,6 +179,14 @@ def cmd_plot(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_run_options(p: argparse.ArgumentParser) -> None:
+    """The options ``solve`` and ``bench`` share, declared where each lists them."""
+    p.add_argument("--routes", type=_count, default=5, help="route count k (default 5)")
+    p.add_argument("--seed", type=_non_negative, default=0)
+    p.add_argument("--iterations", type=_non_negative, default=100,
+                   help="local-search iteration budget (minmax-ls only)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pondroute",
@@ -196,10 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve one instance and write a solution file")
     p.add_argument("--algorithm", choices=evaluation.ALGORITHMS, required=True)
     p.add_argument("--instance", type=Path, required=True)
-    p.add_argument("--routes", type=_count, default=5, help="route count k (default 5)")
-    p.add_argument("--seed", type=_non_negative, default=0)
-    p.add_argument("--iterations", type=_non_negative, default=100,
-                   help="local-search iteration budget (minmax-ls only)")
+    _add_run_options(p)
     p.add_argument("--out", type=Path, default=None, help="solution file to write")
     p.set_defaults(func=cmd_solve)
 
@@ -207,10 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", type=Path, required=True)
     p.add_argument("--algorithms", type=_parse_algorithms, required=True,
                    help="comma-separated subset of: " + ",".join(evaluation.ALGORITHMS))
-    p.add_argument("--routes", type=_count, default=5)
-    p.add_argument("--seed", type=_non_negative, default=0)
-    p.add_argument("--iterations", type=_non_negative, default=100,
-                   help="local-search iteration budget (minmax-ls only)")
+    _add_run_options(p)
     p.add_argument("--report", type=Path, required=True, help="CSV report path")
     p.add_argument("--table", type=Path, default=None, help="also write the text table here")
     p.set_defaults(func=cmd_bench)
@@ -231,17 +235,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        DegenerateInput,
-        GenerationFailure,
-        FormatError,
-        hpp.RepairImpossible,
-        InvalidK,
-        baseline.TooLarge,
-        evaluation.InvalidSolution,
-        RuntimeError,
-        OSError,
-    ) as exc:
+    except (DegenerateInput, FormatError, InvalidK, baseline.TooLarge,
+            evaluation.InvalidSolution, RuntimeError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import os
 import subprocess
 import sys
@@ -6,9 +8,22 @@ from pathlib import Path
 
 import pytest
 
-from pondroute.cli import main
-from pondroute.instances import generate, generate_dataset, load, save
-from pondroute.solution import load_solution
+from pondroute import evaluation
+from pondroute.baseline import TooLarge
+from pondroute.cli import build_parser, main
+from pondroute.evaluation import InvalidSolution
+from pondroute.geometry import DegenerateInput
+from pondroute.hpp import RepairImpossible
+from pondroute.instances import (
+    FormatError,
+    GenerationFailure,
+    VersionError,
+    generate,
+    generate_dataset,
+    load,
+    save,
+)
+from pondroute.solution import InvalidK, load_solution
 
 from test_instances import write_square
 
@@ -113,6 +128,28 @@ class TestSolve:
                      str(tmp_path / "nope.txt")])
         assert code == 1
 
+    @pytest.mark.parametrize("cls", [
+        DegenerateInput, GenerationFailure, FormatError, VersionError, RepairImpossible,
+        InvalidK, TooLarge, InvalidSolution, RuntimeError, FileNotFoundError,
+    ])
+    def test_documented_errors_exit_1_with_one_line(self, instance_file, monkeypatch, capsys, cls):
+        def fail(*args, **kwargs):
+            raise cls("boom")
+
+        monkeypatch.setattr(evaluation, "solve_with", fail)
+        code = main(["solve", "--algorithm", "hpp", "--instance", str(instance_file)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {cls.__name__}: boom\n"
+
+    @pytest.mark.parametrize("cls", [ValueError, KeyError])
+    def test_other_errors_propagate(self, instance_file, monkeypatch, cls):
+        def fail(*args, **kwargs):
+            raise cls("boom")
+
+        monkeypatch.setattr(evaluation, "solve_with", fail)
+        with pytest.raises(cls):
+            main(["solve", "--algorithm", "hpp", "--instance", str(instance_file)])
+
 
 class TestBench:
     def test_csv_written_and_deterministic(self, tmp_path, capsys):
@@ -187,7 +224,41 @@ class TestBench:
         assert table.read_text(encoding="utf-8") == printed
 
 
+# (node count, seed, algorithm, k) of each plotted farm: minmax-ls gives
+# generate(12, 1) routes of 5, 2, 1 and 4 nodes, so two hulls are skipped.
+PLOT_CASES = {
+    "hpp-20": (20, 1, "hpp", 4),
+    "minmax-ls-12": (12, 1, "minmax-ls", 4),
+    "hpp-200": (200, 3, "hpp", 5),
+}
+# SHA-256 of each case's SVG, drawn alone, with --solution, and with
+# --solution --clusters.
+PLOT_SHA256 = {
+    ("hpp-20", "alone"): "18ded4d5525dcc906719ea9981b2f100aee4950aaf6e6cdef5682c302e6b0637",
+    ("hpp-20", "solution"): "c9e2622a5a206fc4fa9b0f6fb49ad9721a2a53055524ccce2b620bb587791aa8",
+    ("hpp-20", "clusters"): "e12891d32a13ceb158b95ca68f05d4ede37035aec4282b68f33a6c556b7a0651",
+    ("minmax-ls-12", "alone"): "f45c2ed6b1cd29628bec99a2dd2bd98c99b60f0ffb3921899c9d827bf3200a1d",
+    ("minmax-ls-12", "solution"): "e031850a0447721e2bbd4fe4bc4f52ecc095bff497e49d6599e4ac210fa7d548",
+    ("minmax-ls-12", "clusters"): "3b822796869590c1735d7b035075019cd5abba8c80b681da457c855b212a9151",
+    ("hpp-200", "alone"): "bb01defeaff66969bb95fcce55f8d779b2b5e97787381e9895a8e95ae859715c",
+    ("hpp-200", "solution"): "47f80f31c9cce106545ca0b9aebe5e844ea451693bf11a3f5af40d491eb1cfc8",
+    ("hpp-200", "clusters"): "aa0d0c99efd999d3ee419b0d0f5cdb153f0d0a260d9ba1ae74d49036b3375a93",
+}
+
+
 class TestPlot:
+    @pytest.mark.parametrize(("case", "mode"), list(PLOT_SHA256))
+    def test_svg_bytes(self, tmp_path, capsys, case, mode):
+        n, seed, algorithm, k = PLOT_CASES[case]
+        inst_path, sol_path, out = tmp_path / "i.txt", tmp_path / "sol.txt", tmp_path / "p.svg"
+        save(generate(n, seed), inst_path)
+        assert main(["solve", "--algorithm", algorithm, "--routes", str(k),
+                     "--instance", str(inst_path), "--out", str(sol_path)]) == 0
+        flags = {"alone": [], "solution": ["--solution", str(sol_path)],
+                 "clusters": ["--solution", str(sol_path), "--clusters"]}[mode]
+        assert main(["plot", "--instance", str(inst_path), *flags, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PLOT_SHA256[case, mode]
+
     def test_instance_only(self, instance_file, tmp_path, capsys):
         out = tmp_path / "plot.svg"
         code = main(["plot", "--instance", str(instance_file), "--out", str(out)])
@@ -253,6 +324,31 @@ class TestPlot:
 
 
 class TestUsage:
+    def test_option_sets(self):
+        # Each subcommand's options in declaration order, the order --help
+        # lists them: option strings, default, required.
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        options = {
+            name: [(tuple(a.option_strings), a.default, a.required) for a in parser._actions]
+            for name, parser in sub.choices.items()
+        }
+        help_ = (("-h", "--help"), argparse.SUPPRESS, False)
+        assert options == {
+            "generate": [help_, (("--sizes",), None, True), (("--count",), 100, False),
+                         (("--seed",), 42, False), (("--out",), None, True)],
+            "solve": [help_, (("--algorithm",), None, True), (("--instance",), None, True),
+                      (("--routes",), 5, False), (("--seed",), 0, False),
+                      (("--iterations",), 100, False), (("--out",), None, False)],
+            "bench": [help_, (("--manifest",), None, True), (("--algorithms",), None, True),
+                      (("--routes",), 5, False), (("--seed",), 0, False),
+                      (("--iterations",), 100, False), (("--report",), None, True),
+                      (("--table",), None, False)],
+            "plot": [help_, (("--instance",), None, True), (("--solution",), None, False),
+                     (("--clusters",), False, False), (("--width",), 900, False),
+                     (("--height",), 900, False), (("--out",), None, True)],
+        }
+
     @pytest.mark.parametrize(
         "argv",
         [
