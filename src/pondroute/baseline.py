@@ -21,8 +21,9 @@ trial tours whose screen finds an improving move. Each screen row's
 from its screen's move and skips one table. A pass fills one contiguous m x
 (m + 2) table of move costs with one flat add over the tour's distances. No
 table bigger than a route's is built: every distance is computed where it is
-read, from the coordinate array (``_Distances``), so a solve's memory grows
-with its routes, not with n^2. Each sector's nearest-neighbour tour is one
+read, from the coordinate array (``_Distances``, the root of
+``geometry._squared_distances``), so a solve's memory grows with its
+routes, not with n^2. Each sector's nearest-neighbour tour is one
 (m + 1) x m table and one ``argmin`` per node.
 
 ``exact_minmax`` reads one (n + 1)^2 table from ``_Distances`` and scores
@@ -40,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import _squared_distances
 from .instances import FarmInstance, _left_sum
 from .solution import InvalidK, Route, Solution
 
@@ -59,11 +61,11 @@ class _Distances:
     """Euclidean distances over an instance's nodes 0..n-1 and its depot at
     index n (or ``_DEPOT``), each computed where it is read.
 
-    ``d[rows, cols]`` takes index arrays of any broadcast shape and computes
-    ``xs[r] - xs[c]`` and ``ys[r] - ys[c]``, their squares, the sum and the
-    ``sqrt``, in that order, so every entry has the bits of a full matrix
-    built with the same operations. Swapping the operands is exact: the
-    differences only change sign, which the squares do not see.
+    ``d[rows, cols]`` takes index arrays of any broadcast shape, gathers
+    the coordinates of rows and columns, and takes the ``sqrt`` of their
+    ``geometry._squared_distances``. An entry's bits depend only on its own
+    row and column, so every entry has the bits of a full matrix built with
+    the same operations, and swapping the operands gives the same bits.
     """
 
     def __init__(self, inst: FarmInstance) -> None:
@@ -71,12 +73,8 @@ class _Distances:
 
     def __getitem__(self, index: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         rows, cols = index
-        dx = self.xs[rows] - self.xs[cols]
-        dy = self.ys[rows] - self.ys[cols]
-        dx *= dx
-        dy *= dy
-        dx += dy
-        return np.sqrt(dx, out=dx)
+        d = _squared_distances(self.xs[rows], self.ys[rows], self.xs[cols], self.ys[cols])
+        return np.sqrt(d, out=d)
 
 
 @dataclass(frozen=True)
@@ -193,9 +191,11 @@ def _screen_table(
     e[r] and (c, d) edge s, ``two_opt``'s full pass computes a move with
     s < e[r] - 1 as ((D[c, a] + D[d, b]) - D[c, d]) - D[a, b] (the column
     block of edge e[r]), and one with e[r] + 1 < s < stop[r] as ((D[a, c] +
-    D[b, d]) - D[a, b]) - D[c, d] (its row block). D is symmetric, so both
-    blocks add the same two distances. Edges e[r] - 1 and e[r] + 1 share a
-    node with edge e[r], so neither they nor e[r] itself make a move.
+    D[b, d]) - D[a, b]) - D[c, d] (its row block). D is symmetric to the
+    bit, as ``_Distances`` is (``geometry._squared_distances`` gives the
+    same bits with its operands swapped), so both blocks add the same two
+    distances. Edges e[r] - 1 and e[r] + 1 share a node with edge e[r], so
+    neither they nor e[r] itself make a move.
     """
     rows = np.arange(len(e))
     new = cost[rows, e][:, None]

@@ -105,18 +105,6 @@ def solve_with(
     raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
 
 
-def _solve_named(
-    inst: FarmInstance, algorithm: str, k: int, seed: int, max_iterations: int
-) -> Solution:
-    """``solve_with`` that names the instance when the solver fails."""
-    try:
-        return solve_with(algorithm, inst, k, seed, max_iterations)
-    except Exception as exc:
-        raise RuntimeError(
-            f"solver {algorithm!r} failed on instance {inst.name}: {exc}"
-        ) from exc
-
-
 def run_benchmark(
     manifest: Path | str,
     algorithms: list[str],
@@ -160,9 +148,14 @@ def run_benchmark(
                 rows.append(ReportRow(size, algorithm, None, None, None, len(batch)))
                 continue
             t0 = time.perf_counter()
-            solutions = [
-                _solve_named(inst, algorithm, k, seed, max_iterations) for inst in instances
-            ]
+            solutions = []
+            for inst in instances:
+                try:
+                    solutions.append(solve_with(algorithm, inst, k, seed, max_iterations))
+                except Exception as exc:
+                    raise RuntimeError(
+                        f"solver {algorithm!r} failed on instance {inst.name}: {exc}"
+                    ) from exc
             batch_time = time.perf_counter() - t0
             metrics = [score(i, s) for i, s in zip(instances, solutions)]
             mean_total = _left_sum(m.total_distance for m in metrics) / len(metrics)

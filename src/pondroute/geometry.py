@@ -30,6 +30,11 @@ axis, and the points may be any arrays that broadcast together, so the
 generator tests a lattice as an x row against a y column and builds no
 meshgrid. Edges go ``_EDGE_BLOCK`` at a time, so memory stays
 O(block * points) on an outline of any size.
+
+Both solvers compute squared point distances through one kernel,
+``_squared_distances``: ``hpp``'s k-means tables and seeding, and
+``baseline._Distances``, which serves ``minmax-ls`` and ``exact``. Its
+docstring states the two facts their exactness arguments use.
 """
 
 from __future__ import annotations
@@ -129,6 +134,28 @@ def _coordinate_rows(points: Iterable[Point]) -> np.ndarray:
     """The x row over the y row of the points, read as floats."""
     pts = list(points)
     return np.array([[p.x for p in pts], [p.y for p in pts]], dtype=float)
+
+
+def _squared_distances(
+    ax: np.ndarray, ay: np.ndarray, bx: np.ndarray, by: np.ndarray
+) -> np.ndarray:
+    """Squared distances between the points (``ax``, ``ay``) and (``bx``,
+    ``by``), as a new array; the x operands and the y operands broadcast to
+    one shape, which the result has.
+
+    Every entry is ``(ax - bx)**2 + (ay - by)**2`` as two differences, two
+    squares and one sum, in that order, each rounded once. So an entry's
+    bits depend only on its own four operands, not on the shape of the call
+    or on the entries computed with it; and swapping a with b gives the same
+    bits, since the differences only change sign, which the squares do not
+    see. ``hpp``'s k-means tables and ``baseline._Distances`` rest their
+    exactness on these two facts.
+    """
+    d, e = ax - bx, ay - by
+    d *= d
+    e *= e
+    d += e
+    return d
 
 
 def _hull_ring(xs: np.ndarray, ys: np.ndarray) -> list[int]:

@@ -12,7 +12,9 @@ clusters costs two ``bincount``s for the new centroids, O(n) bound updates
 and the squared distances, one ``argmin`` and one ``min`` over k entries of
 only the nodes whose bounds overlap (about a fifth of them at n = 2000,
 k = 20). The full (k, n) table is built in the first round, in a round that
-leaves a cluster empty, and in every round when n * k < 10000. A solve reads
+leaves a cluster empty, and in every round when n * k < 10000. Its entries,
+and the k-means++ seeding's, come from ``geometry._squared_distances``, the
+kernel ``baseline``'s distances use too. A solve reads
 the instance's (2, n) coordinate array ``FarmInstance.xy``, which k-means,
 hulls (every cluster's corners are node indices into it), cluster repair,
 lane tables and exact re-scores share; ``Point``, ``ConvexPolygon`` and
@@ -66,6 +68,7 @@ from .geometry import (
     _hull_ring,
     _hull_rings,
     _polygon_ring,
+    _squared_distances,
 )
 # Bound here for the benchmark, which times hulls and pairs as hpp.<name>.
 from .geometry import antipodal_pairs, convex_hull  # noqa: F401
@@ -113,28 +116,14 @@ class ClusterAssignment:
 # clustering
 
 
-def _table(xs: np.ndarray, ys: np.ndarray, cents: np.ndarray) -> np.ndarray:
-    """Squared distances from the centroids to the m points (``xs``, ``ys``),
-    as a new (k, m) table: one row per centroid and one column per point.
-
-    ``cents`` holds the centroid x row over the y row. Every entry is
-    ``(x - cx)**2 + (y - cy)**2`` in that order, so a point's column is the
-    same floats whichever points are computed with it.
-    """
-    d2 = xs - cents[0][:, None]
-    dy = ys - cents[1][:, None]
-    d2 *= d2
-    dy *= dy
-    d2 += dy
-    return d2
-
-
 def _assign_labels(
     xs: np.ndarray, ys: np.ndarray, cents: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Nearest-centroid labels (ties to the lowest index), cluster sizes and
-    centroids from the full (k, n) ``_table``, reseeding empty clusters, and
-    that table of the returned centroids.
+    centroids from the full (k, n) table of squared distances, one row per
+    centroid (x row over y row in ``cents``) and one column per point, each
+    entry from ``geometry._squared_distances``; reseeds empty clusters, and
+    returns that table of the returned centroids too.
 
     An empty cluster's centroid is moved onto the point farthest from its
     nearest centroid, then labels are recomputed. Raises RepairImpossible
@@ -143,7 +132,7 @@ def _assign_labels(
     k = cents.shape[1]
     cents = cents.copy()
     for _ in range(2 * k + 1):
-        d2 = _table(xs, ys, cents)
+        d2 = _squared_distances(xs, ys, cents[0][:, None], cents[1][:, None])
         labels = d2.argmin(axis=0)
         sizes = np.bincount(labels, minlength=k)
         empty = np.flatnonzero(sizes == 0)
@@ -155,10 +144,10 @@ def _assign_labels(
 
 
 def _bounds(d2: np.ndarray, labels: np.ndarray, slack: float) -> tuple[np.ndarray, np.ndarray]:
-    """``_kmeans``' upper and lower bounds of the points whose ``_table``
-    columns are ``d2`` and labels ``labels``: the root of the own entry plus
-    ``slack``, and the root of the smallest other entry minus ``slack``.
-    Overwrites the own entries."""
+    """``_kmeans``' upper and lower bounds of the points whose columns of
+    ``geometry._squared_distances`` to the centroids are ``d2`` and labels
+    ``labels``: the root of the own entry plus ``slack``, and the root of
+    the smallest other entry minus ``slack``. Overwrites the own entries."""
     own = (labels, np.arange(len(labels)))
     upper = np.sqrt(d2[own])
     upper += slack
@@ -184,7 +173,7 @@ def _kmeans_pp_init(
 ) -> np.ndarray:
     n = len(xs)
     chosen = [int(rng.integers(n))]
-    d2 = (xs - xs[chosen[0]]) ** 2 + (ys - ys[chosen[0]]) ** 2
+    d2 = _squared_distances(xs, ys, xs[chosen[0]], ys[chosen[0]])
     for _ in range(1, k):
         total = float(d2.sum())
         if total <= 0.0:
@@ -194,7 +183,7 @@ def _kmeans_pp_init(
             nxt = int(np.searchsorted(np.cumsum(d2), r, side="right"))
             nxt = min(nxt, n - 1)
         chosen.append(nxt)
-        d2 = np.minimum(d2, (xs - xs[nxt]) ** 2 + (ys - ys[nxt]) ** 2)
+        d2 = np.minimum(d2, _squared_distances(xs, ys, xs[nxt], ys[nxt]))
     return np.array([xs[chosen], ys[chosen]])
 
 
@@ -223,17 +212,19 @@ def _kmeans(xs: np.ndarray, ys: np.ndarray, k: int, seed: int) -> tuple[np.ndarr
     New centroids are two weighted ``bincount``s. ``bincount`` adds a
     cluster's coordinates one at a time in index order, so each centroid is
     the same float as the ``mean`` of its cluster's rows, up to the sign of a
-    zero. A point's label is the ``argmin`` of its ``_table`` column, ties
-    going to the lowest index. ``_assign_labels`` builds the full (k, n)
-    table in the first round and in a round that leaves a cluster empty (its
-    reseed needs the whole table), and the bounds restart from the table it
-    returns. Every other round, the one at the iteration cap included,
-    recomputes, with the same operations, only the columns of the points
+    zero. A point's label is the ``argmin`` of its column of the squared
+    distance table (``_assign_labels``), ties going to the lowest index.
+    ``_assign_labels`` builds the full (k, n) table in the first round and
+    in a round that leaves a cluster empty (its reseed needs the whole
+    table), and the bounds restart from the table it returns. Every other
+    round, the one at the iteration cap included, recomputes, through the
+    same ``geometry._squared_distances``, only the columns of the points
     whose label the bounds below do not fix (Hamerly 2010, "Making k-means
-    even faster"), so labels and centroids are the floats that full tables
-    give. A table of fewer than ``_BOUNDED_MIN_ENTRIES`` entries is cheaper
-    to rebuild than to bound, so it is built in full every round, as it is
-    when ``_bound_slack`` gives None.
+    even faster"). A kernel entry's bits depend only on its own operands, so
+    labels and centroids are the floats that full tables give. A table of
+    fewer than ``_BOUNDED_MIN_ENTRIES`` entries is cheaper to rebuild than
+    to bound, so it is built in full every round, as it is when
+    ``_bound_slack`` gives None.
 
     Each point keeps an upper bound ``u`` on its distance to its own
     centroid and a lower bound ``l`` on its distance to every other centroid,
@@ -251,11 +242,12 @@ def _kmeans(xs: np.ndarray, ys: np.ndarray, k: int, seed: int) -> tuple[np.ndarr
     point-centroid distance and every centroid move is below 3s, and each
     relative error below is also absolute, a multiple of eps s.
 
-    - A table entry is four rounded operations on d^2 (differences, squares,
-      sum): d^2 (1 + t) with |t| <= 4 eps, plus at most 2^-1072 from gradual
-      underflow. Its root is d within 3 eps d < 9 eps s. A reset adds delta,
-      rounding by 3 eps s more, so it leaves ``u >= d_own + m`` and
-      ``l <= d_other - m`` with d the exact distances.
+    - A table entry is ``geometry._squared_distances``' four rounded
+      operations on d^2 (differences, squares, sum): d^2 (1 + t) with
+      |t| <= 4 eps, plus at most 2^-1072 from gradual underflow. Its root
+      is d within 3 eps d < 9 eps s. A reset adds delta, rounding by
+      3 eps s more, so it leaves ``u >= d_own + m`` and ``l <= d_other - m``
+      with d the exact distances.
     - A move's two rounded differences and ``hypot`` are off by at most
       3 eps of it, under 9 eps s. A point can be skipped only while both
       bounds are below 3s: ``l`` only shrinks from a root, and ``u`` only
@@ -297,7 +289,7 @@ def _kmeans(xs: np.ndarray, ys: np.ndarray, k: int, seed: int) -> tuple[np.ndarr
         lower -= moves.max()
         stale = np.flatnonzero(upper >= lower)
         if stale.size:
-            d2 = _table(xs[stale], ys[stale], cents)
+            d2 = _squared_distances(xs[stale], ys[stale], cents[0][:, None], cents[1][:, None])
             relabelled = d2.argmin(axis=0)
             labels[stale] = relabelled
             upper[stale], lower[stale] = _bounds(d2, relabelled, slack)

@@ -29,7 +29,9 @@ Floats are written with 17 significant digits (``_FLOAT``; ``_fmt`` for
 one float, one format operation for the whole node block) so a load/save
 round trip is bit-exact. Readers reject unknown versions. The depot line may
 be edited by hand to override the generated depot. ``_LineReader`` reads
-these two formats and the solution format of ``solution``.
+these two formats and the solution format of ``solution``. It splits lines
+with ``str.splitlines``, so the writers refuse a name or label holding any
+of its line boundaries (``_one_line``) before they open the file.
 
 A ``FarmInstance`` holds its nodes once, as ``xy``: a read-only, C-ordered
 (2, n) float array, x row over y row, that ``generate`` and ``load`` fill
@@ -123,6 +125,15 @@ _POINT_LINE = f"{_FLOAT} {_FLOAT}\n"
 def _fmt(x: float) -> str:
     """``x`` written as ``_FLOAT``."""
     return _FLOAT % x
+
+
+def _one_line(field: str, text: str) -> str:
+    """``text``, which a writer puts in ``field``; ValueError naming the
+    field when it holds a line boundary of ``str.splitlines``, at which
+    ``_LineReader`` would split it."""
+    if "".join(text.splitlines()) != text:
+        raise ValueError(f"{field} must fit on one line, got {text!r}")
+    return text
 
 
 def _left_sum(values: Iterable[float]) -> float:
@@ -348,7 +359,7 @@ def save(inst: FarmInstance, path: Path | str) -> None:
     path = Path(path)
     lines = [
         INSTANCE_HEADER,
-        f"name: {inst.name}",
+        f"name: {_one_line('name', inst.name)}",
         f"seed: {inst.seed}",
         f"spacing: {_fmt(inst.spacing)}",
         f"lattice_origin: {_fmt(inst.lattice_origin.x)} {_fmt(inst.lattice_origin.y)}",

@@ -18,6 +18,7 @@ Solution file format (version 1)::
     route <r>: length <float> nodes <i0> <i1> ...
 
 Stored lengths are advisory; consumers must recompute them from coordinates.
+The instance name and the algorithm label must each fit on one line.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .instances import _fmt, _left_sum, _LineReader
+from .instances import _fmt, _left_sum, _LineReader, _one_line
 
 SOLUTION_HEADER = "farm-solution v1"
 
@@ -78,8 +79,8 @@ def _path_length(xs: list[float], ys: list[float], order: list[int]) -> float:
 def save_solution(sol: Solution, path: Path | str) -> None:
     lines = [
         SOLUTION_HEADER,
-        f"instance: {sol.instance_ref}",
-        f"algorithm: {sol.algorithm}",
+        f"instance: {_one_line('instance', sol.instance_ref)}",
+        f"algorithm: {_one_line('algorithm', sol.algorithm)}",
         f"k: {sol.k}",
         f"seed: {sol.seed}",
         f"total: {_fmt(sol.total_length())}",

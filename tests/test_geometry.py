@@ -544,3 +544,61 @@ class TestInside:
         assert peak < 16 * 2**20
         head = zip(xs[:256].tolist(), ys[:256].tolist())
         assert inside[:256].tolist() == [inside_oracle(poly, x, y) for x, y in head]
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+QUADS = st.lists(st.tuples(FINITE, FINITE, FINITE, FINITE), min_size=1, max_size=30)
+POINTS = st.lists(st.tuples(FINITE, FINITE), min_size=1, max_size=12)
+EXTREME_QUADS = [
+    (1.7e308, -0.0, -1.7e308, 0.0),  # the x difference overflows
+    (1e200, 1e-200, -1e-200, 1e200),  # both squares overflow
+    (5e-324, -5e-324, -5e-324, 5e-324),  # subnormal differences, squares round to 0
+    (0.0, -0.0, -0.0, 0.0),
+    (-0.0, 2.5e-308, 0.0, -2.5e-308),
+]
+
+
+def squared_distances(*operands: np.ndarray) -> np.ndarray:
+    """``geometry._squared_distances`` with overflow to inf allowed."""
+    with np.errstate(over="ignore"):
+        return geometry._squared_distances(*operands)
+
+
+def bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.uint64).ravel().tolist()
+
+
+class TestSquaredDistances:
+    """The kernel's exactness contract, on finite floats of every kind."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(quads=QUADS)
+    @example(quads=EXTREME_QUADS)
+    def test_entries_are_the_scalar_formula(self, quads):
+        operands = np.array(quads).T
+        got = squared_distances(*operands)
+        want = [(a - b) * (a - b) + (c - d) * (c - d) for a, c, b, d in quads]
+        assert bits(got) == bits(want)
+        assert not any(np.shares_memory(got, x) for x in operands)
+
+    def test_overflow_gives_inf(self):
+        got = squared_distances(*np.array(EXTREME_QUADS).T)
+        assert got.tolist() == [math.inf, math.inf, 0.0, 0.0, 0.0]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(quads=QUADS)
+    @example(quads=EXTREME_QUADS)
+    def test_swapping_a_and_b_keeps_the_bits(self, quads):
+        ax, ay, bx, by = np.array(quads).T
+        assert bits(squared_distances(bx, by, ax, ay)) == bits(squared_distances(ax, ay, bx, by))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(a=POINTS, b=POINTS)
+    @example(a=[q[:2] for q in EXTREME_QUADS], b=[q[2:] for q in EXTREME_QUADS])
+    def test_row_by_column_broadcast_gives_the_elementwise_entries(self, a, b):
+        (ax, ay), (bx, by) = np.array(a).T, np.array(b).T
+        table = squared_distances(ax, ay, bx[:, None], by[:, None])
+        assert table.shape == (len(b), len(a))
+        m, k = len(a), len(b)
+        flat = squared_distances(np.tile(ax, k), np.tile(ay, k), np.repeat(bx, m), np.repeat(by, m))
+        assert bits(table) == bits(flat)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import re
@@ -448,6 +449,49 @@ class TestSaveLoad:
         lines[5] = "depot: 0.25 0.25"
         path.write_text("\n".join(lines) + "\n")
         assert load(path).depot == Point(0.25, 0.25)
+
+
+LINE_BOUNDARIES = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                   "\u2028", "\u2029"]
+ONE_LINE_TEXTS = ["", "  padded  ", "farm\tone", "\u00e9tang-\u6c60"]
+
+
+class TestOneLineFields:
+    """The writers refuse a name or label that their reader would split
+    into two lines, before they open the file; any other text round-trips."""
+
+    def test_boundaries_are_the_readers(self):
+        assert all(len(f"a{b}z".splitlines()) == 2 for b in LINE_BOUNDARIES)
+
+    @pytest.mark.parametrize("boundary", LINE_BOUNDARIES)
+    def test_instance_name_with_a_line_boundary_is_refused(self, tmp_path, boundary):
+        path = tmp_path / "i.txt"
+        inst = dataclasses.replace(make_instance(20, 1), name=f"farm{boundary}x")
+        with pytest.raises(ValueError, match="^name must fit on one line"):
+            save(inst, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("boundary", LINE_BOUNDARIES)
+    @pytest.mark.parametrize(
+        ("field", "name"), [("instance_ref", "instance"), ("algorithm", "algorithm")]
+    )
+    def test_solution_label_with_a_line_boundary_is_refused(self, tmp_path, boundary, field, name):
+        path = tmp_path / "s.txt"
+        sol = solve_with("hpp", make_instance(20, 1), 2, 0)
+        sol = dataclasses.replace(sol, **{field: f"hpp{boundary}routing"})
+        with pytest.raises(ValueError, match=f"^{name} must fit on one line"):
+            save_solution(sol, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("text", ONE_LINE_TEXTS)
+    def test_one_line_texts_round_trip(self, tmp_path, text):
+        inst = dataclasses.replace(make_instance(20, 1), name=text)
+        save(inst, tmp_path / "i.txt")
+        assert load(tmp_path / "i.txt") == inst
+        sol = dataclasses.replace(solve_with("hpp", inst, 2, 0), algorithm=text)
+        assert sol.instance_ref == text
+        save_solution(sol, tmp_path / "s.txt")
+        assert load_solution(tmp_path / "s.txt") == sol
 
 
 class TestBlockParse:
