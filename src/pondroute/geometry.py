@@ -425,12 +425,17 @@ def _inside(edges: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     certificate, and 42-50 on the certificate's few dozen uncertain points.
     """
     ax, ay, dx, dy, tol = edges.reshape(edges.shape + (1,) * max(np.ndim(xs), np.ndim(ys)))
-    outside = np.zeros(np.broadcast(xs, ys).shape, dtype=bool)
-    for lo in range(0, edges.shape[1], _EDGE_BLOCK):
-        e = slice(lo, lo + _EDGE_BLOCK)
-        cross = dx[e] * (ys - ay[e]) - dy[e] * (xs - ax[e])
-        outside |= (cross < tol[e]).any(axis=0)
-    return ~outside
+
+    def outside(e: slice) -> np.ndarray:
+        """Mask of the points outside some edge of block ``e``."""
+        return (dx[e] * (ys - ay[e]) - dy[e] * (xs - ax[e]) < tol[e]).any(axis=0)
+
+    # The first block's mask starts the union (all False when there are no
+    # edges), so an outline of at most _EDGE_BLOCK edges needs no other array.
+    mask = outside(slice(0, _EDGE_BLOCK))
+    for lo in range(_EDGE_BLOCK, edges.shape[1], _EDGE_BLOCK):
+        mask |= outside(slice(lo, lo + _EDGE_BLOCK))
+    return ~mask
 
 
 def contains(poly: ConvexPolygon, p: Point) -> bool:

@@ -25,9 +25,15 @@ Instance file format (version 1), one text document per instance::
     nodes: <node count>
     <x> <y>          (one node per line, sorted by (y, x))
 
-Floats are written with 17 significant digits (``_FLOAT``; ``_fmt`` for
-one float, one format operation for the whole node block) so a load/save
-round trip is bit-exact. Readers reject unknown versions. The depot line may
+Floats are written with 17 significant digits (``_FLOAT``, ``_fmt``) so a
+load/save round trip is bit-exact. A generated file's n nodes hold roughly
+2 sqrt(n) distinct values per axis (one per lattice column or row in use),
+so ``save`` formats each distinct node coordinate once, keyed by its bit
+pattern, and ``_LineReader.points`` converts each distinct token of a block
+once; that is what makes them fast, and a file whose coordinates are all
+distinct costs more than one conversion per coordinate would. ``save``
+refuses, before it opens the file, an instance that ``load`` would refuse
+(``_refusal``). Readers reject unknown versions. The depot line may
 be edited by hand to override the generated depot. ``_LineReader`` reads
 these two formats and the solution format of ``solution``. It splits lines
 with ``str.splitlines``, so the writers refuse a name or label holding any
@@ -47,6 +53,7 @@ Manifest file format (version 1), at least one record::
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, fields
@@ -119,7 +126,6 @@ class ManifestEntry:
 
 
 _FLOAT = "%.17g"  # 17 significant digits, so reading a written float back is bit-exact
-_POINT_LINE = f"{_FLOAT} {_FLOAT}\n"
 
 
 def _fmt(x: float) -> str:
@@ -355,7 +361,48 @@ def generate(node_count: int, seed: int) -> FarmInstance:
     )
 
 
+def _refusal(inst: FarmInstance) -> tuple[int, str] | None:
+    """Why ``load`` refuses the file ``save`` writes for ``inst``, or None:
+    the line it names and the message.
+
+    The seed must be non-negative and the spacing positive and finite. With
+    E the largest extent (max - min) in x or y of the polygon, depot and
+    nodes, and m their count, ``2 * m * E**2`` must be finite: that bounds
+    every squared distance, cross product and sum of them the solvers form.
+    ``2 * E / spacing`` must be finite too: that bounds every lane key, a
+    difference of two offsets (each at most E) over the spacing. Every node
+    must lie inside the polygon. The file's lines are fixed by the format:
+    the seed is on line 3, the spacing on line 4, the node count on line
+    8 + V after the V polygon vertices, and node i on line 9 + V + i.
+    """
+    if inst.seed < 0:
+        return 3, "seed must be non-negative"
+    if not (math.isfinite(inst.spacing) and inst.spacing > 0):
+        return 4, "spacing must be positive and finite"
+    count_line, n = 8 + len(inst.polygon), inst.xy.shape[1]
+    corners = np.array([(p.x, p.y) for p in (*inst.polygon, inst.depot)]).T
+    xs, ys = np.concatenate([corners, inst.xy], axis=1)
+    extent = max(float(xs.max()) - float(xs.min()), float(ys.max()) - float(ys.min()))
+    last_line = count_line + n  # the extent errors name the block's last line
+    if not math.isfinite(2 * len(xs) * extent * extent):
+        return last_line, f"{len(xs)} points span {_fmt(extent)}, so squared distances overflow"
+    if not math.isfinite(2 * extent / inst.spacing):
+        spacing = _fmt(inst.spacing)
+        return last_line, f"spacing {spacing} is too small for an extent of {_fmt(extent)}"
+    inside = _inside(_edges(inst.polygon), *inst.xy)
+    if not inside.all():
+        i = int(np.argmin(inside))  # the first node outside
+        return count_line + 1 + i, f"node {i} lies outside the polygon"
+    return None
+
+
 def save(inst: FarmInstance, path: Path | str) -> None:
+    """Write ``inst`` as an instance file; see the module docstring for the
+    format. Raises ValueError, before it opens the file, for an instance that
+    ``load`` would refuse to read back (``_refusal``)."""
+    refusal = _refusal(inst)
+    if refusal is not None:
+        raise ValueError(refusal[1])
     path = Path(path)
     lines = [
         INSTANCE_HEADER,
@@ -368,7 +415,13 @@ def save(inst: FarmInstance, path: Path | str) -> None:
     ]
     lines += [f"{_fmt(p.x)} {_fmt(p.y)}" for p in inst.polygon]
     lines.append(f"nodes: {inst.xy.shape[1]}")
-    nodes = (_POINT_LINE * inst.xy.shape[1]) % tuple(inst.xy.T.ravel().tolist())
+    # Each distinct coordinate is formatted once, all in one operation, keyed
+    # by its bits so that -0.0 and 0.0 keep their own text; the node lines
+    # are then gathered as x0 y0, x1 y1, ...
+    bits, where = np.unique(inst.xy.T.ravel().view(np.int64), return_inverse=True)
+    values = bits.view(float).tolist()
+    text = np.array(((_FLOAT + " ") * len(values) % tuple(values)).split(), dtype=object)
+    nodes = ("%s %s\n" * inst.xy.shape[1]) % tuple(text[where].tolist())
     path.write_text("\n".join(lines) + "\n" + nodes, encoding="utf-8")
 
 
@@ -377,6 +430,25 @@ def _point(text: str) -> Point:
     if len(parts) != 2:
         raise ValueError(f"expected '<x> <y>', got {text!r}")
     return Point(float(parts[0]), float(parts[1]))
+
+
+def _point_block(lines: list[str]) -> np.ndarray | None:
+    """The ``<x> <y>`` lines as an x row over a y row, or None unless each
+    line holds two tokens that ``float`` reads as finite floats. Each
+    distinct token is converted once and the block is gathered from that
+    table, so a lattice's repeated coordinates cost one lookup each."""
+    rows = [line.split() for line in lines]
+    if set(map(len, rows)) - {2}:
+        return None
+    tokens = list(itertools.chain.from_iterable(rows))
+    distinct = list(dict.fromkeys(tokens))
+    try:
+        table = dict(zip(distinct, map(float, distinct)))
+    except ValueError:  # a token that is not a float
+        return None
+    if not all(map(math.isfinite, table.values())):
+        return None
+    return np.fromiter(map(table.__getitem__, tokens), float, len(tokens)).reshape(-1, 2).T
 
 
 class _LineReader:
@@ -435,16 +507,15 @@ class _LineReader:
 
     def points(self, count: int, what: str) -> np.ndarray:
         """The next ``count`` lines, two finite floats each, as an x row over
-        a y row, parsed as one block; if that fails, the lines are parsed one
-        at a time, so the first bad one raises as ``f"{what} {i}"``."""
-        block = [line.split() for line in self.lines[self.pos : self.pos + count]]
-        try:
-            rows = np.array(block, dtype=float)
-        except ValueError:  # ragged, or a token that is not a float
-            rows = np.empty(0)
-        if rows.shape == (count, 2) and np.isfinite(rows).all():
+        a y row. Each line is split, and each distinct token is converted
+        with ``float`` once (``_point_block``); if a line does not hold two
+        tokens or a token is not a finite float, the lines are parsed one at
+        a time, so the first bad one raises as ``f"{what} {i}"``."""
+        lines = self.lines[self.pos : self.pos + count]
+        block = _point_block(lines) if len(lines) == count else None
+        if block is not None:
             self.pos += count
-            return rows.T
+            return block
         pts = [self.parse(_point, self.next(f"{what} {i}"), f"{what} {i}") for i in range(count)]
         return np.array([(p.x, p.y) for p in pts]).reshape(count, 2).T
 
@@ -463,39 +534,27 @@ class _LineReader:
 def load(path: Path | str) -> FarmInstance:
     """Load and validate an instance file; see the module docstring for the format.
 
-    Raises FormatError (VersionError for another version) naming the line.
-    With E the largest extent (max - min) in x or y of the polygon, depot and
-    nodes, and m their count, ``2 * m * E**2`` must be finite: that bounds
-    every squared distance, cross product and sum of them the solvers form.
-    ``2 * E / spacing`` must be finite too: that bounds every lane key, a
-    difference of two offsets (each at most E) over the spacing.
+    Raises FormatError (VersionError for another version) naming the line,
+    for a malformed file or for one whose instance ``_refusal`` refuses: a
+    negative seed, a spacing that is not positive and finite, an extent
+    that could overflow, or a node outside the polygon.
     """
     r = _LineReader(Path(path), INSTANCE_HEADER)
     name = r.field("name")
     seed = r.field("seed", int)
-    if seed < 0:
-        raise r.error("seed must be non-negative")
     spacing = r.field("spacing", float)
-    if not (math.isfinite(spacing) and spacing > 0):
-        raise r.error("spacing must be positive and finite")
     origin = r.field("lattice_origin", _point)
     depot = r.field("depot", _point)
     verts = r.points(r.count("polygon"), "polygon vertex")
     polygon = r.parse(ConvexPolygon, tuple(map(Point, *verts.tolist())), "polygon")
     nodes = r.points(r.count("nodes"), "node")
-    xs, ys = np.concatenate([verts, [[depot.x], [depot.y]], nodes], axis=1)
-    extent = max(float(xs.max()) - float(xs.min()), float(ys.max()) - float(ys.min()))
-    if not math.isfinite(2 * len(xs) * extent * extent):
-        raise r.error(f"{len(xs)} points span {_fmt(extent)}, so squared distances overflow")
-    if not math.isfinite(2 * extent / spacing):
-        raise r.error(f"spacing {_fmt(spacing)} is too small for an extent of {_fmt(extent)}")
-    inside = _inside(_edges(polygon), *nodes)
-    if not inside.all():
-        i = int(np.argmin(inside))  # the first node outside
-        r.pos -= len(inside) - 1 - i  # the error names node i's own line
-        raise r.error(f"node {i} lies outside the polygon")
+    inst = FarmInstance(name, seed, polygon, spacing, origin, depot, nodes)
+    refusal = _refusal(inst)
+    if refusal is not None:
+        r.pos, message = refusal
+        raise r.error(message)
     r.end()
-    return FarmInstance(name, seed, polygon, spacing, origin, depot, nodes)
+    return inst
 
 
 def generate_dataset(

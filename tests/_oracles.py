@@ -30,6 +30,28 @@ def left_sum(values) -> float:
     return functools.reduce(operator.add, values, 0.0)
 
 
+def instance_text_oracle(inst) -> str:
+    """The instance file of ``inst``, each float written by its own ``%.17g``
+    and nothing checked, as ``instances.save`` wrote it before it formatted
+    each distinct node coordinate once."""
+    def fmt(x: float) -> str:
+        return "%.17g" % x
+
+    lines = [
+        "farm-instance v1",
+        f"name: {inst.name}",
+        f"seed: {inst.seed}",
+        f"spacing: {fmt(inst.spacing)}",
+        f"lattice_origin: {fmt(inst.lattice_origin.x)} {fmt(inst.lattice_origin.y)}",
+        f"depot: {fmt(inst.depot.x)} {fmt(inst.depot.y)}",
+        f"polygon: {len(inst.polygon)}",
+        *(f"{fmt(p.x)} {fmt(p.y)}" for p in inst.polygon),
+        f"nodes: {inst.xy.shape[1]}",
+        *(f"{fmt(x)} {fmt(y)}" for x, y in zip(*inst.xy.tolist())),
+    ]
+    return "\n".join(lines) + "\n"
+
+
 def hull_vertex_oracle(points: list[Point]) -> set[tuple[float, float]]:
     """O(n^3) extreme-point test: p is a hull vertex iff some line through p
     and another point has every remaining point strictly on one side."""

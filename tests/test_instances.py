@@ -27,7 +27,7 @@ from pondroute.instances import (
 from pondroute.rng import make_rng
 from pondroute.solution import load_solution, save_solution
 
-from _oracles import lattice_points_oracle, spacing_oracle, xy_rows
+from _oracles import instance_text_oracle, lattice_points_oracle, spacing_oracle, xy_rows
 
 # SHA-256 of the ``save(generate(n, seed))`` bytes, taken from the meshgrid
 # lattice code that preceded the one-broadcast counts; the n = 20000 entries,
@@ -334,21 +334,22 @@ class TestSaveLoad:
             load(path)
 
     @staticmethod
-    def _save_square(tmp_path, nodes: list[Point]):
+    def _write_square(tmp_path, nodes: list[Point]):
         # A 2 x 2 square: its edges are 2 long, so the tolerance EPS * 2 shows
-        # whether the cross product is normalized by the edge length.
+        # whether the cross product is normalized by the edge length. ``save``
+        # refuses a node outside, so the file is written by the oracle.
         poly = ConvexPolygon((Point(0, 0), Point(2, 0), Point(2, 2), Point(0, 2)))
         inst = FarmInstance(
             name="sq", seed=0, polygon=poly, spacing=1.0,
             lattice_origin=Point(0, 0), depot=Point(1, 0), xy=xy_rows(nodes),
         )
         path = tmp_path / "sq.txt"
-        save(inst, path)
+        path.write_text(instance_text_oracle(inst))
         return poly, path
 
     def test_first_of_two_outside_nodes_named_with_its_line(self, tmp_path):
         nodes = [Point(1, 1), Point(5, 5), Point(1.5, 1.5), Point(6, 6)]
-        poly, path = self._save_square(tmp_path, nodes)
+        poly, path = self._write_square(tmp_path, nodes)
         line = path.read_text().splitlines().index("5 5") + 1
         assert [contains(poly, p) for p in nodes] == [True, False, True, False]
         with pytest.raises(FormatError, match=rf"sq.txt: line {line}: node 1 lies outside"):
@@ -357,13 +358,38 @@ class TestSaveLoad:
     @pytest.mark.parametrize(("offset", "inside"), [(0.9e-9, True), (1.1e-9, False)])
     def test_boundary_tolerance_scales_with_edge_length(self, tmp_path, offset, inside):
         node = Point(2 + offset, 1.0)  # right of the edge (2, 0)-(2, 2)
-        poly, path = self._save_square(tmp_path, [Point(1, 1), node])
+        poly, path = self._write_square(tmp_path, [Point(1, 1), node])
         assert contains(poly, node) is inside
         if inside:
             assert load(path).nodes[1] == node
         else:
             with pytest.raises(FormatError, match="node 1 lies outside"):
                 load(path)
+
+    @pytest.mark.parametrize(
+        ("change", "line", "message"),
+        [
+            ({"seed": -1}, 3, "seed must be non-negative"),
+            ({"spacing": -0.5}, 4, "spacing must be positive and finite"),
+            ({"spacing": 1e-315}, 37, "spacing 9.9999999848168381e-316 is too small"),
+            ({"shift": 5.0}, 18, "node 0 lies outside the polygon"),
+        ],
+        ids=["seed", "spacing", "tiny-spacing", "outside"],
+    )
+    def test_save_refuses_what_load_refuses(self, tmp_path, change, line, message):
+        inst = make_instance(20, 1)
+        if "shift" in change:
+            change = {"xy": inst.xy + [[change["shift"]], [0.0]]}
+        bad = dataclasses.replace(inst, **change)
+        path = tmp_path / "i.txt"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            save(bad, path)
+        assert not path.exists()
+        # The same instance written without the check is refused by load,
+        # with the same message, at the line that holds the fault.
+        path.write_text(instance_text_oracle(bad))
+        with pytest.raises(FormatError, match=re.escape(f"i.txt: line {line}: {message}")):
+            load(path)
 
     def test_unknown_version(self, tmp_path):
         inst = make_instance(20, 1)
@@ -495,10 +521,11 @@ class TestOneLineFields:
 
 
 class TestBlockParse:
-    """A vertex or node block is parsed at once, and an error in it is
-    reported as the line-by-line reader reports it: the same text and line.
-    ``write_square``'s file has its polygon on lines 7-11 and its six nodes
-    on lines 12-18; node 2 is line 15."""
+    """A vertex or node block is parsed at once, each distinct token
+    converted once, and an error in it is reported as the line-by-line reader
+    reports it: the same text and line. ``write_square``'s file has its
+    polygon on lines 7-11 and its six nodes on lines 12-18; node 2 is line
+    15. ``line`` replaces line 15, and each further line of it the next."""
 
     @pytest.mark.parametrize(
         ("line", "error"),
@@ -512,20 +539,29 @@ class TestBlockParse:
             ("\uff10.2 0.3", None),  # a full-width 0: the node loads as (0.2, 0.3)
             ("", "line 15: node 2: expected '<x> <y>', got ''"),
             (None, "line 16: unexpected end of file, expected node 3"),  # the file ends
+            # the bad token recurs on line 16; the error still names line 15
+            ("0.2 0.3e\n0.7 0.3e", "line 15: node 2: could not convert string to float: '0.3e'"),
+            ("0.1 0.7", None),  # 0.1 is on lines 13-15 and 0.7 on lines 15-17: each node loads
         ],
         ids=[
             "three-tokens", "nan", "inf", "overflow", "underscore", "unicode-digits",
-            "unicode-loads", "empty", "cut-short",
+            "unicode-loads", "empty", "cut-short", "bad-token-recurs", "valid-tokens-recur",
         ],
     )
     def test_corrupt_node_line(self, tmp_path, line, error):
         path = write_square(tmp_path / "sq.txt", 1.0)
         lines = path.read_text().splitlines()
         assert lines[14] == "0.2 0.3"
-        lines = lines[:15] if line is None else lines[:14] + [line] + lines[15:]
+        if line is None:
+            lines = lines[:15]
+        else:
+            new = line.split("\n")
+            lines = lines[:14] + new + lines[14 + len(new):]
         path.write_text("\n".join(lines) + "\n")
         if error is None:
-            assert load(path).nodes[2] == Point(0.2, 0.3)
+            nodes = load(path).nodes  # each node as ``float`` reads its line
+            assert list(nodes) == [Point(*map(float, text.split())) for text in lines[12:18]]
+            assert nodes[2] in (Point(0.2, 0.3), Point(0.1, 0.7))
         else:
             with pytest.raises(FormatError, match=re.escape(f"sq.txt: {error}")):
                 load(path)
@@ -560,6 +596,44 @@ class TestBlockParse:
             FormatError, match=re.escape("sq.txt: line 19: unexpected end of file, expected node 6")
         ):
             load(path)
+
+
+_SUBNORMAL_MAX = float(np.nextafter(2.2250738585072014e-308, 0.0))
+_HALF_UP, _HALF_DOWN = float(np.nextafter(0.5, 1.0)), float(np.nextafter(0.5, 0.0))
+NODE_BLOCKS = {
+    "signed-zeros": [[-0.0, 0.0, 0.0, -0.0, 0.5], [0.0, -0.0, 0.5, 0.5, -0.0]],
+    "ulp-apart": [[0.5, _HALF_UP, _HALF_DOWN, 0.5, _HALF_UP], [0.25, 0.25, 0.25, 0.75, 0.75]],
+    "subnormals": [
+        [5e-324, -5e-324, _SUBNORMAL_MAX, -_SUBNORMAL_MAX, 1e-310, 0.0],
+        [_SUBNORMAL_MAX, 1e-310, 5e-324, 0.0, -5e-324, -_SUBNORMAL_MAX],
+    ],
+    "one-value": [[0.375] * 40, [0.375] * 40],
+    "all-distinct": make_rng(5).random((2, 300)).tolist(),
+    "one-node": [[0.125], [0.75]],
+    "no-nodes": [[], []],
+}
+
+
+class TestNodeBlockText:
+    """``save`` formats each distinct node coordinate once, keyed by its bit
+    pattern, and ``load`` converts each distinct token once; the file must
+    still be the per-coordinate ``%.17g`` text of the oracle, and it must
+    load bit for bit (``tobytes``: ``FarmInstance`` equality has -0.0 ==
+    0.0)."""
+
+    @pytest.mark.parametrize("block", list(NODE_BLOCKS.values()), ids=list(NODE_BLOCKS))
+    def test_saves_per_coordinate_text_and_loads_bit_exact(self, tmp_path, block):
+        square = ConvexPolygon((Point(-1, -1), Point(2, -1), Point(2, 2), Point(-1, 2)))
+        inst = FarmInstance(
+            name="block", seed=0, polygon=square, spacing=0.25,
+            lattice_origin=Point(-1, -1), depot=Point(0.5, -1), xy=np.array(block, dtype=float),
+        )
+        path = tmp_path / "block.txt"
+        save(inst, path)
+        assert path.read_text() == instance_text_oracle(inst)
+        xy = load(path).xy
+        assert xy.shape == inst.xy.shape
+        assert xy.tobytes() == inst.xy.tobytes()
 
 
 class TestCoordinateExtent:
