@@ -19,9 +19,10 @@ one path, full O(m^2) best-improvement passes, and runs only on the few
 trial tours whose screen finds an improving move. Each screen row's
 ``argmin`` is that row's move in a full first pass, so such a trial starts
 from its screen's move and skips one table. A pass fills one contiguous m x
-(m + 2) table of move costs with one flat add over the tour's distances. No
-table bigger than a route's is built: every distance is computed where it is
-read, from the coordinate array (``_Distances``, the root of
+(m + 2) table of move costs with one flat add over the tour's distances, of
+which it reads only those above the diagonal. No table bigger than a
+route's is built: every distance is computed where it is read, from the
+coordinate array (``_Distances``, the root of
 ``geometry._squared_distances``), so a solve's memory grows with its
 routes, not with n^2. Each sector's nearest-neighbour tour is one
 (m + 1) x m table and one ``argmin`` per node.
@@ -69,7 +70,7 @@ class _Distances:
     """
 
     def __init__(self, inst: FarmInstance) -> None:
-        self.xs, self.ys = np.append(inst.xy, [[inst.depot.x], [inst.depot.y]], axis=1)
+        self.xs, self.ys = np.concatenate([inst.xy, [[inst.depot.x], [inst.depot.y]]], axis=1)
 
     def __getitem__(self, index: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         rows, cols = index
@@ -143,6 +144,19 @@ def two_opt(
     elements after S[i, j + 1] in S's flat buffer, and the last two columns
     of each row are padding. The argmin of its flat index i * w + j takes
     the moves in row-major (i, j) order.
+
+    A move's cell reads only entries of S above its diagonal. When ``D`` is
+    a ``_Distances``, symmetric to the bit, and S is finite, S's diagonal
+    and the entries below it are set to +inf once per call. Every cell that
+    is not a move then holds +inf, but the m cells (i, i), which a pass sets
+    to 0.0 in one strided write; and a reversal of positions a..b-1 moves
+    only entries above the diagonal: the rows before a and the columns from
+    b on take their reversed block, and the block takes its own transpose,
+    reversed along both axes. Any other ``D``, or an S with a non-finite
+    entry, keeps all of S, reversing its rows and columns, and each pass
+    sets every cell that is not a move to 0.0, so that the first-NaN rule
+    sees only moves. Both forms take the same moves: a move's cell has the
+    same operands in the same order, and no other cell is below 0.0.
     """
     m = len(order)
     P = np.array([_DEPOT, *order, _DEPOT])
@@ -160,22 +174,38 @@ def two_opt(
         after = np.zeros(w)  # after[j] = cons[j + 1], then two zeros for the padding
         delta = np.empty((m, w))
         out = delta.ravel()
-        skip = np.tri(m, w, dtype=bool)  # j <= i: not a move
-        skip[:, m:] = True
+        # S keeps only its entries above the diagonal, or all of them
+        upper = isinstance(D, _Distances) and bool(np.isfinite(S).all())
+        lower = np.greater_equal.outer(np.arange(w), np.arange(w))  # row >= column
+        if upper:
+            np.copyto(S, np.inf, where=lower)
+        else:
+            skip = lower[:m]  # j <= i: not a move
+            skip[:, m:] = True
         for _ in range(passes):
             # delta[i, j] = cost change of reversing order[i..j]
             np.add(flat[1 : m * w + 1], flat[w + 2 : (m + 1) * w + 2], out=out)
             delta -= cons[:m, None]
             after[:m] = cons[1:]
             delta -= after
-            np.copyto(delta, 0.0, where=skip)
-            i, j = divmod(int(np.argmin(out)), w)
+            if upper:
+                out[:: w + 1] = 0.0
+            else:
+                np.copyto(delta, 0.0, where=skip)
+            i, j = divmod(int(out.argmin()), w)
             if delta[i, j] >= -_IMPROVE_EPS:
                 converged = True
                 break
-            P[i + 1 : j + 2] = P[j + 1 : i : -1]
-            S[i + 1 : j + 2] = S[j + 1 : i : -1]
-            S[:, i + 1 : j + 2] = S[:, j + 1 : i : -1]
+            # positions a..b-1 are reversed
+            a, b = i + 1, j + 2
+            P[a:b] = P[b - 1 : i : -1]
+            if upper:
+                S[:a, a:b] = S[:a, b - 1 : i : -1]
+                S[a:b, b:] = S[b - 1 : i : -1, b:]
+                S[a:b, a:b] = S[a:b, a:b].T[::-1, ::-1]
+            else:
+                S[a:b] = S[b - 1 : i : -1]
+                S[:, a:b] = S[:, b - 1 : i : -1]
     return P[1:-1].tolist(), converged
 
 
@@ -243,16 +273,16 @@ def _nearest_neighbor(nodes: list[int], D: np.ndarray | _Distances) -> list[int]
     the first unvisited column, as that rule does.
     """
     ids = np.array(sorted(nodes), dtype=np.intp)
-    sub = D[np.append(ids, _DEPOT)[:, None], ids]
+    sub = D[np.concatenate([ids, [_DEPOT]])[:, None], ids]
     cols = sub.T  # cols[t] is column t of sub, so one index sets it
-    unvisited = np.ones(len(ids), dtype=bool)
+    visited = np.zeros(len(ids), dtype=bool)
     picks: list[np.intp] = []
     row = sub[-1]
     for _ in range(len(ids)):
         t = row.argmin()
         if row[t] == np.inf:
-            t = unvisited.argmax()
-        unvisited[t] = False
+            t = visited.argmin()
+        visited[t] = True
         cols[t] = np.inf
         picks.append(t)
         row = sub[t]
@@ -304,7 +334,7 @@ def _insertions(
     least = deltas.min(axis=2, keepdims=True)
     unclear = ~((deltas <= least) | (least < deltas - _IMPROVE_EPS))
     pos, least = pos.tolist(), least[..., 0].tolist()
-    for c, r in zip(*np.nonzero(unclear.any(axis=2))):
+    for c, r in zip(*unclear.any(axis=2).nonzero()):
         pos[c][r], least[c][r] = _first_clear_min(deltas[c, r, : edges[r]].tolist())
     return pos, least
 
@@ -341,8 +371,9 @@ def _nearest(
     gaps = np.hypot(X[R, None] - cx, Y[R, None] - cy).min(axis=1)
     keep = np.arange(len(R))
     if len(R) > count:
-        kth = np.partition(gaps, count - 1)[count - 1]
-        keep = np.flatnonzero(gaps <= kth * (1 + 2**-40) + 2**-1070)
+        ranked = gaps.copy()
+        ranked.partition(count - 1)
+        keep = (gaps <= ranked[count - 1] * (1 + 2**-40) + 2**-1070).nonzero()[0]
     S = R[keep]
     centres = list(zip(cx.tolist(), cy.tolist()))
     return sorted(
@@ -372,7 +403,7 @@ def minmax_local_search(
         raise ValueError(f"max_iterations must be non-negative, got {max_iterations}")
     D = _Distances(inst)
     # Node coordinates, and 0.0 at _DEPOT: a depot entry adds nothing to a sum.
-    X, Y = np.append(inst.xy, [[0.0], [0.0]], axis=1)
+    X, Y = np.concatenate([inst.xy, [[0.0], [0.0]]], axis=1)
 
     # Route r is row r of one table, depot to depot and padded with the
     # depot, over its sizes[r] nodes. optimal[r]: no 2-opt move on it gains
@@ -401,7 +432,7 @@ def minmax_local_search(
         # route outgrows the table by at most one depot column.
         width = int(sizes.max()) + 3
         if table.shape[1] < width:
-            table = np.append(table, np.full((k, 1), _DEPOT), axis=1)
+            table = np.concatenate([table, table[:, :1]], axis=1)  # column 0 is the depot
         tours = table[:, :width]
         cost = D[tours[:, :-1], tours[:, 1:]]
 
@@ -440,7 +471,7 @@ def minmax_local_search(
         ])
         grown = len(cuts) + np.arange(len(scored))
         trials[grown, pos + 1] = node
-        trial_sizes = np.concatenate([np.full(len(cuts), m - 1), sizes[target] + 1])
+        trial_sizes = np.concatenate([[m - 1] * len(cuts), sizes[target] + 1])
         legs = D[trials[:, :-1], trials[:, 1:]]
 
         # The screen of every trial tour in one table, one row per changed
@@ -448,8 +479,9 @@ def minmax_local_search(
         # that drop a changed edge can gain more than _IMPROVE_EPS, so
         # two_opt runs only where the screen finds one, and then its first
         # pass takes the screen's move; on any other route two_opt runs.
-        rows = np.concatenate([np.arange(len(cuts)), np.repeat(grown, 2)])
-        changed = np.concatenate([cuts, np.stack([pos, pos + 1], axis=1).ravel()])
+        rows = np.concatenate([np.arange(len(cuts)), grown.repeat(2)])
+        pairs = np.concatenate([pos[:, None], pos[:, None] + 1], axis=1)  # a grown trial's edges
+        changed = np.concatenate([cuts, pairs.ravel()])
         screen = _screen_table(D, trials[rows], legs[rows], trial_sizes[rows] + 1, changed)
         picks = _screen_picks(screen, changed)
         # one pick per trial: a grown trial's two rows give the smaller key

@@ -35,6 +35,27 @@ Both solvers compute squared point distances through one kernel,
 ``_squared_distances``: ``hpp``'s k-means tables and seeding, and
 ``baseline._Distances``, which serves ``minmax-ls`` and ``exact``. Its
 docstring states the two facts their exactness arguments use.
+
+Every output bit of the package rests on IEEE operations, CPython's own
+``math.hypot``, ``%.17g`` and ``float()``, and PCG64, with two exceptions
+that come from the C library, whose last bit may differ between machines.
+``np.hypot`` is behind an argument that makes that bit harmless at each of
+its three uses:
+
+- ``hpp``'s lane tables and depot legs only score candidates, and the
+  re-score rule builds and sums exactly every candidate within
+  ``hpp.NEAR_BEST``, far more than their rounding, of its cluster's best
+  (``hpp.route_cluster``);
+- ``hpp``'s k-means centroid moves are covered by the bound slack, which
+  allows several ulps of error in each move (``hpp._kmeans``);
+- ``baseline._nearest``'s ranking shortlists with a limit that holds for one
+  ulp of error in either hypot (its proof).
+
+``math.atan2`` in ``baseline._sector_partition``, the angles that cut
+``minmax-ls``'s start sectors, has no such argument: another last bit can
+move a node to another sector. No float matrix product (``@``, ``dot``,
+``einsum``, ``linalg``) is on any path, as ``tests/test_float_blas.py``
+checks.
 """
 
 from __future__ import annotations
@@ -158,6 +179,17 @@ def _squared_distances(
     return d
 
 
+def _steps(a: np.ndarray, before: float) -> np.ndarray:
+    """``np.diff(a, prepend=before)`` of a 1-D array: entry 0 is
+    ``a[0] - before`` and entry i is ``a[i] - a[i - 1]``, the same
+    subtractions, written into one array without ``np.diff``'s
+    Python-level concatenation."""
+    out = np.empty_like(a)
+    np.subtract(a[1:], a[:-1], out=out[1:])
+    np.subtract(a[:1], before, out=out[:1])
+    return out
+
+
 def _hull_ring(xs: np.ndarray, ys: np.ndarray) -> list[int]:
     """Indices into (``xs``, ``ys``) of the strict corners of the
     monotone-chain hull, CCW from the smallest (x, y): the one-cluster call
@@ -191,20 +223,22 @@ def _hull_rings(xs: np.ndarray, ys: np.ndarray, labels: np.ndarray, k: int) -> l
     """
     by = np.lexsort((ys, xs, labels))
     lab, xs, ys = labels[by], xs[by], ys[by]
-    keep = np.ones(len(by), dtype=bool)
+    keep = np.empty(len(by), dtype=bool)
+    keep[:1] = True
     keep[1:] = (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1]) | (lab[1:] != lab[:-1])
     pos, lab, xs, ys = by[keep], lab[keep], xs[keep], ys[keep]
     # cut[i]: point i is its cluster's first, col[i]: its column's bottom;
     # both hold at the end, i = len(xs), too.
-    cut = np.ones(len(xs) + 1, dtype=bool)
+    cut = np.empty(len(xs) + 1, dtype=bool)
+    cut[0] = cut[-1] = True
     cut[1:-1] = lab[1:] != lab[:-1]
     col = cut.copy()
     col[1:-1] |= xs[1:] != xs[:-1]
     bounds = cut.nonzero()[0]  # the non-empty clusters, end to end
-    every = np.ones(k, dtype=bool)  # the chains read every point of the cluster
-    every[lab[bounds[:-1]]] = ~_column_ends_suffice(xs, ys, col, bounds)
+    ends = np.zeros(k, dtype=bool)  # the chains read only the cluster's column ends
+    ends[lab[bounds[:-1]]] = _column_ends_suffice(xs, ys, col, bounds)
     size = np.bincount(lab, minlength=k)  # distinct points per cluster
-    every, chained = every[lab], (size >= 3)[lab]
+    every, chained = ~ends[lab], (size >= 3)[lab]
     lower = (chained & (every | col[:-1] | cut[1:])).nonzero()[0]
     upper = (chained & (every | col[1:] | cut[:-1])).nonzero()[0][::-1]
     lower_count = np.bincount(lab[lower], minlength=k).tolist()
@@ -279,7 +313,8 @@ def _column_ends_suffice(
     with np.errstate(over="ignore", invalid="ignore"):
         widths = xs[end - 1] - xs[start]
         heights = np.maximum.reduceat(ys, start) - np.minimum.reduceat(ys, start)
-        gaps = np.full((2, len(xs)), math.inf)  # entry i: the gap from point i to i + 1
+        gaps = np.empty((2, len(xs)))  # entry i: the gap from point i to i + 1
+        gaps.fill(math.inf)
         np.subtract(xs[1:], xs[:-1], out=gaps[0, :-1], where=col[1:-1])
         np.subtract(ys[1:], ys[:-1], out=gaps[1, :-1], where=~col[1:-1])
     gaps[0, end - 1] = math.inf  # from a cluster's last point to the next cluster
@@ -369,17 +404,18 @@ def _caliper_pairs(xs: np.ndarray, ys: np.ndarray, sizes: list[int]) -> np.ndarr
     # after it on a tie (the opposite edge is parallel); a corner is not
     # paired with itself.
     sizes = np.asarray(sizes, dtype=np.intp)
-    m, e = np.repeat(sizes, sizes), np.arange(len(px))
-    o = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    m, e = sizes.repeat(sizes), np.arange(len(px))
+    o = (sizes.cumsum() - sizes).repeat(sizes)
     far, tie = np.array(far, dtype=np.intp), np.array(tie, dtype=bool)
     e1, after, far = o + (e - o + 1) % m, o + (far + 1) % m, o + far
     a = np.concatenate([e, e1, e[tie], e1[tie]])
     b = np.concatenate([far, far, after[tie], after[tie]])
     # Sorted and deduplicated by hand: a process's first ``np.unique`` call
     # allocates about 1 MB once, which shows in a benchmark's peak RSS.
-    key = np.sort((np.minimum(a, b) * len(e) + np.maximum(a, b))[a != b])
-    key = key[np.diff(key, prepend=-1) != 0]
-    return np.stack(np.divmod(key, len(e)), axis=1)
+    key = (np.minimum(a, b) * len(e) + np.maximum(a, b))[a != b]
+    key.sort()
+    high, low = np.divmod(key[_steps(key, -1) != 0], len(e))
+    return np.concatenate([high[:, None], low[:, None]], axis=1)
 
 
 def antipodal_pairs(poly: ConvexPolygon) -> list[tuple[int, int]]:
@@ -424,11 +460,12 @@ def _inside(edges: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     lattice, one per sign class of the edges to build its bracket
     certificate, and 42-50 on the certificate's few dozen uncertain points.
     """
-    ax, ay, dx, dy, tol = edges.reshape(edges.shape + (1,) * max(np.ndim(xs), np.ndim(ys)))
+    ax, ay, dx, dy, tol = edges.reshape(edges.shape + (1,) * max(xs.ndim, ys.ndim))
 
     def outside(e: slice) -> np.ndarray:
         """Mask of the points outside some edge of block ``e``."""
-        return (dx[e] * (ys - ay[e]) - dy[e] * (xs - ax[e]) < tol[e]).any(axis=0)
+        cross = dx[e] * (ys - ay[e]) - dy[e] * (xs - ax[e])
+        return np.logical_or.reduce(cross < tol[e], axis=0)
 
     # The first block's mask starts the union (all False when there are no
     # edges), so an outline of at most _EDGE_BLOCK edges needs no other array.

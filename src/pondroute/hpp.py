@@ -50,6 +50,18 @@ table lists its cluster's m nodes, and a lattice cluster has one table per
 axis, so 2n entries), and a fixed number of array operations over all
 candidates. The routes come back as a ``solution.Solution``, whose module
 also holds the file format.
+
+Every array step of a solve is a ufunc, a C function or an ndarray method:
+a difference is a subtraction of slices (``geometry._steps`` where
+``np.diff`` would prepend a value), arrays are joined by ``np.concatenate``,
+and running sums, repeats, sorts and searches are the arrays' own methods.
+numpy's helpers written in Python (``np.diff``, ``np.tile``, ``np.clip``,
+``np.append``, the ``np.cumsum``-style wrappers) cost 1-10 µs a call on top
+of the routine they end in, and at the benchmark's sizes a solve is bound
+by such fixed costs: at n = 700, k = 5 a solve made 549 calls into numpy's
+Python sources through them, and makes 168 without them, mostly the
+argument dispatch of C functions such as ``np.bincount``.
+``tests/test_numpy_helpers.py`` keeps them off the solve paths.
 """
 
 from __future__ import annotations
@@ -69,6 +81,7 @@ from .geometry import (
     _hull_rings,
     _polygon_ring,
     _squared_distances,
+    _steps,
 )
 # Bound here for the benchmark, which times hulls and pairs as hpp.<name>.
 from .geometry import antipodal_pairs, convex_hull  # noqa: F401
@@ -135,11 +148,10 @@ def _assign_labels(
         d2 = _squared_distances(xs, ys, cents[0][:, None], cents[1][:, None])
         labels = d2.argmin(axis=0)
         sizes = np.bincount(labels, minlength=k)
-        empty = np.flatnonzero(sizes == 0)
-        if empty.size == 0:
+        if sizes.all():
             return labels, sizes, cents, d2
         farthest = int(d2.min(axis=0).argmax())
-        cents[:, int(empty[0])] = xs[farthest], ys[farthest]
+        cents[:, int(sizes.argmin())] = xs[farthest], ys[farthest]  # the first empty one
     raise RepairImpossible("could not repair empty clusters")
 
 
@@ -180,7 +192,7 @@ def _kmeans_pp_init(
             nxt = next(i for i in range(n) if i not in chosen)
         else:
             r = rng.random() * total
-            nxt = int(np.searchsorted(np.cumsum(d2), r, side="right"))
+            nxt = int(d2.cumsum().searchsorted(r, side="right"))
             nxt = min(nxt, n - 1)
         chosen.append(nxt)
         d2 = np.minimum(d2, _squared_distances(xs, ys, xs[nxt], ys[nxt]))
@@ -287,7 +299,7 @@ def _kmeans(xs: np.ndarray, ys: np.ndarray, k: int, seed: int) -> tuple[np.ndarr
         moves += slack
         upper += moves[labels]
         lower -= moves.max()
-        stale = np.flatnonzero(upper >= lower)
+        stale = (upper >= lower).nonzero()[0]
         if stale.size:
             d2 = _squared_distances(xs[stale], ys[stale], cents[0][:, None], cents[1][:, None])
             relabelled = d2.argmin(axis=0)
@@ -345,7 +357,7 @@ def _repair(xy: np.ndarray, labels: np.ndarray, k: int) -> list[list[int]]:
     if all(len(ring) >= 3 for ring in rings):
         return rings
     xs, ys = xy.tolist()
-    groups = [np.flatnonzero(labels == c).tolist() for c in range(k)]  # ascending
+    groups = [(labels == c).nonzero()[0].tolist() for c in range(k)]  # ascending
     trials: dict[tuple[int, float, float], list[int]] = {}  # (donor, x, y) -> trial ring
 
     def trial_ring(i: int, donor: int) -> list[int]:
@@ -392,8 +404,8 @@ def _repair(xy: np.ndarray, labels: np.ndarray, k: int) -> list[list[int]]:
 def _ranges(first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The ranges ``first[r] ... first[r] + count[r] - 1`` laid end to end,
     and the offset at which each range starts."""
-    at = np.cumsum(count) - count
-    return np.arange(int(count.sum())) + np.repeat(first - at, count), at
+    at = count.cumsum() - count
+    return np.arange(int(count.sum())) + (first - at).repeat(count), at
 
 
 def _spans(a, b, last):
@@ -462,9 +474,9 @@ class _LaneTables:
         spacing: float,
     ) -> None:
         slots, k, rows = len(members), len(bounds) - 1, len(starts)
-        sizes = np.diff(bounds)
+        sizes = bounds[1:] - bounds[:-1]
         coords = xy[:, members]
-        cluster = np.repeat(np.arange(k), sizes)
+        cluster = np.arange(k).repeat(sizes)
         # Group g = axis * k + cluster holds one cluster's slots on one axis;
         # ``tc_rank`` and ``level`` are indexed by axis * slots + slot. Axis a
         # runs along coordinate a and stacks along coordinate 1 - a, so one
@@ -474,15 +486,16 @@ class _LaneTables:
         # group's levels are its distinct stacking coordinates, ascending.
         by = [np.lexsort((c, cluster)) for c in coords]
         tc_rank = np.empty(2 * slots, dtype=np.intp)
-        tc_rank[np.concatenate([by[0], by[1] + slots])] = np.tile(np.arange(slots), 2)
+        rank = np.arange(slots)
+        tc_rank[np.concatenate([by[0], by[1] + slots])] = np.concatenate([rank, rank])
         stacked = np.concatenate([by[1], by[0] + slots])
         v = np.concatenate(coords[::-1])[stacked]
         group = np.add.outer([0, k], cluster).reshape(-1)[stacked]
-        new = (np.diff(v, prepend=np.nan) != 0) | (np.diff(group, prepend=-1) != 0)
+        new = (_steps(v, np.nan) != 0) | (_steps(group, -1) != 0)
         count = np.bincount(group[new], minlength=2 * k)
-        first = np.cumsum(count) - count
+        first = count.cumsum() - count
         level = np.empty(2 * slots, dtype=np.intp)
-        level[stacked] = np.cumsum(new) - 1 - first[group]
+        level[stacked] = new.cumsum() - 1 - first[group]
         self.starts = starts
         self.anchors = coords[:, starts]
 
@@ -490,10 +503,10 @@ class _LaneTables:
         row_group = np.add.outer([0, k], cluster[starts]).reshape(-1)
         length = count[row_group]
         place, row0 = _ranges(first[row_group], length)
-        offsets = np.repeat(np.concatenate(coords[::-1, starts]), length)
+        offsets = np.concatenate(coords[::-1, starts]).repeat(length)
         keys = np.rint((v[new][place] - offsets) / spacing)
         # float keys: an offset may be more than 2^63 spacings; + 0.0 turns -0.0 into 0.0
-        keys -= np.repeat(np.minimum.reduceat(keys, row0), length)
+        keys -= np.minimum.reduceat(keys, row0).repeat(length)
         keys += 0.0
         # Rows share a table when their group and keys' bytes match.
         raw, first_row = keys.tobytes(), {}
@@ -502,52 +515,54 @@ class _LaneTables:
             first_row.setdefault((g, raw[8 * a : 8 * (a + n)]), r)
             for r, (g, a, n) in enumerate(key_rows)
         ])
-        tables = np.flatnonzero(rep == np.arange(2 * rows))
-        self.table = np.searchsorted(tables, rep).reshape(2, rows)
+        tables = (rep == np.arange(2 * rows)).nonzero()[0]
+        self.table = tables.searchsorted(rep).reshape(2, rows)
         place, at = _ranges(row0[tables], length[tables])
-        opens = np.diff(keys[place], prepend=np.nan) != 0
+        opens = _steps(keys[place], np.nan) != 0
         opens[at] = True
-        lane_at_level = np.cumsum(opens) - 1
+        lane_at_level = opens.cumsum() - 1
 
         # Entries: every table lists its cluster's slots, sorted by lane and tc.
         table_cluster = row_group[tables] % k
         table_size = sizes[table_cluster]
         slot, entry0 = _ranges(bounds[table_cluster], table_size)
         self.entry0 = entry0 - bounds[table_cluster]
-        entry_axis = np.repeat(tables // rows, table_size)
+        entry_axis = (tables // rows).repeat(table_size)
         flat = entry_axis * slots + slot
-        lane = lane_at_level[np.repeat(at, table_size) + level[flat]]
-        by = np.argsort(lane * slots + tc_rank[flat])
+        lane = lane_at_level[at.repeat(table_size) + level[flat]]
+        by = (lane * slots + tc_rank[flat]).argsort()
         self.inv = np.empty_like(by)
         self.inv[by] = np.arange(len(by))
         slot = slot[by]
         self.lane = lane = lane[by]
         self.L0 = lane_at_level[at]
         lane_size = np.bincount(lane)
-        self.last = np.cumsum(lane_size) - 1
+        self.last = lane_size.cumsum() - 1
         self.first = self.last - lane_size + 1
-        self.last_lane = np.append(self.L0[1:], len(lane_size)) - self.L0 - 1
-        lane_table = np.repeat(np.arange(len(tables)), self.last_lane + 1)
+        self.last_lane = np.concatenate([self.L0[1:], [len(lane_size)]]) - self.L0 - 1
+        lane_table = np.arange(len(tables)).repeat(self.last_lane + 1)
 
         self.x, self.y = x, y = coords[:, slot]
         self.tc = tc = np.where(entry_axis[by] == 0, x, y)
-        steps = np.hypot(np.diff(x), np.diff(y))
-        same_lane = np.diff(lane) == 0
+        steps = np.hypot(x[1:] - x[:-1], y[1:] - y[:-1])
+        same_lane = (lane[1:] - lane[:-1]) == 0
         steps[~same_lane] = 0.0  # hops between lanes
-        self.sums = np.add.reduceat(np.append(steps, 0.0), self.first)
-        self.prefix = np.concatenate([[0.0], np.cumsum(self.sums)])
-        first_hop = np.hypot(np.diff(x[self.first]), np.diff(y[self.first]))
-        last_hop = np.hypot(np.diff(x[self.last]), np.diff(y[self.last]))
-        out = np.diff(lane_table) != 0
+        self.sums = np.add.reduceat(np.concatenate([steps, [0.0]]), self.first)
+        self.prefix = np.concatenate([[0.0], self.sums.cumsum()])
+        fx, fy, lx, ly = x[self.first], y[self.first], x[self.last], y[self.last]
+        first_hop = np.hypot(fx[1:] - fx[:-1], fy[1:] - fy[:-1])
+        last_hop = np.hypot(lx[1:] - lx[:-1], ly[1:] - ly[:-1])
+        out = (lane_table[1:] - lane_table[:-1]) != 0
         first_hop[out] = last_hop[out] = 0.0
         even = (np.arange(len(lane_size) - 1) - self.L0[lane_table[:-1]]) % 2 == 0
         self.hops = np.zeros((2, len(lane_size)))
-        np.cumsum(np.where(even, last_hop, first_hop), out=self.hops[0, 1:])
-        np.cumsum(np.where(even, first_hop, last_hop), out=self.hops[1, 1:])
+        np.where(even, last_hop, first_hop).cumsum(out=self.hops[0, 1:])
+        np.where(even, first_hop, last_hop).cumsum(out=self.hops[1, 1:])
 
         # A run from a lane's first entry is fast when distances to the
         # entries after it strictly rise; from its last, to those before it.
-        at_first, at_last = np.append(True, ~same_lane), np.append(~same_lane, True)
+        at_first = np.concatenate([[True], ~same_lane])
+        at_last = np.concatenate([~same_lane, [True]])
         ahead = np.abs(tc - tc[self.first][lane])
         behind = np.abs(tc - tc[self.last][lane])
         tie_ahead = np.zeros(len(lane_size), dtype=bool)
@@ -590,19 +605,20 @@ class _LaneTables:
         lane = self.lane[anchor]
         size = self.last[lane] - self.first[lane] + 1
         entries, _ = _ranges(self.first[lane], size)
-        run = np.repeat(np.arange(len(anchor)), size)
+        run = np.arange(len(anchor)).repeat(size)
         keep = (entries != anchor[run]) & (entries != other[run])
         entries, run = entries[keep], run[keep]
         by = np.lexsort((toward * entries, np.abs(self.tc[entries] - self.tc[anchor[run]]), run))
         entries, run = entries[by], run[by]
-        steps = np.hypot(np.diff(self.x[entries]), np.diff(self.y[entries]))
-        steps[np.diff(run) != 0] = 0.0
+        x, y = self.x[entries], self.y[entries]
+        steps = np.hypot(x[1:] - x[:-1], y[1:] - y[:-1])
+        steps[(run[1:] - run[:-1]) != 0] = 0.0
         count = np.bincount(run, minlength=len(anchor))
         full = count > 0
-        at = (np.cumsum(count) - count)[full]
+        at = (count.cumsum() - count)[full]
         nearest = entries[at]
         length = np.zeros(len(anchor))
-        length[full] = np.add.reduceat(np.append(steps, 0.0), at) + np.hypot(
+        length[full] = np.add.reduceat(np.concatenate([steps, [0.0]]), at) + np.hypot(
             self.x[anchor[full]] - self.x[nearest], self.y[anchor[full]] - self.y[nearest]
         )
         tail = anchor.copy()
@@ -618,8 +634,8 @@ class _LaneTables:
         that joins last entries after each lane the span walks forward.
         """
         table = self.table[:, start].reshape(-1)
-        p = self._entry(table, np.tile(start, 2))
-        q = self._entry(table, np.tile(end, 2))
+        p = self._entry(table, np.concatenate([start, start]))
+        q = self._entry(table, np.concatenate([end, end]))
         L0 = self.L0[table]
         a, b = self.lane[p] - L0, self.lane[q] - L0
         # Anchor runs: the rest of the lane where fast, else sorted.
@@ -639,10 +655,11 @@ class _LaneTables:
         last = self.last_lane[table]
         s, e, step = (np.array(v) for v in zip(*_spans(a, b, last)))
         full = (e - s) * step >= 0
-        s, e = np.clip(s, 0, last), np.clip(e, 0, last)  # empty spans read in range
+        # empty spans read in range
+        s, e = np.minimum(np.maximum(s, 0), last), np.minimum(np.maximum(e, 0), last)
         lo, hi = L0 + np.minimum(s, e), L0 + np.maximum(s, e)
         odd = full & ((hi - lo) % 2 == 0)  # a full span of an odd lane count flips direction
-        forward = forward ^ ((np.cumsum(odd, axis=0) - odd) % 2 == 1)
+        forward = forward ^ ((odd.cumsum(axis=0) - odd) % 2 == 1)
         tip = np.where(forward, self.first[L0 + s], self.last[L0 + s])
         leave = np.where(forward ^ ((hi - lo) % 2 == 1), self.last[L0 + e], self.first[L0 + e])
         tails = [prev]
@@ -723,14 +740,14 @@ def _candidates(
     one scatter over ``members`` gives each node's slot in the tables.
     Clusters come in order and, within one, each antipodal pair (i, j) of
     the hull as (i, j) then (j, i)."""
-    members = np.argsort(labels, kind="stable")
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(labels, minlength=k))])
+    members = labels.argsort(kind="stable")
+    bounds = np.concatenate([[0], np.bincount(labels, minlength=k).cumsum()])
     sizes = [len(ring) for ring in rings]
     corners = np.concatenate(rings)
     slot = np.empty_like(members)
     slot[members] = np.arange(len(members))
     ends = _caliper_pairs(*xy[:, corners], sizes)
-    cluster = np.repeat(np.repeat(np.arange(k), sizes)[ends[:, 0]], 2)
+    cluster = np.arange(k).repeat(sizes)[ends[:, 0]].repeat(2)
     tables = _LaneTables(xy, members, bounds, slot[corners], spacing)
     return tables, ends.reshape(-1), ends[:, ::-1].reshape(-1), cluster
 
@@ -746,13 +763,13 @@ def _route_clusters(
     legs = np.hypot(tables.anchors[0] - depot.x, tables.anchors[1] - depot.y)
     scores = legs[start] + np.minimum(rows, cols) + legs[end]
     count = np.bincount(cluster, minlength=k)
-    low = np.minimum.reduceat(scores, np.cumsum(count) - count)
+    low = np.minimum.reduceat(scores, count.cumsum() - count)
     slack = NEAR_BEST * np.maximum(1.0, low)
     cutoff = low + slack + 1e-12 * count
     best: list[tuple[float, list[int]] | None] = [None] * k
-    xs, ys = np.append(xy, [[depot.x], [depot.y]], axis=1).tolist()  # the depot last
+    xs, ys = np.concatenate([xy, [[depot.x], [depot.y]]], axis=1).tolist()  # the depot last
     home = len(xs) - 1
-    rescore = np.flatnonzero(~(scores > cutoff[cluster]))
+    rescore = (~(scores > cutoff[cluster])).nonzero()[0]
     for c, i, j, r, w in zip(*(v[rescore].tolist() for v in (cluster, start, end, rows, cols))):
         if w > r + slack[c]:
             order = tables.sweep(0, i, j)

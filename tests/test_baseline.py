@@ -544,6 +544,32 @@ class TestMatchesOracle:
                     D[a, b] = D[b, a] = np.inf
             assert two_opt(order, D)[0] == two_opt_oracle(order, D, n)
 
+    @pytest.mark.parametrize("scale", [1.0, 2.0**520])
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_two_opt_upper_table_matches_full_table(self, family, scale):
+        # Computed distances are symmetric, so on a finite table two_opt
+        # keeps only the entries above its diagonal; a matrix, or distances
+        # that overflow to inf (scale 2^520), keep the whole table. Both take
+        # the same moves, with or without a first move, at m = 3 to 150 (to 8,
+        # from one seed, on infinite tables, where a call runs all its passes).
+        for seed in range(4 if scale == 1.0 else 1):
+            rng = np.random.default_rng(seed)
+            n = 150 if scale == 1.0 else 8
+            base = point_set(family, rng, n)
+            inst = synthetic_instance(
+                [Point(x * scale, y * scale) for x, y in zip(*base.xy.tolist())],
+                Point(base.depot.x * scale, base.depot.y * scale),
+            )
+            D = DistanceMatrix.from_instance(inst).entries
+            for m in (3, 4, int(rng.integers(5, n)), n):
+                order = rng.permutation(n)[:m].tolist()
+                i = int(rng.integers(m - 1))
+                for first in (None, (i, int(rng.integers(i + 1, m)))):
+                    got = two_opt(order, baseline._Distances(inst), first=first)
+                    assert got == two_opt(order, D, first=first)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_nearest_neighbor_with_infinite_distances(self, seed):
         # A node whose distances to every unvisited node are inf continues at
